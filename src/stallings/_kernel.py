@@ -1,4 +1,4 @@
-"""Pure-Python folding kernel.
+"""Folding kernel.
 
 Half-edges are integers 0..2m-1 with the involution ``e ^ 1``.  Labels
 are nonzero ints with ``label[e ^ 1] == -label[e]``.  Folding merges any

@@ -58,10 +58,6 @@ class TableReport:
         return all(r.ok for r in self.rows)
 
 
-def _edges_text(edges) -> str:
-    return ", ".join(sorted(format_edge(e) for e in edges))
-
-
 def _sub_hom(parent: InjectivityCase, row: dict) -> GroupHom:
     u = parent.alphabet
     if row["rule"] == "identify":

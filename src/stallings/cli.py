@@ -14,24 +14,48 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .cases import fuzz_example, render_tsv, verify_tables
 from .errors import StallingsError
 from .functor import image_core
-from .graph import canonical_form, classify, to_dot, trace, unique_pointed_morphism
-from .subgroups import Subgroup, gamma, load_subgroup, onto_base
+from .graph import canonical_form, classify, to_dot, unique_pointed_morphism
+from .subgroups import Subgroup, contains, gamma, load_subgroup, onto_base
 from .whitehead import RestrictionSet, is_restriction_morphism, whitehead_graph
 from .words import Alphabet, parse_hom, parse_word
 
 log = logging.getLogger("stallings")
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"cannot read {path}: {exc}")
+
+
+def _parse(what: str, parse, *args):
+    """Run a parser on user input; malformed input is a usage error."""
+    try:
+        return parse(*args)
+    except StallingsError as exc:
+        _usage_error(f"{what}: {exc}")
+
+
+def _load(path: str, alphabet: Alphabet | None = None) -> Subgroup:
+    return _parse(path, load_subgroup, _read(path), alphabet)
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
 
 
 def _emit_graph(g, dot_path: str | None) -> None:
@@ -41,20 +65,14 @@ def _emit_graph(g, dot_path: str | None) -> None:
 
 
 def _cmd_core(args) -> int:
-    h = load_subgroup(_read(args.subgroup))
+    h = _load(args.subgroup)
     _emit_graph(gamma(h), args.dot)
     return 0
 
 
 def _cmd_member(args) -> int:
-    h = load_subgroup(_read(args.subgroup))
-    try:
-        w = h.alphabet.check_word(parse_word(args.word))
-    except StallingsError:
-        print("false")
-        return 1
-    g = gamma(h)
-    ok = trace(g, g.base, w) == g.base
+    h = _load(args.subgroup)
+    ok = contains(h, _parse("word", parse_word, args.word))
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -64,8 +82,8 @@ def _merged_alphabet(h: Subgroup, k: Subgroup) -> Alphabet:
 
 
 def _cmd_morphism(args) -> int:
-    h = load_subgroup(_read(args.inner))
-    k = load_subgroup(_read(args.outer))
+    h = _load(args.inner)
+    k = _load(args.outer)
     ab = _merged_alphabet(h, k)
     h = Subgroup(ab, h.generators)
     k = Subgroup(ab, k.generators)
@@ -88,8 +106,8 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_onto_base(args) -> int:
-    h = load_subgroup(_read(args.inner))
-    k = load_subgroup(_read(args.outer))
+    h = _load(args.inner)
+    k = _load(args.outer)
     ab = _merged_alphabet(h, k)
     h = Subgroup(ab, h.generators)
     k = Subgroup(ab, k.generators)
@@ -102,22 +120,22 @@ def _cmd_onto_base(args) -> int:
 
 
 def _cmd_fphi(args) -> int:
-    phi = parse_hom(_read(args.hom))
-    h = load_subgroup(_read(args.subgroup), alphabet=phi.source)
+    phi = _parse(args.hom, parse_hom, _read(args.hom))
+    h = _load(args.subgroup, phi.source)
     _emit_graph(image_core(phi, gamma(h)), args.dot)
     return 0
 
 
 def _cmd_whitehead(args) -> int:
-    h = load_subgroup(_read(args.subgroup))
+    h = _load(args.subgroup)
     print(whitehead_graph(gamma(h)).text)
     return 0
 
 
 def _cmd_fgr_check(args) -> int:
-    phi = parse_hom(_read(args.hom))
-    src = RestrictionSet.parse(phi.source, args.src_restrictions)
-    dst = RestrictionSet.parse(phi.target, args.dst_restrictions)
+    phi = _parse(args.hom, parse_hom, _read(args.hom))
+    src = _parse("source restrictions", RestrictionSet.parse, phi.source, args.src_restrictions)
+    dst = _parse("target restrictions", RestrictionSet.parse, phi.target, args.dst_restrictions)
     report = is_restriction_morphism(src, dst, phi)
     if report.ok:
         print("admissible: true")
@@ -197,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized injectivity check")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--alphabet-size", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--alphabet-size", type=_positive_int, default=3)
+    p.add_argument("--max-len", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fuzz)
 

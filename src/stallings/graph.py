@@ -369,11 +369,6 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 # -- folding / trimming / core ---------------------------------------
 
 
-def _letter_code(alphabet: Alphabet, l: Letter) -> int:
-    idx = alphabet.generators.index(l.gen) + 1
-    return idx if l.sign > 0 else -idx
-
-
 def fold_all(
     g: LabeledGraph, seed: int | None = None
 ) -> tuple[LabeledGraph, GraphMorphism]:
@@ -482,14 +477,14 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
 
 
 def core(g: LabeledGraph, seed: int | None = None) -> LabeledGraph:
-    """Fold and trim to a fixpoint, preserving the fundamental group."""
-    current = g
-    while True:
-        if not current.is_folded():
-            current, _ = fold_all(current, seed)
-        current = trim_all(current)
-        if current.is_folded():
-            return current
+    """Fold, then trim, preserving the fundamental group.
+
+    One pass suffices: a subgraph of a folded graph is folded, so
+    trimming never undoes the fold.
+    """
+    if not g.is_folded():
+        g, _ = fold_all(g, seed)
+    return trim_all(g)
 
 
 def attach_path(g: LabeledGraph, w: Word) -> LabeledGraph:
@@ -611,11 +606,6 @@ def _edge_line_key(line: str):
     v, rest = line.split(" -", 1)
     tok, w = rest.split("-> ")
     return int(v), tok, int(w)
-
-
-def canonical_key_unpointed(g: LabeledGraph) -> str:
-    """Canonical form minimized over base choices; an unpointed invariant."""
-    return min(canonical_form(g, root=v) for v in range(g.n_vertices))
 
 
 def to_dot(g: LabeledGraph) -> str:

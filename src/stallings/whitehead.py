@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatchError, NotFoldedError
+from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
 from .graph import LabeledGraph, path_graph
 from .words import Alphabet, GroupHom, Letter, Word, last_letter, parse_letter
 
@@ -39,6 +39,8 @@ def parse_edges(text: str) -> frozenset[WhiteheadEdge]:
         chunk = chunk.strip()
         if not chunk:
             continue
+        if "." not in chunk:
+            raise UnknownGeneratorError(f"bad Whitehead edge {chunk!r}")
         left, right = chunk.split(".", 1)
         edges.add(whitehead_edge(parse_letter(left.strip()), parse_letter(right.strip())))
     return frozenset(edges)

@@ -271,6 +271,12 @@ class GroupHom:
             raise UnknownGeneratorError(f"{l!r} not in source alphabet")
         return w if l.sign > 0 else invert(w)
 
+    def __hash__(self) -> int:
+        # Equality compares ``images`` as a dict, regardless of key order,
+        # so hash the images in source-generator order.
+        images = tuple(self.images[g] for g in self.source.generators)
+        return hash((self.source, self.target, images))
+
     def __call__(self, w: Word) -> Word:
         return apply_hom(self, w)
 

@@ -59,6 +59,11 @@ class TestInitialSplit:
         assert coords.images["a"].text == "y"
         assert coords.images["b"].text == "u"
 
+    def test_case_with_chain_hashes(self):
+        two = initial_split(root_case())[1]
+        assert two.chain
+        assert two in {two}
+
 
 class TestSplitOnEdge:
     def test_split_shapes(self, report):

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def usage_error(capsys, *argv):
+    """Run a command that must fail with exit 2; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 class TestCore:
     def test_canonical_output(self, capsys, files):
         code, out = run(capsys, "core", files["K"])
@@ -37,6 +47,12 @@ class TestCore:
         assert code == 0
         assert "doublecircle" in dot.read_text()
 
+    def test_malformed_subgroup_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a^-2\n")
+        err = usage_error(capsys, "core", str(bad))
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestMember:
     def test_member_true(self, capsys, files):
@@ -50,6 +66,10 @@ class TestMember:
     def test_foreign_letter(self, capsys, files):
         code, out = run(capsys, "member", files["K"], "z")
         assert code == 1 and out.strip() == "false"
+
+    def test_malformed_word_exits_2(self, capsys, files):
+        err = usage_error(capsys, "member", files["K"], "a^^")
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestMorphism:
@@ -105,6 +125,16 @@ class TestTransportAndChecks:
         code, out = run(capsys, "fgr-check", files["hom"], "a.b", "b.b^-1")
         assert code == 1 and "admissible: false" in out
 
+    def test_malformed_hom_exits_2(self, capsys, files, tmp_path):
+        bad = tmp_path / "bad_hom.txt"
+        bad.write_text("a b\n")
+        err = usage_error(capsys, "fphi", str(bad), files["H"])
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_malformed_restrictions_exit_2(self, capsys, files):
+        err = usage_error(capsys, "fgr-check", files["hom"], "ab", "b.b^-1")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestCaseTable:
     def test_all_rows_pass(self, capsys):
@@ -129,6 +159,14 @@ class TestFuzz:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+    def test_zero_alphabet_size_exits_2(self, capsys):
+        err = usage_error(capsys, "fuzz", "--alphabet-size", "0")
+        assert "--alphabet-size" in err and "Traceback" not in err
+
+    def test_zero_max_len_exits_2(self, capsys):
+        err = usage_error(capsys, "fuzz", "--max-len", "0")
+        assert "--max-len" in err and "Traceback" not in err
 
 
 class TestUsage:

@@ -266,39 +266,3 @@ class TestSerialization:
         t = two_core(g)
         assert t.n_vertices == 1 and t.n_edges == 1 and t.base is None
 
-
-def _rebuild(g: LabeledGraph, vrep, erep) -> LabeledGraph:
-    vmap = {}
-    for v in range(g.n_vertices):
-        if vrep[v] == v:
-            vmap[v] = len(vmap)
-    roots = sorted({min(erep[e], erep[e] ^ 1) for e in range(g.n_half_edges)})
-    einit, elabel = [], []
-    for r in roots:
-        einit += [vmap[vrep[g.einit[r]]], vmap[vrep[g.einit[r ^ 1]]]]
-        elabel += [g.elabel[r], g.elabel[r ^ 1]]
-    return LabeledGraph(
-        g.alphabet, len(vmap), tuple(einit), tuple(elabel), vmap[vrep[g.base]]
-    )
-
-
-class TestKernels:
-    def test_backends_agree(self):
-        pytest.importorskip("stallings._kernel._fold_c")
-        from stallings._kernel import fold_python
-        from stallings._kernel._fold_c import fold as fold_c
-
-        rng = random.Random(3)
-        ab = Alphabet.of("a", "b", "c")
-        gen_index = {n: i + 1 for i, n in enumerate(ab.generators)}
-        for _ in range(100):
-            g = random_wedge(rng, ab)
-            codes = [
-                gen_index[l.gen] if l.sign > 0 else -gen_index[l.gen]
-                for l in g.elabel
-            ]
-            for seed in (None, rng.randint(0, 10**6)):
-                py = _rebuild(g, *fold_python(g.n_vertices, list(g.einit), codes, seed))
-                cc = _rebuild(g, *fold_c(g.n_vertices, list(g.einit), codes, seed))
-                assert py.is_folded() and cc.is_folded()
-                assert canonical_form(py) == canonical_form(cc)

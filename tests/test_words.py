@@ -184,6 +184,12 @@ class TestHoms:
         with pytest.raises(AlphabetMismatchError):
             compose_homs(SIGMA, SIGMA)
 
+    def test_equal_homs_hash_equal(self):
+        phi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
+        psi = GroupHom(AB, AB, {"b": w("b"), "a": w("a b")})
+        assert phi == psi and hash(phi) == hash(psi)
+        assert len({phi, psi, identity_hom(AB)}) == 2
+
     @given(st.data())
     def test_composition_respected_on_words(self, data):
         from helpers import random_hom

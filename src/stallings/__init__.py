@@ -48,7 +48,6 @@ from .functor import (
     image_core,
     subdivide,
     subdivide_morphism,
-    unbased_core,
     unbased_core_morphism,
     unbased_image_morphism,
 )

@@ -58,8 +58,8 @@ def fuzz_example(
     trials: int, alphabet_size: int, max_len: int, seed: int = 0
 ) -> FuzzReport:
     """Transport the example along random homomorphisms; expect injectivity."""
-    if alphabet_size < 1 or max_len < 1:
-        raise ValueError("alphabet size and image length must be positive")
+    if trials < 1 or alphabet_size < 1 or max_len < 1:
+        raise ValueError("trials, alphabet size and image length must be positive")
     rng = random.Random(seed)
     root = root_case()
     source_alphabet = root.alphabet

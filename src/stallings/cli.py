@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_case_table)
 
     p = sub.add_parser("fuzz", help="randomized injectivity check")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--alphabet-size", type=_positive_int, default=3)
     p.add_argument("--max-len", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)

@@ -22,9 +22,9 @@ from .graph import (
     GraphMorphism,
     LabeledGraph,
     _peel,
-    _subgraph,
+    _renumber,
+    _spell,
     core,
-    two_core,
     unique_pointed_morphism,
 )
 from .words import GroupHom, is_nondegenerate
@@ -32,7 +32,7 @@ from .words import GroupHom, is_nondegenerate
 
 def _subdivide_tables(
     phi: GroupHom, g: LabeledGraph
-) -> tuple[LabeledGraph, list[list[int]], list[list[int]]]:
+) -> tuple[LabeledGraph, list[range], list[range]]:
     if not is_nondegenerate(phi):
         raise DegenerateHomError("subdivision needs nonempty images")
     if g.alphabet.generators != phi.source.generators:
@@ -40,25 +40,22 @@ def _subdivide_tables(
             f"graph over {g.alphabet.generators}, homomorphism from "
             f"{phi.source.generators}"
         )
+    images: dict[int, list[int]] = {}  # image codes keyed by source code
+    for c, name in enumerate(phi.source.generators, 1):
+        images[c] = phi.target.encode(phi.images[name])
+        images[-c] = [-x for x in reversed(images[c])]
     einit: list[int] = []
-    elabel = []
-    seg: list[list[int]] = []
-    interior: list[list[int]] = []
+    elabel: list[int] = []
+    seg: list[range] = []
+    interior: list[range] = []
     next_v = g.n_vertices
-    for i in range(g.n_edges):
-        e = 2 * i
-        w = phi.letter_image(g.elabel[e])
-        k = len(w)
-        chain = [g.einit[e]] + [next_v + j for j in range(k - 1)] + [g.head(e)]
-        next_v += k - 1
-        seg_i = []
-        for j, l in enumerate(w):
-            h = len(einit)
-            einit.extend((chain[j], chain[j + 1]))
-            elabel.extend((l, l.inverse()))
-            seg_i.append(h)
-        seg.append(seg_i)
-        interior.append(chain[1:-1])
+    for e in range(0, g.n_half_edges, 2):
+        codes = images[g.elabel[e]]
+        h = len(einit)
+        seg.append(range(h, h + 2 * len(codes), 2))
+        fresh = next_v
+        next_v = _spell(einit, elabel, g.einit[e], g.head(e), codes, fresh)
+        interior.append(range(fresh, next_v))
     new_g = LabeledGraph(
         phi.target, next_v, tuple(einit), tuple(elabel), g.base, _validate=False
     )
@@ -100,11 +97,6 @@ def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
     return core(subdivide(phi, g))
 
 
-def unbased_core(g: LabeledGraph) -> LabeledGraph:
-    """Forget the base point and trim the hanging path."""
-    return two_core(g)
-
-
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
     """Restrict a morphism of pointed core graphs to the unbased cores.
 
@@ -115,29 +107,15 @@ def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
         raise NotFoldedError("unbased cores need folded graphs")
     if f.source.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    kvs, kes = _peel(f.source, None)
-    kvt, ket = _peel(f.target, None)
-    s2 = _subgraph(f.source, kvs, kes, None)
-    t2 = _subgraph(f.target, kvt, ket, None)
-    vidx = {v: i for i, v in enumerate(kvt)}
-    eidx: dict[int, int] = {}
-    for pos, e in enumerate(ket):
-        eidx[e] = 2 * pos
-        eidx[e ^ 1] = 2 * pos + 1
-    vmap = []
-    for v in kvs:
-        fv = f.vmap[v]
-        if fv not in vidx:
-            raise StallingsError("trimmed source vertex mapped into a trimmed part")
-        vmap.append(vidx[fv])
-    emap = [0] * (2 * len(kes))
-    for pos, e in enumerate(kes):
-        fe = f.emap[e]
-        if fe not in eidx:
-            raise StallingsError("trimmed source edge mapped into a trimmed part")
-        emap[2 * pos] = eidx[fe]
-        emap[2 * pos + 1] = eidx[fe] ^ 1
-    return GraphMorphism(s2, t2, tuple(vmap), tuple(emap))
+    s, s_vnew, s_enew = _renumber(f.source.unbased(), *_peel(f.source, None))
+    t, t_vnew, t_enew = _renumber(f.target.unbased(), *_peel(f.target, None))
+    # the source maps list the kept vertices and half-edges in their new order
+    try:
+        vmap = tuple(t_vnew[f.vmap[v]] for v in s_vnew)
+        emap = tuple(t_enew[f.emap[e]] for e in s_enew)
+    except KeyError:
+        raise StallingsError("a kept source part maps into a trimmed part") from None
+    return GraphMorphism(s, t, vmap, emap)
 
 
 def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:

@@ -2,8 +2,9 @@
 
 A graph is a set of half-edges closed under a fixed-point-free involution
 ``e <-> e ^ 1``, an initial-vertex map, and a labeling into the signed
-letters of an alphabet with ``label(e ^ 1) == label(e)^-1``.  Graphs may
-carry a base point.  All graphs here are finite and connected.
+letters of an alphabet with ``label(e ^ 1) == label(e)^-1``, stored as
+the alphabet's integer codes (so ``label(e ^ 1) == -label(e)``).  Graphs
+may carry a base point.  All graphs here are finite and connected.
 
 Graphs are frozen after construction; every operation returns new values.
 """
@@ -36,7 +37,7 @@ class LabeledGraph:
         alphabet: Alphabet,
         n_vertices: int,
         einit: tuple[int, ...],
-        elabel: tuple[Letter, ...],
+        elabel: tuple[int, ...],
         base: int | None = None,
         _validate: bool = True,
     ):
@@ -46,7 +47,7 @@ class LabeledGraph:
         self.elabel = elabel
         self.base = base
         self._out: list[list[int]] | None = None
-        self._lookup: list[dict[Letter, int]] | None = None
+        self._lookup: list[dict[int, int]] | None = None
         if _validate:
             self._validate()
 
@@ -55,12 +56,13 @@ class LabeledGraph:
             raise DisconnectedGraphError("a graph needs at least one vertex")
         if len(self.einit) != len(self.elabel) or len(self.einit) % 2:
             raise UnknownGeneratorError("half-edge arrays must pair up")
+        rank = len(self.alphabet)
         for e in range(0, len(self.einit), 2):
-            l, lb = self.elabel[e], self.elabel[e + 1]
-            if lb != l.inverse():
+            c = self.elabel[e]
+            if self.elabel[e + 1] != -c:
                 raise UnknownGeneratorError("labels must invert across the involution")
-            if l.gen not in self.alphabet:
-                raise UnknownGeneratorError(f"label {l!r} outside the alphabet")
+            if not 0 < abs(c) <= rank:
+                raise UnknownGeneratorError(f"label {c!r} outside the alphabet")
         for v in self.einit:
             if not 0 <= v < self.n_vertices:
                 raise DisconnectedGraphError("half-edge at a missing vertex")
@@ -96,22 +98,19 @@ class LabeledGraph:
         return len(self.out_edges(v))
 
     def is_folded(self) -> bool:
-        for v in range(self.n_vertices):
-            labels = [self.elabel[e] for e in self.out_edges(v)]
-            if len(set(labels)) != len(labels):
-                return False
-        return True
+        """No two half-edges share an initial vertex and a label."""
+        return len(set(zip(self.einit, self.elabel))) == len(self.einit)
 
-    def edge_at(self, v: int, letter: Letter) -> int | None:
-        """The unique half-edge at v with the given label (folded graphs)."""
+    def edge_at(self, v: int, code: int) -> int | None:
+        """The unique half-edge at v with the given label code (folded graphs)."""
         if self._lookup is None:
             if not self.is_folded():
                 raise NotFoldedError("label lookup needs a folded graph")
-            table: list[dict[Letter, int]] = [{} for _ in range(self.n_vertices)]
+            table: list[dict[int, int]] = [{} for _ in range(self.n_vertices)]
             for e, w in enumerate(self.einit):
                 table[w][self.elabel[e]] = e
             self._lookup = table
-        return self._lookup[v].get(letter)
+        return self._lookup[v].get(code)
 
     def _is_connected(self) -> bool:
         if self.n_vertices == 1:
@@ -170,6 +169,21 @@ class LabeledGraph:
         return f"LabeledGraph({self.n_vertices} vertices, {self.n_edges} edges{b})"
 
 
+def _spell(
+    einit: list[int], elabel: list[int], u: int, v: int, codes: list[int], fresh: int
+) -> int:
+    """Append a path from vertex u to vertex v spelling the codes.
+
+    Interior vertices are numbered ``fresh, fresh + 1, ...``; returns the
+    first vertex number left unused.
+    """
+    inner = range(fresh, fresh + max(len(codes) - 1, 0))
+    for tail, head, c in zip((u, *inner), (*inner, v), codes):
+        einit += (tail, head)
+        elabel += (c, -c)
+    return inner.stop
+
+
 def build_graph(
     alphabet: Alphabet,
     n_vertices: int,
@@ -178,34 +192,30 @@ def build_graph(
 ) -> LabeledGraph:
     """Build a graph from oriented edge triples ``(tail, head, letter)``."""
     einit: list[int] = []
-    elabel: list[Letter] = []
+    elabel: list[int] = []
     for u, v, l in edges:
-        einit.extend((u, v))
-        elabel.extend((l, l.inverse()))
+        _spell(einit, elabel, u, v, [alphabet.code(l)], n_vertices)
     return LabeledGraph(alphabet, n_vertices, tuple(einit), tuple(elabel), base)
 
 
 def path_graph(w: Word, alphabet: Alphabet) -> LabeledGraph:
     """The path graph of a reduced word: vertices 0..n spelling the word."""
-    alphabet.check_word(w)
-    edges = [(i, i + 1, l) for i, l in enumerate(w)]
-    return build_graph(alphabet, len(w) + 1, edges)
+    einit: list[int] = []
+    elabel: list[int] = []
+    _spell(einit, elabel, 0, len(w), alphabet.encode(w), 1)
+    n = len(w) + 1
+    return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
 
 
 def bouquet(alphabet: Alphabet, words: list[Word]) -> LabeledGraph:
     """A wedge of loop paths at a common base, one loop per nonempty word."""
     einit: list[int] = []
-    elabel: list[Letter] = []
+    elabel: list[int] = []
     n = 1
     for w in words:
-        if not w:
-            continue
-        chain = [0] + [n + i for i in range(len(w) - 1)] + [0]
-        n += len(w) - 1
-        for i, l in enumerate(w):
-            einit.extend((chain[i], chain[i + 1]))
-            elabel.extend((l, l.inverse()))
-    return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), 0)
+        if w:
+            n = _spell(einit, elabel, 0, 0, alphabet.encode(w), n)
+    return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), 0, _validate=False)
 
 
 # -- morphisms ----------------------------------------------------------
@@ -235,12 +245,13 @@ class GraphMorphism:
         g, d = self.source, self.target
         if len(self.vmap) != g.n_vertices or len(self.emap) != g.n_half_edges:
             raise AlphabetMismatchError("morphism arrays have wrong lengths")
+        labels = d.alphabet.recode(g.elabel, g.alphabet)
         for e, fe in enumerate(self.emap):
             if self.emap[e ^ 1] != fe ^ 1:
                 raise AlphabetMismatchError("morphism breaks the involution")
             if d.einit[fe] != self.vmap[g.einit[e]]:
                 raise AlphabetMismatchError("morphism breaks initial vertices")
-            if d.elabel[fe] != g.elabel[e]:
+            if d.elabel[fe] != labels[e]:
                 raise AlphabetMismatchError("morphism breaks labels")
         if g.base is not None and d.base is not None and self.vmap[g.base] != d.base:
             raise AlphabetMismatchError("morphism does not preserve the base point")
@@ -300,6 +311,7 @@ def extend_morphism(
     it exists; returns None when some half-edge has no image or images
     clash.
     """
+    labels = d.alphabet.recode(g.elabel, g.alphabet)
     vmap = [-1] * g.n_vertices
     emap = [-1] * g.n_half_edges
     vmap[seed_vertex] = seed_image
@@ -307,7 +319,7 @@ def extend_morphism(
     while stack:
         v = stack.pop()
         for e in g.out_edges(v):
-            fe = d.edge_at(vmap[v], g.elabel[e])
+            fe = d.edge_at(vmap[v], labels[e])
             if fe is None:
                 return None
             if emap[e] == -1:
@@ -373,33 +385,18 @@ def fold_all(
     g: LabeledGraph, seed: int | None = None
 ) -> tuple[LabeledGraph, GraphMorphism]:
     """Fold completely; return the folded graph and the quotient morphism."""
-    gen_index = {name: i + 1 for i, name in enumerate(g.alphabet.generators)}
-    codes = [
-        gen_index[l.gen] if l.sign > 0 else -gen_index[l.gen] for l in g.elabel
-    ]
-    vrep, erep = _kernel.fold(g.n_vertices, list(g.einit), codes, seed)
-
-    vcompact: dict[int, int] = {}
-    for v in range(g.n_vertices):
-        if vrep[v] == v:
-            vcompact[v] = len(vcompact)
-
-    roots = sorted({min(erep[e], erep[e] ^ 1) for e in range(g.n_half_edges)})
-    enew: dict[int, int] = {}
-    einit: list[int] = []
-    elabel: list[Letter] = []
-    for j, r in enumerate(roots):
-        enew[r] = 2 * j
-        enew[r ^ 1] = 2 * j + 1
-        einit.extend((vcompact[vrep[g.einit[r]]], vcompact[vrep[g.einit[r ^ 1]]]))
-        elabel.extend((g.elabel[r], g.elabel[r ^ 1]))
-
-    base = vcompact[vrep[g.base]] if g.base is not None else None
-    folded = LabeledGraph(
-        g.alphabet, len(vcompact), tuple(einit), tuple(elabel), base, _validate=False
+    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel, seed)
+    # half-edges moved onto their vertex classes' representatives
+    base = None if g.base is None else vrep[g.base]
+    einit = tuple([vrep[v] for v in g.einit])
+    merged = LabeledGraph(
+        g.alphabet, g.n_vertices, einit, g.elabel, base, _validate=False
     )
-    vmap = tuple(vcompact[vrep[v]] for v in range(g.n_vertices))
-    emap = tuple(enew[erep[e]] for e in range(g.n_half_edges))
+    kept_v = [v for v in range(g.n_vertices) if vrep[v] == v]
+    kept_e = sorted({r & ~1 for r in erep})  # one even half-edge per edge class
+    folded, vnew, enew = _renumber(merged, kept_v, kept_e)
+    vmap = tuple([vnew[r] for r in vrep])
+    emap = tuple([enew[r] for r in erep])
     quotient = GraphMorphism(g, folded, vmap, emap, _validate=False)
     return folded, quotient
 
@@ -438,23 +435,28 @@ def _peel(g: LabeledGraph, protect: int | None) -> tuple[list[int], list[int]]:
     return kept_v, kept_e
 
 
-def _subgraph(
-    g: LabeledGraph, kept_v: list[int], kept_e: list[int], base: int | None
-) -> LabeledGraph:
+def _renumber(
+    g: LabeledGraph, kept_v: list[int], kept_e: list[int]
+) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
+    """The graph on the kept vertices and even half-edges, in list order.
+
+    Also returns the maps from kept vertices and kept half-edges (both
+    orientations) to their new numbers.
+    """
     vnew = {v: i for i, v in enumerate(kept_v)}
+    enew: dict[int, int] = {}
     einit: list[int] = []
-    elabel: list[Letter] = []
-    for e in kept_e:
-        einit.extend((vnew[g.einit[e]], vnew[g.einit[e ^ 1]]))
-        elabel.extend((g.elabel[e], g.elabel[e ^ 1]))
-    return LabeledGraph(
-        g.alphabet,
-        len(kept_v),
-        tuple(einit),
-        tuple(elabel),
-        vnew[base] if base is not None else None,
-        _validate=False,
+    elabel: list[int] = []
+    for j, e in enumerate(kept_e):
+        enew[e] = 2 * j
+        enew[e ^ 1] = 2 * j + 1
+        einit += (vnew[g.einit[e]], vnew[g.einit[e ^ 1]])
+        elabel += (g.elabel[e], g.elabel[e ^ 1])
+    base = None if g.base is None else vnew[g.base]
+    h = LabeledGraph(
+        g.alphabet, len(kept_v), tuple(einit), tuple(elabel), base, _validate=False
     )
+    return h, vnew, enew
 
 
 def trim_all(g: LabeledGraph) -> LabeledGraph:
@@ -462,7 +464,7 @@ def trim_all(g: LabeledGraph) -> LabeledGraph:
     kept_v, kept_e = _peel(g, g.base)
     if len(kept_v) == g.n_vertices:
         return g
-    return _subgraph(g, kept_v, kept_e, g.base)
+    return _renumber(g, kept_v, kept_e)[0]
 
 
 def two_core(g: LabeledGraph) -> LabeledGraph:
@@ -472,8 +474,7 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
     """
     if not g.is_folded():
         raise NotFoldedError("the unbased core needs a folded graph")
-    kept_v, kept_e = _peel(g, None)
-    return _subgraph(g, kept_v, kept_e, None)
+    return _renumber(g.unbased(), *_peel(g, None))[0]
 
 
 def core(g: LabeledGraph, seed: int | None = None) -> LabeledGraph:
@@ -495,35 +496,31 @@ def attach_path(g: LabeledGraph, w: Word) -> LabeledGraph:
     """
     if g.base is None:
         raise NotFoldedError("attach_path needs a pointed graph")
-    g.alphabet.check_word(w)
-    if not w:
+    codes = g.alphabet.encode(w)
+    if not codes:
         return g
     n = g.n_vertices
-    chain = [n + i for i in range(len(w))]
-    chain.append(g.base)
     einit = list(g.einit)
     elabel = list(g.elabel)
-    for i, l in enumerate(w):
-        einit.extend((chain[i], chain[i + 1]))
-        elabel.extend((l, l.inverse()))
-    return LabeledGraph(
-        g.alphabet,
-        n + len(w),
-        tuple(einit),
-        tuple(elabel),
-        chain[0],
-        _validate=False,
-    )
+    end = _spell(einit, elabel, n, g.base, codes, n + 1)
+    return LabeledGraph(g.alphabet, end, tuple(einit), tuple(elabel), n, _validate=False)
 
 
 # -- traversal ---------------------------------------------------------
 
 
 def trace(g: LabeledGraph, start: int, w: Word) -> int | None:
-    """Endpoint of the path spelling ``w`` from ``start``, or None."""
+    """Endpoint of the path spelling ``w`` from ``start``, or None.
+
+    A word with a letter outside the graph's alphabet spells no path.
+    """
+    try:
+        codes = g.alphabet.encode(w)
+    except UnknownGeneratorError:
+        return None
     v = start
-    for l in w:
-        e = g.edge_at(v, l)
+    for c in codes:
+        e = g.edge_at(v, c)
         if e is None:
             return None
         v = g.head(e)
@@ -551,7 +548,8 @@ class Path:
         return bool(self.edges) and g.head(self.edges[-1]) == g.einit[self.edges[0]]
 
     def letters(self) -> tuple[Letter, ...]:
-        return tuple(self.graph.elabel[e] for e in self.edges)
+        g = self.graph
+        return tuple(g.alphabet.decode(g.elabel[e]) for e in self.edges)
 
     def word(self) -> Word:
         return free_reduce(self.letters())
@@ -562,7 +560,7 @@ class Path:
 
 def _bfs_order(g: LabeledGraph, root: int) -> list[int]:
     """Vertices in label-driven breadth-first order from ``root``."""
-    key = {l: i for i, l in enumerate(g.alphabet.letters())}
+    index = g.alphabet.code_index
     order = [root]
     seen = [False] * g.n_vertices
     seen[root] = True
@@ -570,7 +568,7 @@ def _bfs_order(g: LabeledGraph, root: int) -> list[int]:
     while i < len(order):
         v = order[i]
         i += 1
-        for e in sorted(g.out_edges(v), key=lambda e: key[g.elabel[e]]):
+        for e in sorted(g.out_edges(v), key=lambda e: index(g.elabel[e])):
             w = g.head(e)
             if not seen[w]:
                 seen[w] = True
@@ -592,20 +590,16 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
         raise NotFoldedError("canonical form needs a base or explicit root")
     order = _bfs_order(g, root)
     vnew = {v: i for i, v in enumerate(order)}
-    lines = []
+    decode = g.alphabet.decode
+    rows = []
     for e in range(0, g.n_half_edges, 2):
-        pos = e if g.elabel[e].sign > 0 else e ^ 1
-        lines.append(
-            f"{vnew[g.einit[pos]]} -{g.elabel[pos].token}-> {vnew[g.head(pos)]}"
+        pos = e if g.elabel[e] > 0 else e ^ 1
+        rows.append(
+            (vnew[g.einit[pos]], decode(g.elabel[pos]).token, vnew[g.head(pos)])
         )
-    lines.sort(key=_edge_line_key)
+    rows.sort()
+    lines = [f"{v} -{token}-> {w}" for v, token, w in rows]
     return "\n".join([f"base {vnew[root]}"] + lines)
-
-
-def _edge_line_key(line: str):
-    v, rest = line.split(" -", 1)
-    tok, w = rest.split("-> ")
-    return int(v), tok, int(w)
 
 
 def to_dot(g: LabeledGraph) -> str:
@@ -615,9 +609,8 @@ def to_dot(g: LabeledGraph) -> str:
         shape = "doublecircle" if v == g.base else "circle"
         lines.append(f'  {v} [shape={shape}];')
     for e in range(0, g.n_half_edges, 2):
-        pos = e if g.elabel[e].sign > 0 else e ^ 1
-        lines.append(
-            f'  {g.einit[pos]} -> {g.head(pos)} [label="{g.elabel[pos].token}"];'
-        )
+        pos = e if g.elabel[e] > 0 else e ^ 1
+        token = g.alphabet.decode(g.elabel[pos]).token
+        lines.append(f'  {g.einit[pos]} -> {g.head(pos)} [label="{token}"];')
     lines.append("}")
     return "\n".join(lines)

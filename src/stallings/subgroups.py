@@ -74,18 +74,12 @@ class Subgroup:
 def load_subgroup(text: str, alphabet: Alphabet | None = None) -> Subgroup:
     """Parse a subgroup file: one generator word per line, ``#`` comments."""
     gens: list[Word] = []
-    seen: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        w = parse_word(line)
-        gens.append(w)
-        for l in w:
-            if l.gen not in seen:
-                seen.append(l.gen)
+        if line:
+            gens.append(parse_word(line))
     if alphabet is None:
-        alphabet = Alphabet(tuple(seen))
+        alphabet = Alphabet(tuple(dict.fromkeys(l.gen for w in gens for l in w)))
     return Subgroup(alphabet, tuple(gens))
 
 
@@ -93,7 +87,7 @@ def gamma(h: Subgroup) -> LabeledGraph:
     """The core graph of a subgroup: fold a wedge of generator loops."""
     words = [w for w in h.generators if w]
     if not words:
-        return LabeledGraph(h.alphabet, 1, (), (), 0)
+        return LabeledGraph(h.alphabet, 1, (), (), 0, _validate=False)
     return core(bouquet(h.alphabet, words))
 
 
@@ -107,7 +101,7 @@ def pi1_basis(g: LabeledGraph) -> list[Word]:
     """A free basis from a spanning tree: one word per non-tree edge."""
     if g.base is None:
         raise TrivialGraphError("basis extraction needs a pointed graph")
-    key = {l: i for i, l in enumerate(g.alphabet.letters())}
+    index = g.alphabet.code_index
     parent_dart: dict[int, int] = {g.base: -1}
     order = [g.base]
     tree_edges: set[int] = set()
@@ -115,32 +109,32 @@ def pi1_basis(g: LabeledGraph) -> list[Word]:
     while i < len(order):
         v = order[i]
         i += 1
-        for e in sorted(g.out_edges(v), key=lambda e: key[g.elabel[e]]):
+        for e in sorted(g.out_edges(v), key=lambda e: index(g.elabel[e])):
             w = g.head(e)
             if w not in parent_dart:
                 parent_dart[w] = e
                 tree_edges.add(e // 2)
                 order.append(w)
 
-    def path_to(v: int) -> tuple[Letter, ...]:
-        letters: list[Letter] = []
+    def path_to(v: int) -> list[int]:
+        codes: list[int] = []
         while v != g.base:
             d = parent_dart[v]
-            letters.append(g.elabel[d])
+            codes.append(g.elabel[d])
             v = g.einit[d]
-        return tuple(reversed(letters))
+        return codes[::-1]
 
     basis = []
     for e in range(0, g.n_half_edges, 2):
         if e // 2 in tree_edges:
             continue
-        pos = e if g.elabel[e].sign > 0 else e ^ 1
-        word = free_reduce(
+        pos = e if g.elabel[e] > 0 else e ^ 1
+        codes = (
             path_to(g.einit[pos])
-            + (g.elabel[pos],)
-            + tuple(l.inverse() for l in reversed(path_to(g.head(pos))))
+            + [g.elabel[pos]]
+            + [-c for c in reversed(path_to(g.head(pos)))]
         )
-        basis.append(word)
+        basis.append(free_reduce(map(g.alphabet.decode, codes)))
     return basis
 
 
@@ -163,7 +157,7 @@ def _dart_bfs(
     start_vertex: int,
     last_dart: int | None,
     is_target,
-    first_letter_not: Letter | None = None,
+    first_code_not: int = 0,
 ) -> list[int] | None:
     """Shortest reduced dart path from a position to a target dart.
 
@@ -178,7 +172,7 @@ def _dart_bfs(
             continue
         if last_dart is not None and d == (last_dart ^ 1):
             continue
-        if first_letter_not is not None and g.elabel[d] == first_letter_not:
+        if g.elabel[d] == first_code_not:
             continue
         if d not in parent:
             parent[d] = None
@@ -213,6 +207,10 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
     if g.n_edges == 0:
         raise TrivialGraphError("the one-vertex graph has no circuits")
 
+    forbidden = 0  # no label has code 0
+    if first_letter_not in g.alphabet:
+        forbidden = g.alphabet.code(first_letter_not)
+
     kept_v, kept_e = _peel(g, None)
     allowed = {e // 2 for e in kept_e}
     kept_vset = set(kept_v)
@@ -233,13 +231,13 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
         v = g.head(d)
     junction = v
 
-    if tail and first_letter_not is not None and g.elabel[tail[0]] == first_letter_not:
+    if tail and g.elabel[tail[0]] == forbidden:
         raise StallingsError("the forced first letter is forbidden")
 
     circuit: list[int] = list(tail)
     uncovered = set(allowed)
     pos_vertex, pos_dart = junction, (tail[-1] if tail else None)
-    first_not = first_letter_not if not tail else None
+    first_not = forbidden if not tail else 0
     while uncovered:
         leg = _dart_bfs(
             g,
@@ -247,11 +245,11 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
             pos_vertex,
             pos_dart,
             lambda d: d // 2 in uncovered,
-            first_letter_not=first_not,
+            first_code_not=first_not,
         )
         if leg is None:
             raise StallingsError("no reduced walk reaches an uncovered edge")
-        first_not = None
+        first_not = 0
         for d in leg:
             uncovered.discard(d // 2)
         circuit.extend(leg)
@@ -266,7 +264,7 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
         circuit.extend(leg)
     circuit.extend(d ^ 1 for d in reversed(tail))
 
-    letters = tuple(g.elabel[d] for d in circuit)
+    letters = tuple(g.alphabet.decode(g.elabel[d]) for d in circuit)
     word = free_reduce(letters)
     assert len(word) == len(letters), "covering circuit must be reduced"
     return word
@@ -284,7 +282,7 @@ def _tail_word(g: LabeledGraph) -> Word:
     """Label of the hanging path from a degree-1 base to the first branch."""
     if g.degree(g.base) >= 2:
         return IDENTITY
-    letters: list[Letter] = []
+    codes: list[int] = []
     v = g.base
     incoming: int | None = None
     while v == g.base or g.degree(v) == 2:
@@ -294,10 +292,10 @@ def _tail_word(g: LabeledGraph) -> Word:
         if not outs:
             break
         d = outs[0]
-        letters.append(g.elabel[d])
+        codes.append(g.elabel[d])
         incoming = d
         v = g.head(d)
-    return free_reduce(letters)
+    return free_reduce(map(g.alphabet.decode, codes))
 
 
 def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:

@@ -89,13 +89,13 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     not representable and are skipped.
     """
     edges: set[WhiteheadEdge] = set()
+    decode = g.alphabet.decode
     for v in range(g.n_vertices):
-        out = g.out_edges(v)
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                a, b = g.elabel[out[i]], g.elabel[out[j]]
+        inverses = [decode(-g.elabel[e]) for e in g.out_edges(v)]
+        for i, a in enumerate(inverses):
+            for b in inverses[i + 1 :]:
                 if a != b:
-                    edges.add(frozenset((a.inverse(), b.inverse())))
+                    edges.add(frozenset((a, b)))
     return RestrictionSet(g.alphabet, frozenset(edges))
 
 

@@ -10,8 +10,8 @@ by ``^-1``, e.g. ``a b^-1 a``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -173,16 +173,23 @@ def parse_word(text: str) -> Word:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered finite set of generator names."""
+    """An ordered finite set of generator names.
+
+    It also owns the integer codes that label graph edges: generator i
+    (from 0) has code ``i + 1`` and its inverse ``-(i + 1)``.
+    """
 
     generators: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.generators:
             if not _NAME_RE.match(name):
                 raise UnknownGeneratorError(f"bad generator name {name!r}")
-        if len(set(self.generators)) != len(self.generators):
+        index = {name: i for i, name in enumerate(self.generators)}
+        if len(index) != len(self.generators):
             raise UnknownGeneratorError("duplicate generator names")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
@@ -190,7 +197,7 @@ class Alphabet:
 
     def __contains__(self, item) -> bool:
         name = item.gen if isinstance(item, Letter) else item
-        return name in self.generators
+        return name in self._index
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -199,7 +206,7 @@ class Alphabet:
         return iter(self.generators)
 
     def letter(self, name: str, sign: int = 1) -> Letter:
-        if name not in self.generators:
+        if name not in self._index:
             raise UnknownGeneratorError(f"{name!r} not in alphabet {self.generators}")
         return Letter(name, sign)
 
@@ -213,19 +220,46 @@ class Alphabet:
 
     def letter_index(self, l: Letter) -> int:
         """Position of a signed letter in :meth:`letters`."""
-        try:
-            g = self.generators.index(l.gen)
-        except ValueError:
-            raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}")
-        return 2 * g + (0 if l.sign > 0 else 1)
+        return self.code_index(self.code(l))
+
+    @staticmethod
+    def code_index(c: int) -> int:
+        """Position of the letter with code ``c`` in :meth:`letters`."""
+        return 2 * c - 2 if c > 0 else -2 * c - 1
+
+    def code(self, l: Letter) -> int:
+        return self.encode((l,))[0]
+
+    def encode(self, letters: Iterable[Letter]) -> list[int]:
+        index = self._index
+        out = []
+        for l in letters:
+            i = index.get(l.gen)
+            if i is None:
+                raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}")
+            out.append(i + 1 if l.sign > 0 else -i - 1)
+        return out
+
+    def decode(self, c: int) -> Letter:
+        return Letter(self.generators[abs(c) - 1], 1 if c > 0 else -1)
+
+    def recode(self, codes: Sequence[int], source: "Alphabet") -> Sequence[int]:
+        """Codes over ``source`` re-encoded over this alphabet by name.
+
+        Generators missing here get code 0, which labels nothing.
+        """
+        if source.generators == self.generators:
+            return codes
+        index = [self._index.get(name, -1) + 1 for name in source.generators]
+        return [index[c - 1] if c > 0 else -index[-c - 1] for c in codes]
 
     def fresh_name(self, preferred: Iterable[str] = ("t", "s")) -> str:
         """A generator name that does not collide with existing ones."""
         for name in preferred:
-            if name not in self.generators:
+            if name not in self:
                 return name
         k = 1
-        while f"t{k}" in self.generators:
+        while f"t{k}" in self:
             k += 1
         return f"t{k}"
 
@@ -236,11 +270,7 @@ class Alphabet:
         return Alphabet(tuple(g for g in self.generators if g != name))
 
     def check_word(self, w: Word) -> Word:
-        for l in w:
-            if l.gen not in self.generators:
-                raise UnknownGeneratorError(
-                    f"{l!r} not over alphabet {self.generators}"
-                )
+        self.encode(w)
         return w
 
 
@@ -340,7 +370,6 @@ def parse_hom(text: str, target: Alphabet | None = None) -> GroupHom:
     """
     sources: list[str] = []
     images: dict[str, Word] = {}
-    seen_targets: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,9 +385,6 @@ def parse_hom(text: str, target: Alphabet | None = None) -> GroupHom:
         w = parse_word(rhs)
         sources.append(name)
         images[name] = w
-        for l in w:
-            if l.gen not in seen_targets:
-                seen_targets.append(l.gen)
     if target is None:
-        target = Alphabet(tuple(seen_targets))
+        target = Alphabet(tuple(dict.fromkeys(l.gen for w in images.values() for l in w)))
     return GroupHom(Alphabet(tuple(sources)), target, images)

@@ -89,7 +89,7 @@ def naive_fold(g: LabeledGraph, rng: random.Random | None = None) -> LabeledGrap
     base = g.base
     while True:
         collisions = []
-        at: dict[tuple[int, Letter], int] = {}
+        at: dict[tuple[int, int], int] = {}
         for e, v in enumerate(einit):
             key = (v, elabel[e])
             if key in at:
@@ -123,7 +123,7 @@ def two_path_edges(g: LabeledGraph) -> frozenset:
                 continue
             if g.einit[f] != g.einit[e ^ 1]:
                 continue
-            a, b = g.elabel[e], g.elabel[f ^ 1]
+            a, b = g.alphabet.decode(g.elabel[e]), g.alphabet.decode(g.elabel[f ^ 1])
             if a != b:
                 edges.add(frozenset((a, b)))
     return frozenset(edges)

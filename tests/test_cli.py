@@ -164,6 +164,10 @@ class TestFuzz:
         err = usage_error(capsys, "fuzz", "--alphabet-size", "0")
         assert "--alphabet-size" in err and "Traceback" not in err
 
+    def test_negative_trials_exits_2(self, capsys):
+        err = usage_error(capsys, "fuzz", "--trials", "-5")
+        assert "--trials" in err and "Traceback" not in err
+
     def test_zero_max_len_exits_2(self, capsys):
         err = usage_error(capsys, "fuzz", "--max-len", "0")
         assert "--max-len" in err and "Traceback" not in err

@@ -7,7 +7,6 @@ from stallings.functor import (
     image_core,
     subdivide,
     subdivide_morphism,
-    unbased_core,
     unbased_core_morphism,
     unbased_image_morphism,
 )
@@ -17,6 +16,7 @@ from stallings.graph import (
     core,
     iso_pointed,
     iso_unpointed,
+    two_core,
     unique_pointed_morphism,
 )
 from stallings.subgroups import Subgroup, gamma, pi1_basis
@@ -50,7 +50,9 @@ class TestSubdivide:
         loop = gamma(Subgroup.of(GREEK, "beta"))
         g = subdivide(SIGMA, loop)
         assert g.n_vertices == 3 and g.n_edges == 3
-        spelled = [g.elabel[e].token for e in range(0, g.n_half_edges, 2)]
+        spelled = [
+            g.alphabet.decode(g.elabel[e]).token for e in range(0, g.n_half_edges, 2)
+        ]
         assert spelled == ["a", "b", "a^-1"]
         # the two a-halves collide at the base, so this one is not folded
         assert not g.is_folded()
@@ -135,17 +137,17 @@ class TestImageCore:
 class TestUnbasedCore:
     def test_spur_trimmed(self):
         g = gamma(Subgroup.of(AB, "a b a^-1"))
-        t = unbased_core(g)
+        t = two_core(g)
         assert t.n_vertices == 1 and t.n_edges == 1 and t.base is None
 
     def test_no_spur_untouched(self):
-        t = unbased_core(gamma(H_B))
+        t = two_core(gamma(H_B))
         assert t.n_vertices == 1 and t.n_edges == 1
 
     def test_requires_folded(self):
         g = build_graph(AB, 2, [(0, 1, Letter("b", 1)), (0, 1, Letter("b", 1))], base=0)
         with pytest.raises(NotFoldedError):
-            unbased_core(g)
+            two_core(g)
 
     def test_morphism_restriction(self):
         h = Subgroup.of(AB, "a b a^-1")
@@ -196,7 +198,7 @@ class TestTransport:
         out = unbased_image_morphism(phi, self._root())
         assert classify(out).injective
         assert iso_unpointed(
-            out.target, unbased_core(gamma(Subgroup.of(AB, "b b", "a b b a^-1")))
+            out.target, two_core(gamma(Subgroup.of(AB, "b b", "a b b a^-1")))
         )
 
     def test_trivial_image_rejected(self):

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from stallings.errors import DisconnectedGraphError, NotFoldedError
+from stallings.errors import (
+    DisconnectedGraphError,
+    NotFoldedError,
+    UnknownGeneratorError,
+)
 from stallings.graph import (
     LabeledGraph,
     Path,
@@ -45,7 +49,8 @@ class TestStructure:
         g = delta()
         for e in range(g.n_half_edges):
             assert (e ^ 1) ^ 1 == e and (e ^ 1) != e
-            assert g.elabel[e ^ 1] == g.elabel[e].inverse()
+            assert g.elabel[e ^ 1] == -g.elabel[e]
+            assert AB.decode(g.elabel[e ^ 1]) == AB.decode(g.elabel[e]).inverse()
 
     def test_loop_counts_twice_in_degree(self):
         assert b_loop().degree(0) == 2
@@ -55,6 +60,25 @@ class TestStructure:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             build_graph(AB, 2, [(0, 0, A)], base=0)
+
+    def test_labels_are_alphabet_codes(self):
+        g = delta()
+        assert g.elabel == (2, -2, 1, -1, 2, -2)
+        assert [AB.decode(c) for c in g.elabel[::2]] == [B, A, B]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [(0, 0), (3, -3), (-3, 3), (1, 1), (1, -2), (1, 2)],
+    )
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(UnknownGeneratorError):
+            LabeledGraph(AB, 1, (0, 0), labels, 0)
+
+    def test_foreign_letter_rejected(self):
+        with pytest.raises(UnknownGeneratorError):
+            build_graph(AB, 1, [(0, 0, Letter("c", 1))], base=0)
+        with pytest.raises(UnknownGeneratorError):
+            bouquet(AB, [parse_word("a c")])
 
 
 class TestFold:
@@ -231,8 +255,8 @@ class TestPath:
     def test_flags(self):
         g = delta()
         # b-loop then a-edge: contiguous and reduced
-        b_edge = g.edge_at(0, B)
-        a_edge = g.edge_at(0, A)
+        b_edge = g.edge_at(0, AB.code(B))
+        a_edge = g.edge_at(0, AB.code(A))
         p = Path(g, (b_edge, a_edge))
         assert p.is_reduced() and not p.is_closed()
         back = Path(g, (a_edge, a_edge ^ 1))

@@ -62,6 +62,10 @@ class TestMembership:
     def test_nonmember(self):
         assert not contains(K_DELTA, parse_word("a"))
 
+    def test_foreign_generator_is_not_member(self):
+        assert not contains(K_DELTA, parse_word("c"))
+        assert not contains(K_DELTA, parse_word("a b c a^-1"))
+
     def test_identity_always_member(self):
         assert contains(K_DELTA, IDENTITY)
         assert contains(Subgroup(AB, ()), IDENTITY)
@@ -116,6 +120,15 @@ class TestInclusion:
         m = inclusion_morphism(K_DELTA, K_DELTA)
         assert m is not None and classify(m).injective and classify(m).surjective
 
+    def test_alphabets_matched_by_name(self):
+        h = Subgroup.of(Alphabet.of("b"), "b")
+        k = Subgroup.of(Alphabet.of("b", "a"), "b", "a b a^-1")
+        m = inclusion_morphism(h, k)
+        assert m is not None
+        c = classify(m)
+        assert c.injective and not c.surjective
+        assert inclusion_morphism(Subgroup.of(Alphabet.of("b", "a"), "a"), H_B) is None
+
 
 class TestConjugateCore:
     def test_shift_by_a(self):
@@ -143,7 +156,7 @@ def _assert_valid_circuit(h: Subgroup, u: Word):
     edges = []
     v = g.base
     for letter in u:
-        e = g.edge_at(v, letter)
+        e = g.edge_at(v, g.alphabet.code(letter))
         assert e is not None
         edges.append(e)
         v = g.head(e)

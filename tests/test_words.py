@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from stallings.errors import AlphabetMismatchError, EmptyWordError
+from stallings.errors import (
+    AlphabetMismatchError,
+    EmptyWordError,
+    UnknownGeneratorError,
+)
 from stallings.words import (
     IDENTITY,
     Alphabet,
@@ -242,3 +246,23 @@ class TestAlphabet:
     def test_parse_format_roundtrip(self):
         for text in ("", "a", "a b^-1 a", "b^-1"):
             assert parse_word(text).text == text
+
+    def test_code_decode_roundtrip(self):
+        abc = Alphabet.of("x", "b", "a")
+        for l in abc.letters():
+            c = abc.code(l)
+            assert abc.decode(c) == l
+            assert abc.letters()[abc.code_index(c)] == l
+            assert abc.code(l.inverse()) == -c
+            assert 0 < abs(c) <= len(abc)
+        assert sorted(abs(abc.code(l)) for l in abc.letters()) == [1, 1, 2, 2, 3, 3]
+        assert abc.encode(w("a b^-1 x")) == [3, -2, 1]
+
+    def test_foreign_generator_not_encoded(self):
+        with pytest.raises(UnknownGeneratorError):
+            AB.code(Letter("c", 1))
+        with pytest.raises(UnknownGeneratorError):
+            AB.encode(w("a c^-1"))
+        with pytest.raises(UnknownGeneratorError):
+            AB.letter_index(Letter("c", -1))
+        assert Letter("c", 1) not in AB and "c" not in AB

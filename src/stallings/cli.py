@@ -72,9 +72,12 @@ def _cmd_core(args) -> int:
 
 def _cmd_member(args) -> int:
     h = _load(args.subgroup)
-    ok = contains(h, _parse("word", parse_word, args.word))
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    texts = sys.stdin.read().splitlines() if args.word == ["-"] else args.word
+    words = [_parse(f"word {i}", parse_word, t) for i, t in enumerate(texts, 1)]
+    verdicts = [contains(h, w) for w in words]
+    for ok in verdicts:
+        print("true" if ok else "false")
+    return 0 if all(verdicts) else 1
 
 
 def _merged_alphabet(h: Subgroup, k: Subgroup) -> Alphabet:
@@ -177,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="also write a Graphviz file")
     p.set_defaults(func=_cmd_core)
 
-    p = sub.add_parser("member", help="test membership of a word")
+    p = sub.add_parser("member", help="test membership of words")
     p.add_argument("subgroup")
-    p.add_argument("word")
+    p.add_argument("word", nargs="+", help="a word; a lone - reads one word per line from stdin")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("morphism", help="classify the inclusion morphism")

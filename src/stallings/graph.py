@@ -560,16 +560,14 @@ class Path:
 
 def _bfs_order(g: LabeledGraph, root: int) -> list[int]:
     """Vertices in label-driven breadth-first order from ``root``."""
-    index = g.alphabet.code_index
+    einit = g.einit
+    key = list(map(g.alphabet.code_index, g.elabel)).__getitem__
     order = [root]
     seen = [False] * g.n_vertices
     seen[root] = True
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for e in sorted(g.out_edges(v), key=lambda e: index(g.elabel[e])):
-            w = g.head(e)
+    for v in order:  # order grows while it is read
+        for e in sorted(g.out_edges(v), key=key):
+            w = einit[e ^ 1]
             if not seen[w]:
                 seen[w] = True
                 order.append(w)
@@ -588,15 +586,17 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
         root = g.base
     if root is None:
         raise NotFoldedError("canonical form needs a base or explicit root")
-    order = _bfs_order(g, root)
-    vnew = {v: i for i, v in enumerate(order)}
-    decode = g.alphabet.decode
+    vnew = [0] * g.n_vertices
+    for i, v in enumerate(_bfs_order(g, root)):
+        vnew[v] = i
+    names = g.alphabet.generators  # a positive code's token is its name
+    einit, elabel = g.einit, g.elabel
     rows = []
     for e in range(0, g.n_half_edges, 2):
-        pos = e if g.elabel[e] > 0 else e ^ 1
-        rows.append(
-            (vnew[g.einit[pos]], decode(g.elabel[pos]).token, vnew[g.head(pos)])
-        )
+        c = elabel[e]
+        if c < 0:
+            e, c = e ^ 1, -c
+        rows.append((vnew[einit[e]], names[c - 1], vnew[einit[e ^ 1]]))
     rows.sort()
     lines = [f"{v} -{token}-> {w}" for v, token, w in rows]
     return "\n".join([f"base {vnew[root]}"] + lines)

@@ -10,7 +10,7 @@ morphism of an inclusion surjective.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -43,10 +43,15 @@ from .words import (
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A finitely generated subgroup, given by a generating list."""
+    """A finitely generated subgroup, given by a generating list.
+
+    It also holds its core graph once :func:`gamma` has folded it; the
+    graph is immutable, so every caller shares the one object.
+    """
 
     alphabet: Alphabet
     generators: tuple[Word, ...]
+    _core: LabeledGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in self.generators:
@@ -84,11 +89,19 @@ def load_subgroup(text: str, alphabet: Alphabet | None = None) -> Subgroup:
 
 
 def gamma(h: Subgroup) -> LabeledGraph:
-    """The core graph of a subgroup: fold a wedge of generator loops."""
-    words = [w for w in h.generators if w]
-    if not words:
-        return LabeledGraph(h.alphabet, 1, (), (), 0, _validate=False)
-    return core(bouquet(h.alphabet, words))
+    """The core graph of a subgroup: fold a wedge of generator loops.
+
+    The first call folds and stores the graph on ``h``; later calls
+    return that same graph.
+    """
+    if h._core is None:
+        words = [w for w in h.generators if w]
+        if words:
+            g = core(bouquet(h.alphabet, words))
+        else:
+            g = LabeledGraph(h.alphabet, 1, (), (), 0, _validate=False)
+        object.__setattr__(h, "_core", g)
+    return h._core
 
 
 def contains(h: Subgroup, w: Word) -> bool:
@@ -323,8 +336,7 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
         u = free_reduce(ell.letters + u1.letters + ell_inv.letters)
 
     source = conjugate_core(gh, u)
-    target = gamma(k)  # u lies in k, so conjugating k changes nothing
-    f = unique_pointed_morphism(source, target)
+    f = unique_pointed_morphism(source, gk)  # u lies in k, so u k u^-1 = k
     if f is None:
         raise StallingsError("internal error: conjugated subgroup left the ambient one")
     return OntoBase(u, f)

@@ -13,6 +13,7 @@ subdivisions folded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
 from .graph import LabeledGraph, path_graph
@@ -88,14 +89,13 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     vertex.  Degenerate pairs (equal labels at an unfolded vertex) are
     not representable and are skipped.
     """
+    label = g.elabel.__getitem__
+    # vertices with the same set of labels give the same edges
+    stars = {frozenset(map(label, g.out_edges(v))) for v in range(g.n_vertices)}
+    inverse = {c: g.alphabet.decode(-c) for c in set(g.elabel)}
     edges: set[WhiteheadEdge] = set()
-    decode = g.alphabet.decode
-    for v in range(g.n_vertices):
-        inverses = [decode(-g.elabel[e]) for e in g.out_edges(v)]
-        for i, a in enumerate(inverses):
-            for b in inverses[i + 1 :]:
-                if a != b:
-                    edges.add(frozenset((a, b)))
+    for star in stars:
+        edges.update(map(frozenset, combinations([inverse[c] for c in star], 2)))
     return RestrictionSet(g.alphabet, frozenset(edges))
 
 

@@ -12,7 +12,7 @@ import random
 from stallings.cases.fuzz import random_reduced_word
 from stallings.graph import LabeledGraph, bouquet
 from stallings.subgroups import Subgroup
-from stallings.words import Alphabet, GroupHom, Letter
+from stallings.words import Alphabet, GroupHom, Letter, Word
 
 __all__ = [
     "random_reduced_word",
@@ -20,6 +20,7 @@ __all__ = [
     "random_hom",
     "random_wedge",
     "naive_fold",
+    "naive_member",
     "naive_reduce",
     "two_path_edges",
     "ALPHABETS",
@@ -112,6 +113,42 @@ def naive_fold(g: LabeledGraph, rng: random.Random | None = None) -> LabeledGrap
                 base = keep if base == gone else (base - 1 if base > gone else base)
             n -= 1
     return LabeledGraph(g.alphabet, n, tuple(einit), tuple(elabel), base)
+
+
+def naive_member(h: Subgroup, w: Word) -> bool:
+    """Membership by walking ``w`` in :func:`naive_fold` of the generator loops.
+
+    The loops are spelled and the walk is made by scanning the half-edge
+    arrays, without the library's bouquet, folding, lookup or trace.
+    """
+    code = {name: i + 1 for i, name in enumerate(h.alphabet.generators)}
+    einit: list[int] = []
+    elabel: list[int] = []
+    n = 1
+    for g in h.generators:
+        if not g:
+            continue
+        path = [0, *range(n, n + len(g) - 1), 0]
+        n += len(g) - 1
+        for u, v, l in zip(path, path[1:], g):
+            c = code[l.gen] * l.sign
+            einit += (u, v)
+            elabel += (c, -c)
+    folded = naive_fold(LabeledGraph(h.alphabet, n, tuple(einit), tuple(elabel), 0))
+    v = folded.base
+    for l in w:
+        if l.gen not in code:
+            return False
+        c = code[l.gen] * l.sign
+        heads = [
+            folded.einit[e ^ 1]
+            for e in range(folded.n_half_edges)
+            if folded.einit[e] == v and folded.elabel[e] == c
+        ]
+        if not heads:
+            return False
+        v = heads[0]
+    return v == folded.base
 
 
 def two_path_edges(g: LabeledGraph) -> frozenset:

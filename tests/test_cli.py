@@ -1,5 +1,12 @@
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import stallings
 from stallings.cli import main
 
 
@@ -70,6 +77,33 @@ class TestMember:
     def test_malformed_word_exits_2(self, capsys, files):
         err = usage_error(capsys, "member", files["K"], "a^^")
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_several_words(self, capsys, files):
+        code, out = run(capsys, "member", files["K"], "a b a^-1", "b", "b^-1 a b^-1 a^-1")
+        assert code == 0 and out == "true\ntrue\ntrue\n"
+
+    def test_mixed_batch_in_input_order(self, capsys, files):
+        code, out = run(capsys, "member", files["K"], "b", "a", "z", "a b a^-1")
+        assert code == 1 and out == "true\nfalse\nfalse\ntrue\n"
+
+    def test_words_from_stdin(self, capsys, files, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("b\na b^-1 a^-1\n\nb b\n"))
+        code, out = run(capsys, "member", files["K"], "-")
+        assert code == 0 and out == "true\ntrue\ntrue\ntrue\n"
+
+    def test_mixed_batch_from_stdin(self, capsys, files, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\nb\n"))
+        code, out = run(capsys, "member", files["K"], "-")
+        assert code == 1 and out == "false\ntrue\n"
+
+    def test_malformed_stdin_line_exits_2(self, capsys, files, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("b\na\na^^\nb\n"))
+        err = usage_error(capsys, "member", files["K"], "-")
+        assert err.count("\n") == 1 and err.startswith("error: word 3:")
+
+    def test_malformed_argument_names_position(self, capsys, files):
+        err = usage_error(capsys, "member", files["K"], "b", "a^^")
+        assert err.count("\n") == 1 and err.startswith("error: word 2:")
 
 
 class TestMorphism:
@@ -178,6 +212,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_python_dash_m_runs_the_cli(self, files):
+        env = dict(os.environ, PYTHONPATH=str(Path(stallings.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "stallings", "member", files["K"], "-"],
+            input="b\na\n", capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == "true\nfalse\n"
 
     def test_missing_file_exits_2(self):
         with pytest.raises(SystemExit) as exc:

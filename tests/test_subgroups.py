@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from stallings import subgroups
 from stallings.errors import (
     NotIncludedError,
     TrivialGraphError,
@@ -19,9 +21,9 @@ from stallings.subgroups import (
     onto_base,
     pi1_basis,
 )
-from stallings.words import Alphabet, IDENTITY, Word, invert, parse_word
+from stallings.words import Alphabet, IDENTITY, Word, free_reduce, invert, parse_word
 
-from helpers import ALPHABETS, random_reduced_word, random_subgroup
+from helpers import ALPHABETS, naive_member, random_reduced_word, random_subgroup
 
 AB = Alphabet.of("a", "b")
 H_B = Subgroup.of(AB, "b")
@@ -55,6 +57,67 @@ class TestGamma:
             assert iso_pointed(g, gamma(regenerated))
 
 
+_AB_WORDS = st.lists(st.sampled_from(AB.letters()), max_size=6).map(free_reduce)
+_ABC_WORDS = st.lists(
+    st.sampled_from(Alphabet.of("a", "b", "c").letters()), max_size=4
+).map(free_reduce)
+
+
+class TestCoreCache:
+    def test_gamma_returns_the_same_graph(self):
+        h = Subgroup.of(AB, "b", "a b a^-1")
+        assert gamma(h) is gamma(h)
+
+    def test_second_query_does_not_fold(self, monkeypatch):
+        h = Subgroup.of(AB, "b", "a b a^-1")
+        assert contains(h, parse_word("b"))
+        calls = []
+        monkeypatch.setattr(subgroups, "core", lambda g: calls.append(g))
+        assert contains(h, parse_word("a b a^-1"))
+        assert not contains(h, parse_word("a"))
+        assert inclusion_morphism(h, h) is not None
+        assert calls == []
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        h = Subgroup.of(AB, "b", "a b a^-1")
+        k = Subgroup.of(AB, "b", "a b a^-1")
+        assert h == k and hash(h) == hash(k)
+        gamma(h)
+        assert h == k and hash(h) == hash(k)
+        gamma(k)
+        assert h == k and hash(h) == hash(k)
+        assert h != Subgroup.of(AB, "b")
+        assert repr(h) == repr(k) == "Subgroup<b, a b a^-1>"
+
+    def test_conjugate_folds_its_own_graph(self):
+        h = Subgroup.of(AB, "b", "a b a^-1")
+        g = gamma(h)
+        for w in (parse_word("a"), IDENTITY):
+            c = h.conjugate(w)
+            assert gamma(c) is not g
+            fresh = gamma(Subgroup(AB, c.generators))
+            assert canonical_form(gamma(c)) == canonical_form(fresh)
+        assert canonical_form(gamma(h.conjugate(parse_word("a")))) != canonical_form(g)
+
+    def test_onto_base_same_on_warm_subgroups(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            k = random_subgroup(rng, AB, max_gens=3, max_len=6)
+            if k.is_trivial():
+                continue
+            h = Subgroup(AB, (k.generators[0] * k.generators[-1],))
+            if h.is_trivial():
+                continue
+            u, f = onto_base(Subgroup(AB, h.generators), Subgroup(AB, k.generators))
+            gamma(h)
+            gamma(k)
+            for _ in range(2):  # filled by gamma, then by onto_base itself
+                u2, f2 = onto_base(h, k)
+                assert u2 == u
+                assert (f2.vmap, f2.emap) == (f.vmap, f.emap)
+                assert f2.target == f.target and f2.source == f.source
+
+
 class TestMembership:
     def test_generator(self):
         assert contains(K_DELTA, parse_word("a b a^-1"))
@@ -72,6 +135,8 @@ class TestMembership:
 
     def test_products_and_certified_nonmembers(self):
         rng = random.Random(7)
+        word_rng = random.Random(8)
+        verdicts = []
         for _ in range(30):
             h = random_subgroup(rng, AB, max_gens=3, max_len=6)
             g = gamma(h)
@@ -84,6 +149,37 @@ class TestMembership:
                     w = rng.choice(gens)
                     prod = prod * (w if rng.random() < 0.5 else invert(w))
                 assert trace(g, g.base, prod) == g.base
+            for _ in range(10):
+                w = random_reduced_word(word_rng, AB, 4)
+                verdict = naive_member(h, w)
+                assert contains(h, w) == verdict
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    @given(
+        gens=st.lists(_AB_WORDS, max_size=3),
+        factors=st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=3),
+        tails=st.lists(_ABC_WORDS, min_size=1, max_size=4),
+    )
+    def test_agrees_with_naive_fold(self, gens, factors, tails):
+        """Fresh and warm subgroups both answer as a walk in the naive fold.
+
+        Queries are a product of generators times a tail that may use
+        the foreign generator ``c``; an empty tail makes a member.
+        """
+        gens = tuple(gens)
+        prod = IDENTITY
+        for i, inverse in factors:
+            if gens:
+                w = gens[i % len(gens)]
+                prod = prod * (invert(w) if inverse else w)
+        warm = Subgroup(AB, gens)
+        gamma(warm)
+        for tail in tails:
+            w = prod * tail
+            expected = naive_member(Subgroup(AB, gens), w)
+            assert contains(Subgroup(AB, gens), w) == expected
+            assert contains(warm, w) == expected
 
 
 class TestBasis:

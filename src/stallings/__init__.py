@@ -46,6 +46,7 @@ from .graph import (
 )
 from .functor import (
     image_core,
+    image_morphism,
     subdivide,
     subdivide_morphism,
     unbased_core_morphism,

@@ -16,22 +16,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..errors import (
-    EdgeNotMissingError,
-    NotAmbiguousError,
-    StallingsError,
-)
+from ..errors import EdgeNotMissingError, NotAmbiguousError
 from ..graph import (
     GraphMorphism,
     LabeledGraph,
     classify,
-    core,
     extend_morphism,
-    unique_pointed_morphism,
     unpointed_isomorphisms,
 )
-from ..functor import subdivide
-from ..subgroups import Subgroup, gamma
+from ..functor import image_morphism
+from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import (
     RestrictionSet,
     WhiteheadEdge,
@@ -158,15 +152,10 @@ def apply_substitution(
     new_edges: frozenset[WhiteheadEdge],
 ) -> InjectivityCase:
     """Rebuild a case's graphs and morphism through a substitution."""
-    src = core(subdivide(psi, case.source))
-    tgt = core(subdivide(psi, case.target))
-    m = unique_pointed_morphism(src, tgt)
-    if m is None:
-        raise StallingsError("substitution destroyed the inclusion morphism")
     return InjectivityCase(
         case_id,
         RestrictionSet(psi.target, new_edges),
-        m,
+        image_morphism(psi, case.morphism),
         case.chain + (psi,),
     )
 
@@ -333,18 +322,14 @@ def reduce_to(
         ta, tb = _tau(renaming, a), _tau(renaming, b)
         if ta == tb or frozenset((ta, tb)) not in child.restrictions.edges:
             return False
-    src = core(subdivide(renaming, target.source))
-    tgt = core(subdivide(renaming, target.target))
-    m = unique_pointed_morphism(src, tgt)
-    if m is None:
-        return False
+    m = image_morphism(renaming, target.morphism)
     if morphisms_unpointed_isomorphic(m, child.morphism):
         return True
     if require_square:
         return False
     return bool(
-        unpointed_isomorphisms(src, child.source)
-        and unpointed_isomorphisms(tgt, child.target)
+        unpointed_isomorphisms(m.source, child.source)
+        and unpointed_isomorphisms(m.target, child.target)
     )
 
 
@@ -361,7 +346,7 @@ def root_case() -> InjectivityCase:
     ab = Alphabet.of("a", "b")
     h = Subgroup.of(ab, "b")
     k = Subgroup.of(ab, "b", "a b a^-1")
-    m = unique_pointed_morphism(gamma(h), gamma(k))
+    m = inclusion_morphism(h, k)
     assert m is not None
     return InjectivityCase(
         "root", RestrictionSet.parse(ab, "b.b^-1"), m

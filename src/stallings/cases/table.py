@@ -18,8 +18,7 @@ the neighbouring columns, and every correction carries a note.
 
 from __future__ import annotations
 
-from ..graph import unique_pointed_morphism
-from ..subgroups import Subgroup, gamma
+from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import RestrictionSet, parse_edges
 from ..words import Alphabet, GroupHom, parse_word
 
@@ -477,7 +476,7 @@ def initial_cases(root) -> list:
         u = Alphabet(row["alphabet"])
         inner = Subgroup(u, (parse_word(row["inner"]),))
         outer = Subgroup(u, (parse_word(row["inner"]), parse_word(row["outer"])))
-        m = unique_pointed_morphism(gamma(inner), gamma(outer))
+        m = inclusion_morphism(inner, outer)
         assert m is not None
         coords = GroupHom(
             ab, u, {g: parse_word(row["coords"][g]) for g in ab.generators}

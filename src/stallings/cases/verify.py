@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..functor import image_core
-from ..graph import classify, iso_pointed, unique_pointed_morphism
-from ..subgroups import Subgroup, gamma
+from ..graph import classify, iso_pointed
+from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import RestrictionSet, parse_edges
-from ..words import Alphabet, parse_word
+from ..words import Alphabet, GroupHom, parse_word
 from .engine import (
     InjectivityCase,
     Resolution,
@@ -117,7 +117,7 @@ def verify_tables() -> TableReport:
             u = Alphabet(data["alphabet"])
             inner = Subgroup(u, tuple(parse_word(w) for w in data["inner"]))
             outer = Subgroup(u, tuple(parse_word(w) for w in data["outer"]))
-            m = unique_pointed_morphism(gamma(inner), gamma(outer))
+            m = inclusion_morphism(inner, outer)
             assert m is not None
             case = InjectivityCase(
                 data["id"], RestrictionSet(u, expected_n), m

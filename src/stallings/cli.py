@@ -19,8 +19,15 @@ from typing import NoReturn
 from .cases import fuzz_example, render_tsv, verify_tables
 from .errors import StallingsError
 from .functor import image_core
-from .graph import canonical_form, classify, to_dot, unique_pointed_morphism
-from .subgroups import Subgroup, contains, gamma, load_subgroup, onto_base
+from .graph import canonical_form, classify, to_dot
+from .subgroups import (
+    Subgroup,
+    contains,
+    gamma,
+    inclusion_morphism,
+    load_subgroup,
+    onto_base,
+)
 from .whitehead import RestrictionSet, is_restriction_morphism, whitehead_graph
 from .words import Alphabet, parse_hom, parse_word
 
@@ -80,17 +87,16 @@ def _cmd_member(args) -> int:
     return 0 if all(verdicts) else 1
 
 
-def _merged_alphabet(h: Subgroup, k: Subgroup) -> Alphabet:
-    return Alphabet(tuple(dict.fromkeys(h.alphabet.generators + k.alphabet.generators)))
+def _load_pair(args) -> tuple[Subgroup, Subgroup]:
+    """The inner and outer subgroups over the union of their alphabets."""
+    h = _load(args.inner)
+    k = _load(args.outer)
+    ab = Alphabet(tuple(dict.fromkeys(h.alphabet.generators + k.alphabet.generators)))
+    return Subgroup(ab, h.generators), Subgroup(ab, k.generators)
 
 
 def _cmd_morphism(args) -> int:
-    h = _load(args.inner)
-    k = _load(args.outer)
-    ab = _merged_alphabet(h, k)
-    h = Subgroup(ab, h.generators)
-    k = Subgroup(ab, k.generators)
-    m = unique_pointed_morphism(gamma(h), gamma(k))
+    m = inclusion_morphism(*_load_pair(args))
     if m is None:
         print("no morphism: the first subgroup is not inside the second")
         return 1
@@ -109,12 +115,7 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_onto_base(args) -> int:
-    h = _load(args.inner)
-    k = _load(args.outer)
-    ab = _merged_alphabet(h, k)
-    h = Subgroup(ab, h.generators)
-    k = Subgroup(ab, k.generators)
-    u, f = onto_base(h, k)
+    u, f = onto_base(*_load_pair(args))
     c = classify(f)
     print(f"conjugator: {u.text or '1'}")
     print(f"surjective: {str(c.surjective).lower()}")

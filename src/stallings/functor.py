@@ -14,17 +14,15 @@ from __future__ import annotations
 from .errors import (
     AlphabetMismatchError,
     DegenerateHomError,
-    NotFoldedError,
     StallingsError,
     TrivialSubgroupError,
 )
 from .graph import (
     GraphMorphism,
     LabeledGraph,
-    _peel,
-    _renumber,
     _spell,
     core,
+    two_core_maps,
     unique_pointed_morphism,
 )
 from .words import GroupHom, is_nondegenerate
@@ -94,7 +92,8 @@ def subdivide_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 
 def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
     """Core of the subdivision: the core graph of the image subgroup."""
-    return core(subdivide(phi, g))
+    spelled = subdivide(phi, g)  # generally not folded
+    return core(spelled)
 
 
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
@@ -103,12 +102,10 @@ def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
     Well defined because a folded source maps hanging paths into hanging
     paths; the restriction is checked and a failure raises.
     """
-    if not f.source.is_folded() or not f.target.is_folded():
-        raise NotFoldedError("unbased cores need folded graphs")
     if f.source.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    s, s_vnew, s_enew = _renumber(f.source.unbased(), *_peel(f.source, None))
-    t, t_vnew, t_enew = _renumber(f.target.unbased(), *_peel(f.target, None))
+    s, s_vnew, s_enew = two_core_maps(f.source)
+    t, t_vnew, t_enew = two_core_maps(f.target)
     # the source maps list the kept vertices and half-edges in their new order
     try:
         vmap = tuple(t_vnew[f.vmap[v]] for v in s_vnew)
@@ -118,19 +115,27 @@ def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
     return GraphMorphism(s, t, vmap, emap)
 
 
+def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
+    """The unique pointed morphism between the image cores of f's ends.
+
+    It always exists: f makes its source's subgroup H a subgroup of its
+    target's K, and then phi(H) lies in phi(K).
+    """
+    m = unique_pointed_morphism(image_core(phi, f.source), image_core(phi, f.target))
+    if m is None:
+        raise StallingsError("internal error: image cores admit no morphism")
+    return m
+
+
 def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """Transport a pointed morphism along a homomorphism, unbased.
 
-    Computes the cores of both subdivisions, the unique pointed morphism
-    between them, and restricts to the unbased cores.
+    Takes the pointed morphism between the image cores and restricts it
+    to the unbased cores.
     """
     if not is_nondegenerate(phi):
         raise DegenerateHomError("transport needs nonempty images")
-    src = image_core(phi, f.source)
-    tgt = image_core(phi, f.target)
-    if src.n_edges == 0:
+    m = image_morphism(phi, f)
+    if m.source.n_edges == 0:
         raise TrivialSubgroupError("the image subgroup is trivial")
-    m = unique_pointed_morphism(src, tgt)
-    if m is None:
-        raise StallingsError("internal error: image cores admit no morphism")
     return unbased_core_morphism(m)

@@ -401,15 +401,21 @@ def fold_all(
     return folded, quotient
 
 
-def _peel(g: LabeledGraph, protect: int | None) -> tuple[list[int], list[int]]:
+def _peel(
+    g: LabeledGraph, protect: int | None
+) -> tuple[list[int], list[int], list[int]]:
     """Iteratively drop degree<=1 vertices (except ``protect``).
 
-    Returns (kept vertices, kept even half-edges).  If everything would
+    Returns (kept vertices, kept even half-edges, dropped half-edges);
+    each dropped half-edge leaves the vertex it removes, in removal
+    order, so on a pointed core graph peeled with ``protect=None`` the
+    dropped list is the hanging path from the base.  If everything would
     disappear, one vertex is kept so the result stays a graph.
     """
     deg = [g.degree(v) for v in range(g.n_vertices)]
     alive_v = [True] * g.n_vertices
     alive_e = [True] * g.n_edges
+    dropped: list[int] = []
     queue = [v for v in range(g.n_vertices) if deg[v] <= 1 and v != protect]
     while queue:
         v = queue.pop()
@@ -421,6 +427,7 @@ def _peel(g: LabeledGraph, protect: int | None) -> tuple[list[int], list[int]]:
         e = next(
             e for e in g.out_edges(v) if alive_e[e // 2]
         )
+        dropped.append(e)
         alive_e[e // 2] = False
         alive_v[v] = False
         w = g.head(e)
@@ -432,7 +439,7 @@ def _peel(g: LabeledGraph, protect: int | None) -> tuple[list[int], list[int]]:
     if not kept_v:
         kept_v = [protect if protect is not None else 0]
     kept_e = [2 * i for i in range(g.n_edges) if alive_e[i]]
-    return kept_v, kept_e
+    return kept_v, kept_e, dropped
 
 
 def _renumber(
@@ -461,10 +468,24 @@ def _renumber(
 
 def trim_all(g: LabeledGraph) -> LabeledGraph:
     """Remove hanging edges until every non-base vertex has degree > 1."""
-    kept_v, kept_e = _peel(g, g.base)
+    kept_v, kept_e, _ = _peel(g, g.base)
     if len(kept_v) == g.n_vertices:
         return g
     return _renumber(g, kept_v, kept_e)[0]
+
+
+def two_core_maps(
+    g: LabeledGraph,
+) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
+    """The 2-core of a folded graph with its vertex and half-edge maps.
+
+    The maps send kept vertices and kept half-edges of ``g`` to their
+    numbers in the 2-core, in the 2-core's order.
+    """
+    if not g.is_folded():
+        raise NotFoldedError("the unbased core needs a folded graph")
+    kept_v, kept_e, _ = _peel(g, None)
+    return _renumber(g.unbased(), kept_v, kept_e)
 
 
 def two_core(g: LabeledGraph) -> LabeledGraph:
@@ -472,19 +493,17 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
 
     A graph whose fundamental group is trivial collapses to one vertex.
     """
-    if not g.is_folded():
-        raise NotFoldedError("the unbased core needs a folded graph")
-    return _renumber(g.unbased(), *_peel(g, None))[0]
+    return two_core_maps(g)[0]
 
 
-def core(g: LabeledGraph, seed: int | None = None) -> LabeledGraph:
+def core(g: LabeledGraph) -> LabeledGraph:
     """Fold, then trim, preserving the fundamental group.
 
     One pass suffices: a subgraph of a folded graph is folded, so
     trimming never undoes the fold.
     """
     if not g.is_folded():
-        g, _ = fold_all(g, seed)
+        g, _ = fold_all(g)
     return trim_all(g)
 
 
@@ -558,20 +577,24 @@ class Path:
 # -- canonical form and export ------------------------------------------
 
 
-def _bfs_order(g: LabeledGraph, root: int) -> list[int]:
-    """Vertices in label-driven breadth-first order from ``root``."""
+def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int]]:
+    """Vertices in label-driven breadth-first order from ``root``.
+
+    Also returns each vertex's parent half-edge in that search tree, the
+    half-edge that first reached it (-1 at the root).
+    """
     einit = g.einit
     key = list(map(g.alphabet.code_index, g.elabel)).__getitem__
     order = [root]
-    seen = [False] * g.n_vertices
-    seen[root] = True
+    parent = [-2] * g.n_vertices  # -2: not reached yet
+    parent[root] = -1
     for v in order:  # order grows while it is read
         for e in sorted(g.out_edges(v), key=key):
             w = einit[e ^ 1]
-            if not seen[w]:
-                seen[w] = True
+            if parent[w] == -2:
+                parent[w] = e
                 order.append(w)
-    return order
+    return order, parent
 
 
 def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
@@ -587,7 +610,7 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     if root is None:
         raise NotFoldedError("canonical form needs a base or explicit root")
     vnew = [0] * g.n_vertices
-    for i, v in enumerate(_bfs_order(g, root)):
+    for i, v in enumerate(_bfs_order(g, root)[0]):
         vnew[v] = i
     names = g.alphabet.generators  # a positive code's token is its name
     einit, elabel = g.einit, g.elabel

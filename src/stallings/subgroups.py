@@ -27,10 +27,10 @@ from .graph import (
     core,
     trace,
     unique_pointed_morphism,
+    _bfs_order,
     _peel,
 )
 from .words import (
-    IDENTITY,
     Alphabet,
     Letter,
     Word,
@@ -114,20 +114,8 @@ def pi1_basis(g: LabeledGraph) -> list[Word]:
     """A free basis from a spanning tree: one word per non-tree edge."""
     if g.base is None:
         raise TrivialGraphError("basis extraction needs a pointed graph")
-    index = g.alphabet.code_index
-    parent_dart: dict[int, int] = {g.base: -1}
-    order = [g.base]
-    tree_edges: set[int] = set()
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for e in sorted(g.out_edges(v), key=lambda e: index(g.elabel[e])):
-            w = g.head(e)
-            if w not in parent_dart:
-                parent_dart[w] = e
-                tree_edges.add(e // 2)
-                order.append(w)
+    _, parent_dart = _bfs_order(g, g.base)
+    tree_edges = {d // 2 for d in parent_dart if d >= 0}
 
     def path_to(v: int) -> list[int]:
         codes: list[int] = []
@@ -153,7 +141,8 @@ def pi1_basis(g: LabeledGraph) -> list[Word]:
 
 def inclusion_morphism(h: Subgroup, k: Subgroup) -> GraphMorphism | None:
     """The graph morphism of an inclusion, or None when h is not inside k."""
-    return unique_pointed_morphism(gamma(h), gamma(k))
+    gh, gk = gamma(h), gamma(k)
+    return unique_pointed_morphism(gh, gk)
 
 
 def conjugate_core(g: LabeledGraph, w: Word) -> LabeledGraph:
@@ -224,25 +213,9 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
     if first_letter_not in g.alphabet:
         forbidden = g.alphabet.code(first_letter_not)
 
-    kept_v, kept_e = _peel(g, None)
+    _, kept_e, tail = _peel(g, None)  # tail: the hanging path from the base
     allowed = {e // 2 for e in kept_e}
-    kept_vset = set(kept_v)
-
-    # hanging path from the base down to the 2-core
-    tail: list[int] = []
-    v = g.base
-    incoming: int | None = None
-    while v not in kept_vset:
-        outs = [
-            e
-            for e in g.out_edges(v)
-            if incoming is None or e != (incoming ^ 1)
-        ]
-        d = outs[0]
-        tail.append(d)
-        incoming = d
-        v = g.head(d)
-    junction = v
+    junction = g.head(tail[-1]) if tail else g.base
 
     if tail and g.elabel[tail[0]] == forbidden:
         raise StallingsError("the forced first letter is forbidden")
@@ -291,26 +264,6 @@ class OntoBase(NamedTuple):
     morphism: GraphMorphism
 
 
-def _tail_word(g: LabeledGraph) -> Word:
-    """Label of the hanging path from a degree-1 base to the first branch."""
-    if g.degree(g.base) >= 2:
-        return IDENTITY
-    codes: list[int] = []
-    v = g.base
-    incoming: int | None = None
-    while v == g.base or g.degree(v) == 2:
-        outs = [
-            e for e in g.out_edges(v) if incoming is None or e != (incoming ^ 1)
-        ]
-        if not outs:
-            break
-        d = outs[0]
-        codes.append(g.elabel[d])
-        incoming = d
-        v = g.head(d)
-    return free_reduce(map(g.alphabet.decode, codes))
-
-
 def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     """A conjugator u in k making gamma(u h u^-1) -> gamma(u k u^-1) onto.
 
@@ -321,12 +274,13 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     """
     gh = gamma(h)
     gk = gamma(k)
-    if unique_pointed_morphism(gh, gk) is None:
+    if inclusion_morphism(h, k) is None:
         raise NotIncludedError("the first subgroup is not inside the second")
     if gh.n_edges == 0:
         raise TrivialSubgroupError("the trivial subgroup cannot cover a graph")
 
-    ell = _tail_word(gh)
+    tail = _peel(gh, None)[2]  # the hanging path from the base
+    ell = free_reduce(gh.alphabet.decode(gh.elabel[d]) for d in tail)
     if not ell:
         u = covering_circuit(gk)
     else:

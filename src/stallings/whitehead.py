@@ -101,12 +101,8 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
 
 def full_whitehead(alphabet: Alphabet) -> RestrictionSet:
     """All unordered pairs of distinct signed letters."""
-    letters = alphabet.letters()
-    edges = set()
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            edges.add(frozenset((letters[i], letters[j])))
-    return RestrictionSet(alphabet, frozenset(edges))
+    edges = frozenset(map(frozenset, combinations(alphabet.letters(), 2)))
+    return RestrictionSet(alphabet, edges)
 
 
 def word_link(w: Word, alphabet: Alphabet) -> RestrictionSet:

@@ -103,9 +103,6 @@ class Word:
     def __repr__(self) -> str:
         return self.text if self.letters else "1"
 
-    def generator_names(self) -> set[str]:
-        return {l.gen for l in self.letters}
-
 
 def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
@@ -317,14 +314,7 @@ class GroupHom:
 
 def apply_hom(phi: GroupHom, w: Word) -> Word:
     """Reduced image of a word under a homomorphism."""
-    out: list[Letter] = []
-    for l in w:
-        for m in phi.letter_image(l):
-            if out and out[-1].gen == m.gen and out[-1].sign == -m.sign:
-                out.pop()
-            else:
-                out.append(m)
-    return Word._raw(tuple(out))
+    return free_reduce(m for l in w for m in phi.letter_image(l))
 
 
 def compose_homs(phi: GroupHom, psi: GroupHom) -> GroupHom:

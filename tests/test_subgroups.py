@@ -9,7 +9,15 @@ from stallings.errors import (
     TrivialGraphError,
     TrivialSubgroupError,
 )
-from stallings.graph import Path, canonical_form, classify, iso_pointed, trace
+from stallings.graph import (
+    Path,
+    attach_path,
+    canonical_form,
+    classify,
+    core,
+    iso_pointed,
+    trace,
+)
 from stallings.subgroups import (
     Subgroup,
     conjugate_core,
@@ -61,6 +69,11 @@ _AB_WORDS = st.lists(st.sampled_from(AB.letters()), max_size=6).map(free_reduce)
 _ABC_WORDS = st.lists(
     st.sampled_from(Alphabet.of("a", "b", "c").letters()), max_size=4
 ).map(free_reduce)
+# reduced words over {a, b} that end in a^1 or a^-1
+_A_ENDED_WORDS = st.tuples(
+    st.lists(st.sampled_from(AB.letters()), max_size=8).map(free_reduce),
+    st.sampled_from([l for l in AB.letters() if l.gen == "a"]),
+).map(lambda t: t[0] * Word((t[1],))).filter(lambda w: w and w[-1].gen == "a")
 
 
 class TestCoreCache:
@@ -284,6 +297,21 @@ class TestCoveringCircuit:
                 if h.is_trivial():
                     continue
                 _assert_valid_circuit(h, covering_circuit(gamma(h)))
+
+    @given(w=_A_ENDED_WORDS)
+    def test_hanging_path_known_by_construction(self, w):
+        """A path spelling w hung on the b-loop is the circuit's tail.
+
+        w ends in a^1 or a^-1, so the path does not fold into the loop and
+        the core of <w b w^-1> is the loop plus a hanging path spelling w.
+        """
+        g = core(attach_path(gamma(H_B), w))
+        u = covering_circuit(g)
+        assert u.letters[: len(w)] == w.letters
+        assert u.letters[-len(w) :] == invert(w).letters
+        h = Subgroup(AB, (w * parse_word("b") * invert(w),))
+        _, f = onto_base(h, Subgroup.of(AB, "a", "b"))
+        assert classify(f).surjective
 
     def test_first_letter_constraint(self):
         h = Subgroup.of(AB, "a", "b")

@@ -30,6 +30,8 @@ from ..whitehead import (
     RestrictionSet,
     WhiteheadEdge,
     format_edge,
+    is_restriction_morphism,
+    parse_edges,
     whitehead_graph,
     word_link,
 )
@@ -39,10 +41,12 @@ from ..words import (
     Letter,
     Word,
     free_reduce,
+    identity_hom,
     invert,
     last_letter,
     parse_word,
 )
+from .table import INITIAL_CASES
 
 
 @dataclass(frozen=True)
@@ -191,16 +195,14 @@ def _suffix_rules(
     return GroupHom(alphabet, target, images)
 
 
-def split_on_edge(
-    case: InjectivityCase, edge: WhiteheadEdge, fresh: str | None = None
-) -> list[SplitCase]:
+def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]:
     """Split an ambiguous case along one missing Whitehead edge.
 
     Up to five children: the letters' images (1) keep distinct last
-    letters, (2) share a proper common suffix, named by a fresh letter,
-    (3) the first ends with the whole of the second, (4) vice versa,
-    (5) the images coincide.  Children whose restriction renaming
-    degenerates are impossible and dropped.
+    letters, (2) share a proper common suffix, named by the alphabet's
+    ``fresh_name``, (3) the first ends with the whole of the second,
+    (4) vice versa, (5) the images coincide.  Children whose restriction
+    renaming degenerates are impossible and dropped.
     """
     res = classify_case(case)
     if res.kind is not Resolution.AMBIGUOUS:
@@ -210,12 +212,12 @@ def split_on_edge(
 
     u = case.alphabet
     a, b = _ordered_pair(u, edge)
-    t = fresh if fresh is not None else u.fresh_name()
+    t = u.fresh_name()
     t_word = _letter_word(Letter(t, 1))
     extended = u.extended(t)
 
     candidates: list[tuple[int, GroupHom, WhiteheadEdge | None]] = [
-        (1, make_substitution(u, u, {}), edge),
+        (1, identity_hom(u), edge),
         (2, _suffix_rules(u, extended, [(a, t_word), (b, t_word)]), edge),
     ]
     if a.gen != b.gen:
@@ -294,9 +296,10 @@ def reduce_to(
     """Is the child an instance of the target under the renaming?
 
     The renaming sends the target's letters to words over the child's
-    alphabet.  It must carry the target's restrictions into the child's
-    (through last letters, with the spelled turns of multi-letter images
-    also restricted, so that images stay cancellation free); then every
+    alphabet.  It must be a restriction morphism from the target's
+    restrictions to the child's (``is_restriction_morphism``: through
+    last letters, with the spelled turns of multi-letter images also
+    restricted, so that images stay cancellation free); then every
     admissible homomorphism out of the child composes to an admissible
     one out of the target.  The renamed graphs must reproduce the
     child's source and target up to base-point-free isomorphism.
@@ -311,17 +314,8 @@ def reduce_to(
         return False
     if renaming.target.generators != child.alphabet.generators:
         return False
-    for g in renaming.source.generators:
-        w = renaming.images[g]
-        if not w:
-            return False
-        if not word_link(w, renaming.target).edges <= child.restrictions.edges:
-            return False
-    for e in target.restrictions.edges:
-        a, b = tuple(e)
-        ta, tb = _tau(renaming, a), _tau(renaming, b)
-        if ta == tb or frozenset((ta, tb)) not in child.restrictions.edges:
-            return False
+    if not is_restriction_morphism(target.restrictions, child.restrictions, renaming):
+        return False
     m = image_morphism(renaming, target.morphism)
     if morphisms_unpointed_isomorphic(m, child.morphism):
         return True
@@ -360,6 +354,14 @@ def initial_split(root: InjectivityCase) -> list[InjectivityCase]:
     conjugating prefix and cyclic remainder trivial, only one trivial, or
     neither.
     """
-    from .table import initial_cases  # data lives with the table
-
-    return initial_cases(root)
+    cases = []
+    for row in INITIAL_CASES:
+        u = Alphabet(row["alphabet"])
+        inner = Subgroup.of(u, row["inner"])
+        outer = Subgroup.of(u, row["inner"], row["outer"])
+        m = inclusion_morphism(inner, outer)
+        assert m is not None
+        n = RestrictionSet(u, parse_edges(row["n"]))
+        coords = make_substitution(root.alphabet, u, row["coords"])
+        cases.append(InjectivityCase(row["id"], n, m, root.chain + (coords,)))
+    return cases

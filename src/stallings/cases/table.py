@@ -8,19 +8,16 @@ are trivial; the resulting cases are then refined by Whitehead-edge
 splits until every branch either carries full restrictions (and is
 positively resolved) or reduces to an earlier case by renaming.
 
-Each row records the data needed to rebuild the case from its parent,
-the expected restriction set and missing edges, and which check settles
-the row.  A few cells of the source tables are internally inconsistent
-(for example an edge listed both inside the restriction set and in the
-missing column); those cells are corrected here to the values forced by
-the neighbouring columns, and every correction carries a note.
+The case engine derives every split row from its parent; a row only
+names the parent, the split edge and the child's index.  Its other cells
+(substitution, restriction set, missing edges) are the values printed in
+the source tables, which the derived case must reproduce, and its
+``expect`` cell names the check that settles the row.  A few cells of
+the source tables are internally inconsistent (for example an edge
+listed both inside the restriction set and in the missing column);
+those cells are corrected here to the values forced by the neighbouring
+columns, and every correction carries a note.
 """
-
-from __future__ import annotations
-
-from ..subgroups import Subgroup, inclusion_morphism
-from ..whitehead import RestrictionSet, parse_edges
-from ..words import Alphabet, GroupHom, parse_word
 
 # expect values: "positive", "ambiguous", or ("contained", target id, renaming)
 
@@ -67,9 +64,11 @@ INITIAL_CASES = [
     },
 ]
 
-# Split rows.  rule: "id" and "fresh" add the split edge to the child
-# restrictions, "absorb" and "identify" do not.  sub maps generators to
-# word text over the child alphabet; omitted generators are fixed.
+# Split rows.  index is the child of split_on_edge: 1 keeps the last
+# letters distinct, 2 names their common suffix by the parent alphabet's
+# fresh letter, 3 and 4 absorb one letter into the other, 5 identifies
+# them.  sub maps generators to word text over the child alphabet;
+# omitted generators are fixed.
 
 SPLIT_ROWS = [
     {
@@ -85,7 +84,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "u.y, y.u^-1, u.y^-1, u.u^-1, u^-1.y^-1",
         "missing": "",
@@ -96,8 +95,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
-        "rule": "fresh",
-        "fresh": "t",
+        "index": 2,
         "sub": {"u": "u t", "y": "t^-1 y"},
         "n": "t.y, y.u^-1, t.u^-1, u.t^-1, u.y^-1, t^-1.y^-1",
         "missing": "",
@@ -108,7 +106,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
-        "rule": "absorb",
+        "index": 4,
         "sub": {"u": "u y^-1"},
         "n": "u.y, y.u^-1, u^-1.y^-1, y.y^-1",
         "missing": "u.u^-1, u.y^-1",
@@ -119,7 +117,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
-        "rule": "absorb",
+        "index": 3,
         "sub": {"y": "u^-1 y"},
         "n": "u.u^-1, y.u^-1, u^-1.y^-1, u.y",
         "missing": "u.y^-1",
@@ -138,7 +136,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "v.u^-1, u.v^-1, y.v^-1, u.y, u^-1.y^-1, v.y^-1",
         "missing": "",
@@ -149,8 +147,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
-        "rule": "fresh",
-        "fresh": "t",
+        "index": 2,
         "sub": {"v": "v t", "y": "t^-1 y"},
         "n": "t.u^-1, u.v^-1, y.v^-1, u.y, v.t^-1, t^-1.y^-1, v.y^-1",
         "missing": "",
@@ -164,7 +161,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
-        "rule": "absorb",
+        "index": 3,
         "sub": {"v": "v y^-1"},
         "n": "y^-1.u^-1, u.v^-1, y.v^-1, u.y, v.y",
         "missing": "v.v^-1, u.v",
@@ -175,7 +172,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
-        "rule": "absorb",
+        "index": 4,
         "sub": {"y": "v^-1 y"},
         "n": "v.u^-1, u.v^-1, y.v^-1, u.y, v^-1.y^-1",
         "missing": "u.y^-1",
@@ -206,7 +203,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3",
         "edge": "u.v",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "v.u^-1, u.v^-1, u.v",
         "missing": "u.u^-1, v.v^-1, u^-1.v^-1",
@@ -217,8 +214,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3",
         "edge": "u.v",
-        "rule": "fresh",
-        "fresh": "t",
+        "index": 2,
         "sub": {"v": "v t", "u": "u t"},
         "n": "t.u^-1, t.v^-1, v.t^-1, u.t^-1, u.v",
         "missing": "u^-1.v^-1",
@@ -229,7 +225,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3",
         "edge": "u.v",
-        "rule": "absorb",
+        "index": 4,
         "sub": {"u": "u v"},
         "n": "v.u^-1, v.v^-1, u.v^-1",
         "missing": "u.v, u^-1.v^-1",
@@ -240,7 +236,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3",
         "edge": "u.v",
-        "rule": "absorb",
+        "index": 3,
         "sub": {"v": "v u"},
         "n": "u.u^-1, u.v^-1, v.u^-1",
         "missing": "u.v, u^-1.v^-1",
@@ -251,7 +247,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x",
         "edge": "u.v",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "v.u^-1, u.v^-1, x.v^-1, x.u^-1, u.x^-1, v.x^-1, u.v",
         "missing": "u^-1.v^-1",
@@ -262,8 +258,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x",
         "edge": "u.v",
-        "rule": "fresh",
-        "fresh": "t",
+        "index": 2,
         "sub": {"v": "v t", "u": "u t"},
         "n": "t.u^-1, t.v^-1, x.v^-1, x.u^-1, t.x^-1, v.t^-1, u.t^-1, u.v",
         "missing": "u^-1.v^-1",
@@ -274,7 +269,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x",
         "edge": "u.v",
-        "rule": "absorb",
+        "index": 4,
         "sub": {"v": "v u"},
         "n": "u.u^-1, u.v^-1, x.v^-1, x.u^-1, u.x^-1, v.u^-1",
         "missing": "u.v, u^-1.v^-1",
@@ -285,7 +280,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x",
         "edge": "u.v",
-        "rule": "absorb",
+        "index": 3,
         "sub": {"u": "u v"},
         "n": "v.u^-1, v.v^-1, x.v^-1, x.u^-1, v.x^-1, u.v^-1",
         "missing": "u.v, u^-1.v^-1",
@@ -296,9 +291,8 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x",
         "edge": "u.v",
-        "rule": "identify",
+        "index": 5,
         "sub": {"v": "u"},
-        "drop": "v",
         "n": "u.u^-1, u.x^-1, x.u^-1",
         "missing": "",
         "expect": "positive",
@@ -308,7 +302,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "t.u^-1, t.v^-1, v.t^-1, u.t^-1, x.u^-1, x.v^-1, u.x^-1, "
         "v.x^-1, u.v, u^-1.v^-1",
@@ -323,22 +317,24 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
-        "rule": "fresh",
-        "fresh": "s",
-        "sub": {"v": "s v", "u": "s u"},
-        "n": "t.s^-1, v.t^-1, u.t^-1, u.v, x.s^-1, u.x^-1, v.x^-1, "
-        "u^-1.v^-1, s.v^-1, s.u^-1",
+        "index": 2,
+        "sub": {"v": "s^-1 v", "u": "s^-1 u"},
+        "n": "t.s, v.t^-1, u.t^-1, u.v, x.s, u.x^-1, v.x^-1, "
+        "u^-1.v^-1, s^-1.v^-1, s^-1.u^-1",
         "missing": "",
-        "expect": ("contained", "x'.1", {"x": "x s", "t": "t s"}),
+        "expect": ("contained", "x'.1", {"x": "x s^-1", "t": "t s^-1"}),
         "note": "source row prints the renaming as u -> t s; only "
-        "t -> t s makes the graphs and restrictions line up.",
+        "t -> t s makes the graphs and restrictions line up.  It also "
+        "prints u -> s u, v -> s v where the split derives the common "
+        "prefix s^-1; substitution, restrictions and renaming are "
+        "rewritten under s -> s^-1, which gives an isomorphic case.",
     },
     {
         "id": "x'.3",
         "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
-        "rule": "absorb",
+        "index": 4,
         "sub": {"v": "u v"},
         "n": "t.u^-1, u.v^-1, v.t^-1, u.t^-1, u.v, x.u^-1, v.x^-1, u.x^-1",
         "missing": "t^-1.v^-1",
@@ -352,7 +348,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
-        "rule": "absorb",
+        "index": 3,
         "sub": {"u": "v u"},
         "n": "t.v^-1, v.u^-1, v.t^-1, u.t^-1, x.v^-1, u.v, u.x^-1, v.x^-1",
         "missing": "t^-1.u^-1",
@@ -365,7 +361,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "v.u^-1, u.v^-1, x.v^-1, x.u^-1, u.x^-1, v.x^-1, u.v, u^-1.v^-1",
         "missing": "",
@@ -376,20 +372,23 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
-        "rule": "fresh",
-        "fresh": "t",
-        "sub": {"v": "t v", "u": "t u"},
-        "n": "v.t^-1, u.t^-1, x.t^-1, u.x^-1, v.x^-1, u.v, t.u^-1, t.v^-1, "
+        "index": 2,
+        "sub": {"v": "t^-1 v", "u": "t^-1 u"},
+        "n": "v.t, u.t, x.t, u.x^-1, v.x^-1, u.v, t^-1.u^-1, t^-1.v^-1, "
         "u^-1.v^-1",
         "missing": "",
-        "expect": ("contained", "x'.1", {"x": "x t"}),
+        "expect": ("contained", "x'.1", {"x": "x t^-1", "t": "t^-1"}),
+        "note": "source row prints u -> t u, v -> t v where the split "
+        "derives the common prefix t^-1; substitution, restrictions and "
+        "renaming are rewritten under t -> t^-1, which gives an isomorphic "
+        "case.",
     },
     {
         "id": "x.1.3",
         "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
-        "rule": "absorb",
+        "index": 4,
         "sub": {"v": "u v"},
         "n": "v.u^-1, u.u^-1, x.u^-1, u.v^-1, u.x^-1, v.x^-1, u.v",
         "missing": "u^-1.v^-1",
@@ -400,7 +399,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
-        "rule": "absorb",
+        "index": 3,
         "sub": {"u": "v u"},
         "n": "v.v^-1, u.v^-1, x.v^-1, u.x^-1, v.x^-1, u.v, v.u^-1",
         "missing": "u^-1.v^-1",
@@ -413,7 +412,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3.1",
         "edge": "u^-1.v^-1",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "v.u^-1, u.v^-1, u^-1.v^-1, u.v",
         "missing": "u.u^-1, v.v^-1",
@@ -427,8 +426,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3.1.1",
         "edge": "v.v^-1",
-        "rule": "fresh",
-        "fresh": "t",
+        "index": 2,
         "sub": {"v": "t^-1 v t"},
         "n": "t.u^-1, u.t, v.v^-1, v.t^-1, t^-1.v^-1",
         "missing": "u.u^-1",
@@ -442,7 +440,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3.1.1.2",
         "edge": "u.u^-1",
-        "rule": "id",
+        "index": 1,
         "sub": {},
         "n": "t.u^-1, u.t, v.v^-1, v.t^-1, t^-1.v^-1, u.u^-1",
         "missing": "",
@@ -455,8 +453,7 @@ SPLIT_ROWS = [
         "kind": "split",
         "parent": "3.1.1.2",
         "edge": "u.u^-1",
-        "rule": "fresh",
-        "fresh": "s",
+        "index": 2,
         "sub": {"u": "s^-1 u s"},
         "n": "t.s, v.t^-1, v.v^-1, t^-1.v^-1, u.s^-1, u^-1.s^-1, u.u^-1",
         "missing": "",
@@ -465,28 +462,3 @@ SPLIT_ROWS = [
     },
 ]
 
-
-def initial_cases(root) -> list:
-    """Build the four coordinate-change cases from a root case."""
-    from .engine import InjectivityCase  # deferred; table is plain data
-
-    ab = root.alphabet
-    out = []
-    for row in INITIAL_CASES:
-        u = Alphabet(row["alphabet"])
-        inner = Subgroup(u, (parse_word(row["inner"]),))
-        outer = Subgroup(u, (parse_word(row["inner"]), parse_word(row["outer"])))
-        m = inclusion_morphism(inner, outer)
-        assert m is not None
-        coords = GroupHom(
-            ab, u, {g: parse_word(row["coords"][g]) for g in ab.generators}
-        )
-        out.append(
-            InjectivityCase(
-                row["id"],
-                RestrictionSet(u, parse_edges(row["n"])),
-                m,
-                root.chain + (coords,),
-            )
-        )
-    return out

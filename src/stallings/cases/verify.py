@@ -1,32 +1,34 @@
-"""Row-by-row replay and verification of the bundled case analysis.
+"""Row-by-row derivation and verification of the bundled case analysis.
 
-Every row is rebuilt from its parent via the recorded substitution, the
-restriction set recomputed by the transport rule is compared against the
-recorded one, the missing Whitehead edges are compared, and the row's
-claim is checked: positive rows must carry full restrictions with an
-injective morphism, ambiguous rows must be ambiguous, and containment
-rows must reduce to their target under the recorded renaming.
+The case engine derives every split row: ``split_on_edge`` splits the
+row's parent along the row's edge and the row takes the child it names
+by index.  The row's recorded cells are expected values: the derived
+substitution, restriction set and missing Whitehead edges are compared
+against them.  Then the row's claim is checked: positive rows must carry
+full restrictions with an injective morphism, ambiguous rows must be
+ambiguous, and containment rows must reduce to their target under the
+recorded renaming.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..functor import image_core
 from ..graph import classify, iso_pointed
 from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import RestrictionSet, parse_edges
-from ..words import Alphabet, GroupHom, parse_word
+from ..words import Alphabet, parse_word
 from .engine import (
     InjectivityCase,
     Resolution,
-    apply_substitution,
-    child_restrictions,
+    SplitCase,
     classify_case,
     initial_split,
     make_substitution,
     reduce_to,
     root_case,
+    split_on_edge,
 )
 from .table import INITIAL_CASES, SPLIT_ROWS
 
@@ -58,21 +60,11 @@ class TableReport:
         return all(r.ok for r in self.rows)
 
 
-def _sub_hom(parent: InjectivityCase, row: dict) -> GroupHom:
-    u = parent.alphabet
-    if row["rule"] == "identify":
-        target = u.without(row["drop"])
-    elif "fresh" in row:
-        target = u.extended(row["fresh"])
-    else:
-        target = u
-    return make_substitution(u, target, row["sub"])
-
-
 def verify_tables() -> TableReport:
-    """Rebuild and check every recorded case; return the full report."""
+    """Derive and check every recorded case; return the full report."""
     report = TableReport(rows=[])
     states: dict[str, InjectivityCase] = {}
+    splits: dict[tuple[str, str], dict[int, SplitCase]] = {}
 
     root = root_case()
     states["root"] = root
@@ -123,18 +115,17 @@ def verify_tables() -> TableReport:
                 data["id"], RestrictionSet(u, expected_n), m
             )
         else:
-            parent = states[data["parent"]]
-            psi = _sub_hom(parent, data)
-            add = (
-                next(iter(parse_edges(data["edge"])))
-                if data["rule"] in ("id", "fresh")
-                else None
-            )
-            computed = child_restrictions(parent.restrictions, psi, add)
-            row.checks["restrictions"] = computed == expected_n
-            if computed is None:
-                computed = expected_n
-            case = apply_substitution(parent, data["id"], psi, computed)
+            key = (data["parent"], data["edge"])
+            if key not in splits:  # sibling rows share one split
+                (edge,) = parse_edges(data["edge"])
+                children = split_on_edge(states[data["parent"]], edge)
+                splits[key] = {c.index: c for c in children}
+            split = splits[key][data["index"]]
+            psi = split.substitution
+            expected_sub = make_substitution(psi.source, psi.target, data["sub"])
+            row.checks["substitution"] = psi == expected_sub
+            row.checks["restrictions"] = split.case.restrictions.edges == expected_n
+            case = replace(split.case, id=data["id"])
 
         states[case.id] = case
         res = classify_case(case)

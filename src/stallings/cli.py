@@ -18,7 +18,6 @@ from typing import NoReturn
 
 from .cases import fuzz_example, render_tsv, verify_tables
 from .errors import StallingsError
-from .functor import image_core
 from .graph import canonical_form, classify, to_dot
 from .subgroups import (
     Subgroup,
@@ -126,7 +125,10 @@ def _cmd_onto_base(args) -> int:
 def _cmd_fphi(args) -> int:
     phi = _parse(args.hom, parse_hom, _read(args.hom))
     h = _load(args.subgroup, phi.source)
-    _emit_graph(image_core(phi, gamma(h)), args.dot)
+    # phi(H) is generated by the images of H's generators; this also
+    # covers homs that send a generator to the identity
+    image = Subgroup(phi.target, tuple(phi(w) for w in h.generators))
+    _emit_graph(gamma(image), args.dot)
     return 0
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stallings.cases import (
+    InjectivityCase,
     Resolution,
     classify_case,
     fuzz_example,
@@ -11,13 +12,15 @@ from stallings.cases import (
     reduce_to,
     root_case,
     split_on_edge,
+    table,
     verify_tables,
 )
 from stallings.cases.engine import make_substitution
 from stallings.errors import EdgeNotMissingError, NotAmbiguousError
-from stallings.functor import subdivide, unbased_image_morphism
+from stallings.functor import image_morphism, subdivide, unbased_image_morphism
 from stallings.graph import classify, iso_pointed
 from stallings.whitehead import (
+    RestrictionSet,
     full_whitehead,
     is_restriction_morphism,
     parse_edges,
@@ -128,6 +131,67 @@ class TestSplitOnEdge:
                 assert edge in child.case.restrictions.edges
 
 
+class TestCorrectedFreshRows:
+    """x'.2 and x.1.2 record the fresh letter with the opposite orientation.
+
+    The source rows split u -> s u, v -> s v; the engine derives
+    u -> s^-1 u, v -> s^-1 v.  Renaming s -> s^-1 carries either child to
+    the other, so the table's corrected rows describe the same case.
+    """
+
+    @pytest.mark.parametrize(
+        "row_id, parent_id, fresh, old_sub, old_n",
+        [
+            (
+                "x'.2",
+                "x'",
+                "s",
+                {"v": "s v", "u": "s u"},
+                "t.s^-1, v.t^-1, u.t^-1, u.v, x.s^-1, u.x^-1, v.x^-1, "
+                "u^-1.v^-1, s.v^-1, s.u^-1",
+            ),
+            (
+                "x.1.2",
+                "x.1",
+                "t",
+                {"v": "t v", "u": "t u"},
+                "v.t^-1, u.t^-1, x.t^-1, u.x^-1, v.x^-1, u.v, t.u^-1, t.v^-1, "
+                "u^-1.v^-1",
+            ),
+        ],
+    )
+    def test_recorded_orientation_is_isomorphic(
+        self, report, row_id, parent_id, fresh, old_sub, old_n
+    ):
+        parent = report.cases[parent_id]
+        (edge,) = parse_edges("u^-1.v^-1")
+        (derived,) = [c for c in split_on_edge(parent, edge) if c.index == 2]
+        engine = derived.case
+        u = parent.alphabet.extended(fresh)
+        psi = make_substitution(parent.alphabet, u, old_sub)
+        recorded = InjectivityCase(
+            row_id,
+            RestrictionSet(u, parse_edges(old_n)),
+            image_morphism(psi, parent.morphism),
+        )
+        flip = make_substitution(u, u, {fresh: f"{fresh}^-1"})
+        assert reduce_to(engine, recorded, flip, require_square=True)
+        assert reduce_to(recorded, engine, flip, require_square=True)
+
+    @pytest.mark.parametrize(
+        "row_id, renaming",
+        [
+            ("x'.2", {"x": "x s^-1", "t": "t s^-1"}),
+            ("x.1.2", {"x": "x t^-1", "t": "t^-1"}),
+        ],
+    )
+    def test_corrected_row_reduces_with_square(self, report, row_id, renaming):
+        child = report.cases[row_id]
+        target = report.cases["x'.1"]
+        rho = make_substitution(target.alphabet, child.alphabet, renaming)
+        assert reduce_to(child, target, rho, require_square=True)
+
+
 class TestReduceTo:
     def test_printed_reductions(self, report):
         u = report.cases["3.2"]
@@ -145,6 +209,14 @@ class TestReduceTo:
         case = report.cases["x"]
         identity = make_substitution(case.alphabet, case.alphabet, {})
         assert reduce_to(case, case, identity, require_square=True)
+
+    def test_restrictions_must_carry_over(self, report):
+        """Same graphs, but the child lacks the target's restrictions."""
+        case = report.cases["x"]
+        bare = InjectivityCase("bare", RestrictionSet(case.alphabet, frozenset()), case.morphism)
+        identity = make_substitution(case.alphabet, case.alphabet, {})
+        assert reduce_to(case, bare, identity, require_square=True)
+        assert not reduce_to(bare, case, identity)
 
     def test_wrong_renaming_rejected(self, report):
         child = report.cases["x.3"]
@@ -167,6 +239,28 @@ class TestTableVerification:
         assert by_id["x'.1"].resolution == "positive"
         assert by_id["3.1"].missing == "u.u^-1, u^-1.v^-1, v.v^-1"
         assert by_id["3.1.1.2.2"].resolution == "positive"
+
+    @pytest.mark.parametrize(
+        "row_id, cell, value",
+        [
+            ("2.2", "sub", {"u": "u t", "y": "y"}),
+            ("2.3", "index", 3),
+        ],
+    )
+    def test_derivation_check_bites(self, monkeypatch, row_id, cell, value):
+        """A wrong recorded cell fails its own row and no other."""
+        rows = [dict(r) for r in table.SPLIT_ROWS]
+        for r in rows:
+            if r["id"] == row_id:
+                r[cell] = value
+        monkeypatch.setattr("stallings.cases.verify.SPLIT_ROWS", rows)
+        failing = {
+            r.id: [name for name, ok in r.checks.items() if not ok]
+            for r in verify_tables().rows
+            if not r.ok
+        }
+        assert list(failing) == [row_id]
+        assert "substitution" in failing[row_id]
 
     def test_positive_rows_transport_injectively(self, report):
         # sample admissible maps out of each fully restricted case

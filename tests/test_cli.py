@@ -140,6 +140,14 @@ class TestTransportAndChecks:
         assert code == 0
         assert out.splitlines() == ["base 0", "0 -a-> 1", "1 -b-> 1"]
 
+    def test_fphi_degenerate_hom(self, capsys, files, tmp_path):
+        """a -> 1 is well formed: the image of <b, a b a^-1> is <a b>."""
+        hom = tmp_path / "deg.txt"
+        hom.write_text("a -> \nb -> a b\n")
+        code, out = run(capsys, "fphi", str(hom), files["K"])
+        assert code == 0
+        assert out.splitlines() == ["base 0", "0 -a-> 1", "1 -b-> 0"]
+
     def test_whitehead(self, capsys, files):
         code, out = run(capsys, "whitehead", files["K"])
         assert code == 0

@@ -26,8 +26,10 @@ from stallings.words import (
     GroupHom,
     Letter,
     apply_hom,
+    compose_homs,
     conjugation_hom,
     identity_hom,
+    is_nondegenerate,
     parse_word,
 )
 
@@ -132,6 +134,23 @@ class TestImageCore:
             phi = random_hom(rng, AB, x3, 4)
             image = Subgroup(x3, tuple(apply_hom(phi, w) for w in h.generators))
             assert iso_pointed(image_core(phi, gamma(h)), gamma(image))
+
+    def test_image_cores_compose(self):
+        """Subdividing along psi then phi gives the core of phi(psi(H))."""
+        rng = random.Random(13)
+        x3 = Alphabet.of("a", "b", "c")
+        checked = 0
+        for _ in range(150):
+            h = random_subgroup(rng, AB, max_gens=3, max_len=5)
+            psi = random_hom(rng, AB, x3, 3)
+            phi = random_hom(rng, x3, AB, 3)
+            both = compose_homs(phi, psi)
+            if not is_nondegenerate(both):
+                continue
+            g = gamma(h)
+            assert iso_pointed(image_core(both, g), image_core(phi, image_core(psi, g)))
+            checked += 1
+        assert checked >= 100
 
 
 class TestUnbasedCore:

@@ -64,6 +64,25 @@ class TestGamma:
             regenerated = Subgroup(AB, tuple(pi1_basis(g)))
             assert iso_pointed(g, gamma(regenerated))
 
+    def test_canonical_form_invariant_under_nielsen_moves(self):
+        rng = random.Random(4)
+        abc = Alphabet.of("a", "b", "c")
+        for _ in range(100):
+            gens = list(random_subgroup(rng, abc, max_gens=4, max_len=6).generators)
+            expected = canonical_form(gamma(Subgroup(abc, tuple(gens))))
+            for _ in range(5):
+                i = rng.randrange(len(gens))
+                j = rng.randrange(len(gens))
+                move = rng.randrange(3)
+                if move == 0:  # invert a generator
+                    gens[i] = invert(gens[i])
+                elif move == 1:  # swap two generators
+                    gens[i], gens[j] = gens[j], gens[i]
+                elif i != j:  # multiply one generator by another
+                    gens[i] = gens[i] * (gens[j] if rng.random() < 0.5 else invert(gens[j]))
+                moved = Subgroup(abc, tuple(gens))
+                assert canonical_form(gamma(moved)) == expected
+
 
 _AB_WORDS = st.lists(st.sampled_from(AB.letters()), max_size=6).map(free_reduce)
 _ABC_WORDS = st.lists(

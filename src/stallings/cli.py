@@ -41,7 +41,7 @@ def _usage_error(message: str) -> NoReturn:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _usage_error(f"cannot read {path}: {exc}")
 
 

@@ -12,6 +12,7 @@ Graphs are frozen after construction; every operation returns new values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from . import _kernel
 from .errors import (
@@ -209,12 +210,17 @@ def path_graph(w: Word, alphabet: Alphabet) -> LabeledGraph:
 
 def bouquet(alphabet: Alphabet, words: list[Word]) -> LabeledGraph:
     """A wedge of loop paths at a common base, one loop per nonempty word."""
+    return _bouquet(alphabet, [alphabet.encode(w) for w in words])
+
+
+def _bouquet(alphabet: Alphabet, words: Iterable[list[int]]) -> LabeledGraph:
+    """:func:`bouquet` of words already encoded over the alphabet."""
     einit: list[int] = []
     elabel: list[int] = []
     n = 1
-    for w in words:
-        if w:
-            n = _spell(einit, elabel, 0, 0, alphabet.encode(w), n)
+    for codes in words:
+        if codes:
+            n = _spell(einit, elabel, 0, 0, codes, n)
     return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), 0, _validate=False)
 
 
@@ -245,6 +251,10 @@ class GraphMorphism:
         g, d = self.source, self.target
         if len(self.vmap) != g.n_vertices or len(self.emap) != g.n_half_edges:
             raise AlphabetMismatchError("morphism arrays have wrong lengths")
+        if min(self.vmap) < 0 or max(self.vmap) >= d.n_vertices:
+            raise AlphabetMismatchError("morphism maps a vertex outside its target")
+        if self.emap and (min(self.emap) < 0 or max(self.emap) >= d.n_half_edges):
+            raise AlphabetMismatchError("morphism maps a half-edge outside its target")
         labels = d.alphabet.recode(g.elabel, g.alphabet)
         for e, fe in enumerate(self.emap):
             if self.emap[e ^ 1] != fe ^ 1:
@@ -381,20 +391,32 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 # -- folding / trimming / core ---------------------------------------
 
 
+def _fold_reps(
+    g: LabeledGraph, seed: int | None = None
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Fold with the kernel, keeping ``g``'s numbering.
+
+    Returns the kernel's vertex and half-edge representative arrays, the
+    initial vertex of every half-edge moved onto its class's
+    representative, the representative vertices, and the even half-edge
+    of every representative edge (both ascending).
+    """
+    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel, seed)
+    einit = [vrep[v] for v in g.einit]
+    vertices = [v for v, r in enumerate(vrep) if r == v]
+    # the representatives of a class and of its reverse form one edge
+    edges = [e for e in range(0, len(erep), 2) if erep[e] == e]
+    return vrep, erep, einit, vertices, edges
+
+
 def fold_all(
     g: LabeledGraph, seed: int | None = None
 ) -> tuple[LabeledGraph, GraphMorphism]:
     """Fold completely; return the folded graph and the quotient morphism."""
-    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel, seed)
-    # half-edges moved onto their vertex classes' representatives
+    vrep, erep, einit, vertices, edges = _fold_reps(g, seed)
     base = None if g.base is None else vrep[g.base]
-    einit = tuple([vrep[v] for v in g.einit])
-    merged = LabeledGraph(
-        g.alphabet, g.n_vertices, einit, g.elabel, base, _validate=False
-    )
-    kept_v = [v for v in range(g.n_vertices) if vrep[v] == v]
-    kept_e = sorted({r & ~1 for r in erep})  # one even half-edge per edge class
-    folded, vnew, enew = _renumber(merged, kept_v, kept_e)
+    folded = _renumber(g.alphabet, einit, g.elabel, base, vertices, edges)
+    vnew, enew = _maps(vertices, edges)
     vmap = tuple([vnew[r] for r in vrep])
     emap = tuple([enew[r] for r in erep])
     quotient = GraphMorphism(g, folded, vmap, emap, _validate=False)
@@ -402,76 +424,103 @@ def fold_all(
 
 
 def _peel(
-    g: LabeledGraph, protect: int | None
-) -> tuple[list[int], list[int], list[int]]:
+    einit: Sequence[int],
+    vertices: Sequence[int],
+    edges: Sequence[int],
+    protect: int | None,
+) -> tuple[Sequence[int], Sequence[int], list[int]]:
     """Iteratively drop degree<=1 vertices (except ``protect``).
 
-    Returns (kept vertices, kept even half-edges, dropped half-edges);
-    each dropped half-edge leaves the vertex it removes, in removal
-    order, so on a pointed core graph peeled with ``protect=None`` the
-    dropped list is the hanging path from the base.  If everything would
-    disappear, one vertex is kept so the result stays a graph.
+    The graph is given by the initial vertex of every half-edge, its
+    live vertices and the even half-edge of each live edge (both
+    ascending); half-edges of other edges are ignored.  Returns (kept
+    vertices, kept even half-edges, dropped half-edges); each dropped
+    half-edge leaves the vertex it removes, in removal order, so on a
+    pointed core graph peeled with ``protect=None`` the dropped list is
+    the hanging path from the base.  When nothing is dropped, the given
+    vertices and edges come back as they are.  If everything would
+    disappear, the first vertex is kept so the result stays a graph.
     """
-    deg = [g.degree(v) for v in range(g.n_vertices)]
-    alive_v = [True] * g.n_vertices
-    alive_e = [True] * g.n_edges
+    size = vertices[-1] + 1
+    deg = [0] * size  # live degree; -1 once the vertex is dropped
+    # XOR of a vertex's live out-half-edges: at degree 1, its only one
+    out = [0] * size
+    for e in edges:
+        v, w = einit[e], einit[e ^ 1]
+        deg[v] += 1
+        deg[w] += 1
+        out[v] ^= e
+        out[w] ^= e ^ 1
     dropped: list[int] = []
-    queue = [v for v in range(g.n_vertices) if deg[v] <= 1 and v != protect]
+    queue = [v for v in vertices if deg[v] <= 1 and v != protect]
+    if not queue:
+        return vertices, edges, dropped
     while queue:
         v = queue.pop()
-        if not alive_v[v] or deg[v] > 1 or v == protect:
-            continue
-        if deg[v] == 0:
-            alive_v[v] = False
-            continue
-        e = next(
-            e for e in g.out_edges(v) if alive_e[e // 2]
-        )
-        dropped.append(e)
-        alive_e[e // 2] = False
-        alive_v[v] = False
-        w = g.head(e)
-        deg[w] -= 1
-        deg[v] -= 1
-        if deg[w] <= 1 and w != protect and alive_v[w]:
-            queue.append(w)
-    kept_v = [v for v in range(g.n_vertices) if alive_v[v]]
-    if not kept_v:
-        kept_v = [protect if protect is not None else 0]
-    kept_e = [2 * i for i in range(g.n_edges) if alive_e[i]]
+        if deg[v] == 1:
+            e = out[v]
+            dropped.append(e)
+            w = einit[e ^ 1]
+            out[w] ^= e ^ 1
+            deg[w] -= 1
+            if deg[w] <= 1 and w != protect:
+                queue.append(w)
+        deg[v] = -1
+    kept_v = [v for v in vertices if deg[v] >= 0] or [vertices[0]]
+    # an edge outlives the peel exactly when both its endpoints do
+    kept_e = [e for e in edges if deg[einit[e]] >= 0 and deg[einit[e ^ 1]] >= 0]
     return kept_v, kept_e, dropped
 
 
+def _whole(g: LabeledGraph) -> tuple[Sequence[int], range, range]:
+    """All of ``g`` as :func:`_peel` takes a graph."""
+    return g.einit, range(g.n_vertices), range(0, g.n_half_edges, 2)
+
+
 def _renumber(
-    g: LabeledGraph, kept_v: list[int], kept_e: list[int]
-) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
+    alphabet: Alphabet,
+    einit: Sequence[int],
+    elabel: Sequence[int],
+    base: int | None,
+    kept_v: Sequence[int],
+    kept_e: Sequence[int],
+) -> LabeledGraph:
     """The graph on the kept vertices and even half-edges, in list order.
 
-    Also returns the maps from kept vertices and kept half-edges (both
-    orientations) to their new numbers.
+    ``kept_v`` is ascending and holds every endpoint of a kept edge.
     """
+    vnew = [0] * (kept_v[-1] + 1)
+    for i, v in enumerate(kept_v):
+        vnew[v] = i
+    halves = [h for e in kept_e for h in (e, e ^ 1)]
+    return LabeledGraph(
+        alphabet,
+        len(kept_v),
+        tuple([vnew[einit[h]] for h in halves]),
+        tuple([elabel[h] for h in halves]),
+        None if base is None else vnew[base],
+        _validate=False,
+    )
+
+
+def _maps(
+    kept_v: Sequence[int], kept_e: Sequence[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Kept vertices and half-edges (both orientations) to their new numbers."""
     vnew = {v: i for i, v in enumerate(kept_v)}
     enew: dict[int, int] = {}
-    einit: list[int] = []
-    elabel: list[int] = []
     for j, e in enumerate(kept_e):
         enew[e] = 2 * j
         enew[e ^ 1] = 2 * j + 1
-        einit += (vnew[g.einit[e]], vnew[g.einit[e ^ 1]])
-        elabel += (g.elabel[e], g.elabel[e ^ 1])
-    base = None if g.base is None else vnew[g.base]
-    h = LabeledGraph(
-        g.alphabet, len(kept_v), tuple(einit), tuple(elabel), base, _validate=False
-    )
-    return h, vnew, enew
+    return vnew, enew
 
 
 def trim_all(g: LabeledGraph) -> LabeledGraph:
     """Remove hanging edges until every non-base vertex has degree > 1."""
-    kept_v, kept_e, _ = _peel(g, g.base)
-    if len(kept_v) == g.n_vertices:
+    kept_v, kept_e, dropped = _peel(*_whole(g), g.base)
+    if not dropped:
         return g
-    return _renumber(g, kept_v, kept_e)[0]
+    return _renumber(g.alphabet, g.einit, g.elabel, g.base, kept_v, kept_e)
 
 
 def two_core_maps(
@@ -484,8 +533,12 @@ def two_core_maps(
     """
     if not g.is_folded():
         raise NotFoldedError("the unbased core needs a folded graph")
-    kept_v, kept_e, _ = _peel(g, None)
-    return _renumber(g.unbased(), kept_v, kept_e)
+    kept_v, kept_e, dropped = _peel(*_whole(g), None)
+    if dropped:
+        h = _renumber(g.alphabet, g.einit, g.elabel, None, kept_v, kept_e)
+    else:
+        h = g.unbased()
+    return (h, *_maps(kept_v, kept_e))
 
 
 def two_core(g: LabeledGraph) -> LabeledGraph:
@@ -499,12 +552,21 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
 def core(g: LabeledGraph) -> LabeledGraph:
     """Fold, then trim, preserving the fundamental group.
 
-    One pass suffices: a subgraph of a folded graph is folded, so
-    trimming never undoes the fold.
+    One pass: the kernel's representative arrays are peeled as they
+    are, and the survivors renumbered once.  A subgraph of a folded
+    graph is folded, so trimming never undoes the fold.
     """
-    if not g.is_folded():
-        g, _ = fold_all(g)
-    return trim_all(g)
+    folded = g.is_folded()
+    if folded:
+        einit, vertices, edges = _whole(g)
+        base = g.base
+    else:
+        vrep, _, einit, vertices, edges = _fold_reps(g)
+        base = None if g.base is None else vrep[g.base]
+    kept_v, kept_e, dropped = _peel(einit, vertices, edges, base)
+    if folded and not dropped:
+        return g
+    return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
 
 
 def attach_path(g: LabeledGraph, w: Word) -> LabeledGraph:

@@ -23,12 +23,13 @@ from .graph import (
     GraphMorphism,
     LabeledGraph,
     attach_path,
-    bouquet,
     core,
     trace,
     unique_pointed_morphism,
     _bfs_order,
+    _bouquet,
     _peel,
+    _whole,
 )
 from .words import (
     Alphabet,
@@ -37,6 +38,7 @@ from .words import (
     free_reduce,
     invert,
     last_letter,
+    parse_letter,
     parse_word,
 )
 
@@ -51,11 +53,13 @@ class Subgroup:
 
     alphabet: Alphabet
     generators: tuple[Word, ...]
+    # the generators encoded over the alphabet, made once when checking them
+    _codes: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
     _core: LabeledGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for w in self.generators:
-            self.alphabet.check_word(w)
+        encode = self.alphabet.encode
+        object.__setattr__(self, "_codes", tuple([encode(w) for w in self.generators]))
 
     @classmethod
     def of(cls, alphabet: Alphabet, *gens: str) -> "Subgroup":
@@ -77,12 +81,24 @@ class Subgroup:
 
 
 def load_subgroup(text: str, alphabet: Alphabet | None = None) -> Subgroup:
-    """Parse a subgroup file: one generator word per line, ``#`` comments."""
+    """Parse a subgroup file: one generator word per line, ``#`` comments.
+
+    Without an alphabet, the generators are those of the reduced words,
+    in order of first appearance.
+    """
+    letters: dict[str, Letter] = {}  # each distinct token parsed once
+
+    def letter(token: str) -> Letter:
+        l = letters.get(token)
+        if l is None:
+            l = letters[token] = parse_letter(token)
+        return l
+
     gens: list[Word] = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            gens.append(parse_word(line))
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            gens.append(free_reduce(map(letter, tokens)))
     if alphabet is None:
         alphabet = Alphabet(tuple(dict.fromkeys(l.gen for w in gens for l in w)))
     return Subgroup(alphabet, tuple(gens))
@@ -95,12 +111,7 @@ def gamma(h: Subgroup) -> LabeledGraph:
     return that same graph.
     """
     if h._core is None:
-        words = [w for w in h.generators if w]
-        if words:
-            g = core(bouquet(h.alphabet, words))
-        else:
-            g = LabeledGraph(h.alphabet, 1, (), (), 0, _validate=False)
-        object.__setattr__(h, "_core", g)
+        object.__setattr__(h, "_core", core(_bouquet(h.alphabet, h._codes)))
     return h._core
 
 
@@ -213,7 +224,7 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
     if first_letter_not in g.alphabet:
         forbidden = g.alphabet.code(first_letter_not)
 
-    _, kept_e, tail = _peel(g, None)  # tail: the hanging path from the base
+    _, kept_e, tail = _peel(*_whole(g), None)  # tail: the hanging path from the base
     allowed = {e // 2 for e in kept_e}
     junction = g.head(tail[-1]) if tail else g.base
 
@@ -279,7 +290,7 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     if gh.n_edges == 0:
         raise TrivialSubgroupError("the trivial subgroup cannot cover a graph")
 
-    tail = _peel(gh, None)[2]  # the hanging path from the base
+    tail = _peel(*_whole(gh), None)[2]  # the hanging path from the base
     ell = free_reduce(gh.alphabet.decode(gh.elabel[d]) for d in tail)
     if not ell:
         u = covering_circuit(gk)

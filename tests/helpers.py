@@ -1,25 +1,31 @@
 """Shared random generators and independent oracles for the tests.
 
 The oracles here deliberately avoid the library's fast paths: folding by
-one-pair-at-a-time scanning, reduction by repeated adjacent elimination,
-Whitehead edges by brute two-step path enumeration.
+one-pair-at-a-time scanning, trimming by rescanning for a leaf,
+reduction by repeated adjacent elimination, Whitehead edges by brute
+two-step path enumeration.
 """
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from stallings.cases.fuzz import random_reduced_word
-from stallings.graph import LabeledGraph, bouquet
+from stallings.functor import subdivide
+from stallings.graph import LabeledGraph, attach_path, bouquet
 from stallings.subgroups import Subgroup
-from stallings.words import Alphabet, GroupHom, Letter, Word
+from stallings.words import Alphabet, GroupHom, Letter, Word, free_reduce
 
 __all__ = [
     "random_reduced_word",
     "random_subgroup",
     "random_hom",
     "random_wedge",
+    "pointed_graphs",
     "naive_fold",
+    "naive_trim",
     "naive_member",
     "naive_reduce",
     "two_path_edges",
@@ -62,6 +68,26 @@ def random_wedge(rng: random.Random, alphabet: Alphabet, max_words: int = 5,
         for _ in range(rng.randint(1, max_words))
     ]
     return bouquet(alphabet, words)
+
+
+@st.composite
+def pointed_graphs(draw, alphabet: Alphabet = ALPHABETS[2]) -> LabeledGraph:
+    """Unfolded pointed graphs of the kinds the library takes cores of.
+
+    A bouquet of words, a bouquet with a path hung at its base (as in
+    conjugation), or a bouquet subdivided along an endomorphism.
+    """
+    letters = st.sampled_from(alphabet.letters())
+    words = st.lists(letters, max_size=8).map(free_reduce)
+    g = bouquet(alphabet, draw(st.lists(words, min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(["bouquet", "attach", "subdivide"]))
+    if kind == "attach":
+        g = attach_path(g, draw(words))
+    elif kind == "subdivide":
+        images = st.lists(letters, min_size=1, max_size=4).map(free_reduce).filter(bool)
+        phi = GroupHom(alphabet, alphabet, {x: draw(images) for x in alphabet.generators})
+        g = subdivide(phi, g)
+    return g
 
 
 def naive_reduce(letters: list[Letter]) -> tuple[Letter, ...]:
@@ -112,6 +138,33 @@ def naive_fold(g: LabeledGraph, rng: random.Random | None = None) -> LabeledGrap
             if base is not None:
                 base = keep if base == gone else (base - 1 if base > gone else base)
             n -= 1
+    return LabeledGraph(g.alphabet, n, tuple(einit), tuple(elabel), base)
+
+
+def naive_trim(g: LabeledGraph) -> LabeledGraph:
+    """Delete a non-base vertex of degree at most one until none is left.
+
+    Degrees are recounted from scratch after every deletion; the graph
+    must be pointed.
+    """
+    n = g.n_vertices
+    einit = list(g.einit)
+    elabel = list(g.elabel)
+    base = g.base
+    while True:
+        degree = [0] * n
+        for v in einit:
+            degree[v] += 1
+        leaves = [v for v in range(n) if v != base and degree[v] <= 1]
+        if not leaves:
+            break
+        v = leaves[0]
+        # both half-edges of the leaf's edge start at v or end at v
+        keep = [e for e in range(len(einit)) if v not in (einit[e], einit[e ^ 1])]
+        einit = [einit[e] - (einit[e] > v) for e in keep]
+        elabel = [elabel[e] for e in keep]
+        base -= base > v
+        n -= 1
     return LabeledGraph(g.alphabet, n, tuple(einit), tuple(elabel), base)
 
 

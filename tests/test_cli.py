@@ -60,6 +60,12 @@ class TestCore:
         err = usage_error(capsys, "core", str(bad))
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_non_utf8_subgroup_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\n")
+        err = usage_error(capsys, "core", str(bad))
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot read {bad}: ")
+
 
 class TestMember:
     def test_member_true(self, capsys, files):
@@ -147,6 +153,12 @@ class TestTransportAndChecks:
         code, out = run(capsys, "fphi", str(hom), files["K"])
         assert code == 0
         assert out.splitlines() == ["base 0", "0 -a-> 1", "1 -b-> 0"]
+
+    def test_fphi_non_utf8_hom_exits_2(self, capsys, files, tmp_path):
+        hom = tmp_path / "hom.txt"
+        hom.write_bytes(b"a -> \xff\nb -> b\n")
+        err = usage_error(capsys, "fphi", str(hom), files["H"])
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot read {hom}: ")
 
     def test_whitehead(self, capsys, files):
         code, out = run(capsys, "whitehead", files["K"])

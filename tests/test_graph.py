@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from stallings.errors import (
+    AlphabetMismatchError,
     DisconnectedGraphError,
     NotFoldedError,
     UnknownGeneratorError,
 )
 from stallings.graph import (
+    GraphMorphism,
     LabeledGraph,
     Path,
     attach_path,
@@ -28,7 +31,7 @@ from stallings.graph import (
 )
 from stallings.words import Alphabet, Letter, parse_word
 
-from helpers import naive_fold, random_wedge
+from helpers import naive_fold, naive_trim, pointed_graphs, random_wedge
 
 AB = Alphabet.of("a", "b")
 A = Letter("a", 1)
@@ -147,6 +150,10 @@ class TestCore:
         g = delta()
         assert canonical_form(core(g)) == canonical_form(core(core(g)))
 
+    @given(g=pointed_graphs())
+    def test_matches_naive_fold_then_trim(self, g):
+        assert iso_pointed(core(g), naive_trim(naive_fold(g)))
+
     def test_is_core_predicates(self):
         rose = build_graph(AB, 1, [(0, 0, A), (0, 0, B)], base=0)
         assert rose.is_folded() and rose.is_core()
@@ -196,6 +203,20 @@ class TestMorphisms:
         g = b_loop()
         m = unique_pointed_morphism(g, delta())
         assert classify(m.compose(identity_morphism(g))).injective
+
+    @pytest.mark.parametrize(
+        "vmap, emap",
+        [((0,), (7, 6)), ((0,), (-2, -1))],
+    )
+    def test_maps_outside_the_target_rejected(self, vmap, emap):
+        g = b_loop()
+        with pytest.raises(AlphabetMismatchError):
+            GraphMorphism(g, g, vmap, emap)
+
+    def test_vertex_outside_an_edgeless_target_rejected(self):
+        point = LabeledGraph(AB, 1, (), ())
+        with pytest.raises(AlphabetMismatchError):
+            GraphMorphism(point, point, (5,), ())
 
     def test_vertex_injective_implies_edge_injective_when_folded(self):
         rng = random.Random(31)

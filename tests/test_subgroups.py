@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from stallings import subgroups
 from stallings.errors import (
     NotIncludedError,
     TrivialGraphError,
     TrivialSubgroupError,
+    UnknownGeneratorError,
 )
 from stallings.graph import (
     Path,
@@ -31,7 +32,13 @@ from stallings.subgroups import (
 )
 from stallings.words import Alphabet, IDENTITY, Word, free_reduce, invert, parse_word
 
-from helpers import ALPHABETS, naive_member, random_reduced_word, random_subgroup
+from helpers import (
+    ALPHABETS,
+    naive_member,
+    pointed_graphs,
+    random_reduced_word,
+    random_subgroup,
+)
 
 AB = Alphabet.of("a", "b")
 H_B = Subgroup.of(AB, "b")
@@ -227,6 +234,12 @@ class TestBasis:
     def test_trivial(self):
         assert pi1_basis(gamma(Subgroup(AB, ()))) == []
 
+    @given(g=pointed_graphs())
+    def test_basis_generates_the_core(self, g):
+        c = core(g)
+        regenerated = gamma(Subgroup(c.alphabet, tuple(pi1_basis(c))))
+        assert canonical_form(regenerated) == canonical_form(c)
+
     def test_rank_formula(self):
         rng = random.Random(13)
         for _ in range(40):
@@ -339,7 +352,37 @@ class TestCoveringCircuit:
         _assert_valid_circuit(h, u)
 
 
+@st.composite
+def _nested_pairs(draw) -> tuple[Subgroup, Subgroup]:
+    """(H, K) over {a, b} with H generated by products of K's generators."""
+    word = st.lists(st.sampled_from(AB.letters()), min_size=1, max_size=5).map(free_reduce)
+    k_gens = draw(st.lists(word.filter(bool), min_size=1, max_size=3))
+    factor = st.tuples(st.sampled_from(k_gens), st.booleans())
+    h_gens = []
+    for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1, max_size=3)):
+        w = IDENTITY
+        for g, inverse in factors:
+            w = w * (invert(g) if inverse else g)
+        h_gens.append(w)
+    return Subgroup(AB, tuple(h_gens)), Subgroup(AB, tuple(k_gens))
+
+
 class TestOntoBase:
+    @given(pair=_nested_pairs())
+    def test_onto_nested_pairs(self, pair):
+        """Onto for every H <= K; an injective onto morphism makes H = K.
+
+        Whether H = K is decided by the naive fold: K's generators in H.
+        """
+        h, k = pair
+        assume(not h.is_trivial())
+        u, f = onto_base(h, k)
+        assert naive_member(k, u)
+        c = classify(f)
+        assert c.surjective
+        if not all(naive_member(h, g) for g in k.generators):
+            assert not c.injective
+
     def test_free_group_target(self):
         h = Subgroup.of(AB, "a")
         k = Subgroup.of(AB, "a", "b")
@@ -407,3 +450,15 @@ class TestSubgroupFiles:
     def test_explicit_alphabet(self):
         h = load_subgroup("b\n", alphabet=AB)
         assert h.alphabet is AB
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [("a a^-1 b", ("b",)), ("c a a^-1 c^-1\nb a", ("b", "a"))],
+    )
+    def test_alphabet_inferred_from_reduced_words(self, text, names):
+        """Letters that cancel name no generator; the order fixes BFS ties."""
+        assert load_subgroup(text).alphabet.generators == names
+
+    def test_foreign_token_with_explicit_alphabet(self):
+        with pytest.raises(UnknownGeneratorError):
+            load_subgroup("b\na c\n", alphabet=AB)

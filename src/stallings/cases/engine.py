@@ -29,11 +29,11 @@ from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import (
     RestrictionSet,
     WhiteheadEdge,
+    _tau,
+    _turns,
     format_edge,
     is_restriction_morphism,
-    parse_edges,
     whitehead_graph,
-    word_link,
 )
 from ..words import (
     Alphabet,
@@ -43,7 +43,6 @@ from ..words import (
     free_reduce,
     identity_hom,
     invert,
-    last_letter,
     parse_word,
 )
 from .table import INITIAL_CASES
@@ -83,21 +82,20 @@ class Resolution(enum.Enum):
 @dataclass(frozen=True)
 class CaseResolution:
     kind: Resolution
-    missing: frozenset[WhiteheadEdge]
+    missing: RestrictionSet
 
     @property
     def missing_text(self) -> str:
-        return ", ".join(sorted(format_edge(e) for e in self.missing))
+        return self.missing.text
 
 
 def classify_case(case: InjectivityCase) -> CaseResolution:
     """Negative, positive, or ambiguous with the missing Whitehead edges."""
     if not classify(case.morphism).injective:
-        return CaseResolution(Resolution.NEGATIVE, frozenset())
-    missing = whitehead_graph(case.target).edges - case.restrictions.edges
-    if not missing:
-        return CaseResolution(Resolution.POSITIVE, frozenset())
-    return CaseResolution(Resolution.AMBIGUOUS, frozenset(missing))
+        return CaseResolution(Resolution.NEGATIVE, RestrictionSet(case.alphabet, frozenset()))
+    missing = whitehead_graph(case.target).codes - case.restrictions.codes
+    kind = Resolution.AMBIGUOUS if missing else Resolution.POSITIVE
+    return CaseResolution(kind, RestrictionSet(case.alphabet, missing))
 
 
 # -- substitution machinery ------------------------------------------------
@@ -111,17 +109,8 @@ def make_substitution(
     source: Alphabet, target: Alphabet, images_text: dict[str, str]
 ) -> GroupHom:
     """A homomorphism given by generator images, identity where omitted."""
-    images: dict[str, Word] = {}
-    for g in source.generators:
-        if g in images_text:
-            images[g] = parse_word(images_text[g])
-        else:
-            images[g] = _letter_word(Letter(g, 1))
+    images = {g: parse_word(images_text.get(g, g)) for g in source.generators}
     return GroupHom(source, target, images)
-
-
-def _tau(phi: GroupHom, l: Letter) -> Letter:
-    return last_letter(phi.letter_image(l))
 
 
 def child_restrictions(
@@ -132,18 +121,15 @@ def child_restrictions(
     Each edge is renamed through the images' last letters; the turns
     spelled by multi-letter images are added; for the identity and
     fresh-letter split shapes, the resolved edge itself is added.
-    Returns None when a renaming degenerates, i.e. the substitution
-    contradicts an existing restriction.
+    Edges are codes: the parent's over the substitution's source, the
+    result over its target.  Returns None when a renaming degenerates,
+    i.e. the substitution contradicts an existing restriction.
     """
-    edges: set[WhiteheadEdge] = set()
-    for e in parent.edges:
-        a, b = tuple(e)
-        ta, tb = _tau(psi, a), _tau(psi, b)
-        if ta == tb:
-            return None
-        edges.add(frozenset((ta, tb)))
-    for g in psi.source.generators:
-        edges |= word_link(psi.images[g], psi.target).edges
+    edges = {frozenset(_tau(psi, c) for c in e) for e in parent.codes}
+    if 1 in map(len, edges):
+        return None
+    for codes in psi._codes:
+        edges |= _turns(codes)
     if add_edge is not None:
         edges.add(add_edge)
     return frozenset(edges)
@@ -173,11 +159,6 @@ class SplitCase:
     case: InjectivityCase
 
 
-def _ordered_pair(alphabet: Alphabet, edge: WhiteheadEdge) -> tuple[Letter, Letter]:
-    a, b = sorted(edge, key=alphabet.letter_index)
-    return a, b
-
-
 def _suffix_rules(
     alphabet: Alphabet, target: Alphabet, rules: list[tuple[Letter, Word]]
 ) -> GroupHom:
@@ -186,7 +167,7 @@ def _suffix_rules(
     A rule (l, w) postfixes w to the image of the signed letter l; for an
     inverse letter that prefixes the inverse of w to the generator.
     """
-    images = {g: _letter_word(Letter(g, 1)) for g in alphabet.generators}
+    images = dict(identity_hom(alphabet).images)
     for l, w in rules:
         if l.sign > 0:
             images[l.gen] = free_reduce(images[l.gen].letters + w.letters)
@@ -201,17 +182,21 @@ def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]
     Up to five children: the letters' images (1) keep distinct last
     letters, (2) share a proper common suffix, named by the alphabet's
     ``fresh_name``, (3) the first ends with the whole of the second,
-    (4) vice versa, (5) the images coincide.  Children whose restriction
-    renaming degenerates are impossible and dropped.
+    (4) vice versa, (5) the images coincide.  The edge is a pair of codes
+    over the case's alphabet, taken in alphabet order, generator before
+    inverse.  Children whose restriction renaming degenerates are
+    impossible and dropped.
     """
     res = classify_case(case)
     if res.kind is not Resolution.AMBIGUOUS:
         raise NotAmbiguousError(f"case {case.id} is {res.kind.value}")
-    if edge not in res.missing:
-        raise EdgeNotMissingError(f"{format_edge(edge)} is not missing in {case.id}")
-
     u = case.alphabet
-    a, b = _ordered_pair(u, edge)
+    if edge not in res.missing.codes:
+        raise EdgeNotMissingError(f"{format_edge(u, edge)} is not missing in {case.id}")
+
+    # letters only to spell the substitutions; t extends u at the end, so
+    # the edge's codes keep their meaning over the extended alphabet
+    a, b = map(u.decode, sorted(edge, key=Alphabet.code_index))
     t = u.fresh_name()
     t_word = _letter_word(Letter(t, 1))
     extended = u.extended(t)
@@ -221,28 +206,14 @@ def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]
         (2, _suffix_rules(u, extended, [(a, t_word), (b, t_word)]), edge),
     ]
     if a.gen != b.gen:
-        candidates.append(
-            (3, _suffix_rules(u, u, [(a, _letter_word(b))]), None)
-        )
-        candidates.append(
-            (4, _suffix_rules(u, u, [(b, _letter_word(a))]), None)
-        )
-        ident_image = _letter_word(a) if b.sign > 0 else invert(_letter_word(a))
-        reduced_alphabet = u.without(b.gen)
-        candidates.append(
-            (
-                5,
-                GroupHom(
-                    u,
-                    reduced_alphabet,
-                    {
-                        g: (ident_image if g == b.gen else _letter_word(Letter(g, 1)))
-                        for g in u.generators
-                    },
-                ),
-                None,
-            )
-        )
+        # b -> a, so b's generator goes to a or its inverse
+        b_image = _letter_word(a if b.sign > 0 else a.inverse())
+        identify = {**identity_hom(u).images, b.gen: b_image}
+        candidates += [
+            (3, _suffix_rules(u, u, [(a, _letter_word(b))]), None),
+            (4, _suffix_rules(u, u, [(b, _letter_word(a))]), None),
+            (5, GroupHom(u, u.without(b.gen), identify), None),
+        ]
 
     children: list[SplitCase] = []
     for index, psi, add_edge in candidates:
@@ -361,7 +332,7 @@ def initial_split(root: InjectivityCase) -> list[InjectivityCase]:
         outer = Subgroup.of(u, row["inner"], row["outer"])
         m = inclusion_morphism(inner, outer)
         assert m is not None
-        n = RestrictionSet(u, parse_edges(row["n"]))
+        n = RestrictionSet.parse(u, row["n"])
         coords = make_substitution(root.alphabet, u, row["coords"])
         cases.append(InjectivityCase(row["id"], n, m, root.chain + (coords,)))
     return cases

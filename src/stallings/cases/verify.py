@@ -71,7 +71,7 @@ def verify_tables() -> TableReport:
     res = classify_case(root)
     row = RowResult("root", res.kind.value, res.missing_text)
     row.checks["ambiguous"] = res.kind is Resolution.AMBIGUOUS
-    row.checks["missing"] = res.missing == parse_edges(
+    row.checks["missing"] = res.missing.edges == parse_edges(
         "a.b, a.b^-1, a^-1.b, a^-1.b^-1"
     )
     report.rows.append(row)
@@ -80,7 +80,7 @@ def verify_tables() -> TableReport:
         states[case.id] = case
         res = classify_case(case)
         row = RowResult(case.id, res.kind.value, res.missing_text)
-        row.checks["missing"] = res.missing == parse_edges(data["missing"])
+        row.checks["missing"] = res.missing.edges == parse_edges(data["missing"])
         row.checks[data["expect"]] = res.kind.value == data["expect"]
         # the coordinate change really carries the root graphs here
         coords = case.chain[-1]
@@ -94,14 +94,13 @@ def verify_tables() -> TableReport:
         report.rows.append(row)
 
     for data in SPLIT_ROWS:
-        expected_n = parse_edges(data["n"])
         row = RowResult(data["id"], "", "", note=data.get("note", ""))
 
         if data["kind"] == "widen":
             parent = states[data["parent"]]
             case = InjectivityCase(
                 data["id"],
-                RestrictionSet(parent.alphabet, expected_n),
+                RestrictionSet.parse(parent.alphabet, data["n"]),
                 parent.morphism,
                 parent.chain,
             )
@@ -111,27 +110,28 @@ def verify_tables() -> TableReport:
             outer = Subgroup(u, tuple(parse_word(w) for w in data["outer"]))
             m = inclusion_morphism(inner, outer)
             assert m is not None
-            case = InjectivityCase(
-                data["id"], RestrictionSet(u, expected_n), m
-            )
+            case = InjectivityCase(data["id"], RestrictionSet.parse(u, data["n"]), m)
         else:
             key = (data["parent"], data["edge"])
             if key not in splits:  # sibling rows share one split
-                (edge,) = parse_edges(data["edge"])
-                children = split_on_edge(states[data["parent"]], edge)
+                parent = states[data["parent"]]
+                (edge,) = RestrictionSet.parse(parent.alphabet, data["edge"]).codes
+                children = split_on_edge(parent, edge)
                 splits[key] = {c.index: c for c in children}
             split = splits[key][data["index"]]
             psi = split.substitution
             expected_sub = make_substitution(psi.source, psi.target, data["sub"])
             row.checks["substitution"] = psi == expected_sub
-            row.checks["restrictions"] = split.case.restrictions.edges == expected_n
+            row.checks["restrictions"] = split.case.restrictions.edges == parse_edges(
+                data["n"]
+            )
             case = replace(split.case, id=data["id"])
 
         states[case.id] = case
         res = classify_case(case)
         row.resolution = res.kind.value
         row.missing = res.missing_text
-        row.checks["missing"] = res.missing == parse_edges(data["missing"])
+        row.checks["missing"] = res.missing.edges == parse_edges(data["missing"])
 
         expect = data["expect"]
         if expect == "positive":

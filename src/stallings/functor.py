@@ -39,9 +39,9 @@ def _subdivide_tables(
             f"{phi.source.generators}"
         )
     images: dict[int, list[int]] = {}  # image codes keyed by source code
-    for c, name in enumerate(phi.source.generators, 1):
-        images[c] = phi.target.encode(phi.images[name])
-        images[-c] = [-x for x in reversed(images[c])]
+    for c, codes in enumerate(phi._codes, 1):
+        images[c] = codes
+        images[-c] = [-x for x in reversed(codes)]
     einit: list[int] = []
     elabel: list[int] = []
     seg: list[range] = []

@@ -2,12 +2,13 @@
 
 The Whitehead graph of a labeled graph records which pairs of signed
 letters appear around a common vertex; its edges are unordered pairs of
-distinct letters.  A restriction set is a subset of the full Whitehead
-graph over an alphabet.  A homomorphism is admissible between two
-restricted alphabets when the images respect both restriction sets via
-last-letter conditions; admissible maps out of an alphabet whose
-restrictions contain a graph's Whitehead graph keep that graph's edge
-subdivisions folded.
+distinct letters, stored as pairs of label codes over the graph's
+alphabet.  A restriction set is a subset of the full Whitehead graph
+over an alphabet.  A homomorphism is admissible between two restricted
+alphabets when the images respect both restriction sets via last-letter
+conditions; admissible maps out of an alphabet whose restrictions
+contain a graph's Whitehead graph keep that graph's edge subdivisions
+folded.  Letters appear only where edges are parsed or printed.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
-from .graph import LabeledGraph, path_graph
-from .words import Alphabet, GroupHom, Letter, Word, last_letter, parse_letter
+from .graph import LabeledGraph
+from .words import Alphabet, GroupHom, Letter, Word, parse_letter
 
-WhiteheadEdge = frozenset  # a frozenset of two distinct Letters
+# Two distinct label codes over a restriction set's alphabet; parse_edges
+# and the RestrictionSet.edges view hold two Letters instead.
+WhiteheadEdge = frozenset
 
 
 def whitehead_edge(a: Letter, b: Letter) -> WhiteheadEdge:
@@ -28,9 +31,11 @@ def whitehead_edge(a: Letter, b: Letter) -> WhiteheadEdge:
     return frozenset((a, b))
 
 
-def format_edge(e: WhiteheadEdge) -> str:
-    a, b = sorted(e, key=lambda l: (l.gen, -l.sign))
-    return f"{a.token}.{b.token}"
+def format_edge(alphabet: Alphabet, e: WhiteheadEdge) -> str:
+    """``x.y`` for a code edge, its letters ordered by name, generator first."""
+    letters = [alphabet.decode(c) for c in e]
+    key = lambda l: (l.gen, -l.sign)
+    return f"{min(letters, key=key).token}.{max(letters, key=key).token}"
 
 
 def parse_edges(text: str) -> frozenset[WhiteheadEdge]:
@@ -52,30 +57,35 @@ class RestrictionSet:
     """An alphabet together with a set of Whitehead edges over it."""
 
     alphabet: Alphabet
-    edges: frozenset[WhiteheadEdge]
+    codes: frozenset[WhiteheadEdge]
 
     def __post_init__(self):
-        for e in self.edges:
-            for l in e:
-                if l.gen not in self.alphabet:
-                    raise AlphabetMismatchError(f"{l!r} outside {self.alphabet.generators}")
+        rank = len(self.alphabet)
+        outside = set().union(*self.codes).difference(range(-rank, 0), range(1, rank + 1))
+        if outside:
+            raise AlphabetMismatchError(f"code {min(outside)} outside {self.alphabet.generators}")
+        if not set(map(len, self.codes)) <= {2}:
+            e = next(e for e in self.codes if len(e) != 2)
+            text = format_edge(self.alphabet, e)
+            raise AlphabetMismatchError(f"degenerate Whitehead edge {text}")
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "RestrictionSet":
-        return cls(alphabet, parse_edges(text))
+        edges = parse_edges(text)
+        foreign = [l for e in edges for l in e if l not in alphabet]
+        if foreign:
+            raise AlphabetMismatchError(f"{min(foreign)!r} outside {alphabet.generators}")
+        return cls(alphabet, frozenset(frozenset(alphabet.encode(e)) for e in edges))
 
-    def __contains__(self, e: WhiteheadEdge) -> bool:
-        return e in self.edges
-
-    def __le__(self, other: "RestrictionSet") -> bool:
-        return self.edges <= other.edges
-
-    def union(self, *edges: WhiteheadEdge) -> "RestrictionSet":
-        return RestrictionSet(self.alphabet, self.edges | set(edges))
+    @property
+    def edges(self) -> frozenset[WhiteheadEdge]:
+        """The edges as pairs of letters."""
+        decode = self.alphabet.decode
+        return frozenset(frozenset(map(decode, e)) for e in self.codes)
 
     @property
     def text(self) -> str:
-        return ", ".join(sorted(format_edge(e) for e in self.edges))
+        return ", ".join(sorted(format_edge(self.alphabet, e) for e in self.codes))
 
     def __repr__(self) -> str:
         return f"RestrictionSet({self.text or 'empty'})"
@@ -92,22 +102,32 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     label = g.elabel.__getitem__
     # vertices with the same set of labels give the same edges
     stars = {frozenset(map(label, g.out_edges(v))) for v in range(g.n_vertices)}
-    inverse = {c: g.alphabet.decode(-c) for c in set(g.elabel)}
     edges: set[WhiteheadEdge] = set()
     for star in stars:
-        edges.update(map(frozenset, combinations([inverse[c] for c in star], 2)))
+        edges.update(map(frozenset, combinations([-c for c in star], 2)))
     return RestrictionSet(g.alphabet, frozenset(edges))
 
 
 def full_whitehead(alphabet: Alphabet) -> RestrictionSet:
     """All unordered pairs of distinct signed letters."""
-    edges = frozenset(map(frozenset, combinations(alphabet.letters(), 2)))
-    return RestrictionSet(alphabet, edges)
+    codes = alphabet.encode(alphabet.letters())
+    return RestrictionSet(alphabet, frozenset(map(frozenset, combinations(codes, 2))))
+
+
+def _turns(codes: list[int]) -> set[WhiteheadEdge]:
+    """The turns {c_i, -c_(i+1)} spelled by a reduced word's codes."""
+    return {frozenset((c, -d)) for c, d in zip(codes, codes[1:])}
 
 
 def word_link(w: Word, alphabet: Alphabet) -> RestrictionSet:
     """Whitehead edges forced by spelling a word along a path."""
-    return whitehead_graph(path_graph(w, alphabet))
+    return RestrictionSet(alphabet, frozenset(_turns(alphabet.encode(w))))
+
+
+def _tau(phi: GroupHom, c: int) -> int:
+    """Code of the last letter of the image of the letter with code c."""
+    codes = phi._codes[abs(c) - 1]
+    return codes[-1] if c > 0 else -codes[0]
 
 
 @dataclass(frozen=True)
@@ -127,34 +147,37 @@ def is_restriction_morphism(
     (i) no generator image is trivial; (ii) each image word only spells
     turns allowed by the target restrictions; (iii) letters joined by a
     source restriction get images with distinct last letters; (iv) those
-    last letters form a target restriction.
+    last letters form a target restriction.  Violations of (ii) are
+    listed per generator, those of (iii) and (iv) by source edge, each
+    sorted by edge text.
     """
     if phi.source.generators != src.alphabet.generators:
         raise AlphabetMismatchError("homomorphism source does not match")
     if phi.target.generators != dst.alphabet.generators:
         raise AlphabetMismatchError("homomorphism target does not match")
-    violations: list[str] = []
-    for g in phi.source.generators:
-        if not phi.images[g]:
-            violations.append(f"(i) image of {g} is trivial")
+    violations = [
+        f"(i) image of {g} is trivial"
+        for g, codes in zip(phi.source.generators, phi._codes)
+        if not codes
+    ]
     if violations:
         return AdmissibilityReport(False, tuple(violations))
-    for g in phi.source.generators:
-        bad = word_link(phi.images[g], dst.alphabet).edges - dst.edges
-        for e in sorted(bad, key=format_edge):
-            violations.append(f"(ii) image of {g} spells forbidden turn {format_edge(e)}")
-    for e in src.edges:
-        a, b = tuple(e)
-        ta = last_letter(phi.letter_image(a))
-        tb = last_letter(phi.letter_image(b))
+    for g, codes in zip(phi.source.generators, phi._codes):
+        bad = _turns(codes) - dst.codes
+        for text in sorted(format_edge(dst.alphabet, e) for e in bad):
+            violations.append(f"(ii) image of {g} spells forbidden turn {text}")
+    for text, e in sorted((format_edge(src.alphabet, e), e) for e in src.codes):
+        ta, tb = (_tau(phi, c) for c in e)
         if ta == tb:
+            a, b = text.split(".")
             violations.append(
-                f"(iii) images of {a.token} and {b.token} share last letter {ta.token}"
+                f"(iii) images of {a} and {b} share last letter "
+                f"{dst.alphabet.decode(ta).token}"
             )
-        elif frozenset((ta, tb)) not in dst.edges:
+        elif frozenset((ta, tb)) not in dst.codes:
             violations.append(
-                f"(iv) last letters {format_edge(frozenset((ta, tb)))} of "
-                f"{format_edge(e)} not allowed"
+                f"(iv) last letters {format_edge(dst.alphabet, (ta, tb))} of "
+                f"{text} not allowed"
             )
     return AdmissibilityReport(not violations, tuple(violations))
 
@@ -176,4 +199,4 @@ def guarantees_folding(restrictions: RestrictionSet, g: LabeledGraph) -> bool:
     """
     if not g.is_folded():
         raise NotFoldedError("the guarantee is about folded graphs")
-    return whitehead_graph(g).edges <= restrictions.edges
+    return whitehead_graph(g).codes <= restrictions.codes

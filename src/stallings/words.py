@@ -202,11 +202,6 @@ class Alphabet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.generators)
 
-    def letter(self, name: str, sign: int = 1) -> Letter:
-        if name not in self._index:
-            raise UnknownGeneratorError(f"{name!r} not in alphabet {self.generators}")
-        return Letter(name, sign)
-
     def letters(self) -> tuple[Letter, ...]:
         """All signed letters, in alphabet order, generator before inverse."""
         out = []
@@ -214,10 +209,6 @@ class Alphabet:
             out.append(Letter(name, 1))
             out.append(Letter(name, -1))
         return tuple(out)
-
-    def letter_index(self, l: Letter) -> int:
-        """Position of a signed letter in :meth:`letters`."""
-        return self.code_index(self.code(l))
 
     @staticmethod
     def code_index(c: int) -> int:
@@ -266,10 +257,6 @@ class Alphabet:
     def without(self, name: str) -> "Alphabet":
         return Alphabet(tuple(g for g in self.generators if g != name))
 
-    def check_word(self, w: Word) -> Word:
-        self.encode(w)
-        return w
-
 
 @dataclass(frozen=True, eq=True)
 class GroupHom:
@@ -282,15 +269,19 @@ class GroupHom:
     source: Alphabet
     target: Alphabet
     images: Mapping[str, Word]
+    # the images encoded over the target in source order, made once when checking them
+    _codes: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.source.generators:
             if name not in self.images:
                 raise UnknownGeneratorError(f"no image for generator {name!r}")
-        for name, w in self.images.items():
-            if name not in self.source.generators:
+        for name in self.images:
+            if name not in self.source:
                 raise UnknownGeneratorError(f"image given for foreign generator {name!r}")
-            self.target.check_word(w)
+        encode = self.target.encode
+        codes = tuple([encode(self.images[name]) for name in self.source.generators])
+        object.__setattr__(self, "_codes", codes)
 
     def letter_image(self, l: Letter) -> Word:
         w = self.images[l.gen] if l.gen in self.images else None
@@ -342,7 +333,7 @@ def is_nondegenerate(phi: GroupHom) -> bool:
 
 def conjugation_hom(u: Word, alphabet: Alphabet) -> GroupHom:
     """The inner automorphism x -> u x u^-1."""
-    alphabet.check_word(u)
+    alphabet.encode(u)
     ui = invert(u)
     images = {}
     for g in alphabet.generators:

@@ -35,11 +35,17 @@ def report():
     return verify_tables()
 
 
+def code_edge(case, text):
+    """The one Whitehead edge in ``text`` as codes over the case's alphabet."""
+    (edge,) = RestrictionSet.parse(case.alphabet, text).codes
+    return edge
+
+
 class TestRoot:
     def test_root_is_ambiguous_with_four_missing_edges(self):
         res = classify_case(root_case())
         assert res.kind is Resolution.AMBIGUOUS
-        assert res.missing == parse_edges("a.b, a.b^-1, a^-1.b, a^-1.b^-1")
+        assert res.missing.edges == parse_edges("a.b, a.b^-1, a^-1.b, a^-1.b^-1")
 
 
 class TestInitialSplit:
@@ -71,8 +77,7 @@ class TestInitialSplit:
 class TestSplitOnEdge:
     def test_split_shapes(self, report):
         parent = report.cases["2'"]
-        edge = next(iter(parse_edges("u.y^-1")))
-        children = split_on_edge(parent, edge)
+        children = split_on_edge(parent, code_edge(parent, "u.y^-1"))
         subs = {
             tuple(sorted((g, c.substitution.images[g].text)
                           for g in c.substitution.source.generators))
@@ -87,8 +92,7 @@ class TestSplitOnEdge:
 
     def test_identification_generated_when_admissible(self, report):
         parent = report.cases["x"]
-        edge = next(iter(parse_edges("u.v")))
-        children = split_on_edge(parent, edge)
+        children = split_on_edge(parent, code_edge(parent, "u.v"))
         assert len(children) == 5
         ident = [c for c in children if c.index == 5][0]
         assert ident.substitution.images["v"].text == "u"
@@ -96,8 +100,7 @@ class TestSplitOnEdge:
 
     def test_inverse_pair_split_has_two_shapes(self, report):
         parent = report.cases["3.1.1"]
-        edge = next(iter(parse_edges("v.v^-1")))
-        children = split_on_edge(parent, edge)
+        children = split_on_edge(parent, code_edge(parent, "v.v^-1"))
         assert [c.index for c in children] == [1, 2]
         fresh = children[1]
         assert fresh.substitution.images["v"].text == "t^-1 v t"
@@ -105,30 +108,26 @@ class TestSplitOnEdge:
     def test_split_requires_ambiguous(self, report):
         done = report.cases["2.1"]
         with pytest.raises(NotAmbiguousError):
-            split_on_edge(done, next(iter(parse_edges("u.y^-1"))))
+            split_on_edge(done, code_edge(done, "u.y^-1"))
 
     def test_split_requires_missing_edge(self, report):
         parent = report.cases["2'"]
         with pytest.raises(EdgeNotMissingError):
-            split_on_edge(parent, next(iter(parse_edges("u.u^-1"))))
+            split_on_edge(parent, code_edge(parent, "u.u^-1"))
 
     def test_children_strictly_refine(self, report):
         from stallings.cases.engine import _tau
 
         parent = report.cases["x.1"]
-        edge = next(iter(parse_edges("u^-1.v^-1")))
+        edge = code_edge(parent, "u^-1.v^-1")
         for child in split_on_edge(parent, edge):
-            renamed = set()
-            for e in parent.restrictions.edges:
-                a, b = tuple(e)
-                renamed.add(
-                    frozenset(
-                        (_tau(child.substitution, a), _tau(child.substitution, b))
-                    )
-                )
-            assert renamed <= child.case.restrictions.edges
+            renamed = {
+                frozenset(_tau(child.substitution, c) for c in e)
+                for e in parent.restrictions.codes
+            }
+            assert renamed <= child.case.restrictions.codes
             if child.index == 1:
-                assert edge in child.case.restrictions.edges
+                assert edge in child.case.restrictions.codes
 
 
 class TestCorrectedFreshRows:
@@ -164,14 +163,14 @@ class TestCorrectedFreshRows:
         self, report, row_id, parent_id, fresh, old_sub, old_n
     ):
         parent = report.cases[parent_id]
-        (edge,) = parse_edges("u^-1.v^-1")
+        edge = code_edge(parent, "u^-1.v^-1")
         (derived,) = [c for c in split_on_edge(parent, edge) if c.index == 2]
         engine = derived.case
         u = parent.alphabet.extended(fresh)
         psi = make_substitution(parent.alphabet, u, old_sub)
         recorded = InjectivityCase(
             row_id,
-            RestrictionSet(u, parse_edges(old_n)),
+            RestrictionSet.parse(u, old_n),
             image_morphism(psi, parent.morphism),
         )
         flip = make_substitution(u, u, {fresh: f"{fresh}^-1"})

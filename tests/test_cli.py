@@ -177,7 +177,40 @@ class TestTransportAndChecks:
 
     def test_fgr_check_violation(self, capsys, files):
         code, out = run(capsys, "fgr-check", files["hom"], "a.b", "b.b^-1")
-        assert code == 1 and "admissible: false" in out
+        assert code == 1
+        assert out.splitlines() == [
+            "admissible: false",
+            "  (ii) image of b spells forbidden turn a.b",
+            "  (ii) image of b spells forbidden turn a.b^-1",
+            "  (iv) last letters a^-1.b of a.b not allowed",
+        ]
+
+    def test_fgr_check_order_ignores_hash_seed(self, files):
+        """(iii)/(iv) lines come sorted by source edge, whatever the string hashes."""
+        swap = files["dir"] / "swap.txt"
+        swap.write_text("a -> b\nb -> a\n")
+        argv = [
+            sys.executable, "-m", "stallings", "fgr-check", str(swap),
+            "a.b, a.b^-1, a^-1.b, a^-1.b^-1", "b.b^-1",
+        ]
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(stallings.__file__).parents[1]),
+                PYTHONHASHSEED=seed,
+            )
+            result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert result.returncode == 1
+            outs.append(result.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines() == [
+            "admissible: false",
+            "  (iv) last letters a.b of a.b not allowed",
+            "  (iv) last letters a^-1.b of a.b^-1 not allowed",
+            "  (iv) last letters a.b^-1 of a^-1.b not allowed",
+            "  (iv) last letters a^-1.b^-1 of a^-1.b^-1 not allowed",
+        ]
 
     def test_malformed_hom_exits_2(self, capsys, files, tmp_path):
         bad = tmp_path / "bad_hom.txt"
@@ -188,6 +221,19 @@ class TestTransportAndChecks:
     def test_malformed_restrictions_exit_2(self, capsys, files):
         err = usage_error(capsys, "fgr-check", files["hom"], "ab", "b.b^-1")
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "restrictions, message",
+        [
+            ("a.c", "source restrictions: c outside ('a', 'b')"),
+            ("a.a", "source restrictions: degenerate Whitehead edge a.a"),
+        ],
+    )
+    def test_restriction_outside_the_alphabet_exits_2(
+        self, capsys, files, restrictions, message
+    ):
+        err = usage_error(capsys, "fgr-check", files["hom"], restrictions, "b.b^-1")
+        assert err == f"error: {message}\n"
 
 
 class TestCaseTable:
@@ -245,3 +291,110 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["core", "/nonexistent/file.txt"])
         assert exc.value.code == 2
+
+
+def _rose_root():
+    """A non-injective inclusion, <b, a b a^-1> into F(a, b), as fuzz's example."""
+    from stallings.cases import InjectivityCase
+    from stallings.subgroups import Subgroup, inclusion_morphism
+    from stallings.whitehead import RestrictionSet
+    from stallings.words import Alphabet
+
+    ab = Alphabet.of("a", "b")
+    m = inclusion_morphism(Subgroup.of(ab, "b", "a b a^-1"), Subgroup.of(ab, "a", "b"))
+    return InjectivityCase("rose", RestrictionSet(ab, frozenset()), m)
+
+
+def _failing_rows():
+    """The case table with one recorded missing column made wrong."""
+    from stallings.cases import table
+
+    rows = [dict(row) for row in table.SPLIT_ROWS]
+    rows[0]["missing"] = "a.b"
+    return rows
+
+
+# Every subcommand x {ok, negative, malformed}. Arguments name fixture
+# files by key; a patch replaces a module attribute for the run. A None
+# cell marks a subcommand with no mathematical negative.
+CONTRACT = {
+    "core": {
+        "ok": (["core", "K"], None),
+        "negative": None,
+        "malformed": (["core", "bad"], None),
+    },
+    "member": {
+        "ok": (["member", "K", "b"], None),
+        "negative": (["member", "K", "a"], None),
+        "malformed": (["member", "K", "a^^"], None),
+    },
+    "morphism": {
+        "ok": (["morphism", "H", "K"], None),
+        "negative": (["morphism", "A", "H"], None),
+        "malformed": (["morphism", "bad", "K"], None),
+    },
+    "onto-base": {
+        "ok": (["onto-base", "H", "K"], None),
+        "negative": (["onto-base", "A", "K"], None),
+        "malformed": (["onto-base", "H", "bad"], None),
+    },
+    "fphi": {
+        "ok": (["fphi", "hom", "H"], None),
+        "negative": None,
+        "malformed": (["fphi", "bad_hom", "H"], None),
+    },
+    "whitehead": {
+        "ok": (["whitehead", "K"], None),
+        "negative": None,
+        "malformed": (["whitehead", "bad"], None),
+    },
+    "fgr-check": {
+        "ok": (["fgr-check", "hom", "", "a.a^-1, a.b, a.b^-1, a^-1.b, a^-1.b^-1, b.b^-1"], None),
+        "negative": (["fgr-check", "hom", "a.b", "b.b^-1"], None),
+        "malformed": (["fgr-check", "hom", "a.c", "b.b^-1"], None),
+    },
+    "case-table": {
+        "ok": (["case-table"], None),
+        "negative": (["case-table"], ("stallings.cases.verify.SPLIT_ROWS", _failing_rows)),
+        "malformed": (["case-table", "extra"], None),
+    },
+    "fuzz": {
+        "ok": (["fuzz", "--trials", "20"], None),
+        "negative": (
+            ["fuzz", "--trials", "20"],
+            ("stallings.cases.fuzz.root_case", lambda: _rose_root),
+        ),
+        "malformed": (["fuzz", "--trials", "0"], None),
+    },
+}
+
+EXIT = {"ok": 0, "negative": 1, "malformed": 2}
+
+
+@pytest.mark.parametrize(
+    "command, outcome",
+    [(c, o) for c in CONTRACT for o in EXIT if CONTRACT[c][o] is not None],
+)
+def test_contract_matrix(capsys, monkeypatch, files, command, outcome):
+    argv, patch = CONTRACT[command][outcome]
+    for name, text in [("bad", "a^-2\n"), ("bad_hom", "a b\n"), ("A", "a\n")]:
+        (files["dir"] / f"{name}.txt").write_text(text)
+        files[name] = str(files["dir"] / f"{name}.txt")
+    if patch is not None:
+        target, make = patch
+        monkeypatch.setattr(target, make())
+    argv = [files.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT[outcome]
+    assert "Traceback" not in captured.err
+    if patch is not None:  # the patched data, not a crash, gave the negative
+        assert "fail" in captured.out or "NON-INJECTIVE" in captured.out
+    if outcome == "malformed":
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            captured.err.splitlines()[-1]
+        ]

@@ -2,9 +2,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stallings.errors import AlphabetMismatchError
-from stallings.graph import path_graph, unique_pointed_morphism
+from stallings.graph import core, path_graph, unique_pointed_morphism
 from stallings.subgroups import Subgroup, gamma
 from stallings.whitehead import (
     RestrictionSet,
@@ -15,10 +16,25 @@ from stallings.whitehead import (
     preserves_folding,
     whitehead_edge,
     whitehead_graph,
+    word_link,
 )
-from stallings.words import Alphabet, GroupHom, Letter, cyclic_reduce, parse_word
+from stallings.words import (
+    Alphabet,
+    GroupHom,
+    Letter,
+    cyclic_reduce,
+    free_reduce,
+    parse_word,
+)
 
-from helpers import random_hom, random_reduced_word, random_subgroup, two_path_edges
+from helpers import (
+    ALPHABETS,
+    pointed_graphs,
+    random_hom,
+    random_reduced_word,
+    random_subgroup,
+    two_path_edges,
+)
 
 AB = Alphabet.of("a", "b")
 GREEK = Alphabet.of("alpha", "beta")
@@ -26,6 +42,14 @@ DELTA = gamma(Subgroup.of(AB, "b", "a b a^-1"))
 B_LOOP = gamma(Subgroup.of(AB, "b"))
 
 SIGMA = GroupHom(GREEK, AB, {"alpha": parse_word("b"), "beta": parse_word("a b a^-1")})
+
+alphabets = st.sampled_from(ALPHABETS)
+words_over = alphabets.flatmap(
+    lambda ab: st.tuples(
+        st.just(ab), st.lists(st.sampled_from(ab.letters()), max_size=12).map(free_reduce)
+    )
+)
+core_graphs = alphabets.flatmap(pointed_graphs).map(core)
 
 
 class TestWhiteheadGraph:
@@ -47,9 +71,34 @@ class TestWhiteheadGraph:
             g = gamma(random_subgroup(rng, AB))
             assert whitehead_graph(g).edges == two_path_edges(g)
 
+    @given(core_graphs)
+    def test_text_parses_back(self, g):
+        white = whitehead_graph(g)
+        assert RestrictionSet.parse(g.alphabet, white.text) == white
+
     def test_degenerate_pairs_rejected(self):
         with pytest.raises(AlphabetMismatchError):
             whitehead_edge(Letter("a", 1), Letter("a", 1))
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [
+            ({frozenset((1, -3))}, "code -3 outside ('a', 'b')"),
+            ({frozenset((0, 2))}, "code 0 outside ('a', 'b')"),
+            ({frozenset((2,))}, "degenerate Whitehead edge b.b"),
+        ],
+    )
+    def test_bad_codes_rejected(self, codes, message):
+        with pytest.raises(AlphabetMismatchError) as exc:
+            RestrictionSet(AB, frozenset(codes))
+        assert str(exc.value) == message
+
+
+class TestWordLink:
+    @given(words_over)
+    def test_turns_match_two_path_oracle(self, ab_w):
+        ab, w = ab_w
+        assert word_link(w, ab).edges == two_path_edges(path_graph(w, ab))
 
 
 class TestFullWhitehead:
@@ -101,6 +150,8 @@ class TestAdmissibility:
         src = RestrictionSet.parse(AB, "a.b")
         report = is_restriction_morphism(src, full_whitehead(AB), phi)
         assert not report.ok and any("(iii)" in v for v in report.violations)
+        # the two letters are named in the edge's text order
+        assert report.violations == ("(iii) images of a and b share last letter b",)
 
     def test_forbidden_turn_reported(self):
         dst = RestrictionSet.parse(AB, "b.b^-1")

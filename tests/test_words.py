@@ -258,11 +258,16 @@ class TestAlphabet:
         assert sorted(abs(abc.code(l)) for l in abc.letters()) == [1, 1, 2, 2, 3, 3]
         assert abc.encode(w("a b^-1 x")) == [3, -2, 1]
 
+    @given(st.lists(st.sampled_from("abcxyzuvt"), min_size=1, unique=True))
+    def test_code_index_is_the_position_in_letters(self, names):
+        ab = Alphabet(tuple(names))
+        letters = ab.letters()
+        positions = [Alphabet.code_index(c) for c in ab.encode(letters)]
+        assert positions == list(range(len(letters)))
+
     def test_foreign_generator_not_encoded(self):
         with pytest.raises(UnknownGeneratorError):
             AB.code(Letter("c", 1))
         with pytest.raises(UnknownGeneratorError):
             AB.encode(w("a c^-1"))
-        with pytest.raises(UnknownGeneratorError):
-            AB.letter_index(Letter("c", -1))
         assert Letter("c", 1) not in AB and "c" not in AB

@@ -155,11 +155,10 @@ def is_restriction_morphism(
         raise AlphabetMismatchError("homomorphism source does not match")
     if phi.target.generators != dst.alphabet.generators:
         raise AlphabetMismatchError("homomorphism target does not match")
-    violations = [
-        f"(i) image of {g} is trivial"
-        for g, codes in zip(phi.source.generators, phi._codes)
-        if not codes
-    ]
+    violations: list[str] = []
+    for g in phi.source.generators:
+        if not phi.images[g]:
+            violations.append(f"(i) image of {g} is trivial")
     if violations:
         return AdmissibilityReport(False, tuple(violations))
     for g, codes in zip(phi.source.generators, phi._codes):
@@ -199,4 +198,6 @@ def guarantees_folding(restrictions: RestrictionSet, g: LabeledGraph) -> bool:
     """
     if not g.is_folded():
         raise NotFoldedError("the guarantee is about folded graphs")
+    if g.alphabet.generators != restrictions.alphabet.generators:
+        raise AlphabetMismatchError("graph and restrictions over different alphabets")
     return whitehead_graph(g).codes <= restrictions.codes

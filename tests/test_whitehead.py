@@ -186,6 +186,11 @@ class TestFoldingGuarantee:
     def test_loop_only_needs_its_own_edge(self):
         assert guarantees_folding(RestrictionSet.parse(AB, "b.b^-1"), B_LOOP)
 
+    def test_other_alphabet_rejected(self):
+        # codes name letters only together with their alphabet
+        with pytest.raises(AlphabetMismatchError):
+            guarantees_folding(RestrictionSet.parse(Alphabet.of("b", "a"), "b.b^-1"), B_LOOP)
+
     def test_guarantee_holds_for_random_admissible_maps(self):
         rng = random.Random(9)
         target = Alphabet.of("a", "b", "c")

@@ -101,6 +101,9 @@ def fold(
                 da[l] = g
         adj[b] = None
 
-    vrep = [vfind(v) for v in range(n_vertices)]
-    erep = [efind(e) for e in range(m2)]
-    return vrep, erep
+    # point every non-root straight at its root; roots already do
+    for v in [v for v, p in enumerate(vparent) if p != v]:
+        vfind(v)
+    for e in [e for e, p in enumerate(eparent) if p != e]:
+        efind(e)
+    return vparent, eparent

@@ -639,51 +639,66 @@ class Path:
 # -- canonical form and export ------------------------------------------
 
 
-def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int]]:
+def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int], bool]:
     """Vertices in label-driven breadth-first order from ``root``.
 
-    Also returns each vertex's parent half-edge in that search tree, the
-    half-edge that first reached it (-1 at the root).
+    Out-edges are followed in :meth:`Alphabet.letters` order, generator
+    before inverse (equal labels at an unfolded vertex in half-edge
+    order).  Also returns each vertex's parent half-edge in that search
+    tree, the half-edge that first reached it (-1 at the root), and
+    whether the graph is folded.
     """
     einit = g.einit
-    key = list(map(g.alphabet.code_index, g.elabel)).__getitem__
+    r2 = 2 * len(g.alphabet)
+    # one key per half-edge: its vertex, then Alphabet.code_index of its label
+    key = [v * r2 + (2 * c - 2 if c > 0 else -2 * c - 1) for v, c in zip(einit, g.elabel)]
+    out: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for e in sorted(range(len(key)), key=key.__getitem__):
+        out[einit[e]].append(e)
     order = [root]
     parent = [-2] * g.n_vertices  # -2: not reached yet
     parent[root] = -1
     for v in order:  # order grows while it is read
-        for e in sorted(g.out_edges(v), key=key):
+        for e in out[v]:
             w = einit[e ^ 1]
             if parent[w] == -2:
                 parent[w] = e
                 order.append(w)
-    return order, parent
+    # a repeated key is two half-edges sharing a vertex and a label
+    return order, parent, len(set(key)) == len(key)
 
 
 def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     """Deterministic text form of a folded connected graph.
 
     Vertices are renumbered in label-driven breadth-first order from the
-    base (or the given root); one line per positively oriented edge.
+    base (or the given root); one line per positively oriented edge,
+    sorted by new tail vertex, then by token as a string.
     """
-    if not g.is_folded():
-        raise NotFoldedError("canonical form needs a folded graph")
     if root is None:
         root = g.base
     if root is None:
         raise NotFoldedError("canonical form needs a base or explicit root")
+    order, _, folded = _bfs_order(g, root)
+    if not folded:
+        raise NotFoldedError("canonical form needs a folded graph")
     vnew = [0] * g.n_vertices
-    for i, v in enumerate(_bfs_order(g, root)[0]):
+    for i, v in enumerate(order):
         vnew[v] = i
     names = g.alphabet.generators  # a positive code's token is its name
     einit, elabel = g.einit, g.elabel
-    rows = []
-    for e in range(0, g.n_half_edges, 2):
-        c = elabel[e]
-        if c < 0:
-            e, c = e ^ 1, -c
-        rows.append((vnew[einit[e]], names[c - 1], vnew[einit[e ^ 1]]))
-    rows.sort()
-    lines = [f"{v} -{token}-> {w}" for v, token, w in rows]
+    # the generators on edges, ranked by name; a folded graph has at most
+    # one positive edge per tail and generator, so (tail, rank) is a key
+    ranked = sorted({abs(c) for c in elabel}, key=lambda c: names[c - 1])
+    by_name = {c: i for i, c in enumerate(ranked)}
+    k, m = len(ranked), len(einit)
+    pos = [e if elabel[e] > 0 else e ^ 1 for e in range(0, m, 2)]
+    # the half-edge rides in the low digits of its row key
+    rows = sorted([(vnew[einit[e]] * k + by_name[elabel[e]]) * m + e for e in pos])
+    lines = [
+        f"{vnew[einit[e]]} -{names[elabel[e] - 1]}-> {vnew[einit[e ^ 1]]}"
+        for e in [r % m for r in rows]
+    ]
     return "\n".join([f"base {vnew[root]}"] + lines)
 
 

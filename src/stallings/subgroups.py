@@ -125,7 +125,7 @@ def pi1_basis(g: LabeledGraph) -> list[Word]:
     """A free basis from a spanning tree: one word per non-tree edge."""
     if g.base is None:
         raise TrivialGraphError("basis extraction needs a pointed graph")
-    _, parent_dart = _bfs_order(g, g.base)
+    parent_dart = _bfs_order(g, g.base)[1]
     tree_edges = {d // 2 for d in parent_dart if d >= 0}
 
     def path_to(v: int) -> list[int]:

@@ -99,12 +99,17 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     vertex.  Degenerate pairs (equal labels at an unfolded vertex) are
     not representable and are skipped.
     """
-    label = g.elabel.__getitem__
-    # vertices with the same set of labels give the same edges
-    stars = {frozenset(map(label, g.out_edges(v))) for v in range(g.n_vertices)}
+    # a vertex's star: the inverses of its out-labels
+    stars: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for v, c in zip(g.einit, g.elabel):
+        stars[v].append(-c)
     edges: set[WhiteheadEdge] = set()
-    for star in stars:
-        edges.update(map(frozenset, combinations([-c for c in star], 2)))
+    # vertices with the same star give the same edges
+    for star in set(map(frozenset, stars)):
+        if len(star) == 2:  # a star of two codes is itself an edge
+            edges.add(star)
+        elif len(star) > 2:
+            edges.update(map(frozenset, combinations(star, 2)))
     return RestrictionSet(g.alphabet, frozenset(edges))
 
 

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's fast paths: folding by
 one-pair-at-a-time scanning, trimming by rescanning for a leaf,
 reduction by repeated adjacent elimination, Whitehead edges by brute
-two-step path enumeration.
+two-step path enumeration, canonical text by a plain breadth-first search.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "naive_member",
     "naive_reduce",
     "two_path_edges",
+    "naive_canonical_form",
     "ALPHABETS",
 ]
 
@@ -217,3 +218,36 @@ def two_path_edges(g: LabeledGraph) -> frozenset:
             if a != b:
                 edges.add(frozenset((a, b)))
     return frozenset(edges)
+
+
+def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
+    """Canonical text by a plain breadth-first search.
+
+    The out-edges of a vertex are found by scanning every half-edge and
+    followed in the order of their letters in ``Alphabet.letters()``;
+    rows are sorted as ``(tail, token, head)`` tuples.
+    """
+    names = g.alphabet.generators
+    letters = list(g.alphabet.letters())
+
+    def letter(e: int) -> Letter:
+        c = g.elabel[e]
+        return Letter(names[abs(c) - 1], 1 if c > 0 else -1)
+
+    root = g.base if root is None else root
+    number = {root: 0}
+    queue = [root]
+    for v in queue:
+        out = [e for e in range(g.n_half_edges) if g.einit[e] == v]
+        for e in sorted(out, key=lambda e: letters.index(letter(e))):
+            w = g.einit[e ^ 1]
+            if w not in number:
+                number[w] = len(number)
+                queue.append(w)
+    rows = sorted(
+        (number[g.einit[e]], letter(e).token, number[g.einit[e ^ 1]])
+        for e in range(g.n_half_edges)
+        if letter(e).sign > 0
+    )
+    lines = [f"base {number[root]}"] + [f"{v} -{t}-> {w}" for v, t, w in rows]
+    return "\n".join(lines)

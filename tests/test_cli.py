@@ -133,6 +133,16 @@ class TestOntoBase:
         assert "injective: false" in out
         assert out.startswith("conjugator: ")
 
+    def test_not_included_is_a_negative_on_stdout(self, capsys, files, tmp_path):
+        """Like morphism: a mathematical negative, not an error line."""
+        a = tmp_path / "A.txt"
+        a.write_text("a\n")
+        code = main(["onto-base", str(a), files["K"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "no conjugator: the first subgroup is not inside the second\n"
+        assert captured.err == ""
+
     def test_trivial_inner_fails(self, capsys, files, tmp_path):
         empty = tmp_path / "triv.txt"
         empty.write_text("# nothing\n")

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+from stallings import _kernel
 from stallings.errors import (
     AlphabetMismatchError,
     DisconnectedGraphError,
@@ -29,9 +30,17 @@ from stallings.graph import (
     two_core,
     unique_pointed_morphism,
 )
+from stallings.subgroups import gamma
 from stallings.words import Alphabet, Letter, parse_word
 
-from helpers import naive_fold, naive_trim, pointed_graphs, random_wedge
+from helpers import (
+    naive_canonical_form,
+    naive_fold,
+    naive_trim,
+    pointed_graphs,
+    random_subgroup,
+    random_wedge,
+)
 
 AB = Alphabet.of("a", "b")
 A = Letter("a", 1)
@@ -120,6 +129,18 @@ class TestFold:
             f1, _ = fold_all(g, seed=rng.randint(0, 10**9))
             f2, _ = fold_all(g, seed=rng.randint(0, 10**9))
             assert canonical_form(f1) == canonical_form(f2)
+
+
+class TestKernel:
+    @given(pointed_graphs(), st.none() | st.integers(0, 99))
+    def test_representatives_are_roots(self, g, seed):
+        """Also under a random pop order (a seed)."""
+        vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel, seed)
+        assert all(vrep[vrep[v]] == vrep[v] for v in range(g.n_vertices))
+        assert all(erep[erep[e]] == erep[e] for e in range(g.n_half_edges))
+        assert all(erep[e ^ 1] == erep[e] ^ 1 for e in range(g.n_half_edges))
+        # a half-edge's class starts where the half-edge starts
+        assert all(vrep[g.einit[erep[e]]] == vrep[g.einit[e]] for e in range(g.n_half_edges))
 
 
 class TestTrim:
@@ -300,6 +321,32 @@ class TestSerialization:
         # same pointed graph with vertex names swapped and the edge reversed
         g2 = build_graph(AB, 2, [(0, 1, A.inverse()), (1, 1, B), (0, 0, B)], base=1)
         assert canonical_form(g1) == canonical_form(g2)
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("a",),
+            ("b", "a", "c"),  # inferred order that is not name order
+            tuple(f"x{i}" for i in range(12)),  # x10 sorts before x2 by name
+            tuple(random.Random(5).sample([f"x{i}" for i in range(14)], 14)),
+        ],
+    )
+    def test_matches_naive_bfs_oracle(self, names):
+        ab = Alphabet(names)
+        rng = random.Random(len(names))
+        for _ in range(40):
+            g = gamma(random_subgroup(rng, ab, max_gens=6, max_len=8))
+            assert canonical_form(g) == naive_canonical_form(g)
+            root = rng.randrange(g.n_vertices)
+            assert canonical_form(g, root) == naive_canonical_form(g, root)
+            assert canonical_form(g.unbased(), root) == naive_canonical_form(g, root)
+
+    def test_unfolded_bouquet_rejected(self):
+        g = bouquet(AB, [parse_word("a b"), parse_word("a b^-1")])
+        with pytest.raises(NotFoldedError):
+            canonical_form(g)
+        with pytest.raises(NotFoldedError):
+            canonical_form(g, 1)
 
     def test_dot_output(self):
         dot = to_dot(delta())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stallings.errors import AlphabetMismatchError
-from stallings.graph import core, path_graph, unique_pointed_morphism
+from stallings.graph import LabeledGraph, bouquet, core, path_graph, unique_pointed_morphism
 from stallings.subgroups import Subgroup, gamma
 from stallings.whitehead import (
     RestrictionSet,
@@ -33,6 +33,7 @@ from helpers import (
     random_hom,
     random_reduced_word,
     random_subgroup,
+    random_wedge,
     two_path_edges,
 )
 
@@ -70,6 +71,32 @@ class TestWhiteheadGraph:
         for _ in range(60):
             g = gamma(random_subgroup(rng, AB))
             assert whitehead_graph(g).edges == two_path_edges(g)
+
+    def test_matches_oracle_at_rank_sixty(self):
+        ab = Alphabet(tuple(f"g{i}" for i in range(60)))
+        rng = random.Random(4)
+        for _ in range(20):
+            g = gamma(random_subgroup(rng, ab, max_gens=8, max_len=12))
+            assert whitehead_graph(g).edges == two_path_edges(g)
+
+    def test_matches_oracle_on_unfolded_graphs(self):
+        """Repeated labels at a vertex, and stars of one, two and more codes."""
+        rng = random.Random(6)
+        wide = Alphabet(tuple(f"g{i}" for i in range(60)))
+        graphs = [
+            # two a-edges out of the base: every star has one code
+            LabeledGraph(AB, 3, (0, 1, 0, 2), (1, -1, 1, -1), 0),
+            # the base sees a twice, b and b^-1
+            bouquet(AB, [parse_word("a b"), parse_word("a b^-1")]),
+            *(random_wedge(rng, ab, max_words=6) for ab in (AB, wide) for _ in range(15)),
+        ]
+        sizes = set()
+        for g in graphs:
+            assert whitehead_graph(g).edges == two_path_edges(g)
+            for v in range(g.n_vertices):
+                sizes.add(min(len({g.elabel[e] for e in g.out_edges(v)}), 3))
+        assert not all(g.is_folded() for g in graphs)
+        assert sizes == {1, 2, 3}
 
     @given(core_graphs)
     def test_text_parses_back(self, g):

@@ -12,14 +12,9 @@ so the total work is near linear in the number of half-edges.
 
 from __future__ import annotations
 
-import random
-
 
 def fold(
-    n_vertices: int,
-    einit: list[int],
-    elabel: list[int],
-    seed: int | None = None,
+    n_vertices: int, einit: list[int], elabel: list[int]
 ) -> tuple[list[int], list[int]]:
     """Fold completely; return (vertex_rep, half_edge_rep) arrays.
 
@@ -59,14 +54,6 @@ def fold(
         else:
             d[l] = e
 
-    rng = random.Random(seed) if seed is not None else None
-
-    def pop() -> tuple[int, int]:
-        if rng is not None and len(pending) > 1:
-            i = rng.randrange(len(pending))
-            pending[i], pending[-1] = pending[-1], pending[i]
-        return pending.pop()
-
     def eunion(keep: int, gone: int) -> None:
         rk, rg = efind(keep), efind(gone)
         if rk != rg:
@@ -76,7 +63,7 @@ def fold(
             eparent[rg1] = rk1
 
     while pending:
-        e, f = pop()
+        e, f = pending.pop()
         e, f = efind(e), efind(f)
         if e == f:
             continue

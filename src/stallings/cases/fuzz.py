@@ -17,12 +17,10 @@ from ..words import Alphabet, GroupHom, Letter, Word
 from .engine import root_case
 
 
-def random_reduced_word(
-    rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 1
-) -> Word:
-    """A uniformly random reduced word of length between min_len and max_len."""
+def random_reduced_word(rng: random.Random, alphabet: Alphabet, max_len: int) -> Word:
+    """A uniformly random reduced word of length between 1 and max_len."""
     letters = alphabet.letters()
-    length = rng.randint(min_len, max_len)
+    length = rng.randint(1, max_len)
     out: list[Letter] = []
     for _ in range(length):
         choices = (

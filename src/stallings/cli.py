@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cases import fuzz_example, render_tsv, verify_tables
-from .errors import NotIncludedError, StallingsError
+from .errors import NotIncludedError, StallingsError, TrivialSubgroupError
 from .graph import canonical_form, classify, to_dot
 from .subgroups import (
     Subgroup,
@@ -116,7 +116,7 @@ def _cmd_morphism(args) -> int:
 def _cmd_onto_base(args) -> int:
     try:
         u, f = onto_base(*_load_pair(args))
-    except NotIncludedError as exc:
+    except (NotIncludedError, TrivialSubgroupError) as exc:
         print(f"no conjugator: {exc}")
         return 1
     c = classify(f)

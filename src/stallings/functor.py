@@ -131,10 +131,9 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """Transport a pointed morphism along a homomorphism, unbased.
 
     Takes the pointed morphism between the image cores and restricts it
-    to the unbased cores.
+    to the unbased cores.  Raises :class:`DegenerateHomError`, from
+    :func:`subdivide`, when phi sends a generator to the identity.
     """
-    if not is_nondegenerate(phi):
-        raise DegenerateHomError("transport needs nonempty images")
     m = image_morphism(phi, f)
     if m.source.n_edges == 0:
         raise TrivialSubgroupError("the image subgroup is trivial")

@@ -69,7 +69,7 @@ class LabeledGraph:
                 raise DisconnectedGraphError("half-edge at a missing vertex")
         if self.base is not None and not 0 <= self.base < self.n_vertices:
             raise DisconnectedGraphError("base point is not a vertex")
-        if not self._is_connected():
+        if len(_bfs_order(self, 0)[0]) != self.n_vertices:
             raise DisconnectedGraphError("graph is not connected")
 
     # -- basic structure ------------------------------------------------
@@ -112,23 +112,6 @@ class LabeledGraph:
                 table[w][self.elabel[e]] = e
             self._lookup = table
         return self._lookup[v].get(code)
-
-    def _is_connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        seen = [False] * self.n_vertices
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for e in self.out_edges(v):
-                w = self.head(e)
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n_vertices
 
     def is_core(self) -> bool:
         """Folded, and every vertex except the base has degree > 1."""
@@ -392,7 +375,7 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 
 
 def _fold_reps(
-    g: LabeledGraph, seed: int | None = None
+    g: LabeledGraph,
 ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """Fold with the kernel, keeping ``g``'s numbering.
 
@@ -401,7 +384,7 @@ def _fold_reps(
     representative, the representative vertices, and the even half-edge
     of every representative edge (both ascending).
     """
-    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel, seed)
+    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel)
     einit = [vrep[v] for v in g.einit]
     vertices = [v for v, r in enumerate(vrep) if r == v]
     # the representatives of a class and of its reverse form one edge
@@ -409,11 +392,9 @@ def _fold_reps(
     return vrep, erep, einit, vertices, edges
 
 
-def fold_all(
-    g: LabeledGraph, seed: int | None = None
-) -> tuple[LabeledGraph, GraphMorphism]:
+def fold_all(g: LabeledGraph) -> tuple[LabeledGraph, GraphMorphism]:
     """Fold completely; return the folded graph and the quotient morphism."""
-    vrep, erep, einit, vertices, edges = _fold_reps(g, seed)
+    vrep, erep, einit, vertices, edges = _fold_reps(g)
     base = None if g.base is None else vrep[g.base]
     folded = _renumber(g.alphabet, einit, g.elabel, base, vertices, edges)
     vnew, enew = _maps(vertices, edges)

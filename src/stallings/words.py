@@ -241,9 +241,9 @@ class Alphabet:
         index = [self._index.get(name, -1) + 1 for name in source.generators]
         return [index[c - 1] if c > 0 else -index[-c - 1] for c in codes]
 
-    def fresh_name(self, preferred: Iterable[str] = ("t", "s")) -> str:
+    def fresh_name(self) -> str:
         """A generator name that does not collide with existing ones."""
-        for name in preferred:
+        for name in ("t", "s"):
             if name not in self:
                 return name
         k = 1
@@ -342,12 +342,12 @@ def conjugation_hom(u: Word, alphabet: Alphabet) -> GroupHom:
     return GroupHom(alphabet, alphabet, images)
 
 
-def parse_hom(text: str, target: Alphabet | None = None) -> GroupHom:
+def parse_hom(text: str) -> GroupHom:
     """Parse ``x -> <word>`` lines into a homomorphism.
 
     Source alphabet: the left-hand generators in order of appearance.
-    Target alphabet: inferred from the right-hand words in order of first
-    appearance, unless given explicitly.
+    Target alphabet: the generators of the right-hand words in order of
+    first appearance.
     """
     sources: list[str] = []
     images: dict[str, Word] = {}
@@ -366,6 +366,5 @@ def parse_hom(text: str, target: Alphabet | None = None) -> GroupHom:
         w = parse_word(rhs)
         sources.append(name)
         images[name] = w
-    if target is None:
-        target = Alphabet(tuple(dict.fromkeys(l.gen for w in images.values() for l in w)))
+    target = Alphabet(tuple(dict.fromkeys(l.gen for w in images.values() for l in w)))
     return GroupHom(Alphabet(tuple(sources)), target, images)

@@ -23,6 +23,7 @@ __all__ = [
     "random_subgroup",
     "random_hom",
     "random_wedge",
+    "relabel",
     "pointed_graphs",
     "naive_fold",
     "naive_trim",
@@ -69,6 +70,26 @@ def random_wedge(rng: random.Random, alphabet: Alphabet, max_words: int = 5,
         for _ in range(rng.randint(1, max_words))
     ]
     return bouquet(alphabet, words)
+
+
+def relabel(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
+    """The same graph under a random renumbering.
+
+    Vertices and edges are shuffled and each edge is flipped with even
+    odds, so the fold kernel meets the collisions in another order.
+    """
+    vnew = list(range(g.n_vertices))
+    rng.shuffle(vnew)
+    order = list(range(0, g.n_half_edges, 2))
+    rng.shuffle(order)
+    einit: list[int] = []
+    elabel: list[int] = []
+    for e in order:
+        e ^= rng.randrange(2)
+        einit += (vnew[g.einit[e]], vnew[g.einit[e ^ 1]])
+        elabel += (g.elabel[e], g.elabel[e ^ 1])
+    base = None if g.base is None else vnew[g.base]
+    return LabeledGraph(g.alphabet, g.n_vertices, tuple(einit), tuple(elabel), base)
 
 
 @st.composite

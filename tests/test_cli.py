@@ -144,10 +144,14 @@ class TestOntoBase:
         assert captured.err == ""
 
     def test_trivial_inner_fails(self, capsys, files, tmp_path):
+        """A trivial first subgroup is a negative on stdout too."""
         empty = tmp_path / "triv.txt"
         empty.write_text("# nothing\n")
         code = main(["onto-base", str(empty), files["K"]])
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == "no conjugator: the trivial subgroup cannot cover a graph\n"
+        assert captured.err == ""
 
 
 class TestTransportAndChecks:

@@ -220,6 +220,11 @@ class TestTransport:
             out.target, two_core(gamma(Subgroup.of(AB, "b b", "a b b a^-1")))
         )
 
+    def test_degenerate_rejected(self):
+        bad = GroupHom(AB, AB, {"a": parse_word("a"), "b": parse_word("")})
+        with pytest.raises(DegenerateHomError):
+            unbased_image_morphism(bad, self._root())
+
     def test_trivial_image_rejected(self):
         g = gamma(Subgroup(AB, (parse_word(""),)))
         m = unique_pointed_morphism(g, gamma(H_B))

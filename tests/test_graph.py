@@ -40,6 +40,7 @@ from helpers import (
     pointed_graphs,
     random_subgroup,
     random_wedge,
+    relabel,
 )
 
 AB = Alphabet.of("a", "b")
@@ -69,9 +70,22 @@ class TestStructure:
         assert delta().degree(0) == 3
         assert delta().degree(1) == 3
 
-    def test_disconnected_rejected(self):
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(2, [(0, 0, A)]), (4, [(0, 1, A), (2, 3, B)])],
+        ids=["isolated-vertex", "two-components"],
+    )
+    def test_disconnected_rejected(self, n, edges):
         with pytest.raises(DisconnectedGraphError):
-            build_graph(AB, 2, [(0, 0, A)], base=0)
+            build_graph(AB, n, edges, base=0)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(3, [(1, 0, A), (2, 1, B)]), (1, [])],
+        ids=["reached-against-orientation", "one-vertex"],
+    )
+    def test_connected_accepted(self, n, edges):
+        assert build_graph(AB, n, edges, base=0).n_vertices == n
 
     def test_labels_are_alphabet_codes(self):
         g = delta()
@@ -123,19 +137,22 @@ class TestFold:
             assert classify(q).surjective
 
     def test_confluent_under_random_orders(self):
+        """Two renumberings of a graph fold to the same graph."""
         rng = random.Random(11)
         for _ in range(200):
             g = random_wedge(rng, Alphabet.of("a", "b", "c"))
-            f1, _ = fold_all(g, seed=rng.randint(0, 10**9))
-            f2, _ = fold_all(g, seed=rng.randint(0, 10**9))
+            f1, _ = fold_all(relabel(g, rng))
+            f2, _ = fold_all(relabel(g, rng))
             assert canonical_form(f1) == canonical_form(f2)
 
 
 class TestKernel:
     @given(pointed_graphs(), st.none() | st.integers(0, 99))
-    def test_representatives_are_roots(self, g, seed):
-        """Also under a random pop order (a seed)."""
-        vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel, seed)
+    def test_representatives_are_roots(self, g, renumbering):
+        """Also on a random renumbering of the graph."""
+        if renumbering is not None:
+            g = relabel(g, random.Random(renumbering))
+        vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel)
         assert all(vrep[vrep[v]] == vrep[v] for v in range(g.n_vertices))
         assert all(erep[erep[e]] == erep[e] for e in range(g.n_half_edges))
         assert all(erep[e ^ 1] == erep[e] ^ 1 for e in range(g.n_half_edges))

@@ -23,6 +23,7 @@ from stallings.words import (
     is_cyclically_reduced,
     is_nondegenerate,
     last_letter,
+    parse_hom,
     parse_word,
 )
 
@@ -206,6 +207,33 @@ class TestHoms:
         assert apply_hom(compose_homs(phi, psi), word) == apply_hom(
             phi, apply_hom(psi, word)
         )
+
+
+class TestParseHom:
+    def test_target_follows_first_appearance(self):
+        phi = parse_hom("a -> c b\nb -> a c^-1 d\n")
+        assert phi.source.generators == ("a", "b")
+        assert phi.target.generators == ("c", "b", "a", "d")
+        assert phi.images == {"a": w("c b"), "b": w("a c^-1 d")}
+
+    def test_empty_right_side_is_the_identity(self):
+        phi = parse_hom("x -> \ny -> x")
+        assert phi.images["x"] == IDENTITY
+        assert not is_nondegenerate(phi)
+
+    def test_comments_and_blank_lines_skipped(self):
+        phi = parse_hom("# a header\n\n  \na -> b  # a note\n\n")
+        assert phi.source.generators == ("a",)
+        assert phi.images == {"a": w("b")}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a -> b\na -> c", "a b", "1a -> b"],
+        ids=["duplicate-image", "no-arrow", "bad-name"],
+    )
+    def test_malformed_rejected(self, text):
+        with pytest.raises(UnknownGeneratorError):
+            parse_hom(text)
 
 
 class TestNondegenerate:

@@ -25,18 +25,13 @@ from .graph import (
     GraphMorphism,
     LabeledGraph,
     MorphismClassification,
-    Path,
     attach_path,
     bouquet,
-    build_graph,
     canonical_form,
     classify,
     core,
     fold_all,
-    identity_morphism,
     iso_pointed,
-    iso_unpointed,
-    path_graph,
     to_dot,
     trace,
     trim_all,
@@ -55,7 +50,6 @@ from .functor import (
 from .subgroups import (
     OntoBase,
     Subgroup,
-    conjugate_core,
     contains,
     covering_circuit,
     gamma,
@@ -91,7 +85,6 @@ from .words import (
     free_reduce,
     identity_hom,
     invert,
-    is_cyclically_reduced,
     is_nondegenerate,
     last_letter,
     parse_hom,

@@ -38,12 +38,10 @@ from ..whitehead import (
 from ..words import (
     Alphabet,
     GroupHom,
-    Letter,
-    Word,
-    free_reduce,
     identity_hom,
-    invert,
-    parse_word,
+    invert_codes,
+    parse_codes,
+    reduce_codes,
 )
 from .table import INITIAL_CASES
 
@@ -101,16 +99,12 @@ def classify_case(case: InjectivityCase) -> CaseResolution:
 # -- substitution machinery ------------------------------------------------
 
 
-def _letter_word(l: Letter) -> Word:
-    return Word((l,))
-
-
 def make_substitution(
     source: Alphabet, target: Alphabet, images_text: dict[str, str]
 ) -> GroupHom:
     """A homomorphism given by generator images, identity where omitted."""
-    images = {g: parse_word(images_text.get(g, g)) for g in source.generators}
-    return GroupHom(source, target, images)
+    lines = [images_text.get(g, g).split() for g in source.generators]
+    return GroupHom._raw(source, target, parse_codes(lines, target)[1])
 
 
 def child_restrictions(
@@ -128,7 +122,7 @@ def child_restrictions(
     edges = {frozenset(_tau(psi, c) for c in e) for e in parent.codes}
     if 1 in map(len, edges):
         return None
-    for codes in psi._codes:
+    for codes in psi.codes:
         edges |= _turns(codes)
     if add_edge is not None:
         edges.add(add_edge)
@@ -160,20 +154,22 @@ class SplitCase:
 
 
 def _suffix_rules(
-    alphabet: Alphabet, target: Alphabet, rules: list[tuple[Letter, Word]]
+    alphabet: Alphabet, target: Alphabet, rules: list[tuple[int, tuple[int, ...]]]
 ) -> GroupHom:
     """Build a substitution from 'letter gains suffix' rules.
 
-    A rule (l, w) postfixes w to the image of the signed letter l; for an
-    inverse letter that prefixes the inverse of w to the generator.
+    A rule (c, w) postfixes the code word w to the image of the letter
+    with code c; for an inverse letter that prefixes the inverse of w to
+    the generator.  ``target`` extends ``alphabet`` at the end, if at all.
     """
-    images = dict(identity_hom(alphabet).images)
-    for l, w in rules:
-        if l.sign > 0:
-            images[l.gen] = free_reduce(images[l.gen].letters + w.letters)
+    images = list(identity_hom(alphabet).codes)
+    for c, w in rules:
+        i = abs(c) - 1
+        if c > 0:
+            images[i] = reduce_codes(images[i] + w)
         else:
-            images[l.gen] = free_reduce(invert(w).letters + images[l.gen].letters)
-    return GroupHom(alphabet, target, images)
+            images[i] = reduce_codes(invert_codes(w) + images[i])
+    return GroupHom._raw(alphabet, target, tuple(images))
 
 
 def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]:
@@ -194,25 +190,25 @@ def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]
     if edge not in res.missing.codes:
         raise EdgeNotMissingError(f"{format_edge(u, edge)} is not missing in {case.id}")
 
-    # letters only to spell the substitutions; t extends u at the end, so
-    # the edge's codes keep their meaning over the extended alphabet
-    a, b = map(u.decode, sorted(edge, key=Alphabet.code_index))
-    t = u.fresh_name()
-    t_word = _letter_word(Letter(t, 1))
-    extended = u.extended(t)
+    # t extends u at the end, so the edge's codes keep their meaning over
+    # the extended alphabet
+    a, b = sorted(edge, key=Alphabet.code_index)
+    extended = u.extended(u.fresh_name())
+    t = (len(extended),)
 
     candidates: list[tuple[int, GroupHom, WhiteheadEdge | None]] = [
         (1, identity_hom(u), edge),
-        (2, _suffix_rules(u, extended, [(a, t_word), (b, t_word)]), edge),
+        (2, _suffix_rules(u, extended, [(a, t), (b, t)]), edge),
     ]
-    if a.gen != b.gen:
+    if abs(a) != abs(b):
         # b -> a, so b's generator goes to a or its inverse
-        b_image = _letter_word(a if b.sign > 0 else a.inverse())
-        identify = {**identity_hom(u).images, b.gen: b_image}
+        identify = list(identity_hom(u).codes)
+        identify[abs(b) - 1] = (a if b > 0 else -a,)
+        smaller = u.without(u.generators[abs(b) - 1])
         candidates += [
-            (3, _suffix_rules(u, u, [(a, _letter_word(b))]), None),
-            (4, _suffix_rules(u, u, [(b, _letter_word(a))]), None),
-            (5, GroupHom(u, u.without(b.gen), identify), None),
+            (3, _suffix_rules(u, u, [(a, (b,))]), None),
+            (4, _suffix_rules(u, u, [(b, (a,))]), None),
+            (5, GroupHom._raw(u, smaller, tuple(smaller.recode(w, u) for w in identify)), None),
         ]
 
     children: list[SplitCase] = []

@@ -18,7 +18,7 @@ from ..functor import image_core
 from ..graph import classify, iso_pointed
 from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import RestrictionSet, parse_edges
-from ..words import Alphabet, parse_word
+from ..words import Alphabet
 from .engine import (
     InjectivityCase,
     Resolution,
@@ -106,8 +106,8 @@ def verify_tables() -> TableReport:
             )
         elif data["kind"] == "free":
             u = Alphabet(data["alphabet"])
-            inner = Subgroup(u, tuple(parse_word(w) for w in data["inner"]))
-            outer = Subgroup(u, tuple(parse_word(w) for w in data["outer"]))
+            inner = Subgroup.of(u, *data["inner"])
+            outer = Subgroup.of(u, *data["outer"])
             m = inclusion_morphism(inner, outer)
             assert m is not None
             case = InjectivityCase(data["id"], RestrictionSet.parse(u, data["n"]), m)

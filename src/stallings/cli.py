@@ -91,7 +91,9 @@ def _load_pair(args) -> tuple[Subgroup, Subgroup]:
     h = _load(args.inner)
     k = _load(args.outer)
     ab = Alphabet(tuple(dict.fromkeys(h.alphabet.generators + k.alphabet.generators)))
-    return Subgroup(ab, h.generators), Subgroup(ab, k.generators)
+    return tuple(
+        Subgroup._raw(ab, tuple(ab.recode(w, s.alphabet) for w in s.codes)) for s in (h, k)
+    )
 
 
 def _cmd_morphism(args) -> int:
@@ -114,13 +116,14 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_onto_base(args) -> int:
+    h, k = _load_pair(args)
     try:
-        u, f = onto_base(*_load_pair(args))
+        u, f = onto_base(h, k)
     except (NotIncludedError, TrivialSubgroupError) as exc:
         print(f"no conjugator: {exc}")
         return 1
     c = classify(f)
-    print(f"conjugator: {u.text or '1'}")
+    print(f"conjugator: {k.alphabet.word(u).text or '1'}")
     print(f"surjective: {str(c.surjective).lower()}")
     print(f"injective: {str(c.injective).lower()}")
     return 0 if c.surjective else 1
@@ -131,7 +134,7 @@ def _cmd_fphi(args) -> int:
     h = _load(args.subgroup, phi.source)
     # phi(H) is generated by the images of H's generators; this also
     # covers homs that send a generator to the identity
-    image = Subgroup(phi.target, tuple(phi(w) for w in h.generators))
+    image = Subgroup._raw(phi.target, tuple(map(phi.image, h.codes)))
     _emit_graph(gamma(image), args.dot)
     return 0
 

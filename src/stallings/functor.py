@@ -25,7 +25,7 @@ from .graph import (
     two_core_maps,
     unique_pointed_morphism,
 )
-from .words import GroupHom, is_nondegenerate
+from .words import GroupHom, invert_codes, is_nondegenerate
 
 
 def _subdivide_tables(
@@ -38,10 +38,10 @@ def _subdivide_tables(
             f"graph over {g.alphabet.generators}, homomorphism from "
             f"{phi.source.generators}"
         )
-    images: dict[int, list[int]] = {}  # image codes keyed by source code
-    for c, codes in enumerate(phi._codes, 1):
+    images: dict[int, tuple[int, ...]] = {}  # image codes keyed by source code
+    for c, codes in enumerate(phi.codes, 1):
         images[c] = codes
-        images[-c] = [-x for x in reversed(codes)]
+        images[-c] = invert_codes(codes)
     einit: list[int] = []
     elabel: list[int] = []
     seg: list[range] = []
@@ -132,9 +132,8 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 
     Takes the pointed morphism between the image cores and restricts it
     to the unbased cores.  Raises :class:`DegenerateHomError`, from
-    :func:`subdivide`, when phi sends a generator to the identity.
+    :func:`subdivide`, when phi sends a generator to the identity, and
+    :class:`TrivialSubgroupError`, from :func:`unbased_core_morphism`,
+    when the image of the source subgroup is trivial.
     """
-    m = image_morphism(phi, f)
-    if m.source.n_edges == 0:
-        raise TrivialSubgroupError("the image subgroup is trivial")
-    return unbased_core_morphism(m)
+    return unbased_core_morphism(image_morphism(phi, f))

@@ -21,7 +21,7 @@ from .errors import (
     NotFoldedError,
     UnknownGeneratorError,
 )
-from .words import Alphabet, Letter, Word, free_reduce
+from .words import Alphabet
 
 
 class LabeledGraph:
@@ -154,7 +154,7 @@ class LabeledGraph:
 
 
 def _spell(
-    einit: list[int], elabel: list[int], u: int, v: int, codes: list[int], fresh: int
+    einit: list[int], elabel: list[int], u: int, v: int, codes: Sequence[int], fresh: int
 ) -> int:
     """Append a path from vertex u to vertex v spelling the codes.
 
@@ -168,36 +168,11 @@ def _spell(
     return inner.stop
 
 
-def build_graph(
-    alphabet: Alphabet,
-    n_vertices: int,
-    edges: list[tuple[int, int, Letter]],
-    base: int | None = None,
-) -> LabeledGraph:
-    """Build a graph from oriented edge triples ``(tail, head, letter)``."""
-    einit: list[int] = []
-    elabel: list[int] = []
-    for u, v, l in edges:
-        _spell(einit, elabel, u, v, [alphabet.code(l)], n_vertices)
-    return LabeledGraph(alphabet, n_vertices, tuple(einit), tuple(elabel), base)
+def bouquet(alphabet: Alphabet, words: Iterable[Sequence[int]]) -> LabeledGraph:
+    """A wedge of loop paths at a common base, one loop per nonempty code word.
 
-
-def path_graph(w: Word, alphabet: Alphabet) -> LabeledGraph:
-    """The path graph of a reduced word: vertices 0..n spelling the word."""
-    einit: list[int] = []
-    elabel: list[int] = []
-    _spell(einit, elabel, 0, len(w), alphabet.encode(w), 1)
-    n = len(w) + 1
-    return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
-
-
-def bouquet(alphabet: Alphabet, words: list[Word]) -> LabeledGraph:
-    """A wedge of loop paths at a common base, one loop per nonempty word."""
-    return _bouquet(alphabet, [alphabet.encode(w) for w in words])
-
-
-def _bouquet(alphabet: Alphabet, words: Iterable[list[int]]) -> LabeledGraph:
-    """:func:`bouquet` of words already encoded over the alphabet."""
+    The code words must be over the alphabet; they are not checked.
+    """
     einit: list[int] = []
     elabel: list[int] = []
     n = 1
@@ -289,12 +264,6 @@ def classify(f: GraphMorphism) -> MorphismClassification:
     )
 
 
-def identity_morphism(g: LabeledGraph) -> GraphMorphism:
-    return GraphMorphism(
-        g, g, tuple(range(g.n_vertices)), tuple(range(g.n_half_edges)), _validate=False
-    )
-
-
 def extend_morphism(
     g: LabeledGraph, d: LabeledGraph, seed_vertex: int, seed_image: int
 ) -> GraphMorphism | None:
@@ -352,13 +321,6 @@ def unpointed_isomorphisms(g: LabeledGraph, d: LabeledGraph) -> list[GraphMorphi
         if m is not None and len(set(m.vmap)) == d.n_vertices:
             out.append(m)
     return out
-
-
-def iso_unpointed(g: LabeledGraph, d: LabeledGraph) -> bool:
-    """True iff the graphs are isomorphic after forgetting base points."""
-    if not g.is_folded() or not d.is_folded():
-        raise NotFoldedError("isomorphism testing needs folded graphs")
-    return bool(unpointed_isomorphisms(g, d))
 
 
 def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
@@ -550,15 +512,14 @@ def core(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
 
 
-def attach_path(g: LabeledGraph, w: Word) -> LabeledGraph:
-    """Attach a path spelling ``w`` whose end is glued to the base point.
+def attach_path(g: LabeledGraph, codes: Sequence[int]) -> LabeledGraph:
+    """Attach a path spelling a code word whose end is glued to the base point.
 
     The new base point is the start of the path.  The result is generally
     not folded.
     """
     if g.base is None:
         raise NotFoldedError("attach_path needs a pointed graph")
-    codes = g.alphabet.encode(w)
     if not codes:
         return g
     n = g.n_vertices
@@ -571,15 +532,8 @@ def attach_path(g: LabeledGraph, w: Word) -> LabeledGraph:
 # -- traversal ---------------------------------------------------------
 
 
-def trace(g: LabeledGraph, start: int, w: Word) -> int | None:
-    """Endpoint of the path spelling ``w`` from ``start``, or None.
-
-    A word with a letter outside the graph's alphabet spells no path.
-    """
-    try:
-        codes = g.alphabet.encode(w)
-    except UnknownGeneratorError:
-        return None
+def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
+    """Endpoint of the path spelling a code word from ``start``, or None."""
     v = start
     for c in codes:
         e = g.edge_at(v, c)
@@ -587,34 +541,6 @@ def trace(g: LabeledGraph, start: int, w: Word) -> int | None:
             return None
         v = g.head(e)
     return v
-
-
-@dataclass(frozen=True)
-class Path:
-    """A finite contiguous sequence of half-edges in a graph."""
-
-    graph: LabeledGraph
-    edges: tuple[int, ...]
-
-    def __post_init__(self):
-        g = self.graph
-        for a, b in zip(self.edges, self.edges[1:]):
-            if g.head(a) != g.einit[b]:
-                raise DisconnectedGraphError("path edges are not contiguous")
-
-    def is_reduced(self) -> bool:
-        return all(b != a ^ 1 for a, b in zip(self.edges, self.edges[1:]))
-
-    def is_closed(self) -> bool:
-        g = self.graph
-        return bool(self.edges) and g.head(self.edges[-1]) == g.einit[self.edges[0]]
-
-    def letters(self) -> tuple[Letter, ...]:
-        g = self.graph
-        return tuple(g.alphabet.decode(g.elabel[e]) for e in self.edges)
-
-    def word(self) -> Word:
-        return free_reduce(self.letters())
 
 
 # -- canonical form and export ------------------------------------------

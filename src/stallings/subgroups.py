@@ -11,73 +11,73 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
+    AlphabetMismatchError,
     NotIncludedError,
     StallingsError,
     TrivialGraphError,
     TrivialSubgroupError,
+    UnknownGeneratorError,
 )
 from .graph import (
     GraphMorphism,
     LabeledGraph,
     attach_path,
+    bouquet,
     core,
     trace,
     unique_pointed_morphism,
     _bfs_order,
-    _bouquet,
     _peel,
     _whole,
 )
-from .words import (
-    Alphabet,
-    Letter,
-    Word,
-    free_reduce,
-    invert,
-    last_letter,
-    parse_letter,
-    parse_word,
-)
+from .words import Alphabet, Word, invert_codes, parse_codes, reduce_codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subgroup:
     """A finitely generated subgroup, given by a generating list.
 
-    It also holds its core graph once :func:`gamma` has folded it; the
-    graph is immutable, so every caller shares the one object.
+    ``codes`` holds the generators as reduced code words over the
+    alphabet; the constructor takes them as ``Word``s.  It also holds
+    its core graph once :func:`gamma` has folded it; the graph is
+    immutable, so every caller shares the one object.
     """
 
     alphabet: Alphabet
-    generators: tuple[Word, ...]
-    # the generators encoded over the alphabet, made once when checking them
-    _codes: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
-    _core: LabeledGraph | None = field(default=None, init=False, repr=False, compare=False)
+    codes: tuple[tuple[int, ...], ...]
+    _core: LabeledGraph | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        encode = self.alphabet.encode
-        object.__setattr__(self, "_codes", tuple([encode(w) for w in self.generators]))
+    def __init__(self, alphabet: Alphabet, generators: Iterable[Word]):
+        codes = tuple([alphabet.encode(w) for w in generators])
+        self.__dict__.update(alphabet=alphabet, codes=codes, _core=None)
+
+    @classmethod
+    def _raw(cls, alphabet: Alphabet, codes: tuple[tuple[int, ...], ...]) -> "Subgroup":
+        """A subgroup from code words the library made itself."""
+        h = cls.__new__(cls)
+        h.__dict__.update(alphabet=alphabet, codes=codes, _core=None)
+        return h
 
     @classmethod
     def of(cls, alphabet: Alphabet, *gens: str) -> "Subgroup":
-        return cls(alphabet, tuple(parse_word(g) for g in gens))
+        return cls._raw(*parse_codes([g.split() for g in gens], alphabet))
 
     def is_trivial(self) -> bool:
-        return all(len(w) == 0 for w in self.generators)
+        return not any(self.codes)
 
-    def conjugate(self, w: Word) -> "Subgroup":
-        """The subgroup w H w^-1."""
-        wi = invert(w)
-        return Subgroup(
-            self.alphabet,
-            tuple(free_reduce(w.letters + g.letters + wi.letters) for g in self.generators),
+    def conjugate(self, u: Sequence[int]) -> "Subgroup":
+        """The subgroup u H u^-1, for a code word u over the alphabet."""
+        ui = invert_codes(u)
+        return Subgroup._raw(
+            self.alphabet, tuple(reduce_codes((*u, *g, *ui)) for g in self.codes)
         )
 
     def __repr__(self) -> str:
-        return f"Subgroup<{', '.join(repr(g) for g in self.generators)}>"
+        words = self.alphabet.word
+        return f"Subgroup<{', '.join(repr(words(w)) for w in self.codes)}>"
 
 
 def load_subgroup(text: str, alphabet: Alphabet | None = None) -> Subgroup:
@@ -86,22 +86,8 @@ def load_subgroup(text: str, alphabet: Alphabet | None = None) -> Subgroup:
     Without an alphabet, the generators are those of the reduced words,
     in order of first appearance.
     """
-    letters: dict[str, Letter] = {}  # each distinct token parsed once
-
-    def letter(token: str) -> Letter:
-        l = letters.get(token)
-        if l is None:
-            l = letters[token] = parse_letter(token)
-        return l
-
-    gens: list[Word] = []
-    for raw in text.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            gens.append(free_reduce(map(letter, tokens)))
-    if alphabet is None:
-        alphabet = Alphabet(tuple(dict.fromkeys(l.gen for w in gens for l in w)))
-    return Subgroup(alphabet, tuple(gens))
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    return Subgroup._raw(*parse_codes([t for t in lines if t], alphabet))
 
 
 def gamma(h: Subgroup) -> LabeledGraph:
@@ -111,18 +97,25 @@ def gamma(h: Subgroup) -> LabeledGraph:
     return that same graph.
     """
     if h._core is None:
-        object.__setattr__(h, "_core", core(_bouquet(h.alphabet, h._codes)))
+        object.__setattr__(h, "_core", core(bouquet(h.alphabet, h.codes)))
     return h._core
 
 
 def contains(h: Subgroup, w: Word) -> bool:
-    """Membership: does the word close up at the base point?"""
+    """Membership: does the word close up at the base point?
+
+    A word with a letter outside the subgroup's alphabet is not a member.
+    """
+    try:
+        codes = h.alphabet.encode(w)
+    except UnknownGeneratorError:
+        return False
     g = gamma(h)
-    return trace(g, g.base, w) == g.base
+    return trace(g, g.base, codes) == g.base
 
 
-def pi1_basis(g: LabeledGraph) -> list[Word]:
-    """A free basis from a spanning tree: one word per non-tree edge."""
+def pi1_basis(g: LabeledGraph) -> list[tuple[int, ...]]:
+    """A free basis from a spanning tree: one code word per non-tree edge."""
     if g.base is None:
         raise TrivialGraphError("basis extraction needs a pointed graph")
     parent_dart = _bfs_order(g, g.base)[1]
@@ -146,7 +139,7 @@ def pi1_basis(g: LabeledGraph) -> list[Word]:
             + [g.elabel[pos]]
             + [-c for c in reversed(path_to(g.head(pos)))]
         )
-        basis.append(free_reduce(map(g.alphabet.decode, codes)))
+        basis.append(reduce_codes(codes))
     return basis
 
 
@@ -154,11 +147,6 @@ def inclusion_morphism(h: Subgroup, k: Subgroup) -> GraphMorphism | None:
     """The graph morphism of an inclusion, or None when h is not inside k."""
     gh, gk = gamma(h), gamma(k)
     return unique_pointed_morphism(gh, gk)
-
-
-def conjugate_core(g: LabeledGraph, w: Word) -> LabeledGraph:
-    """Core graph of the conjugated subgroup: attach a path, then fold and trim."""
-    return core(attach_path(g, w))
 
 
 # -- covering circuits ----------------------------------------------------
@@ -207,34 +195,30 @@ def _dart_bfs(
     return None
 
 
-def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) -> Word:
-    """Label of a reduced closed path at the base covering every edge.
+def covering_circuit(g: LabeledGraph, first_code_not: int = 0) -> tuple[int, ...]:
+    """Label code word of a reduced closed path at the base covering every edge.
 
-    Repeated edges are fine.  ``first_letter_not`` forbids one choice of
-    first letter (used by :func:`onto_base`); when the graph has a
-    hanging path at the base the first letter is forced, and forbidding
-    it is an error.
+    Repeated edges are fine.  ``first_code_not`` forbids one choice of
+    first letter (used by :func:`onto_base`; 0, the default, labels
+    nothing); when the graph has a hanging path at the base the first
+    letter is forced, and forbidding it is an error.
     """
     if g.base is None or not g.is_core():
         raise TrivialGraphError("covering circuits need a pointed core graph")
     if g.n_edges == 0:
         raise TrivialGraphError("the one-vertex graph has no circuits")
 
-    forbidden = 0  # no label has code 0
-    if first_letter_not in g.alphabet:
-        forbidden = g.alphabet.code(first_letter_not)
-
     _, kept_e, tail = _peel(*_whole(g), None)  # tail: the hanging path from the base
     allowed = {e // 2 for e in kept_e}
     junction = g.head(tail[-1]) if tail else g.base
 
-    if tail and g.elabel[tail[0]] == forbidden:
+    if tail and g.elabel[tail[0]] == first_code_not:
         raise StallingsError("the forced first letter is forbidden")
 
     circuit: list[int] = list(tail)
     uncovered = set(allowed)
     pos_vertex, pos_dart = junction, (tail[-1] if tail else None)
-    first_not = forbidden if not tail else 0
+    first_not = first_code_not if not tail else 0
     while uncovered:
         leg = _dart_bfs(
             g,
@@ -261,17 +245,16 @@ def covering_circuit(g: LabeledGraph, first_letter_not: Letter | None = None) ->
         circuit.extend(leg)
     circuit.extend(d ^ 1 for d in reversed(tail))
 
-    letters = tuple(g.alphabet.decode(g.elabel[d]) for d in circuit)
-    word = free_reduce(letters)
-    assert len(word) == len(letters), "covering circuit must be reduced"
-    return word
+    codes = tuple([g.elabel[d] for d in circuit])
+    assert reduce_codes(codes) == codes, "covering circuit must be reduced"
+    return codes
 
 
 # -- a base where the inclusion morphism is onto ---------------------------
 
 
 class OntoBase(NamedTuple):
-    conjugator: Word
+    conjugator: tuple[int, ...]  # a code word over the subgroups' alphabet
     morphism: GraphMorphism
 
 
@@ -281,8 +264,11 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     Conjugating both subgroups by the same word amounts to changing the
     free basis by an inner automorphism; this finds one where the
     inclusion's graph morphism is surjective.  Raises when h is not
-    contained in k, or h is trivial.
+    contained in k, or h is trivial.  Both subgroups must be over one
+    alphabet, which the conjugator's codes refer to.
     """
+    if h.alphabet != k.alphabet:
+        raise AlphabetMismatchError("the subgroups are over different alphabets")
     gh = gamma(h)
     gk = gamma(k)
     if inclusion_morphism(h, k) is None:
@@ -291,16 +277,16 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
         raise TrivialSubgroupError("the trivial subgroup cannot cover a graph")
 
     tail = _peel(*_whole(gh), None)[2]  # the hanging path from the base
-    ell = free_reduce(gh.alphabet.decode(gh.elabel[d]) for d in tail)
+    ell = tuple([gh.elabel[d] for d in tail])
     if not ell:
         u = covering_circuit(gk)
     else:
-        ell_inv = invert(ell)
+        ell_inv = invert_codes(ell)
         k2 = k.conjugate(ell_inv)
-        u1 = covering_circuit(gamma(k2), first_letter_not=last_letter(ell).inverse())
-        u = free_reduce(ell.letters + u1.letters + ell_inv.letters)
+        u1 = covering_circuit(gamma(k2), first_code_not=-ell[-1])
+        u = reduce_codes(ell + u1 + ell_inv)
 
-    source = conjugate_core(gh, u)
+    source = core(attach_path(gh, u))
     f = unique_pointed_morphism(source, gk)  # u lies in k, so u k u^-1 = k
     if f is None:
         raise StallingsError("internal error: conjugated subgroup left the ambient one")

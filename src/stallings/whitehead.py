@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
 from .graph import LabeledGraph
@@ -119,7 +120,7 @@ def full_whitehead(alphabet: Alphabet) -> RestrictionSet:
     return RestrictionSet(alphabet, frozenset(map(frozenset, combinations(codes, 2))))
 
 
-def _turns(codes: list[int]) -> set[WhiteheadEdge]:
+def _turns(codes: Sequence[int]) -> set[WhiteheadEdge]:
     """The turns {c_i, -c_(i+1)} spelled by a reduced word's codes."""
     return {frozenset((c, -d)) for c, d in zip(codes, codes[1:])}
 
@@ -131,7 +132,7 @@ def word_link(w: Word, alphabet: Alphabet) -> RestrictionSet:
 
 def _tau(phi: GroupHom, c: int) -> int:
     """Code of the last letter of the image of the letter with code c."""
-    codes = phi._codes[abs(c) - 1]
+    codes = phi.codes[abs(c) - 1]
     return codes[-1] if c > 0 else -codes[0]
 
 
@@ -161,12 +162,12 @@ def is_restriction_morphism(
     if phi.target.generators != dst.alphabet.generators:
         raise AlphabetMismatchError("homomorphism target does not match")
     violations: list[str] = []
-    for g in phi.source.generators:
-        if not phi.images[g]:
+    for g, codes in zip(phi.source.generators, phi.codes):
+        if not codes:
             violations.append(f"(i) image of {g} is trivial")
     if violations:
         return AdmissibilityReport(False, tuple(violations))
-    for g, codes in zip(phi.source.generators, phi._codes):
+    for g, codes in zip(phi.source.generators, phi.codes):
         bad = _turns(codes) - dst.codes
         for text in sorted(format_edge(dst.alphabet, e) for e in bad):
             violations.append(f"(ii) image of {g} spells forbidden turn {text}")

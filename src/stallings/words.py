@@ -1,16 +1,21 @@
 """Reduced words over free group alphabets: letters, words, homomorphisms.
 
-A word is a freely reduced sequence of letters, each letter being a
-generator name with a sign (+1 for the generator, -1 for its formal
-inverse).  The empty word is the identity.  Text syntax: whitespace
-separated tokens, a token being a generator name optionally suffixed
-by ``^-1``, e.g. ``a b^-1 a``.
+Inside the library a word is a code word: a freely reduced tuple of an
+alphabet's int codes, the codes that also label graph edges, so
+inverting a letter is negation.  The empty tuple is the identity.
+``Letter`` (a generator name with a sign, +1 for the generator, -1 for
+its formal inverse) and ``Word`` (a reduced sequence of letters) are
+the public text types, made where text is parsed or printed and taken
+by the public entry points.  Text syntax: whitespace separated tokens,
+a token being a generator name optionally suffixed by ``^-1``, e.g.
+``a b^-1 a``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -39,14 +44,37 @@ class Letter(NamedTuple):
         return self.token
 
 
-def parse_letter(token: str) -> Letter:
+def _split_token(token: str) -> tuple[str, int]:
+    """A token's generator name, not yet checked, and its sign."""
     if token.endswith("^-1"):
-        name, sign = token[:-3], -1
-    else:
-        name, sign = token, 1
+        return token[:-3], -1
+    return token, 1
+
+
+def _check_name(name: str, token: str) -> None:
     if not _NAME_RE.match(name):
         raise UnknownGeneratorError(f"bad letter token {token!r}")
+
+
+def parse_letter(token: str) -> Letter:
+    name, sign = _split_token(token)
+    _check_name(name, token)
     return Letter(name, sign)
+
+
+def reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
+    """The freely reduced code word equal to a code sequence."""
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == -c:
+            stack.pop()
+        else:
+            stack.append(c)
+    return tuple(stack)
+
+
+def invert_codes(codes: Sequence[int]) -> tuple[int, ...]:
+    return tuple([-c for c in reversed(codes)])
 
 
 class Word:
@@ -105,15 +133,19 @@ class Word:
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
+    """Free reduction of letters from outside, as codes numbered by name."""
+    letters = tuple(letters)
+    number: dict[str, int] = {}
+    codes = []
     for l in letters:
         if l.sign not in (1, -1):
             raise UnknownGeneratorError(f"bad letter sign in {l!r}")
-        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
-            stack.pop()
-        else:
-            stack.append(l)
-    return tuple(stack)
+        codes.append(l.sign * number.setdefault(l.gen, len(number) + 1))
+    reduced = reduce_codes(codes)
+    if len(reduced) == len(letters):
+        return letters
+    names = list(number)
+    return tuple([Letter(names[abs(c) - 1], 1 if c > 0 else -1) for c in reduced])
 
 
 IDENTITY = Word()
@@ -121,7 +153,7 @@ IDENTITY = Word()
 
 def free_reduce(letters: Iterable[Letter]) -> Word:
     """The unique reduced word freely equal to the given letter sequence."""
-    return Word._raw(_reduce_letters(letters))
+    return Word(letters)
 
 
 def concat(u: Word, v: Word) -> tuple[Word, bool]:
@@ -159,13 +191,59 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word._raw(letters[:lo]), Word._raw(letters[lo:hi])
 
 
-def is_cyclically_reduced(w: Word) -> bool:
-    return len(w) <= 1 or w.letters[0] != w.letters[-1].inverse()
-
-
 def parse_word(text: str) -> Word:
     """Parse the whitespace token syntax; the empty string is the identity."""
-    return free_reduce(parse_letter(t) for t in text.split())
+    alphabet, (codes,) = parse_codes([text.split()])
+    return alphabet.word(codes)
+
+
+class _TokenCodes(dict):
+    """Token -> code over the names in order of first appearance.
+
+    Each distinct token is parsed once, on first lookup, and each name
+    is checked once.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        name, sign = _split_token(token)
+        i = self.names.get(name)
+        if i is None:
+            _check_name(name, token)
+            i = self.names[name] = len(self.names) + 1
+        self[token] = code = sign * i
+        return code
+
+
+def parse_codes(
+    lines: Iterable[list[str]], alphabet: Alphabet | None = None
+) -> tuple[Alphabet, tuple[tuple[int, ...], ...]]:
+    """Reduced code words, one per list of tokens, and their alphabet.
+
+    Without an alphabet, it is the generators of the reduced words, in
+    order of first appearance.  A name outside a given alphabet is
+    accepted when it cancels and rejected when it survives reduction.
+    """
+    tokens = _TokenCodes()
+    words = [reduce_codes(map(tokens.__getitem__, line)) for line in lines]
+    names = list(tokens.names)
+    if alphabet is None:
+        used = dict.fromkeys(map(abs, chain.from_iterable(words)))
+        alphabet = Alphabet(tuple([names[i - 1] for i in used]))
+    index = [alphabet._index.get(name, -1) + 1 for name in names]  # 0: foreign
+    if 0 in index:
+        for c in chain.from_iterable(words):
+            if not index[abs(c) - 1]:
+                token = names[abs(c) - 1] + ("" if c > 0 else "^-1")
+                raise UnknownGeneratorError(f"{token} not over alphabet {alphabet.generators}")
+    if index != list(range(1, len(names) + 1)):
+        # one renumbering; table[c] is the new code of c, for negative c too
+        table = [0, *index, *[-i for i in reversed(index)]]
+        words = [tuple(map(table.__getitem__, w)) for w in words]
+    return alphabet, tuple(words)
 
 
 @dataclass(frozen=True)
@@ -215,10 +293,7 @@ class Alphabet:
         """Position of the letter with code ``c`` in :meth:`letters`."""
         return 2 * c - 2 if c > 0 else -2 * c - 1
 
-    def code(self, l: Letter) -> int:
-        return self.encode((l,))[0]
-
-    def encode(self, letters: Iterable[Letter]) -> list[int]:
+    def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
         index = self._index
         out = []
         for l in letters:
@@ -226,10 +301,14 @@ class Alphabet:
             if i is None:
                 raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}")
             out.append(i + 1 if l.sign > 0 else -i - 1)
-        return out
+        return tuple(out)
 
     def decode(self, c: int) -> Letter:
         return Letter(self.generators[abs(c) - 1], 1 if c > 0 else -1)
+
+    def word(self, codes: Iterable[int]) -> Word:
+        """The ``Word`` a reduced code word over this alphabet spells."""
+        return Word._raw(tuple(map(self.decode, codes)))
 
     def recode(self, codes: Sequence[int], source: "Alphabet") -> Sequence[int]:
         """Codes over ``source`` re-encoded over this alphabet by name.
@@ -239,7 +318,7 @@ class Alphabet:
         if source.generators == self.generators:
             return codes
         index = [self._index.get(name, -1) + 1 for name in source.generators]
-        return [index[c - 1] if c > 0 else -index[-c - 1] for c in codes]
+        return tuple([index[c - 1] if c > 0 else -index[-c - 1] for c in codes])
 
     def fresh_name(self) -> str:
         """A generator name that does not collide with existing ones."""
@@ -258,54 +337,55 @@ class Alphabet:
         return Alphabet(tuple(g for g in self.generators if g != name))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, init=False)
 class GroupHom:
     """A homomorphism between free groups, given on generators.
 
-    ``images`` maps each source generator name to a word over the target
-    alphabet.
+    ``codes`` holds the image of each source generator, in source order,
+    as a reduced code word over the target.  The constructor takes the
+    images as ``Word``s keyed by source generator name.
     """
 
     source: Alphabet
     target: Alphabet
-    images: Mapping[str, Word]
-    # the images encoded over the target in source order, made once when checking them
-    _codes: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
+    codes: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for name in self.source.generators:
-            if name not in self.images:
+    def __init__(self, source: Alphabet, target: Alphabet, images: Mapping[str, Word]):
+        for name in source.generators:
+            if name not in images:
                 raise UnknownGeneratorError(f"no image for generator {name!r}")
-        for name in self.images:
-            if name not in self.source:
+        for name in images:
+            if name not in source:
                 raise UnknownGeneratorError(f"image given for foreign generator {name!r}")
-        encode = self.target.encode
-        codes = tuple([encode(self.images[name]) for name in self.source.generators])
-        object.__setattr__(self, "_codes", codes)
+        codes = tuple([target.encode(images[name]) for name in source.generators])
+        self.__dict__.update(source=source, target=target, codes=codes)
 
-    def letter_image(self, l: Letter) -> Word:
-        w = self.images[l.gen] if l.gen in self.images else None
-        if w is None:
-            raise UnknownGeneratorError(f"{l!r} not in source alphabet")
-        return w if l.sign > 0 else invert(w)
+    @classmethod
+    def _raw(
+        cls, source: Alphabet, target: Alphabet, codes: tuple[tuple[int, ...], ...]
+    ) -> "GroupHom":
+        """A homomorphism from image code words the library made itself."""
+        phi = cls.__new__(cls)
+        phi.__dict__.update(source=source, target=target, codes=codes)
+        return phi
 
-    def __hash__(self) -> int:
-        # Equality compares ``images`` as a dict, regardless of key order,
-        # so hash the images in source-generator order.
-        images = tuple(self.images[g] for g in self.source.generators)
-        return hash((self.source, self.target, images))
-
-    def __call__(self, w: Word) -> Word:
-        return apply_hom(self, w)
+    def image(self, w: Iterable[int]) -> tuple[int, ...]:
+        """Reduced image of a code word over the source."""
+        codes = self.codes
+        return reduce_codes(
+            [d for c in w for d in (codes[c - 1] if c > 0 else invert_codes(codes[-c - 1]))]
+        )
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{g} -> {self.images[g]!r}" for g in self.source.generators)
+        parts = ", ".join(
+            f"{g} -> {self.target.word(w)!r}" for g, w in zip(self.source.generators, self.codes)
+        )
         return f"GroupHom({parts})"
 
 
 def apply_hom(phi: GroupHom, w: Word) -> Word:
     """Reduced image of a word under a homomorphism."""
-    return free_reduce(m for l in w for m in phi.letter_image(l))
+    return phi.target.word(phi.image(phi.source.encode(w)))
 
 
 def compose_homs(phi: GroupHom, psi: GroupHom) -> GroupHom:
@@ -314,32 +394,24 @@ def compose_homs(phi: GroupHom, psi: GroupHom) -> GroupHom:
         raise AlphabetMismatchError(
             f"cannot compose: {psi.target.generators} vs {phi.source.generators}"
         )
-    images = {g: apply_hom(phi, psi.images[g]) for g in psi.source.generators}
-    return GroupHom(psi.source, phi.target, images)
+    return GroupHom._raw(psi.source, phi.target, tuple(map(phi.image, psi.codes)))
 
 
 def identity_hom(alphabet: Alphabet) -> GroupHom:
-    return GroupHom(
-        alphabet,
-        alphabet,
-        {g: Word._raw((Letter(g, 1),)) for g in alphabet.generators},
-    )
+    return GroupHom._raw(alphabet, alphabet, tuple((c,) for c in range(1, len(alphabet) + 1)))
 
 
 def is_nondegenerate(phi: GroupHom) -> bool:
     """True iff no generator maps to the identity."""
-    return all(len(phi.images[g]) > 0 for g in phi.source.generators)
+    return all(phi.codes)
 
 
 def conjugation_hom(u: Word, alphabet: Alphabet) -> GroupHom:
     """The inner automorphism x -> u x u^-1."""
-    alphabet.encode(u)
-    ui = invert(u)
-    images = {}
-    for g in alphabet.generators:
-        x = Word._raw((Letter(g, 1),))
-        images[g] = free_reduce(u.letters + x.letters + ui.letters)
-    return GroupHom(alphabet, alphabet, images)
+    codes = alphabet.encode(u)
+    ui = invert_codes(codes)
+    images = tuple(reduce_codes((*codes, c, *ui)) for c in range(1, len(alphabet) + 1))
+    return GroupHom._raw(alphabet, alphabet, images)
 
 
 def parse_hom(text: str) -> GroupHom:
@@ -350,21 +422,22 @@ def parse_hom(text: str) -> GroupHom:
     first appearance.
     """
     sources: list[str] = []
-    images: dict[str, Word] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise UnknownGeneratorError(f"bad hom line {line!r}")
-        lhs, rhs = line.split("->", 1)
-        name = lhs.strip()
-        if not _NAME_RE.match(name):
-            raise UnknownGeneratorError(f"bad generator name {name!r}")
-        if name in images:
-            raise UnknownGeneratorError(f"duplicate image for {name!r}")
-        w = parse_word(rhs)
-        sources.append(name)
-        images[name] = w
-    target = Alphabet(tuple(dict.fromkeys(l.gen for w in images.values() for l in w)))
-    return GroupHom(Alphabet(tuple(sources)), target, images)
+
+    def right_sides() -> Iterator[list[str]]:
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "->" not in line:
+                raise UnknownGeneratorError(f"bad hom line {line!r}")
+            lhs, rhs = line.split("->", 1)
+            name = lhs.strip()
+            if not _NAME_RE.match(name):
+                raise UnknownGeneratorError(f"bad generator name {name!r}")
+            if name in sources:
+                raise UnknownGeneratorError(f"duplicate image for {name!r}")
+            sources.append(name)
+            yield rhs.split()
+
+    target, codes = parse_codes(right_sides())
+    return GroupHom._raw(Alphabet(tuple(sources)), target, codes)

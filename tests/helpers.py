@@ -19,6 +19,7 @@ from stallings.subgroups import Subgroup
 from stallings.words import Alphabet, GroupHom, Letter, Word, free_reduce
 
 __all__ = [
+    "graph",
     "random_reduced_word",
     "random_subgroup",
     "random_hom",
@@ -37,6 +38,22 @@ __all__ = [
 ALPHABETS = [Alphabet.of(*"abcd"[:n]) for n in (1, 2, 3, 4)]
 
 
+def graph(
+    alphabet: Alphabet,
+    n_vertices: int,
+    edges: list[tuple[int, int, Letter]],
+    base: int | None = None,
+) -> LabeledGraph:
+    """A checked graph from oriented edges ``(tail, head, letter)``."""
+    einit: list[int] = []
+    elabel: list[int] = []
+    for u, v, l in edges:
+        (c,) = alphabet.encode([l])
+        einit += (u, v)
+        elabel += (c, -c)
+    return LabeledGraph(alphabet, n_vertices, tuple(einit), tuple(elabel), base)
+
+
 def random_subgroup(
     rng: random.Random,
     alphabet: Alphabet,
@@ -46,7 +63,7 @@ def random_subgroup(
     n = rng.randint(1, max_gens)
     return Subgroup(
         alphabet,
-        tuple(random_reduced_word(rng, alphabet, max_len) for _ in range(n)),
+        [alphabet.word(random_reduced_word(rng, alphabet, max_len)) for _ in range(n)],
     )
 
 
@@ -59,7 +76,7 @@ def random_hom(
     return GroupHom(
         source,
         target,
-        {g: random_reduced_word(rng, target, max_len) for g in source.generators},
+        {g: target.word(random_reduced_word(rng, target, max_len)) for g in source.generators},
     )
 
 
@@ -100,7 +117,7 @@ def pointed_graphs(draw, alphabet: Alphabet = ALPHABETS[2]) -> LabeledGraph:
     conjugation), or a bouquet subdivided along an endomorphism.
     """
     letters = st.sampled_from(alphabet.letters())
-    words = st.lists(letters, max_size=8).map(free_reduce)
+    words = st.lists(letters, max_size=8).map(free_reduce).map(alphabet.encode)
     g = bouquet(alphabet, draw(st.lists(words, min_size=1, max_size=4)))
     kind = draw(st.sampled_from(["bouquet", "attach", "subdivide"]))
     if kind == "attach":
@@ -200,13 +217,12 @@ def naive_member(h: Subgroup, w: Word) -> bool:
     einit: list[int] = []
     elabel: list[int] = []
     n = 1
-    for g in h.generators:
+    for g in h.codes:
         if not g:
             continue
         path = [0, *range(n, n + len(g) - 1), 0]
         n += len(g) - 1
-        for u, v, l in zip(path, path[1:], g):
-            c = code[l.gen] * l.sign
+        for u, v, c in zip(path, path[1:], g):
             einit += (u, v)
             elabel += (c, -c)
     folded = naive_fold(LabeledGraph(h.alphabet, n, tuple(einit), tuple(elabel), 0))

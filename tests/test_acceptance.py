@@ -48,8 +48,8 @@ class TestAcceptance:
             alphabet = ALPHABETS[rng.randrange(len(ALPHABETS))]
             h = random_subgroup(rng, alphabet, max_gens=5, max_len=10)
             g = gamma(h)
-            gens = [w for w in h.generators if w]
-            for w in gens:
+            gens = [alphabet.word(w) for w in h.codes if w]
+            for w in h.codes:
                 assert trace(g, g.base, w) == g.base
             members = 0
             while members < 100 and gens:
@@ -57,7 +57,7 @@ class TestAcceptance:
                 for _ in range(rng.randint(1, 6)):
                     w = rng.choice(gens)
                     prod = prod * (w if rng.random() < 0.5 else invert(w))
-                assert trace(g, g.base, prod) == g.base
+                assert trace(g, g.base, alphabet.encode(prod)) == g.base
                 members += 1
             is_everything = g.n_vertices == 1 and g.n_edges == len(alphabet)
             if not is_everything:
@@ -96,7 +96,7 @@ class TestAcceptance:
             tgt = ALPHABETS[rng.randrange(len(ALPHABETS))]
             h = random_subgroup(rng, src, max_gens=4, max_len=6)
             phi = random_hom(rng, src, tgt, 4)
-            image = Subgroup(tgt, tuple(apply_hom(phi, w) for w in h.generators))
+            image = Subgroup(tgt, [apply_hom(phi, src.word(w)) for w in h.codes])
             assert iso_pointed(image_core(phi, gamma(h)), gamma(image)), i
         report("acceptance 3 (core of subdivision = image subgroup, 500 pairs): PASS")
 
@@ -109,7 +109,7 @@ class TestAcceptance:
             gk = gamma(k)
             if gk.n_edges == 0:
                 continue
-            basis = pi1_basis(gk)
+            basis = [alphabet.word(b) for b in pi1_basis(gk)]
             gens = []
             for _ in range(rng.randint(1, 4)):
                 w = IDENTITY
@@ -125,7 +125,7 @@ class TestAcceptance:
             assert classify(f).surjective, f"not onto at {i}"
             gh = gamma(h)
             strictly_smaller = any(
-                trace(gh, gh.base, b) != gh.base for b in basis
+                trace(gh, gh.base, alphabet.encode(b)) != gh.base for b in basis
             )
             if strictly_smaller:
                 strict_count += 1
@@ -192,7 +192,7 @@ class TestAcceptance:
         checked = 0
         while checked < 200:
             alphabet = ALPHABETS[rng.randrange(1, len(ALPHABETS))]
-            w = random_reduced_word(rng, alphabet, 10)
+            w = alphabet.word(random_reduced_word(rng, alphabet, 10))
             _, cyc = cyclic_reduce(w)
             if not cyc:
                 continue

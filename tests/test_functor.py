@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stallings.errors import DegenerateHomError, NotFoldedError
+from stallings.errors import DegenerateHomError, NotFoldedError, TrivialSubgroupError
 from stallings.functor import (
     image_core,
     subdivide,
@@ -11,13 +11,12 @@ from stallings.functor import (
     unbased_image_morphism,
 )
 from stallings.graph import (
-    build_graph,
     classify,
     core,
     iso_pointed,
-    iso_unpointed,
     two_core,
     unique_pointed_morphism,
+    unpointed_isomorphisms,
 )
 from stallings.subgroups import Subgroup, gamma, pi1_basis
 from stallings.whitehead import is_restriction_morphism, whitehead_graph, full_whitehead
@@ -33,7 +32,7 @@ from stallings.words import (
     parse_word,
 )
 
-from helpers import random_hom, random_subgroup
+from helpers import graph, random_hom, random_subgroup
 
 AB = Alphabet.of("a", "b")
 GREEK = Alphabet.of("alpha", "beta")
@@ -61,7 +60,7 @@ class TestSubdivide:
         assert iso_pointed(core(g), gamma(Subgroup.of(AB, "a b a^-1")))
 
     def test_single_edge_subdivision(self):
-        one = build_graph(AB, 2, [(0, 1, Letter("a", 1))], base=0)
+        one = graph(AB, 2, [(0, 1, Letter("a", 1))], base=0)
         phi = GroupHom(AB, AB, {"a": parse_word("a b"), "b": parse_word("b")})
         g = subdivide(phi, one)
         assert g.n_vertices == 3 and g.n_edges == 2
@@ -74,8 +73,8 @@ class TestSubdivide:
     def test_orientation_choice_immaterial(self):
         # same geometric edge stored with the opposite orientation
         phi = GroupHom(AB, AB, {"a": parse_word("a b a"), "b": parse_word("b a")})
-        g1 = build_graph(AB, 2, [(0, 0, Letter("b", 1)), (0, 1, Letter("a", 1))], base=0)
-        g2 = build_graph(
+        g1 = graph(AB, 2, [(0, 0, Letter("b", 1)), (0, 1, Letter("a", 1))], base=0)
+        g2 = graph(
             AB, 2, [(0, 0, Letter("b", -1)), (1, 0, Letter("a", -1))], base=0
         )
         assert iso_pointed(core(subdivide(phi, g1)), core(subdivide(phi, g2)))
@@ -104,7 +103,7 @@ class TestSubdivideMorphism:
         rng = random.Random(3)
         for _ in range(50):
             k = random_subgroup(rng, AB, max_gens=3, max_len=5)
-            h = Subgroup(AB, k.generators[:1])
+            h = Subgroup(AB, [AB.word(k.codes[0])])
             m = unique_pointed_morphism(gamma(h), gamma(k))
             if m is None or not classify(m).injective:
                 continue
@@ -132,7 +131,7 @@ class TestImageCore:
         for _ in range(100):
             h = random_subgroup(rng, AB, max_gens=3, max_len=5)
             phi = random_hom(rng, AB, x3, 4)
-            image = Subgroup(x3, tuple(apply_hom(phi, w) for w in h.generators))
+            image = Subgroup(x3, [apply_hom(phi, AB.word(w)) for w in h.codes])
             assert iso_pointed(image_core(phi, gamma(h)), gamma(image))
 
     def test_image_cores_compose(self):
@@ -164,7 +163,7 @@ class TestUnbasedCore:
         assert t.n_vertices == 1 and t.n_edges == 1
 
     def test_requires_folded(self):
-        g = build_graph(AB, 2, [(0, 1, Letter("b", 1)), (0, 1, Letter("b", 1))], base=0)
+        g = graph(AB, 2, [(0, 1, Letter("b", 1)), (0, 1, Letter("b", 1))], base=0)
         with pytest.raises(NotFoldedError):
             two_core(g)
 
@@ -185,8 +184,8 @@ class TestUnbasedCore:
             if gk.n_edges == 0:
                 continue
             basis = pi1_basis(gk)
-            mid = Subgroup(AB, tuple(basis[: max(1, len(basis) // 2)]))
-            inner = Subgroup(AB, mid.generators[:1])
+            mid = Subgroup(AB, map(AB.word, basis[: max(1, len(basis) // 2)]))
+            inner = Subgroup(AB, [AB.word(mid.codes[0])])
             g_mid, g_inner = gamma(mid), gamma(inner)
             f1 = unique_pointed_morphism(g_inner, g_mid)
             f2 = unique_pointed_morphism(g_mid, gk)
@@ -216,7 +215,7 @@ class TestTransport:
         phi = GroupHom(AB, AB, {"a": parse_word("a"), "b": parse_word("b b")})
         out = unbased_image_morphism(phi, self._root())
         assert classify(out).injective
-        assert iso_unpointed(
+        assert unpointed_isomorphisms(
             out.target, two_core(gamma(Subgroup.of(AB, "b b", "a b b a^-1")))
         )
 
@@ -228,7 +227,9 @@ class TestTransport:
     def test_trivial_image_rejected(self):
         g = gamma(Subgroup(AB, (parse_word(""),)))
         m = unique_pointed_morphism(g, gamma(H_B))
-        with pytest.raises(Exception):
+        with pytest.raises(
+            TrivialSubgroupError, match="^a tree source has no unbased core morphism$"
+        ):
             unbased_image_morphism(identity_hom(AB), m)
 
     def test_no_fold_no_trim_under_guarantee(self):

@@ -5,13 +5,13 @@ from hypothesis import assume, given, strategies as st
 
 from stallings import subgroups
 from stallings.errors import (
+    AlphabetMismatchError,
     NotIncludedError,
     TrivialGraphError,
     TrivialSubgroupError,
     UnknownGeneratorError,
 )
 from stallings.graph import (
-    Path,
     attach_path,
     canonical_form,
     classify,
@@ -21,7 +21,6 @@ from stallings.graph import (
 )
 from stallings.subgroups import (
     Subgroup,
-    conjugate_core,
     contains,
     covering_circuit,
     gamma,
@@ -43,6 +42,14 @@ from helpers import (
 AB = Alphabet.of("a", "b")
 H_B = Subgroup.of(AB, "b")
 K_DELTA = Subgroup.of(AB, "b", "a b a^-1")
+
+
+def codes(text: str) -> tuple[int, ...]:
+    return AB.encode(parse_word(text))
+
+
+def words(h: Subgroup) -> list[Word]:
+    return [h.alphabet.word(w) for w in h.codes]
 
 
 class TestGamma:
@@ -68,14 +75,14 @@ class TestGamma:
         for _ in range(50):
             h = random_subgroup(rng, AB)
             g = gamma(h)
-            regenerated = Subgroup(AB, tuple(pi1_basis(g)))
+            regenerated = Subgroup(AB, map(AB.word, pi1_basis(g)))
             assert iso_pointed(g, gamma(regenerated))
 
     def test_canonical_form_invariant_under_nielsen_moves(self):
         rng = random.Random(4)
         abc = Alphabet.of("a", "b", "c")
         for _ in range(100):
-            gens = list(random_subgroup(rng, abc, max_gens=4, max_len=6).generators)
+            gens = words(random_subgroup(rng, abc, max_gens=4, max_len=6))
             expected = canonical_form(gamma(Subgroup(abc, tuple(gens))))
             for _ in range(5):
                 i = rng.randrange(len(gens))
@@ -131,12 +138,12 @@ class TestCoreCache:
     def test_conjugate_folds_its_own_graph(self):
         h = Subgroup.of(AB, "b", "a b a^-1")
         g = gamma(h)
-        for w in (parse_word("a"), IDENTITY):
+        for w in (codes("a"), ()):
             c = h.conjugate(w)
             assert gamma(c) is not g
-            fresh = gamma(Subgroup(AB, c.generators))
+            fresh = gamma(Subgroup(AB, words(c)))
             assert canonical_form(gamma(c)) == canonical_form(fresh)
-        assert canonical_form(gamma(h.conjugate(parse_word("a")))) != canonical_form(g)
+        assert canonical_form(gamma(h.conjugate(codes("a")))) != canonical_form(g)
 
     def test_onto_base_same_on_warm_subgroups(self):
         rng = random.Random(31)
@@ -144,10 +151,11 @@ class TestCoreCache:
             k = random_subgroup(rng, AB, max_gens=3, max_len=6)
             if k.is_trivial():
                 continue
-            h = Subgroup(AB, (k.generators[0] * k.generators[-1],))
+            k_gens = words(k)
+            h = Subgroup(AB, (k_gens[0] * k_gens[-1],))
             if h.is_trivial():
                 continue
-            u, f = onto_base(Subgroup(AB, h.generators), Subgroup(AB, k.generators))
+            u, f = onto_base(Subgroup(AB, words(h)), Subgroup(AB, k_gens))
             gamma(h)
             gamma(k)
             for _ in range(2):  # filled by gamma, then by onto_base itself
@@ -179,7 +187,7 @@ class TestMembership:
         for _ in range(30):
             h = random_subgroup(rng, AB, max_gens=3, max_len=6)
             g = gamma(h)
-            gens = [w for w in h.generators if w]
+            gens = [w for w in words(h) if w]
             for _ in range(10):
                 if not gens:
                     break
@@ -187,9 +195,9 @@ class TestMembership:
                 for _ in range(rng.randint(1, 3)):
                     w = rng.choice(gens)
                     prod = prod * (w if rng.random() < 0.5 else invert(w))
-                assert trace(g, g.base, prod) == g.base
+                assert trace(g, g.base, AB.encode(prod)) == g.base
             for _ in range(10):
-                w = random_reduced_word(word_rng, AB, 4)
+                w = AB.word(random_reduced_word(word_rng, AB, 4))
                 verdict = naive_member(h, w)
                 assert contains(h, w) == verdict
                 verdicts.append(verdict)
@@ -223,13 +231,10 @@ class TestMembership:
 
 class TestBasis:
     def test_delta_basis(self):
-        assert set(pi1_basis(gamma(K_DELTA))) == {
-            parse_word("b"),
-            parse_word("a b a^-1"),
-        }
+        assert set(pi1_basis(gamma(K_DELTA))) == {codes("b"), codes("a b a^-1")}
 
     def test_loop_basis(self):
-        assert pi1_basis(gamma(H_B)) == [parse_word("b")]
+        assert pi1_basis(gamma(H_B)) == [codes("b")]
 
     def test_trivial(self):
         assert pi1_basis(gamma(Subgroup(AB, ()))) == []
@@ -237,7 +242,7 @@ class TestBasis:
     @given(g=pointed_graphs())
     def test_basis_generates_the_core(self, g):
         c = core(g)
-        regenerated = gamma(Subgroup(c.alphabet, tuple(pi1_basis(c))))
+        regenerated = gamma(Subgroup(c.alphabet, map(c.alphabet.word, pi1_basis(c))))
         assert canonical_form(regenerated) == canonical_form(c)
 
     def test_rank_formula(self):
@@ -272,37 +277,40 @@ class TestInclusion:
 
 
 class TestConjugateCore:
+    """The core of a graph with a path attached at its base, as onto_base takes it."""
+
     def test_shift_by_a(self):
-        g = conjugate_core(gamma(H_B), parse_word("a"))
+        g = core(attach_path(gamma(H_B), codes("a")))
         assert iso_pointed(g, gamma(Subgroup.of(AB, "a b a^-1")))
 
     def test_conjugate_by_member_is_noop(self):
-        g = conjugate_core(gamma(H_B), parse_word("b"))
+        g = core(attach_path(gamma(H_B), codes("b")))
         assert iso_pointed(g, gamma(H_B))
 
     def test_identity_conjugator(self):
         g = gamma(K_DELTA)
-        assert conjugate_core(g, IDENTITY) is g
+        assert core(attach_path(g, ())) is g
 
     def test_matches_conjugated_generators(self):
         rng = random.Random(17)
         for _ in range(50):
             h = random_subgroup(rng, AB, max_gens=3, max_len=6)
             w = random_reduced_word(rng, AB, 5)
-            assert iso_pointed(conjugate_core(gamma(h), w), gamma(h.conjugate(w)))
+            assert iso_pointed(core(attach_path(gamma(h), w)), gamma(h.conjugate(w)))
 
 
-def _assert_valid_circuit(h: Subgroup, u: Word):
+def _assert_valid_circuit(h: Subgroup, u: tuple[int, ...]):
+    """u spells a closed reduced path at the base that covers every edge."""
     g = gamma(h)
     edges = []
     v = g.base
-    for letter in u:
-        e = g.edge_at(v, g.alphabet.code(letter))
+    for c in u:
+        e = g.edge_at(v, c)
         assert e is not None
         edges.append(e)
         v = g.head(e)
-    p = Path(g, tuple(edges))
-    assert v == g.base and p.is_reduced()
+    assert v == g.base
+    assert all(b != a ^ 1 for a, b in zip(edges, edges[1:]))
     assert {e // 2 for e in edges} == set(range(g.n_edges))
 
 
@@ -312,7 +320,7 @@ class TestCoveringCircuit:
         _assert_valid_circuit(h, covering_circuit(gamma(h)))
 
     def test_single_loop(self):
-        assert covering_circuit(gamma(H_B)) == parse_word("b")
+        assert covering_circuit(gamma(H_B)) == codes("b")
 
     def test_delta(self):
         _assert_valid_circuit(K_DELTA, covering_circuit(gamma(K_DELTA)))
@@ -337,8 +345,8 @@ class TestCoveringCircuit:
         w ends in a^1 or a^-1, so the path does not fold into the loop and
         the core of <w b w^-1> is the loop plus a hanging path spelling w.
         """
-        g = core(attach_path(gamma(H_B), w))
-        u = covering_circuit(g)
+        g = core(attach_path(gamma(H_B), AB.encode(w)))
+        u = AB.word(covering_circuit(g))
         assert u.letters[: len(w)] == w.letters
         assert u.letters[-len(w) :] == invert(w).letters
         h = Subgroup(AB, (w * parse_word("b") * invert(w),))
@@ -347,8 +355,8 @@ class TestCoveringCircuit:
 
     def test_first_letter_constraint(self):
         h = Subgroup.of(AB, "a", "b")
-        u = covering_circuit(gamma(h), first_letter_not=parse_word("a")[0])
-        assert u[0] != parse_word("a")[0]
+        u = covering_circuit(gamma(h), first_code_not=codes("a")[0])
+        assert u[0] != codes("a")[0]
         _assert_valid_circuit(h, u)
 
 
@@ -377,28 +385,28 @@ class TestOntoBase:
         h, k = pair
         assume(not h.is_trivial())
         u, f = onto_base(h, k)
-        assert naive_member(k, u)
+        assert naive_member(k, AB.word(u))
         c = classify(f)
         assert c.surjective
-        if not all(naive_member(h, g) for g in k.generators):
+        if not all(naive_member(h, g) for g in words(k)):
             assert not c.injective
 
     def test_free_group_target(self):
         h = Subgroup.of(AB, "a")
         k = Subgroup.of(AB, "a", "b")
         u, f = onto_base(h, k)
-        assert contains(k, u)
+        assert contains(k, AB.word(u))
         assert classify(f).surjective
 
     def test_equal_subgroups(self):
         u, f = onto_base(H_B, H_B)
-        assert contains(H_B, u)
+        assert contains(H_B, AB.word(u))
         c = classify(f)
         assert c.surjective and c.injective
 
     def test_strict_inclusion_not_injective(self):
         u, f = onto_base(H_B, K_DELTA)
-        assert contains(K_DELTA, u)
+        assert contains(K_DELTA, AB.word(u))
         c = classify(f)
         assert c.surjective and not c.injective
 
@@ -407,12 +415,17 @@ class TestOntoBase:
         h = Subgroup.of(abc, "a b a^-1")
         k = Subgroup.of(abc, "a b a^-1", "a c a^-1")
         u, f = onto_base(h, k)
-        assert contains(k, u)
+        assert contains(k, abc.word(u))
         assert classify(f).surjective
 
     def test_not_included(self):
         with pytest.raises(NotIncludedError):
             onto_base(Subgroup.of(AB, "a"), H_B)
+
+    def test_different_alphabets_rejected(self):
+        """The conjugator is a code word, so both subgroups need one alphabet."""
+        with pytest.raises(AlphabetMismatchError):
+            onto_base(Subgroup.of(Alphabet.of("b", "a"), "b"), K_DELTA)
 
     def test_trivial_inner(self):
         with pytest.raises(TrivialSubgroupError):
@@ -424,7 +437,7 @@ class TestOntoBase:
             k = random_subgroup(rng, AB, max_gens=3, max_len=6)
             if k.is_trivial():
                 continue
-            basis = pi1_basis(gamma(k))
+            basis = [AB.word(b) for b in pi1_basis(gamma(k))]
             words = []
             for _ in range(rng.randint(1, 3)):
                 w = IDENTITY
@@ -436,7 +449,7 @@ class TestOntoBase:
             if h.is_trivial():
                 continue
             u, f = onto_base(h, k)
-            assert contains(k, u)
+            assert contains(k, AB.word(u))
             assert classify(f).surjective
             assert iso_pointed(f.target, gamma(k))
 
@@ -444,7 +457,8 @@ class TestOntoBase:
 class TestSubgroupFiles:
     def test_parse(self):
         h = load_subgroup("# generators\nb\n\na b a^-1  # conjugate\n")
-        assert h.generators == (parse_word("b"), parse_word("a b a^-1"))
+        assert h == Subgroup(h.alphabet, (parse_word("b"), parse_word("a b a^-1")))
+        assert h.codes == ((1,), (2, 1, -2))
         assert h.alphabet.generators == ("b", "a")
 
     def test_explicit_alphabet(self):
@@ -459,6 +473,19 @@ class TestSubgroupFiles:
         """Letters that cancel name no generator; the order fixes BFS ties."""
         assert load_subgroup(text).alphabet.generators == names
 
-    def test_foreign_token_with_explicit_alphabet(self):
-        with pytest.raises(UnknownGeneratorError):
-            load_subgroup("b\na c\n", alphabet=AB)
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("c c^-1 b", None),  # a foreign name that cancels is accepted
+            ("b\na c\n", "c not over alphabet ('a', 'b')"),
+            ("b\na c^-1\n", "c^-1 not over alphabet ('a', 'b')"),
+        ],
+        ids=["cancelled", "survives", "survives-inverted"],
+    )
+    def test_foreign_token_with_explicit_alphabet(self, text, error):
+        if error is None:
+            assert repr(load_subgroup(text, AB)) == "Subgroup<b>"
+        else:
+            with pytest.raises(UnknownGeneratorError) as exc:
+                load_subgroup(text, alphabet=AB)
+            assert str(exc.value) == error

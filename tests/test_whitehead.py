@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stallings.errors import AlphabetMismatchError
-from stallings.graph import LabeledGraph, bouquet, core, path_graph, unique_pointed_morphism
+from stallings.graph import LabeledGraph, bouquet, core, unique_pointed_morphism
 from stallings.subgroups import Subgroup, gamma
 from stallings.whitehead import (
     RestrictionSet,
@@ -29,6 +29,7 @@ from stallings.words import (
 
 from helpers import (
     ALPHABETS,
+    graph,
     pointed_graphs,
     random_hom,
     random_reduced_word,
@@ -51,6 +52,11 @@ words_over = alphabets.flatmap(
     )
 )
 core_graphs = alphabets.flatmap(pointed_graphs).map(core)
+
+
+def path_graph(w, ab: Alphabet) -> LabeledGraph:
+    """The path graph of a reduced word: vertices 0..n spelling the word."""
+    return graph(ab, len(w) + 1, [(i, i + 1, l) for i, l in enumerate(w)])
 
 
 class TestWhiteheadGraph:
@@ -87,7 +93,7 @@ class TestWhiteheadGraph:
             # two a-edges out of the base: every star has one code
             LabeledGraph(AB, 3, (0, 1, 0, 2), (1, -1, 1, -1), 0),
             # the base sees a twice, b and b^-1
-            bouquet(AB, [parse_word("a b"), parse_word("a b^-1")]),
+            bouquet(AB, [(1, 2), (1, -2)]),  # a b, a b^-1
             *(random_wedge(rng, ab, max_words=6) for ab in (AB, wide) for _ in range(15)),
         ]
         sizes = set()
@@ -240,7 +246,7 @@ class TestFoldingGuarantee:
         rng = random.Random(11)
         for _ in range(100):
             k = random_subgroup(rng, AB, max_gens=3, max_len=5)
-            h = Subgroup(AB, k.generators[:1])
+            h = Subgroup(AB, [AB.word(k.codes[0])])
             gk, gh = gamma(k), gamma(h)
             if unique_pointed_morphism(gh, gk) is None:
                 continue
@@ -278,7 +284,7 @@ class TestCyclicWordLink:
         rng = random.Random(15)
         checked = 0
         for _ in range(100):
-            w = random_reduced_word(rng, AB, 8)
+            w = AB.word(random_reduced_word(rng, AB, 8))
             _, cyc = cyclic_reduce(w)
             if not cyc:
                 continue

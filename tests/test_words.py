@@ -20,7 +20,6 @@ from stallings.words import (
     free_reduce,
     identity_hom,
     invert,
-    is_cyclically_reduced,
     is_nondegenerate,
     last_letter,
     parse_hom,
@@ -128,7 +127,7 @@ class TestCyclicReduce:
     @given(reduced_words)
     def test_reconstruction_and_core(self, word):
         prefix, cyc = cyclic_reduce(word)
-        assert is_cyclically_reduced(cyc)
+        assert len(cyc) <= 1 or cyc[0] != cyc[-1].inverse()
         assert (
             free_reduce(prefix.letters + cyc.letters + invert(prefix).letters)
             == word
@@ -141,9 +140,9 @@ class TestCyclicReduce:
 
         rng = random.Random(4)
         for _ in range(1000):
-            word = random_reduced_word(rng, AB, 14)
+            word = AB.word(random_reduced_word(rng, AB, 14))
             prefix, cyc = cyclic_reduce(word)
-            assert is_cyclically_reduced(cyc)
+            assert len(cyc) <= 1 or cyc[0] != cyc[-1].inverse()
             assert (
                 free_reduce(prefix.letters + cyc.letters + invert(prefix).letters)
                 == word
@@ -170,14 +169,14 @@ class TestHoms:
 
     def test_compose_with_identity(self):
         psi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
-        assert compose_homs(identity_hom(AB), psi).images == psi.images
+        assert compose_homs(identity_hom(AB), psi) == psi
 
     def test_compose_renamings(self):
         uv = Alphabet.of("u", "v")
         r1 = GroupHom(AB, uv, {"a": w("u"), "b": w("v")})
         r2 = GroupHom(uv, AB, {"u": w("b"), "v": w("a")})
         both = compose_homs(r2, r1)
-        assert both.images == {"a": w("b"), "b": w("a")}
+        assert both == GroupHom(AB, AB, {"a": w("b"), "b": w("a")})
 
     def test_compose_after_coordinates(self):
         phi = GroupHom(AB, AB, {"a": w("a"), "b": w("b b")})
@@ -214,17 +213,18 @@ class TestParseHom:
         phi = parse_hom("a -> c b\nb -> a c^-1 d\n")
         assert phi.source.generators == ("a", "b")
         assert phi.target.generators == ("c", "b", "a", "d")
-        assert phi.images == {"a": w("c b"), "b": w("a c^-1 d")}
+        assert phi == GroupHom(phi.source, phi.target, {"a": w("c b"), "b": w("a c^-1 d")})
+        assert phi.codes == ((1, 2), (3, -1, 4))
 
     def test_empty_right_side_is_the_identity(self):
         phi = parse_hom("x -> \ny -> x")
-        assert phi.images["x"] == IDENTITY
+        assert phi.codes[0] == ()
         assert not is_nondegenerate(phi)
 
     def test_comments_and_blank_lines_skipped(self):
         phi = parse_hom("# a header\n\n  \na -> b  # a note\n\n")
         assert phi.source.generators == ("a",)
-        assert phi.images == {"a": w("b")}
+        assert phi == GroupHom(phi.source, Alphabet.of("b"), {"a": w("b")})
 
     @pytest.mark.parametrize(
         "text",
@@ -247,15 +247,15 @@ class TestNondegenerate:
 
 class TestConjugation:
     def test_trivial_conjugator(self):
-        assert conjugation_hom(IDENTITY, AB).images == identity_hom(AB).images
+        assert conjugation_hom(IDENTITY, AB) == identity_hom(AB)
 
     def test_single_letter(self):
         c = conjugation_hom(w("a"), AB)
-        assert c.images == {"a": w("a"), "b": w("a b a^-1")}
+        assert c == GroupHom(AB, AB, {"a": w("a"), "b": w("a b a^-1")})
 
     def test_two_letters(self):
         c = conjugation_hom(w("a b"), AB)
-        assert c.images == {"a": w("a b a b^-1 a^-1"), "b": w("a b a^-1")}
+        assert c == GroupHom(AB, AB, {"a": w("a b a b^-1 a^-1"), "b": w("a b a^-1")})
 
     @given(reduced_words)
     def test_always_nondegenerate(self, word):
@@ -278,13 +278,14 @@ class TestAlphabet:
     def test_code_decode_roundtrip(self):
         abc = Alphabet.of("x", "b", "a")
         for l in abc.letters():
-            c = abc.code(l)
+            (c,) = abc.encode([l])
             assert abc.decode(c) == l
             assert abc.letters()[abc.code_index(c)] == l
-            assert abc.code(l.inverse()) == -c
+            assert abc.encode([l.inverse()]) == (-c,)
             assert 0 < abs(c) <= len(abc)
-        assert sorted(abs(abc.code(l)) for l in abc.letters()) == [1, 1, 2, 2, 3, 3]
-        assert abc.encode(w("a b^-1 x")) == [3, -2, 1]
+        assert sorted(map(abs, abc.encode(abc.letters()))) == [1, 1, 2, 2, 3, 3]
+        assert abc.encode(w("a b^-1 x")) == (3, -2, 1)
+        assert abc.word((3, -2, 1)) == w("a b^-1 x")
 
     @given(st.lists(st.sampled_from("abcxyzuvt"), min_size=1, unique=True))
     def test_code_index_is_the_position_in_letters(self, names):
@@ -295,7 +296,7 @@ class TestAlphabet:
 
     def test_foreign_generator_not_encoded(self):
         with pytest.raises(UnknownGeneratorError):
-            AB.code(Letter("c", 1))
+            AB.encode([Letter("c", 1)])
         with pytest.raises(UnknownGeneratorError):
             AB.encode(w("a c^-1"))
         assert Letter("c", 1) not in AB and "c" not in AB

@@ -168,16 +168,22 @@ def _spell(
     return inner.stop
 
 
-def bouquet(alphabet: Alphabet, words: Iterable[Sequence[int]]) -> LabeledGraph:
-    """A wedge of loop paths at a common base, one loop per nonempty code word.
+def _check_labels(alphabet: Alphabet, codes: Sequence[int]) -> None:
+    """Raise unless every code labels a letter of the alphabet."""
+    rank = len(alphabet)
+    if max(codes) > rank or min(codes) < -rank or 0 in codes:
+        bad = next(c for c in codes if not 0 < abs(c) <= rank)
+        raise UnknownGeneratorError(f"label {bad!r} outside the alphabet")
 
-    The code words must be over the alphabet; they are not checked.
-    """
+
+def bouquet(alphabet: Alphabet, words: Iterable[Sequence[int]]) -> LabeledGraph:
+    """A wedge of loop paths at a common base, one loop per nonempty code word."""
     einit: list[int] = []
     elabel: list[int] = []
     n = 1
     for codes in words:
         if codes:
+            _check_labels(alphabet, codes)
             n = _spell(einit, elabel, 0, 0, codes, n)
     return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), 0, _validate=False)
 
@@ -522,6 +528,7 @@ def attach_path(g: LabeledGraph, codes: Sequence[int]) -> LabeledGraph:
         raise NotFoldedError("attach_path needs a pointed graph")
     if not codes:
         return g
+    _check_labels(g.alphabet, codes)
     n = g.n_vertices
     einit = list(g.einit)
     elabel = list(g.elabel)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    AlphabetMismatchError,
     NotIncludedError,
     StallingsError,
     TrivialGraphError,
@@ -264,11 +263,14 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     Conjugating both subgroups by the same word amounts to changing the
     free basis by an inner automorphism; this finds one where the
     inclusion's graph morphism is surjective.  Raises when h is not
-    contained in k, or h is trivial.  Both subgroups must be over one
-    alphabet, which the conjugator's codes refer to.
+    contained in k, or h is trivial.  The conjugator's codes are over k's
+    alphabet; h is recoded into it by name.
     """
     if h.alphabet != k.alphabet:
-        raise AlphabetMismatchError("the subgroups are over different alphabets")
+        codes = tuple(k.alphabet.recode(w, h.alphabet) for w in h.codes)
+        if any(0 in w for w in codes):  # a reduced word with a name k lacks
+            raise NotIncludedError("the first subgroup is not inside the second")
+        h = Subgroup._raw(k.alphabet, codes)
     gh = gamma(h)
     gk = gamma(k)
     if inclusion_morphism(h, k) is None:

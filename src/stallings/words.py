@@ -133,19 +133,15 @@ class Word:
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Free reduction of letters from outside, as codes numbered by name."""
-    letters = tuple(letters)
-    number: dict[str, int] = {}
-    codes = []
+    stack: list[Letter] = []
     for l in letters:
         if l.sign not in (1, -1):
             raise UnknownGeneratorError(f"bad letter sign in {l!r}")
-        codes.append(l.sign * number.setdefault(l.gen, len(number) + 1))
-    reduced = reduce_codes(codes)
-    if len(reduced) == len(letters):
-        return letters
-    names = list(number)
-    return tuple([Letter(names[abs(c) - 1], 1 if c > 0 else -1) for c in reduced])
+        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
+            stack.pop()
+        else:
+            stack.append(l)
+    return tuple(stack)
 
 
 IDENTITY = Word()
@@ -421,7 +417,7 @@ def parse_hom(text: str) -> GroupHom:
     Target alphabet: the generators of the right-hand words in order of
     first appearance.
     """
-    sources: list[str] = []
+    sources: dict[str, None] = {}
 
     def right_sides() -> Iterator[list[str]]:
         for raw in text.splitlines():
@@ -436,7 +432,7 @@ def parse_hom(text: str) -> GroupHom:
                 raise UnknownGeneratorError(f"bad generator name {name!r}")
             if name in sources:
                 raise UnknownGeneratorError(f"duplicate image for {name!r}")
-            sources.append(name)
+            sources[name] = None
             yield rhs.split()
 
     target, codes = parse_codes(right_sides())

@@ -107,6 +107,11 @@ class TestStructure:
             graph(AB, 1, [(0, 0, Letter("c", 1))], base=0)
         with pytest.raises(UnknownGeneratorError):
             Subgroup(AB, [parse_word("a c")])
+        for codes in [(1, 3), (-3,), (1, 0)]:
+            with pytest.raises(UnknownGeneratorError):
+                bouquet(AB, [codes])
+            with pytest.raises(UnknownGeneratorError):
+                attach_path(bouquet(AB, [(1,)]), codes)
 
 
 class TestFold:

@@ -5,7 +5,6 @@ from hypothesis import assume, given, strategies as st
 
 from stallings import subgroups
 from stallings.errors import (
-    AlphabetMismatchError,
     NotIncludedError,
     TrivialGraphError,
     TrivialSubgroupError,
@@ -422,10 +421,15 @@ class TestOntoBase:
         with pytest.raises(NotIncludedError):
             onto_base(Subgroup.of(AB, "a"), H_B)
 
-    def test_different_alphabets_rejected(self):
-        """The conjugator is a code word, so both subgroups need one alphabet."""
-        with pytest.raises(AlphabetMismatchError):
-            onto_base(Subgroup.of(Alphabet.of("b", "a"), "b"), K_DELTA)
+    @pytest.mark.parametrize("names", [("b", "a"), ("b", "a", "c"), ("b",)])
+    def test_other_alphabet_recoded_by_name(self, names):
+        u, f = onto_base(Subgroup.of(Alphabet.of(*names), "b"), K_DELTA)
+        assert AB.word(u) == parse_word("b a b a^-1")
+        assert f.source.alphabet == AB and classify(f).surjective
+
+    def test_other_alphabet_not_included(self):
+        with pytest.raises(NotIncludedError):
+            onto_base(Subgroup.of(Alphabet.of("b", "c"), "c"), K_DELTA)
 
     def test_trivial_inner(self):
         with pytest.raises(TrivialSubgroupError):

@@ -20,17 +20,16 @@ from .errors import (
 from .graph import (
     GraphMorphism,
     LabeledGraph,
+    _fold_paths,
     _spell,
-    core,
     two_core_maps,
     unique_pointed_morphism,
 )
 from .words import GroupHom, invert_codes, is_nondegenerate
 
 
-def _subdivide_tables(
-    phi: GroupHom, g: LabeledGraph
-) -> tuple[LabeledGraph, list[range], list[range]]:
+def _edge_images(phi: GroupHom, g: LabeledGraph) -> dict[int, tuple[int, ...]]:
+    """The image code word of every label code, once phi and g are checked."""
     if not is_nondegenerate(phi):
         raise DegenerateHomError("subdivision needs nonempty images")
     if g.alphabet.generators != phi.source.generators:
@@ -42,6 +41,13 @@ def _subdivide_tables(
     for c, codes in enumerate(phi.codes, 1):
         images[c] = codes
         images[-c] = invert_codes(codes)
+    return images
+
+
+def _subdivide_tables(
+    phi: GroupHom, g: LabeledGraph
+) -> tuple[LabeledGraph, list[range], list[range]]:
+    images = _edge_images(phi, g)
     einit: list[int] = []
     elabel: list[int] = []
     seg: list[range] = []
@@ -91,9 +97,15 @@ def subdivide_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 
 
 def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
-    """Core of the subdivision: the core graph of the image subgroup."""
-    spelled = subdivide(phi, g)  # generally not folded
-    return core(spelled)
+    """Core of the subdivision: the core graph of the image subgroup.
+
+    Each edge's image path is folded in as it is spelled, so the
+    subdivision itself is never built.
+    """
+    images = _edge_images(phi, g)
+    einit, elabel = g.einit, g.elabel
+    paths = [(einit[e], einit[e ^ 1], images[elabel[e]]) for e in range(0, len(einit), 2)]
+    return _fold_paths(phi.target, g.n_vertices, paths, g.base)
 
 
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
@@ -132,7 +144,7 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 
     Takes the pointed morphism between the image cores and restricts it
     to the unbased cores.  Raises :class:`DegenerateHomError`, from
-    :func:`subdivide`, when phi sends a generator to the identity, and
+    :func:`image_core`, when phi sends a generator to the identity, and
     :class:`TrivialSubgroupError`, from :func:`unbased_core_morphism`,
     when the image of the source subgroup is trivial.
     """

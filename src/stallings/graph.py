@@ -518,6 +518,70 @@ def core(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
 
 
+def _fold_paths(
+    alphabet: Alphabet,
+    n_vertices: int,
+    paths: Iterable[tuple[int, int, Sequence[int]]],
+    base: int | None,
+) -> LabeledGraph:
+    """The core of vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
+
+    Each path ``(u, v, codes)`` spells a nonempty reduced code word from
+    u to v.  It is read forward from u and backward from v along the
+    edges laid so far, and only its unread middle is spelled, on fresh
+    vertices numbered in spelling order; a middle that starts and ends
+    at one vertex lays its cancelling ends once, as a stem.  So the
+    graph stays folded, and only the given vertices can hang.  When the
+    two reads meet at different vertices, which must be identified,
+    the path is spelled plainly and the whole graph goes through
+    :func:`core` at the end.
+    """
+    width = 2 * len(alphabet) + 1
+    step: dict[int, int] = {}  # vertex * width + code -> head of that edge
+    einit: list[int] = []
+    elabel: list[int] = []
+    deg = [0] * n_vertices  # degrees of the given vertices
+    n = n_vertices
+    folded = True
+    for u, v, codes in paths:
+        _check_labels(alphabet, codes)  # a code out of range would alias keys
+        i, j, x, y = 0, len(codes), u, v
+        while i < j and (w := step.get(x * width + codes[i])) is not None:
+            x, i = w, i + 1
+        while j > i and (w := step.get(y * width - codes[j - 1])) is not None:
+            y, j = w, j - 1
+        if i == j:
+            if x != y:
+                n = _spell(einit, elabel, u, v, codes, n)
+                folded = False
+            continue
+        s = 0  # the stem: cancelling ends of a middle from x back to x
+        while x == y and codes[i + s] == -codes[j - 1 - s]:
+            s += 1
+        # the first s edges lay the stem, the rest loop back to its tip;
+        # the last s codes walk the stem back and lay nothing
+        inner = range(n, n + j - s - i - 1)
+        end = inner[s - 1] if s else y
+        for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
+            einit += (a, b)
+            elabel += (c, -c)
+            step[a * width + c] = b
+            step[b * width - c] = a
+        n = inner.stop
+        if x < n_vertices:
+            deg[x] += 1
+        if end < n_vertices:
+            deg[end] += 1
+    g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
+    if not folded:
+        return core(g)
+    if any(d <= 1 and v != base for v, d in enumerate(deg)):
+        kept_v, kept_e, dropped = _peel(*_whole(g), base)
+        if dropped:
+            return _renumber(alphabet, einit, elabel, base, kept_v, kept_e)
+    return g
+
+
 def attach_path(g: LabeledGraph, codes: Sequence[int]) -> LabeledGraph:
     """Attach a path spelling a code word whose end is glued to the base point.
 

@@ -24,11 +24,11 @@ from .graph import (
     GraphMorphism,
     LabeledGraph,
     attach_path,
-    bouquet,
     core,
     trace,
     unique_pointed_morphism,
     _bfs_order,
+    _fold_paths,
     _peel,
     _whole,
 )
@@ -90,13 +90,14 @@ def load_subgroup(text: str, alphabet: Alphabet | None = None) -> Subgroup:
 
 
 def gamma(h: Subgroup) -> LabeledGraph:
-    """The core graph of a subgroup: fold a wedge of generator loops.
+    """The core graph of a subgroup: its generator loops at the base, folded.
 
-    The first call folds and stores the graph on ``h``; later calls
+    The first call builds and stores the graph on ``h``; later calls
     return that same graph.
     """
     if h._core is None:
-        object.__setattr__(h, "_core", core(bouquet(h.alphabet, h.codes)))
+        loops = [(0, 0, w) for w in h.codes if w]
+        object.__setattr__(h, "_core", _fold_paths(h.alphabet, 1, loops, 0))
     return h._core
 
 

@@ -228,7 +228,7 @@ def parse_codes(
     names = list(tokens.names)
     if alphabet is None:
         used = dict.fromkeys(map(abs, chain.from_iterable(words)))
-        alphabet = Alphabet(tuple([names[i - 1] for i in used]))
+        alphabet = Alphabet._raw(tuple([names[i - 1] for i in used]))
     index = [alphabet._index.get(name, -1) + 1 for name in names]  # 0: foreign
     if 0 in index:
         for c in chain.from_iterable(words):
@@ -261,6 +261,14 @@ class Alphabet:
         if len(index) != len(self.generators):
             raise UnknownGeneratorError("duplicate generator names")
         object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def _raw(cls, generators: tuple[str, ...]) -> "Alphabet":
+        """An alphabet of distinct names the parser has already checked."""
+        alphabet = cls.__new__(cls)
+        object.__setattr__(alphabet, "generators", generators)
+        object.__setattr__(alphabet, "_index", {name: i for i, name in enumerate(generators)})
+        return alphabet
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
@@ -436,4 +444,4 @@ def parse_hom(text: str) -> GroupHom:
             yield rhs.split()
 
     target, codes = parse_codes(right_sides())
-    return GroupHom._raw(Alphabet(tuple(sources)), target, codes)
+    return GroupHom._raw(Alphabet._raw(tuple(sources)), target, codes)

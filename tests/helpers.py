@@ -12,6 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
+from stallings import _kernel
 from stallings.cases.fuzz import random_reduced_word
 from stallings.functor import subdivide
 from stallings.graph import LabeledGraph, attach_path, bouquet
@@ -20,6 +21,8 @@ from stallings.words import Alphabet, GroupHom, Letter, Word, free_reduce
 
 __all__ = [
     "graph",
+    "spelled",
+    "count_folds",
     "random_reduced_word",
     "random_subgroup",
     "random_hom",
@@ -52,6 +55,41 @@ def graph(
         einit += (u, v)
         elabel += (c, -c)
     return LabeledGraph(alphabet, n_vertices, tuple(einit), tuple(elabel), base)
+
+
+def spelled(
+    alphabet: Alphabet,
+    n_vertices: int,
+    paths: list[tuple[int, int, tuple[int, ...]]],
+    base: int | None = None,
+) -> LabeledGraph:
+    """Vertices ``0..n_vertices-1`` joined by paths ``(u, v, codes)``, unfolded.
+
+    Each nonempty code word is spelled letter by letter on fresh
+    interior vertices, through :func:`graph`.
+    """
+    edges = []
+    n = n_vertices
+    for u, v, codes in paths:
+        if not codes:
+            continue
+        walk = [u, *range(n, n + len(codes) - 1), v]
+        n += len(codes) - 1
+        edges += [(p, q, alphabet.decode(c)) for p, q, c in zip(walk, walk[1:], codes)]
+    return graph(alphabet, n, edges, base)
+
+
+def count_folds(monkeypatch) -> list:
+    """Record the arguments of every fold-kernel call from now on."""
+    calls = []
+    fold = _kernel.fold
+
+    def counted(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(_kernel, "fold", counted)
+    return calls
 
 
 def random_subgroup(
@@ -183,8 +221,8 @@ def naive_fold(g: LabeledGraph, rng: random.Random | None = None) -> LabeledGrap
 def naive_trim(g: LabeledGraph) -> LabeledGraph:
     """Delete a non-base vertex of degree at most one until none is left.
 
-    Degrees are recounted from scratch after every deletion; the graph
-    must be pointed.
+    Degrees are recounted from scratch after every deletion; an
+    unpointed graph keeps its last vertex.
     """
     n = g.n_vertices
     einit = list(g.einit)
@@ -195,14 +233,15 @@ def naive_trim(g: LabeledGraph) -> LabeledGraph:
         for v in einit:
             degree[v] += 1
         leaves = [v for v in range(n) if v != base and degree[v] <= 1]
-        if not leaves:
+        if not leaves or n == 1:
             break
         v = leaves[0]
         # both half-edges of the leaf's edge start at v or end at v
         keep = [e for e in range(len(einit)) if v not in (einit[e], einit[e ^ 1])]
         einit = [einit[e] - (einit[e] > v) for e in keep]
         elabel = [elabel[e] for e in keep]
-        base -= base > v
+        if base is not None:
+            base -= base > v
         n -= 1
     return LabeledGraph(g.alphabet, n, tuple(einit), tuple(elabel), base)
 
@@ -210,22 +249,12 @@ def naive_trim(g: LabeledGraph) -> LabeledGraph:
 def naive_member(h: Subgroup, w: Word) -> bool:
     """Membership by walking ``w`` in :func:`naive_fold` of the generator loops.
 
-    The loops are spelled and the walk is made by scanning the half-edge
-    arrays, without the library's bouquet, folding, lookup or trace.
+    The loops are spelled by :func:`spelled` and the walk is made by
+    scanning the half-edge arrays, without the library's bouquet,
+    folding, lookup or trace.
     """
     code = {name: i + 1 for i, name in enumerate(h.alphabet.generators)}
-    einit: list[int] = []
-    elabel: list[int] = []
-    n = 1
-    for g in h.codes:
-        if not g:
-            continue
-        path = [0, *range(n, n + len(g) - 1), 0]
-        n += len(g) - 1
-        for u, v, c in zip(path, path[1:], g):
-            einit += (u, v)
-            elabel += (c, -c)
-    folded = naive_fold(LabeledGraph(h.alphabet, n, tuple(einit), tuple(elabel), 0))
+    folded = naive_fold(spelled(h.alphabet, 1, [(0, 0, g) for g in h.codes], 0))
     v = folded.base
     for l in w:
         if l.gen not in code:

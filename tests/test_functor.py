@@ -1,8 +1,15 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stallings.errors import DegenerateHomError, NotFoldedError, TrivialSubgroupError
+from stallings.errors import (
+    AlphabetMismatchError,
+    DegenerateHomError,
+    NotFoldedError,
+    TrivialSubgroupError,
+)
 from stallings.functor import (
     image_core,
     subdivide,
@@ -11,6 +18,7 @@ from stallings.functor import (
     unbased_image_morphism,
 )
 from stallings.graph import (
+    canonical_form,
     classify,
     core,
     iso_pointed,
@@ -27,12 +35,25 @@ from stallings.words import (
     apply_hom,
     compose_homs,
     conjugation_hom,
+    free_reduce,
     identity_hom,
+    invert_codes,
     is_nondegenerate,
     parse_word,
 )
 
-from helpers import graph, random_hom, random_subgroup
+from helpers import (
+    ALPHABETS,
+    count_folds,
+    graph,
+    naive_canonical_form,
+    naive_fold,
+    naive_trim,
+    pointed_graphs,
+    random_hom,
+    random_subgroup,
+    spelled,
+)
 
 AB = Alphabet.of("a", "b")
 GREEK = Alphabet.of("alpha", "beta")
@@ -112,7 +133,61 @@ class TestSubdivideMorphism:
             assert classify(out).injective
 
 
+@st.composite
+def _homs(draw, source: Alphabet, target: Alphabet) -> GroupHom:
+    """Nondegenerate homomorphisms; half send one generator to a power of another."""
+    words = st.lists(st.sampled_from(target.letters()), min_size=1, max_size=4)
+    images = {x: draw(words.map(free_reduce).filter(bool)) for x in source.generators}
+    if draw(st.booleans()):
+        x, y = draw(st.permutations(source.generators))[:2]
+        images[y] = free_reduce(images[x].letters * draw(st.integers(1, 3)))
+    return GroupHom(source, target, images)
+
+
+def _naive_image_core(phi: GroupHom, g):
+    """The naive fold and trim of g's subdivision, spelled edge by edge."""
+    paths = []
+    for e in range(0, g.n_half_edges, 2):
+        c = g.elabel[e]
+        image = phi.codes[c - 1] if c > 0 else invert_codes(phi.codes[-c - 1])
+        paths.append((g.einit[e], g.einit[e ^ 1], image))
+    return naive_trim(naive_fold(spelled(phi.target, g.n_vertices, paths, g.base)))
+
+
 class TestImageCore:
+    @settings(max_examples=200)
+    @given(pointed_graphs(), st.data())
+    def test_matches_naive_fold_of_subdivision(self, g, data):
+        """Pointed and unpointed, folded or not: the same texts at every root."""
+        phi = data.draw(_homs(g.alphabet, ALPHABETS[1]))
+        for h in (g, core(g), g.unbased(), core(g).unbased()):
+            image, oracle = image_core(phi, h), _naive_image_core(phi, h)
+            assert sorted(canonical_form(image, v) for v in range(image.n_vertices)) == sorted(
+                naive_canonical_form(oracle, v) for v in range(oracle.n_vertices)
+            )
+            if h.base is not None:
+                assert image.is_core()
+                assert canonical_form(image) == naive_canonical_form(oracle)
+
+    def test_checks_keep_their_errors(self):
+        bad = GroupHom(AB, AB, {"a": parse_word(""), "b": parse_word("b")})
+        with pytest.raises(DegenerateHomError, match="^subdivision needs nonempty images$"):
+            image_core(bad, gamma(H_B))
+        mismatch = "graph over ('a', 'b'), homomorphism from ('alpha', 'beta')"
+        with pytest.raises(AlphabetMismatchError, match=f"^{re.escape(mismatch)}$"):
+            image_core(SIGMA, gamma(H_B))
+
+    @pytest.mark.parametrize(
+        "images, folds",
+        [(("b", "a b a^-1"), 0), (("a", "a a"), 0), (("a a", "a a a"), 1)],
+    )
+    def test_fold_kernel_runs_only_when_reads_meet(self, monkeypatch, images, folds):
+        rose = gamma(Subgroup.of(GREEK, "alpha", "beta"))
+        phi = GroupHom(GREEK, AB, dict(zip(GREEK.generators, map(parse_word, images))))
+        calls = count_folds(monkeypatch)
+        image_core(phi, rose)
+        assert len(calls) == folds
+
     def test_sigma_image_of_rose(self):
         rose = gamma(Subgroup.of(GREEK, "alpha", "beta"))
         assert iso_pointed(image_core(SIGMA, rose), gamma(K_DELTA))

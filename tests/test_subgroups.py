@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stallings import subgroups
 from stallings.errors import (
@@ -28,14 +28,28 @@ from stallings.subgroups import (
     onto_base,
     pi1_basis,
 )
-from stallings.words import Alphabet, IDENTITY, Word, free_reduce, invert, parse_word
+from stallings.words import (
+    Alphabet,
+    IDENTITY,
+    Word,
+    free_reduce,
+    invert,
+    invert_codes,
+    parse_word,
+    reduce_codes,
+)
 
 from helpers import (
     ALPHABETS,
+    count_folds,
+    naive_canonical_form,
+    naive_fold,
     naive_member,
+    naive_trim,
     pointed_graphs,
     random_reduced_word,
     random_subgroup,
+    spelled,
 )
 
 AB = Alphabet.of("a", "b")
@@ -51,7 +65,87 @@ def words(h: Subgroup) -> list[Word]:
     return [h.alphabet.word(w) for w in h.codes]
 
 
+_AB_CODES = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(reduce_codes)
+
+
+@st.composite
+def _generator_lists(draw) -> list[tuple[int, ...]]:
+    """Code words over {a, b}, each new one made from the earlier ones.
+
+    The kinds reach every branch of the core-graph builder: words
+    sharing a prefix or a suffix with an earlier one, conjugates
+    (not cyclically reduced, so the builder lays a stem), products of
+    earlier generators (already in the subgroup), and splices of an
+    earlier word's prefix with another's suffix and powers (read to the
+    end from both sides, often meeting at two different vertices).
+    """
+    gens = [draw(_AB_CODES)]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(
+            st.sampled_from(["fresh", "prefix", "suffix", "stem", "member", "splice", "power"])
+        )
+        g, h, w = draw(st.sampled_from(gens)), draw(st.sampled_from(gens)), draw(_AB_CODES)
+        if kind == "fresh":
+            new = w
+        elif kind == "prefix":
+            new = g + w
+        elif kind == "suffix":
+            new = w + g
+        elif kind == "stem":
+            new = w + g + invert_codes(w)
+        elif kind == "member":
+            new = g + invert_codes(h)
+        elif kind == "splice":
+            new = g[: draw(st.integers(0, len(g)))] + h[draw(st.integers(0, len(h))):]
+        else:
+            new = g * draw(st.integers(2, 3))
+        gens.append(reduce_codes(new))
+    return gens
+
+
+def _assert_matches_oracle(gens: list[tuple[int, ...]]) -> str:
+    """gamma against the naive fold and trim of hand-spelled loops.
+
+    Compares the canonical text at the base and the multiset of texts at
+    every root, which no vertex numbering changes; returns the text.
+    """
+    g = gamma(Subgroup(AB, [AB.word(w) for w in gens]))
+    oracle = naive_trim(naive_fold(spelled(AB, 1, [(0, 0, w) for w in gens], 0)))
+    assert g.is_core()
+    assert canonical_form(g) == naive_canonical_form(oracle)
+    assert sorted(canonical_form(g, v) for v in range(g.n_vertices)) == sorted(
+        naive_canonical_form(oracle, v) for v in range(oracle.n_vertices)
+    )
+    return canonical_form(g)
+
+
 class TestGamma:
+    @settings(max_examples=300)
+    @given(_generator_lists())
+    def test_matches_naive_fold(self, gens):
+        _assert_matches_oracle(gens)
+
+    @pytest.mark.parametrize(
+        "gens, form",
+        [
+            (["a a", "a a a"], "base 0\n0 -a-> 0"),  # the reads of a^3 meet
+            (["a b", "b", "a"], "base 0\n0 -a-> 0\n0 -b-> 0"),
+            (["a b a^-1"], "base 0\n0 -a-> 1\n1 -b-> 1"),  # a stem
+            (["a b", "a b^-1 a"], "base 0\n0 -a-> 1\n1 -b-> 0\n2 -a-> 0\n2 -b-> 1"),
+        ],
+    )
+    def test_explicit_cases(self, gens, form):
+        assert _assert_matches_oracle([codes(w) for w in gens]) == form
+
+    @pytest.mark.parametrize(
+        "gens, folds",
+        [(["b"], 0), (["a b a^-1"], 0), (["a b", "a b^-1 a"], 0), (["a a", "a a a"], 1)],
+    )
+    def test_fold_kernel_runs_only_when_reads_meet(self, monkeypatch, gens, folds):
+        calls = count_folds(monkeypatch)
+        gamma(Subgroup.of(AB, *gens))
+        assert len(calls) == folds
+
     def test_single_loop(self):
         g = gamma(H_B)
         assert g.n_vertices == 1 and g.n_edges == 1
@@ -118,6 +212,7 @@ class TestCoreCache:
         assert contains(h, parse_word("b"))
         calls = []
         monkeypatch.setattr(subgroups, "core", lambda g: calls.append(g))
+        monkeypatch.setattr(subgroups, "_fold_paths", lambda *args: calls.append(args))
         assert contains(h, parse_word("a b a^-1"))
         assert not contains(h, parse_word("a"))
         assert inclusion_morphism(h, h) is not None

@@ -1,5 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
+
+from stallings import words
 
 from stallings.errors import (
     AlphabetMismatchError,
@@ -22,6 +26,7 @@ from stallings.words import (
     invert,
     is_nondegenerate,
     last_letter,
+    parse_codes,
     parse_hom,
     parse_word,
 )
@@ -234,6 +239,36 @@ class TestParseHom:
     def test_malformed_rejected(self, text):
         with pytest.raises(UnknownGeneratorError):
             parse_hom(text)
+
+
+class TestParseCodes:
+    @pytest.mark.parametrize("alphabet", [None, AB], ids=["inferred", "explicit"])
+    @pytest.mark.parametrize("token", ["1b", "a^-2", "b_"])
+    def test_malformed_name_rejected(self, alphabet, token):
+        message = f"^bad letter token {re.escape(repr(token))}$"
+        with pytest.raises(UnknownGeneratorError, match=message):
+            parse_codes([["a"], ["b", token]], alphabet)
+
+    def test_each_name_checked_once(self, monkeypatch):
+        checked = []
+        pattern = words._NAME_RE
+
+        class Counting:
+            def match(self, name):
+                checked.append(name)
+                return pattern.match(name)
+
+        monkeypatch.setattr(words, "_NAME_RE", Counting())
+        alphabet, codes = parse_codes([["b", "a^-1", "b"], ["a", "c", "c^-1"]])
+        assert sorted(checked) == ["a", "b", "c"]
+        assert alphabet == Alphabet.of("b", "a") and codes == ((1, -2, 1), (2,))
+        assert alphabet.encode(w("a b^-1")) == (2, -1)
+
+    def test_alphabet_constructor_still_checks_names(self):
+        with pytest.raises(UnknownGeneratorError, match="^bad generator name '1b'$"):
+            Alphabet.of("a", "1b")
+        with pytest.raises(UnknownGeneratorError, match="^duplicate generator names$"):
+            Alphabet.of("a", "a")
 
 
 class TestNondegenerate:

@@ -9,13 +9,14 @@ two-step path enumeration, canonical text by a plain breadth-first search.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import strategies as st
 
 from stallings import _kernel
 from stallings.cases.fuzz import random_reduced_word
 from stallings.functor import subdivide
-from stallings.graph import LabeledGraph, attach_path, bouquet
+from stallings.graph import LabeledGraph, attach_path, bouquet, canonical_form
 from stallings.subgroups import Subgroup
 from stallings.words import Alphabet, GroupHom, Letter, Word, free_reduce
 
@@ -35,6 +36,7 @@ __all__ = [
     "naive_reduce",
     "two_path_edges",
     "naive_canonical_form",
+    "same_at_some_root",
     "ALPHABETS",
 ]
 
@@ -198,15 +200,16 @@ def naive_fold(g: LabeledGraph, rng: random.Random | None = None) -> LabeledGrap
             key = (v, elabel[e])
             if key in at:
                 collisions.append((at[key], e))
+                if rng is None:
+                    break
             else:
                 at[key] = e
         if not collisions:
             break
         e, f = rng.choice(collisions) if rng is not None else collisions[0]
         a, b = einit[e ^ 1], einit[f ^ 1]
-        dead = {2 * (f // 2), 2 * (f // 2) + 1}
-        einit = [v for i, v in enumerate(einit) if i not in dead]
-        elabel = [l for i, l in enumerate(elabel) if i not in dead]
+        f -= f % 2
+        del einit[f : f + 2], elabel[f : f + 2]
         if a != b:
             keep, gone = min(a, b), max(a, b)
             einit = [
@@ -289,9 +292,10 @@ def two_path_edges(g: LabeledGraph) -> frozenset:
 def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     """Canonical text by a plain breadth-first search.
 
-    The out-edges of a vertex are found by scanning every half-edge and
-    followed in the order of their letters in ``Alphabet.letters()``;
-    rows are sorted as ``(tail, token, head)`` tuples.
+    The out-edges of every vertex are gathered in one scan of the
+    half-edges and followed in the order of their letters in
+    ``Alphabet.letters()``; rows are sorted as ``(tail, token, head)``
+    tuples.
     """
     names = g.alphabet.generators
     letters = list(g.alphabet.letters())
@@ -300,12 +304,14 @@ def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
         c = g.elabel[e]
         return Letter(names[abs(c) - 1], 1 if c > 0 else -1)
 
+    out: dict[int, list[int]] = {}
+    for e in range(g.n_half_edges):
+        out.setdefault(g.einit[e], []).append(e)
     root = g.base if root is None else root
     number = {root: 0}
     queue = [root]
     for v in queue:
-        out = [e for e in range(g.n_half_edges) if g.einit[e] == v]
-        for e in sorted(out, key=lambda e: letters.index(letter(e))):
+        for e in sorted(out.get(v, []), key=lambda e: letters.index(letter(e))):
             w = g.einit[e ^ 1]
             if w not in number:
                 number[w] = len(number)
@@ -317,3 +323,33 @@ def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     )
     lines = [f"base {number[root]}"] + [f"{v} -{t}-> {w}" for v, t, w in rows]
     return "\n".join(lines)
+
+
+def same_at_some_root(g: LabeledGraph, oracle: LabeledGraph) -> bool:
+    """Whether folded connected ``g`` and ``oracle`` agree once bases are forgotten.
+
+    Each vertex is sorted by the codes on its out-edges, found by scanning
+    the half-edges. ``g`` is read by :func:`canonical_form` at one root of
+    its rarest kind, and ``oracle`` by :func:`naive_canonical_form` at its
+    roots of the same kind until one gives the same text. This is the
+    test that the texts at every root agree as multisets, without
+    reading each graph from every root.
+    """
+
+    def kinds(h: LabeledGraph) -> list[tuple[int, ...]]:
+        out: list[list[int]] = [[] for _ in range(h.n_vertices)]
+        for e in range(h.n_half_edges):
+            out[h.einit[e]].append(h.elabel[e])
+        return [tuple(sorted(codes)) for codes in out]
+
+    mine, theirs = kinds(g), kinds(oracle)
+    if sorted(mine) != sorted(theirs):
+        return False
+    count = Counter(mine)
+    root = min(range(g.n_vertices), key=lambda v: (count[mine[v]], v))
+    text = canonical_form(g, root)
+    return any(
+        naive_canonical_form(oracle, v) == text
+        for v in range(oracle.n_vertices)
+        if theirs[v] == mine[root]
+    )

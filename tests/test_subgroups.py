@@ -49,6 +49,7 @@ from helpers import (
     pointed_graphs,
     random_reduced_word,
     random_subgroup,
+    same_at_some_root,
     spelled,
 )
 
@@ -106,16 +107,15 @@ def _generator_lists(draw) -> list[tuple[int, ...]]:
 def _assert_matches_oracle(gens: list[tuple[int, ...]]) -> str:
     """gamma against the naive fold and trim of hand-spelled loops.
 
-    Compares the canonical text at the base and the multiset of texts at
-    every root, which no vertex numbering changes; returns the text.
+    Compares the canonical text at the base and, with the base
+    forgotten, the texts at some root, which no vertex numbering changes;
+    returns the text.
     """
     g = gamma(Subgroup(AB, [AB.word(w) for w in gens]))
     oracle = naive_trim(naive_fold(spelled(AB, 1, [(0, 0, w) for w in gens], 0)))
     assert g.is_core()
     assert canonical_form(g) == naive_canonical_form(oracle)
-    assert sorted(canonical_form(g, v) for v in range(g.n_vertices)) == sorted(
-        naive_canonical_form(oracle, v) for v in range(oracle.n_vertices)
-    )
+    assert same_at_some_root(g, oracle)
     return canonical_form(g)
 
 

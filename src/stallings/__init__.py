@@ -12,7 +12,6 @@ from .errors import (
     DegenerateHomError,
     DisconnectedGraphError,
     EdgeNotMissingError,
-    EmptyWordError,
     NotAmbiguousError,
     NotFoldedError,
     NotIncludedError,
@@ -72,21 +71,15 @@ from .whitehead import (
     word_link,
 )
 from .words import (
-    IDENTITY,
     Alphabet,
     GroupHom,
     Letter,
     Word,
-    apply_hom,
     compose_homs,
-    concat,
     conjugation_hom,
     cyclic_reduce,
-    free_reduce,
     identity_hom,
-    invert,
     is_nondegenerate,
-    last_letter,
     parse_hom,
     parse_letter,
     parse_word,

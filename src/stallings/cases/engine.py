@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..errors import EdgeNotMissingError, NotAmbiguousError
+from ..errors import EdgeNotMissingError, NotAmbiguousError, StallingsError
 from ..graph import (
     GraphMorphism,
     LabeledGraph,
@@ -30,10 +30,10 @@ from ..whitehead import (
     RestrictionSet,
     WhiteheadEdge,
     _tau,
-    _turns,
     format_edge,
     is_restriction_morphism,
     whitehead_graph,
+    word_link,
 )
 from ..words import (
     Alphabet,
@@ -123,7 +123,7 @@ def child_restrictions(
     if 1 in map(len, edges):
         return None
     for codes in psi.codes:
-        edges |= _turns(codes)
+        edges |= word_link(codes)
     if add_edge is not None:
         edges.add(add_edge)
     return frozenset(edges)
@@ -308,7 +308,8 @@ def root_case() -> InjectivityCase:
     h = Subgroup.of(ab, "b")
     k = Subgroup.of(ab, "b", "a b a^-1")
     m = inclusion_morphism(h, k)
-    assert m is not None
+    if m is None:
+        raise StallingsError("internal error: the root's inner subgroup is not included")
     return InjectivityCase(
         "root", RestrictionSet.parse(ab, "b.b^-1"), m
     )
@@ -327,7 +328,8 @@ def initial_split(root: InjectivityCase) -> list[InjectivityCase]:
         inner = Subgroup.of(u, row["inner"])
         outer = Subgroup.of(u, row["inner"], row["outer"])
         m = inclusion_morphism(inner, outer)
-        assert m is not None
+        if m is None:
+            raise StallingsError(f"internal error: case {row['id']} is not an inclusion")
         n = RestrictionSet.parse(u, row["n"])
         coords = make_substitution(root.alphabet, u, row["coords"])
         cases.append(InjectivityCase(row["id"], n, m, root.chain + (coords,)))

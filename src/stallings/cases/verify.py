@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..errors import StallingsError
 from ..functor import image_core
 from ..graph import classify, iso_pointed
 from ..subgroups import Subgroup, inclusion_morphism
@@ -109,7 +110,8 @@ def verify_tables() -> TableReport:
             inner = Subgroup.of(u, *data["inner"])
             outer = Subgroup.of(u, *data["outer"])
             m = inclusion_morphism(inner, outer)
-            assert m is not None
+            if m is None:
+                raise StallingsError(f"internal error: row {data['id']} is not an inclusion")
             case = InjectivityCase(data["id"], RestrictionSet.parse(u, data["n"]), m)
         else:
             key = (data["parent"], data["edge"])

@@ -58,7 +58,10 @@ def _load(path: str, alphabet: Alphabet | None = None) -> Subgroup:
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {n}")
     return n

@@ -5,10 +5,6 @@ class StallingsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyWordError(StallingsError):
-    """The operation needs a nonempty word (e.g. the last letter of 1)."""
-
-
 class UnknownGeneratorError(StallingsError):
     """A letter does not belong to the expected alphabet."""
 

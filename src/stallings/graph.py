@@ -21,7 +21,7 @@ from .errors import (
     NotFoldedError,
     UnknownGeneratorError,
 )
-from .words import Alphabet
+from .words import Alphabet, _check_labels
 
 
 class LabeledGraph:
@@ -166,14 +166,6 @@ def _spell(
         einit += (tail, head)
         elabel += (c, -c)
     return inner.stop
-
-
-def _check_labels(alphabet: Alphabet, codes: Sequence[int]) -> None:
-    """Raise unless every code labels a letter of the alphabet."""
-    rank = len(alphabet)
-    if max(codes) > rank or min(codes) < -rank or 0 in codes:
-        bad = next(c for c in codes if not 0 < abs(c) <= rank)
-        raise UnknownGeneratorError(f"label {bad!r} outside the alphabet")
 
 
 def bouquet(alphabet: Alphabet, words: Iterable[Sequence[int]]) -> LabeledGraph:

@@ -246,7 +246,8 @@ def covering_circuit(g: LabeledGraph, first_code_not: int = 0) -> tuple[int, ...
     circuit.extend(d ^ 1 for d in reversed(tail))
 
     codes = tuple([g.elabel[d] for d in circuit])
-    assert reduce_codes(codes) == codes, "covering circuit must be reduced"
+    if reduce_codes(codes) != codes:
+        raise StallingsError("internal error: the covering circuit is not reduced")
     return codes
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
 from .graph import LabeledGraph
-from .words import Alphabet, GroupHom, Letter, Word, parse_letter
+from .words import Alphabet, GroupHom, Letter, parse_letter
 
 # Two distinct label codes over a restriction set's alphabet; parse_edges
 # and the RestrictionSet.edges view hold two Letters instead.
@@ -120,14 +120,9 @@ def full_whitehead(alphabet: Alphabet) -> RestrictionSet:
     return RestrictionSet(alphabet, frozenset(map(frozenset, combinations(codes, 2))))
 
 
-def _turns(codes: Sequence[int]) -> set[WhiteheadEdge]:
-    """The turns {c_i, -c_(i+1)} spelled by a reduced word's codes."""
-    return {frozenset((c, -d)) for c, d in zip(codes, codes[1:])}
-
-
-def word_link(w: Word, alphabet: Alphabet) -> RestrictionSet:
-    """Whitehead edges forced by spelling a word along a path."""
-    return RestrictionSet(alphabet, frozenset(_turns(alphabet.encode(w))))
+def word_link(codes: Sequence[int]) -> frozenset[WhiteheadEdge]:
+    """The turns {c_i, -c_(i+1)} spelled by a reduced code word along a path."""
+    return frozenset([frozenset((c, -d)) for c, d in zip(codes, codes[1:])])
 
 
 def _tau(phi: GroupHom, c: int) -> int:
@@ -168,7 +163,7 @@ def is_restriction_morphism(
     if violations:
         return AdmissibilityReport(False, tuple(violations))
     for g, codes in zip(phi.source.generators, phi.codes):
-        bad = _turns(codes) - dst.codes
+        bad = word_link(codes) - dst.codes
         for text in sorted(format_edge(dst.alphabet, e) for e in bad):
             violations.append(f"(ii) image of {g} spells forbidden turn {text}")
     for text, e in sorted((format_edge(src.alphabet, e), e) for e in src.codes):

@@ -2,12 +2,13 @@
 
 Inside the library a word is a code word: a freely reduced tuple of an
 alphabet's int codes, the codes that also label graph edges, so
-inverting a letter is negation.  The empty tuple is the identity.
-``Letter`` (a generator name with a sign, +1 for the generator, -1 for
-its formal inverse) and ``Word`` (a reduced sequence of letters) are
-the public text types, made where text is parsed or printed and taken
-by the public entry points.  Text syntax: whitespace separated tokens,
-a token being a generator name optionally suffixed by ``^-1``, e.g.
+inverting a letter is negation.  The empty tuple is the identity, and
+every product, inverse and image is taken on code words.  ``Letter``
+(a generator name with a sign, +1 for the generator, -1 for its formal
+inverse) and ``Word`` (a reduced sequence of letters) are the public
+text types, made where text is parsed or printed and taken by the
+public entry points.  Text syntax: whitespace separated tokens, a token
+being a generator name optionally suffixed by ``^-1``, e.g.
 ``a b^-1 a``.
 """
 
@@ -18,11 +19,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    AlphabetMismatchError,
-    EmptyWordError,
-    UnknownGeneratorError,
-)
+from .errors import AlphabetMismatchError, UnknownGeneratorError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -77,6 +74,27 @@ def invert_codes(codes: Sequence[int]) -> tuple[int, ...]:
     return tuple([-c for c in reversed(codes)])
 
 
+def cyclic_reduce(codes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a code word as ``prefix core prefix^-1``, ``core`` cyclically reduced.
+
+    The prefix is maximal: the core's first code is not the inverse of
+    its last (or the core has length at most one).
+    """
+    lo, hi = 0, len(codes)
+    while hi - lo >= 2 and codes[lo] == -codes[hi - 1]:
+        lo += 1
+        hi -= 1
+    return tuple(codes[:lo]), tuple(codes[lo:hi])
+
+
+def _check_labels(alphabet: Alphabet, codes: Sequence[int]) -> None:
+    """Raise unless every code labels a letter of the alphabet."""
+    rank = len(alphabet)
+    if codes and (max(codes) > rank or min(codes) < -rank or 0 in codes):
+        bad = next(c for c in codes if not 0 < abs(c) <= rank)
+        raise UnknownGeneratorError(f"label {bad!r} outside the alphabet")
+
+
 class Word:
     """An immutable freely reduced word.
 
@@ -118,12 +136,6 @@ class Word:
     def __hash__(self) -> int:
         return hash(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)[0]
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
     @property
     def text(self) -> str:
         return " ".join(l.token for l in self.letters)
@@ -142,49 +154,6 @@ def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
         else:
             stack.append(l)
     return tuple(stack)
-
-
-IDENTITY = Word()
-
-
-def free_reduce(letters: Iterable[Letter]) -> Word:
-    """The unique reduced word freely equal to the given letter sequence."""
-    return Word(letters)
-
-
-def concat(u: Word, v: Word) -> tuple[Word, bool]:
-    """Reduced product of two reduced words.
-
-    Also reports whether the concatenation was cancellation free, i.e.
-    whether no letter pair cancelled at the junction.
-    """
-    w = free_reduce(u.letters + v.letters)
-    return w, len(w) == len(u) + len(v)
-
-
-def invert(w: Word) -> Word:
-    return Word._raw(tuple(l.inverse() for l in reversed(w.letters)))
-
-
-def last_letter(w: Word) -> Letter:
-    """Last letter of a nonempty reduced word."""
-    if not w:
-        raise EmptyWordError("the identity has no last letter")
-    return w.letters[-1]
-
-
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Split ``w = prefix * core * prefix^-1`` with ``core`` cyclically reduced.
-
-    The prefix is maximal: the core's first letter is not the inverse of
-    its last letter (or the core has length at most one).
-    """
-    letters = w.letters
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == letters[hi - 1].inverse():
-        lo += 1
-        hi -= 1
-    return Word._raw(letters[:lo]), Word._raw(letters[lo:hi])
 
 
 def parse_word(text: str) -> Word:
@@ -387,11 +356,6 @@ class GroupHom:
         return f"GroupHom({parts})"
 
 
-def apply_hom(phi: GroupHom, w: Word) -> Word:
-    """Reduced image of a word under a homomorphism."""
-    return phi.target.word(phi.image(phi.source.encode(w)))
-
-
 def compose_homs(phi: GroupHom, psi: GroupHom) -> GroupHom:
     """The composite sending x to phi(psi(x))."""
     if psi.target.generators != phi.source.generators:
@@ -410,9 +374,9 @@ def is_nondegenerate(phi: GroupHom) -> bool:
     return all(phi.codes)
 
 
-def conjugation_hom(u: Word, alphabet: Alphabet) -> GroupHom:
-    """The inner automorphism x -> u x u^-1."""
-    codes = alphabet.encode(u)
+def conjugation_hom(codes: Sequence[int], alphabet: Alphabet) -> GroupHom:
+    """The inner automorphism x -> u x u^-1, for a code word u over the alphabet."""
+    _check_labels(alphabet, codes)
     ui = invert_codes(codes)
     images = tuple(reduce_codes((*codes, c, *ui)) for c in range(1, len(alphabet) + 1))
     return GroupHom._raw(alphabet, alphabet, images)

@@ -18,7 +18,7 @@ from stallings.cases.fuzz import random_reduced_word
 from stallings.functor import subdivide
 from stallings.graph import LabeledGraph, attach_path, bouquet, canonical_form
 from stallings.subgroups import Subgroup
-from stallings.words import Alphabet, GroupHom, Letter, Word, free_reduce
+from stallings.words import Alphabet, GroupHom, Letter, Word, reduce_codes
 
 __all__ = [
     "graph",
@@ -157,26 +157,30 @@ def pointed_graphs(draw, alphabet: Alphabet = ALPHABETS[2]) -> LabeledGraph:
     conjugation), or a bouquet subdivided along an endomorphism.
     """
     letters = st.sampled_from(alphabet.letters())
-    words = st.lists(letters, max_size=8).map(free_reduce).map(alphabet.encode)
+    words = st.lists(letters, max_size=8).map(alphabet.encode).map(reduce_codes)
     g = bouquet(alphabet, draw(st.lists(words, min_size=1, max_size=4)))
     kind = draw(st.sampled_from(["bouquet", "attach", "subdivide"]))
     if kind == "attach":
         g = attach_path(g, draw(words))
     elif kind == "subdivide":
-        images = st.lists(letters, min_size=1, max_size=4).map(free_reduce).filter(bool)
+        images = st.lists(letters, min_size=1, max_size=4).map(Word).filter(bool)
         phi = GroupHom(alphabet, alphabet, {x: draw(images) for x in alphabet.generators})
         g = subdivide(phi, g)
     return g
 
 
-def naive_reduce(letters: list[Letter]) -> tuple[Letter, ...]:
-    """Repeated adjacent-pair elimination, rescanning from scratch."""
+def naive_reduce(letters: list) -> tuple:
+    """Repeated adjacent-pair elimination, rescanning from scratch.
+
+    Takes ``Letter``s or codes; the inverse of a code is its negation.
+    """
+    inverse = lambda x: -x if isinstance(x, int) else x.inverse()
     out = list(letters)
     changed = True
     while changed:
         changed = False
         for i in range(len(out) - 1):
-            if out[i] == out[i + 1].inverse():
+            if out[i] == inverse(out[i + 1]):
                 del out[i : i + 2]
                 changed = True
                 break

@@ -15,8 +15,9 @@ from stallings.cases import (
     table,
     verify_tables,
 )
+from stallings.cases import engine, verify
 from stallings.cases.engine import make_substitution
-from stallings.errors import EdgeNotMissingError, NotAmbiguousError
+from stallings.errors import EdgeNotMissingError, NotAmbiguousError, StallingsError
 from stallings.functor import image_morphism, subdivide, unbased_image_morphism
 from stallings.graph import classify, iso_pointed
 from stallings.whitehead import (
@@ -51,6 +52,26 @@ class TestRoot:
         res = classify_case(root_case())
         assert res.kind is Resolution.AMBIGUOUS
         assert res.missing.edges == parse_edges("a.b, a.b^-1, a^-1.b, a^-1.b^-1")
+
+
+class TestInternalErrors:
+    """A bundled inclusion that fails raises, also under ``python -O``."""
+
+    def test_root(self, monkeypatch):
+        monkeypatch.setattr(engine, "inclusion_morphism", lambda h, k: None)
+        with pytest.raises(StallingsError, match="^internal error: "):
+            root_case()
+
+    def test_initial_split(self, monkeypatch):
+        root = root_case()
+        monkeypatch.setattr(engine, "inclusion_morphism", lambda h, k: None)
+        with pytest.raises(StallingsError, match="^internal error: case 1 "):
+            initial_split(root)
+
+    def test_free_rows(self, monkeypatch):
+        monkeypatch.setattr(verify, "inclusion_morphism", lambda h, k: None)
+        with pytest.raises(StallingsError, match="^internal error: row "):
+            verify_tables()
 
 
 class TestInitialSplit:
@@ -317,7 +338,7 @@ class TestFuzz:
         x3 = Alphabet.of("p", "q", "r")
         for _ in range(25):
             phi = random_hom(rng, root.alphabet, x3, 4)
-            u = x3.word(random_reduced_word(rng, x3, 4))
+            u = random_reduced_word(rng, x3, 4)
             twisted = compose_homs(conjugation_hom(u, x3), phi)
             m1 = unbased_image_morphism(phi, root.morphism)
             m2 = unbased_image_morphism(twisted, root.morphism)

@@ -286,6 +286,12 @@ class TestFuzz:
         err = usage_error(capsys, "fuzz", "--max-len", "0")
         assert "--max-len" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["x", "1.5", ""])
+    def test_non_integer_trials_exits_2(self, capsys, value):
+        err = usage_error(capsys, "fuzz", "--trials", value)
+        assert f"argument --trials: must be a positive integer, got {value!r}" in err
+        assert "_positive_int" not in err and "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self):

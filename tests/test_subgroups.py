@@ -30,10 +30,7 @@ from stallings.subgroups import (
 )
 from stallings.words import (
     Alphabet,
-    IDENTITY,
     Word,
-    free_reduce,
-    invert,
     invert_codes,
     parse_word,
     reduce_codes,
@@ -64,6 +61,11 @@ def codes(text: str) -> tuple[int, ...]:
 
 def words(h: Subgroup) -> list[Word]:
     return [h.alphabet.word(w) for w in h.codes]
+
+
+def subgroup(alphabet: Alphabet, gens) -> Subgroup:
+    """The subgroup generated by code words over the alphabet."""
+    return Subgroup(alphabet, map(alphabet.word, gens))
 
 
 _AB_CODES = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(reduce_codes)
@@ -160,7 +162,7 @@ class TestGamma:
         ]
 
     def test_trivial_subgroup(self):
-        g = gamma(Subgroup(AB, (IDENTITY,)))
+        g = gamma(Subgroup(AB, (Word(),)))
         assert g.n_vertices == 1 and g.n_edges == 0
 
     def test_independent_of_generating_set(self):
@@ -175,31 +177,30 @@ class TestGamma:
         rng = random.Random(4)
         abc = Alphabet.of("a", "b", "c")
         for _ in range(100):
-            gens = words(random_subgroup(rng, abc, max_gens=4, max_len=6))
-            expected = canonical_form(gamma(Subgroup(abc, tuple(gens))))
+            gens = list(random_subgroup(rng, abc, max_gens=4, max_len=6).codes)
+            expected = canonical_form(gamma(subgroup(abc, gens)))
             for _ in range(5):
                 i = rng.randrange(len(gens))
                 j = rng.randrange(len(gens))
                 move = rng.randrange(3)
                 if move == 0:  # invert a generator
-                    gens[i] = invert(gens[i])
+                    gens[i] = invert_codes(gens[i])
                 elif move == 1:  # swap two generators
                     gens[i], gens[j] = gens[j], gens[i]
                 elif i != j:  # multiply one generator by another
-                    gens[i] = gens[i] * (gens[j] if rng.random() < 0.5 else invert(gens[j]))
-                moved = Subgroup(abc, tuple(gens))
+                    other = gens[j] if rng.random() < 0.5 else invert_codes(gens[j])
+                    gens[i] = reduce_codes(gens[i] + other)
+                moved = subgroup(abc, gens)
                 assert canonical_form(gamma(moved)) == expected
 
 
-_AB_WORDS = st.lists(st.sampled_from(AB.letters()), max_size=6).map(free_reduce)
-_ABC_WORDS = st.lists(
-    st.sampled_from(Alphabet.of("a", "b", "c").letters()), max_size=4
-).map(free_reduce)
-# reduced words over {a, b} that end in a^1 or a^-1
-_A_ENDED_WORDS = st.tuples(
-    st.lists(st.sampled_from(AB.letters()), max_size=8).map(free_reduce),
-    st.sampled_from([l for l in AB.letters() if l.gen == "a"]),
-).map(lambda t: t[0] * Word((t[1],))).filter(lambda w: w and w[-1].gen == "a")
+ABC = Alphabet.of("a", "b", "c")  # codes over AB keep their meaning over ABC
+_ABC_CODES = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=4).map(reduce_codes)
+# reduced code words over {a, b} that end in a^1 or a^-1
+_A_ENDED_CODES = st.tuples(
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8).map(reduce_codes),
+    st.sampled_from([1, -1]),
+).map(lambda t: reduce_codes(t[0] + t[1:])).filter(lambda w: w and abs(w[-1]) == 1)
 
 
 class TestCoreCache:
@@ -246,7 +247,7 @@ class TestCoreCache:
             if k.is_trivial():
                 continue
             k_gens = words(k)
-            h = Subgroup(AB, (k_gens[0] * k_gens[-1],))
+            h = subgroup(AB, (reduce_codes(k.codes[0] + k.codes[-1]),))
             if h.is_trivial():
                 continue
             u, f = onto_base(Subgroup(AB, words(h)), Subgroup(AB, k_gens))
@@ -271,8 +272,8 @@ class TestMembership:
         assert not contains(K_DELTA, parse_word("a b c a^-1"))
 
     def test_identity_always_member(self):
-        assert contains(K_DELTA, IDENTITY)
-        assert contains(Subgroup(AB, ()), IDENTITY)
+        assert contains(K_DELTA, Word())
+        assert contains(Subgroup(AB, ()), Word())
 
     def test_products_and_certified_nonmembers(self):
         rng = random.Random(7)
@@ -281,15 +282,15 @@ class TestMembership:
         for _ in range(30):
             h = random_subgroup(rng, AB, max_gens=3, max_len=6)
             g = gamma(h)
-            gens = [w for w in words(h) if w]
+            gens = [w for w in h.codes if w]
             for _ in range(10):
                 if not gens:
                     break
-                prod = IDENTITY
+                prod = ()
                 for _ in range(rng.randint(1, 3)):
                     w = rng.choice(gens)
-                    prod = prod * (w if rng.random() < 0.5 else invert(w))
-                assert trace(g, g.base, AB.encode(prod)) == g.base
+                    prod = reduce_codes(prod + (w if rng.random() < 0.5 else invert_codes(w)))
+                assert trace(g, g.base, prod) == g.base
             for _ in range(10):
                 w = AB.word(random_reduced_word(word_rng, AB, 4))
                 verdict = naive_member(h, w)
@@ -298,9 +299,9 @@ class TestMembership:
         assert True in verdicts and False in verdicts
 
     @given(
-        gens=st.lists(_AB_WORDS, max_size=3),
+        gens=st.lists(_AB_CODES, max_size=3),
         factors=st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=3),
-        tails=st.lists(_ABC_WORDS, min_size=1, max_size=4),
+        tails=st.lists(_ABC_CODES, min_size=1, max_size=4),
     )
     def test_agrees_with_naive_fold(self, gens, factors, tails):
         """Fresh and warm subgroups both answer as a walk in the naive fold.
@@ -308,18 +309,17 @@ class TestMembership:
         Queries are a product of generators times a tail that may use
         the foreign generator ``c``; an empty tail makes a member.
         """
-        gens = tuple(gens)
-        prod = IDENTITY
+        prod = ()
         for i, inverse in factors:
             if gens:
                 w = gens[i % len(gens)]
-                prod = prod * (invert(w) if inverse else w)
-        warm = Subgroup(AB, gens)
+                prod = reduce_codes(prod + (invert_codes(w) if inverse else w))
+        warm = subgroup(AB, gens)
         gamma(warm)
         for tail in tails:
-            w = prod * tail
-            expected = naive_member(Subgroup(AB, gens), w)
-            assert contains(Subgroup(AB, gens), w) == expected
+            w = ABC.word(reduce_codes(prod + tail))
+            expected = naive_member(subgroup(AB, gens), w)
+            assert contains(subgroup(AB, gens), w) == expected
             assert contains(warm, w) == expected
 
 
@@ -432,18 +432,18 @@ class TestCoveringCircuit:
                     continue
                 _assert_valid_circuit(h, covering_circuit(gamma(h)))
 
-    @given(w=_A_ENDED_WORDS)
+    @given(w=_A_ENDED_CODES)
     def test_hanging_path_known_by_construction(self, w):
         """A path spelling w hung on the b-loop is the circuit's tail.
 
         w ends in a^1 or a^-1, so the path does not fold into the loop and
         the core of <w b w^-1> is the loop plus a hanging path spelling w.
         """
-        g = core(attach_path(gamma(H_B), AB.encode(w)))
-        u = AB.word(covering_circuit(g))
-        assert u.letters[: len(w)] == w.letters
-        assert u.letters[-len(w) :] == invert(w).letters
-        h = Subgroup(AB, (w * parse_word("b") * invert(w),))
+        g = core(attach_path(gamma(H_B), w))
+        u = covering_circuit(g)
+        assert u[: len(w)] == w
+        assert u[-len(w) :] == invert_codes(w)
+        h = subgroup(AB, (reduce_codes(w + codes("b") + invert_codes(w)),))
         _, f = onto_base(h, Subgroup.of(AB, "a", "b"))
         assert classify(f).surjective
 
@@ -457,16 +457,16 @@ class TestCoveringCircuit:
 @st.composite
 def _nested_pairs(draw) -> tuple[Subgroup, Subgroup]:
     """(H, K) over {a, b} with H generated by products of K's generators."""
-    word = st.lists(st.sampled_from(AB.letters()), min_size=1, max_size=5).map(free_reduce)
+    word = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5).map(reduce_codes)
     k_gens = draw(st.lists(word.filter(bool), min_size=1, max_size=3))
     factor = st.tuples(st.sampled_from(k_gens), st.booleans())
     h_gens = []
     for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1, max_size=3)):
-        w = IDENTITY
+        w = ()
         for g, inverse in factors:
-            w = w * (invert(g) if inverse else g)
+            w = reduce_codes(w + (invert_codes(g) if inverse else g))
         h_gens.append(w)
-    return Subgroup(AB, tuple(h_gens)), Subgroup(AB, tuple(k_gens))
+    return subgroup(AB, h_gens), subgroup(AB, k_gens)
 
 
 class TestOntoBase:
@@ -536,15 +536,15 @@ class TestOntoBase:
             k = random_subgroup(rng, AB, max_gens=3, max_len=6)
             if k.is_trivial():
                 continue
-            basis = [AB.word(b) for b in pi1_basis(gamma(k))]
-            words = []
+            basis = pi1_basis(gamma(k))
+            gens = []
             for _ in range(rng.randint(1, 3)):
-                w = IDENTITY
+                w = ()
                 for _ in range(rng.randint(1, 3)):
                     b = rng.choice(basis)
-                    w = w * (b if rng.random() < 0.5 else invert(b))
-                words.append(w)
-            h = Subgroup(AB, tuple(words))
+                    w = reduce_codes(w + (b if rng.random() < 0.5 else invert_codes(b)))
+                gens.append(w)
+            h = subgroup(AB, gens)
             if h.is_trivial():
                 continue
             u, f = onto_base(h, k)

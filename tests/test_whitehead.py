@@ -23,8 +23,8 @@ from stallings.words import (
     GroupHom,
     Letter,
     cyclic_reduce,
-    free_reduce,
     parse_word,
+    reduce_codes,
 )
 
 from helpers import (
@@ -48,7 +48,8 @@ SIGMA = GroupHom(GREEK, AB, {"alpha": parse_word("b"), "beta": parse_word("a b a
 alphabets = st.sampled_from(ALPHABETS)
 words_over = alphabets.flatmap(
     lambda ab: st.tuples(
-        st.just(ab), st.lists(st.sampled_from(ab.letters()), max_size=12).map(free_reduce)
+        st.just(ab),
+        st.lists(st.sampled_from(ab.encode(ab.letters())), max_size=12).map(reduce_codes),
     )
 )
 core_graphs = alphabets.flatmap(pointed_graphs).map(core)
@@ -130,8 +131,9 @@ class TestWhiteheadGraph:
 class TestWordLink:
     @given(words_over)
     def test_turns_match_two_path_oracle(self, ab_w):
-        ab, w = ab_w
-        assert word_link(w, ab).edges == two_path_edges(path_graph(w, ab))
+        ab, codes = ab_w
+        link = RestrictionSet(ab, word_link(codes))
+        assert link.edges == two_path_edges(path_graph(ab.word(codes), ab))
 
 
 class TestFullWhitehead:
@@ -284,13 +286,12 @@ class TestCyclicWordLink:
         rng = random.Random(15)
         checked = 0
         for _ in range(100):
-            w = AB.word(random_reduced_word(rng, AB, 8))
-            _, cyc = cyclic_reduce(w)
+            _, cyc = cyclic_reduce(random_reduced_word(rng, AB, 8))
             if not cyc:
                 continue
-            g = gamma(Subgroup(AB, (cyc,)))
+            letters = AB.word(cyc)
+            g = gamma(Subgroup(AB, (letters,)))
             pairs = set()
-            letters = list(cyc)
             for i, cur in enumerate(letters):
                 nxt = letters[(i + 1) % len(letters)]
                 pairs.add(frozenset((cur, nxt.inverse())))

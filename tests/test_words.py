@@ -5,30 +5,22 @@ from hypothesis import given, strategies as st
 
 from stallings import words
 
-from stallings.errors import (
-    AlphabetMismatchError,
-    EmptyWordError,
-    UnknownGeneratorError,
-)
+from stallings.errors import AlphabetMismatchError, UnknownGeneratorError
 from stallings.words import (
-    IDENTITY,
     Alphabet,
     GroupHom,
     Letter,
     Word,
-    apply_hom,
     compose_homs,
-    concat,
     conjugation_hom,
     cyclic_reduce,
-    free_reduce,
     identity_hom,
-    invert,
+    invert_codes,
     is_nondegenerate,
-    last_letter,
     parse_codes,
     parse_hom,
     parse_word,
+    reduce_codes,
 )
 
 from helpers import naive_reduce
@@ -41,20 +33,29 @@ letters_ab = st.builds(
     st.sampled_from([1, -1]),
 )
 raw_words = st.lists(letters_ab, max_size=16)
-reduced_words = raw_words.map(free_reduce)
+raw_codes = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16)
+reduced_codes = raw_codes.map(reduce_codes)
 
 
 def w(text: str) -> Word:
     return parse_word(text)
 
 
+def c(text: str) -> tuple[int, ...]:
+    """The code word of a text word over {a, b}."""
+    return AB.encode(parse_word(text))
+
+
 class TestReduce:
+    """``reduce_codes`` on code words and the ``Word`` letter stack, one oracle."""
+
     def test_cancellation(self):
-        assert free_reduce(parse_word("a").letters + parse_word("a^-1 b").letters) == w("b")
+        assert reduce_codes((1, -1, 2)) == (2,)
+        assert Word(parse_word("a").letters + parse_word("a^-1 b").letters) == w("b")
 
     def test_identity(self):
-        assert free_reduce([]) == IDENTITY
-        assert not IDENTITY
+        assert reduce_codes([]) == ()
+        assert Word([]) == Word() and not Word()
 
     def test_nested_cancellation_matches_oracle(self):
         raw = [
@@ -62,81 +63,72 @@ class TestReduce:
             Letter("a", 1), Letter("a", -1), Letter("b", 1),
         ]
         assert naive_reduce(raw) == (Letter("a", 1), Letter("b", 1))
-        assert free_reduce(raw) == w("a b")
+        assert Word(raw) == w("a b")
+        assert naive_reduce(AB.encode(raw)) == (1, 2)
+        assert reduce_codes(AB.encode(raw)) == c("a b")
 
-    @given(raw_words)
-    def test_matches_oracle(self, letters):
-        assert free_reduce(letters).letters == naive_reduce(letters)
+    @given(raw_codes, raw_words)
+    def test_matches_oracle(self, codes, letters):
+        assert reduce_codes(codes) == naive_reduce(codes)
+        assert Word(letters).letters == naive_reduce(letters)
 
-    @given(raw_words)
-    def test_idempotent(self, letters):
-        once = free_reduce(letters)
-        assert free_reduce(once.letters) == once
+    @given(raw_codes, raw_words)
+    def test_idempotent(self, codes, letters):
+        once = reduce_codes(codes)
+        assert reduce_codes(once) == once
+        word = Word(letters)
+        assert Word(word.letters) == word
 
-    @given(reduced_words)
-    def test_word_times_inverse_is_identity(self, u):
-        assert u * invert(u) == IDENTITY
+    @given(reduced_codes, raw_words)
+    def test_word_times_inverse_is_identity(self, u, letters):
+        assert reduce_codes(u + invert_codes(u)) == ()
+        word = Word(letters)
+        assert not Word(word.letters + tuple(l.inverse() for l in reversed(word)))
 
 
 class TestConcat:
+    """The reduced product of two reduced code words."""
+
     def test_one_cancellation(self):
-        prod, clean = concat(w("a b"), w("b^-1 a"))
-        assert prod == w("a a") and not clean
+        assert reduce_codes(c("a b") + c("b^-1 a")) == c("a a")
 
     def test_clean(self):
-        prod, clean = concat(w("a"), w("b"))
-        assert prod == w("a b") and clean
+        assert reduce_codes(c("a") + c("b")) == c("a b")
 
     def test_last_letters_differ(self):
-        prod, clean = concat(w("a b"), w("a^-1"))
-        assert prod == w("a b a^-1") and clean
+        assert reduce_codes(c("a b") + c("a^-1")) == c("a b a^-1")
 
-    @given(reduced_words, reduced_words)
+    @given(reduced_codes, reduced_codes)
     def test_flag_is_length_additivity(self, u, v):
-        prod, clean = concat(u, v)
-        assert clean == (len(prod) == len(u) + len(v))
+        clean = len(reduce_codes(u + v)) == len(u) + len(v)
         if u and v:
-            assert clean == (last_letter(u) != last_letter(invert(v)))
+            assert clean == (u[-1] != -v[0])
+        else:
+            assert clean
 
 
 class TestInvert:
     def test_examples(self):
-        assert invert(w("a b")) == w("b^-1 a^-1")
-        assert invert(IDENTITY) == IDENTITY
-        assert invert(w("a b a^-1")) == w("a b^-1 a^-1")
-
-
-class TestLastLetter:
-    def test_examples(self):
-        assert last_letter(w("a b a^-1")) == Letter("a", -1)
-        assert last_letter(w("b")) == Letter("b", 1)
-        assert last_letter(w("t^-1 y")) == Letter("y", 1)
-
-    def test_identity_rejected(self):
-        with pytest.raises(EmptyWordError):
-            last_letter(IDENTITY)
+        assert invert_codes(c("a b")) == c("b^-1 a^-1")
+        assert invert_codes(()) == ()
+        assert invert_codes(c("a b a^-1")) == c("a b^-1 a^-1")
 
 
 class TestCyclicReduce:
     def test_peels_maximally(self):
-        prefix, cyc = cyclic_reduce(w("a b a b^-1 a^-1"))
-        assert (prefix, cyc) == (w("a b"), w("a"))
-        assert free_reduce(
-            prefix.letters + cyc.letters + invert(prefix).letters
-        ) == w("a b a b^-1 a^-1")
+        prefix, cyc = cyclic_reduce(c("a b a b^-1 a^-1"))
+        assert (prefix, cyc) == (c("a b"), c("a"))
+        assert reduce_codes(prefix + cyc + invert_codes(prefix)) == c("a b a b^-1 a^-1")
 
     def test_already_reduced(self):
-        assert cyclic_reduce(w("b")) == (IDENTITY, w("b"))
-        assert cyclic_reduce(IDENTITY) == (IDENTITY, IDENTITY)
+        assert cyclic_reduce(c("b")) == ((), c("b"))
+        assert cyclic_reduce(()) == ((), ())
 
-    @given(reduced_words)
+    @given(reduced_codes)
     def test_reconstruction_and_core(self, word):
         prefix, cyc = cyclic_reduce(word)
-        assert len(cyc) <= 1 or cyc[0] != cyc[-1].inverse()
-        assert (
-            free_reduce(prefix.letters + cyc.letters + invert(prefix).letters)
-            == word
-        )
+        assert len(cyc) <= 1 or cyc[0] != -cyc[-1]
+        assert reduce_codes(prefix + cyc + invert_codes(prefix)) == word
 
     def test_reconstruction_at_scale(self):
         import random
@@ -145,13 +137,10 @@ class TestCyclicReduce:
 
         rng = random.Random(4)
         for _ in range(1000):
-            word = AB.word(random_reduced_word(rng, AB, 14))
+            word = random_reduced_word(rng, AB, 14)
             prefix, cyc = cyclic_reduce(word)
-            assert len(cyc) <= 1 or cyc[0] != cyc[-1].inverse()
-            assert (
-                free_reduce(prefix.letters + cyc.letters + invert(prefix).letters)
-                == word
-            )
+            assert len(cyc) <= 1 or cyc[0] != -cyc[-1]
+            assert reduce_codes(prefix + cyc + invert_codes(prefix)) == word
 
 
 SIGMA = GroupHom(
@@ -163,14 +152,14 @@ SIGMA = GroupHom(
 
 class TestHoms:
     def test_apply_sigma(self):
-        assert apply_hom(SIGMA, parse_word("alpha beta")) == w("b a b a^-1")
+        assert SIGMA.image((1, 2)) == c("b a b a^-1")
 
     def test_identity_word(self):
-        assert apply_hom(SIGMA, IDENTITY) == IDENTITY
+        assert SIGMA.image(()) == ()
 
     def test_image_cancellation(self):
         phi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b^-1")})
-        assert apply_hom(phi, w("a b")) == w("a")
+        assert phi.image(c("a b")) == c("a")
 
     def test_compose_with_identity(self):
         psi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
@@ -185,9 +174,7 @@ class TestHoms:
 
     def test_compose_after_coordinates(self):
         phi = GroupHom(AB, AB, {"a": w("a"), "b": w("b b")})
-        assert apply_hom(compose_homs(phi, SIGMA), parse_word("alpha")) == apply_hom(
-            phi, w("b")
-        )
+        assert compose_homs(phi, SIGMA).image((1,)) == phi.image(c("b"))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
@@ -207,10 +194,8 @@ class TestHoms:
         rng = random.Random(data.draw(st.integers(0, 2**16)))
         psi = random_hom(rng, AB, AB, 4)
         phi = random_hom(rng, AB, AB, 4)
-        word = data.draw(reduced_words)
-        assert apply_hom(compose_homs(phi, psi), word) == apply_hom(
-            phi, apply_hom(psi, word)
-        )
+        word = data.draw(reduced_codes)
+        assert compose_homs(phi, psi).image(word) == phi.image(psi.image(word))
 
 
 class TestParseHom:
@@ -275,26 +260,32 @@ class TestNondegenerate:
     def test_examples(self):
         assert is_nondegenerate(SIGMA)
         assert not is_nondegenerate(
-            GroupHom(AB, AB, {"a": IDENTITY, "b": w("b")})
+            GroupHom(AB, AB, {"a": Word(), "b": w("b")})
         )
         assert is_nondegenerate(identity_hom(AB))
 
 
 class TestConjugation:
     def test_trivial_conjugator(self):
-        assert conjugation_hom(IDENTITY, AB) == identity_hom(AB)
+        assert conjugation_hom((), AB) == identity_hom(AB)
 
     def test_single_letter(self):
-        c = conjugation_hom(w("a"), AB)
-        assert c == GroupHom(AB, AB, {"a": w("a"), "b": w("a b a^-1")})
+        h = conjugation_hom((1,), AB)
+        assert h == GroupHom(AB, AB, {"a": w("a"), "b": w("a b a^-1")})
 
     def test_two_letters(self):
-        c = conjugation_hom(w("a b"), AB)
-        assert c == GroupHom(AB, AB, {"a": w("a b a b^-1 a^-1"), "b": w("a b a^-1")})
+        h = conjugation_hom((1, 2), AB)
+        assert h == GroupHom(AB, AB, {"a": w("a b a b^-1 a^-1"), "b": w("a b a^-1")})
 
-    @given(reduced_words)
+    @given(reduced_codes)
     def test_always_nondegenerate(self, word):
         assert is_nondegenerate(conjugation_hom(word, AB))
+
+    @pytest.mark.parametrize("codes", [(1, 3), (-3,), (0,)])
+    def test_code_outside_alphabet_rejected(self, codes):
+        bad = next(x for x in codes if not 0 < abs(x) <= 2)
+        with pytest.raises(UnknownGeneratorError, match=f"^label {bad} outside the alphabet$"):
+            conjugation_hom(codes, AB)
 
 
 class TestAlphabet:

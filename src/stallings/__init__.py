@@ -12,6 +12,7 @@ from .errors import (
     DegenerateHomError,
     DisconnectedGraphError,
     EdgeNotMissingError,
+    InternalError,
     NotAmbiguousError,
     NotFoldedError,
     NotIncludedError,

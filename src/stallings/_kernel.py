@@ -12,6 +12,8 @@ so the total work is near linear in the number of half-edges.
 
 from __future__ import annotations
 
+from .errors import InternalError
+
 
 def fold(
     n_vertices: int, einit: list[int], elabel: list[int]
@@ -73,7 +75,8 @@ def fold(
         if a == b:
             continue
         da, db = adj[a], adj[b]
-        assert da is not None and db is not None
+        if da is None or db is None:
+            raise InternalError("internal error: a fold root lost its adjacency")
         if len(da) < len(db):
             a, b = b, a
             da, db = db, da

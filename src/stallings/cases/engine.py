@@ -14,9 +14,9 @@ reduced to another by renaming its letters to words of the other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..errors import EdgeNotMissingError, NotAmbiguousError, StallingsError
+from ..errors import EdgeNotMissingError, InternalError, NotAmbiguousError
 from ..graph import (
     GraphMorphism,
     LabeledGraph,
@@ -43,7 +43,7 @@ from ..words import (
     parse_codes,
     reduce_codes,
 )
-from .table import INITIAL_CASES
+from .table import ROWS
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,22 @@ def reduce_to(
 # -- the bundled example ----------------------------------------------------
 
 
+def given_case(row: dict) -> InjectivityCase:
+    """The case of a given table row: the inclusion of its inner subgroup.
+
+    A row with ``coords`` records the root's generators as words over
+    its alphabet; that change of coordinates is the case's chain.
+    """
+    u = Alphabet(row["alphabet"])
+    m = inclusion_morphism(Subgroup.of(u, *row["inner"]), Subgroup.of(u, *row["outer"]))
+    if m is None:
+        raise InternalError(f"internal error: case {row['id']} is not an inclusion")
+    chain = ()
+    if "coords" in row:
+        chain = (make_substitution(Alphabet(ROWS[0]["alphabet"]), u, row["coords"]),)
+    return InjectivityCase(row["id"], RestrictionSet.parse(u, row["n"]), m, chain)
+
+
 def root_case() -> InjectivityCase:
     """The loop-inside-conjugate-pair inclusion over {a, b}.
 
@@ -304,15 +320,7 @@ def root_case() -> InjectivityCase:
     the starting restriction records that the inner generator's image may
     be taken cyclically reduced.
     """
-    ab = Alphabet.of("a", "b")
-    h = Subgroup.of(ab, "b")
-    k = Subgroup.of(ab, "b", "a b a^-1")
-    m = inclusion_morphism(h, k)
-    if m is None:
-        raise StallingsError("internal error: the root's inner subgroup is not included")
-    return InjectivityCase(
-        "root", RestrictionSet.parse(ab, "b.b^-1"), m
-    )
+    return given_case(ROWS[0])
 
 
 def initial_split(root: InjectivityCase) -> list[InjectivityCase]:
@@ -322,15 +330,5 @@ def initial_split(root: InjectivityCase) -> list[InjectivityCase]:
     conjugating prefix and cyclic remainder trivial, only one trivial, or
     neither.
     """
-    cases = []
-    for row in INITIAL_CASES:
-        u = Alphabet(row["alphabet"])
-        inner = Subgroup.of(u, row["inner"])
-        outer = Subgroup.of(u, row["inner"], row["outer"])
-        m = inclusion_morphism(inner, outer)
-        if m is None:
-            raise StallingsError(f"internal error: case {row['id']} is not an inclusion")
-        n = RestrictionSet.parse(u, row["n"])
-        coords = make_substitution(root.alphabet, u, row["coords"])
-        cases.append(InjectivityCase(row["id"], n, m, root.chain + (coords,)))
-    return cases
+    cases = [given_case(row) for row in ROWS if "coords" in row]
+    return [replace(c, chain=root.chain + c.chain) for c in cases]

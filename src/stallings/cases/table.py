@@ -8,25 +8,46 @@ are trivial; the resulting cases are then refined by Whitehead-edge
 splits until every branch either carries full restrictions (and is
 positively resolved) or reduces to an earlier case by renaming.
 
-The case engine derives every split row from its parent; a row only
-names the parent, the split edge and the child's index.  Its other cells
-(substitution, restriction set, missing edges) are the values printed in
-the source tables, which the derived case must reproduce, and its
-``expect`` cell names the check that settles the row.  A few cells of
-the source tables are internally inconsistent (for example an edge
-listed both inside the restriction set and in the missing column);
-those cells are corrected here to the values forced by the neighbouring
-columns, and every correction carries a note.
+Every row has one of two forms.  A given row names an inclusion
+outright: its ``alphabet``, the generators of its ``inner`` and
+``outer`` subgroups as word text, and its restriction set ``n``.  The
+root, the four coordinate-change cases (whose ``coords`` give the root's
+generators as words over the row's alphabet) and the cases ``x`` and
+``x'`` are given rows.  A split row names its ``parent``, the split
+``edge`` and the child's ``index``, and the case engine derives it from
+the parent.  Its other cells (substitution ``sub``, restriction set,
+missing edges) are the values printed in the source tables, which the
+derived case must reproduce, and its ``expect`` cell names the check
+that settles the row.  A few cells of the source tables are internally
+inconsistent (for example an edge listed both inside the restriction set
+and in the missing column); those cells are corrected here to the values
+forced by the neighbouring columns, and every correction carries a note.
 """
 
 # expect values: "positive", "ambiguous", or ("contained", target id, renaming)
+#
+# A split row's index is the child of split_on_edge: 1 keeps the last
+# letters distinct, 2 names their common suffix by the parent alphabet's
+# fresh letter, 3 and 4 absorb one letter into the other, 5 identifies
+# them.  sub maps generators to word text over the child alphabet;
+# omitted generators are fixed.  Rows 2' and 4' are child 1 of
+# splitting 2 and 4 on u^-1.y^-1; their siblings have no rows.
 
-INITIAL_CASES = [
+ROWS = [
+    {
+        "id": "root",
+        "alphabet": ("a", "b"),
+        "inner": ("b",),
+        "outer": ("b", "a b a^-1"),
+        "n": "b.b^-1",
+        "missing": "a.b, a.b^-1, a^-1.b, a^-1.b^-1",
+        "expect": "ambiguous",
+    },
     {
         "id": "1",
         "alphabet": ("u",),
-        "inner": "u",
-        "outer": "u",
+        "inner": ("u",),
+        "outer": ("u",),
         "coords": {"a": "u", "b": "u"},
         "n": "u.u^-1",
         "missing": "",
@@ -35,8 +56,8 @@ INITIAL_CASES = [
     {
         "id": "2",
         "alphabet": ("y", "u"),
-        "inner": "u",
-        "outer": "y u y^-1",
+        "inner": ("u",),
+        "outer": ("u", "y u y^-1"),
         "coords": {"a": "y", "b": "u"},
         "n": "y.u^-1, u.y, u.u^-1",
         "missing": "u^-1.y^-1, u.y^-1",
@@ -45,8 +66,8 @@ INITIAL_CASES = [
     {
         "id": "3",
         "alphabet": ("v", "u"),
-        "inner": "u v",
-        "outer": "v u",
+        "inner": ("u v",),
+        "outer": ("u v", "v u"),
         "coords": {"a": "u^-1", "b": "u v"},
         "n": "v.u^-1, u.v^-1",
         "missing": "u.v, u.u^-1, v.v^-1, u^-1.v^-1",
@@ -55,33 +76,25 @@ INITIAL_CASES = [
     {
         "id": "4",
         "alphabet": ("v", "u", "y"),
-        "inner": "u v",
-        "outer": "y v u y^-1",
+        "inner": ("u v",),
+        "outer": ("u v", "y v u y^-1"),
         "coords": {"a": "y v", "b": "u v"},
         "n": "v.u^-1, u.v^-1, y.v^-1, u.y",
         "missing": "u^-1.y^-1, v.y^-1",
         "expect": "ambiguous",
     },
-]
-
-# Split rows.  index is the child of split_on_edge: 1 keeps the last
-# letters distinct, 2 names their common suffix by the parent alphabet's
-# fresh letter, 3 and 4 absorb one letter into the other, 5 identifies
-# them.  sub maps generators to word text over the child alphabet;
-# omitted generators are fixed.
-
-SPLIT_ROWS = [
     {
         "id": "2'",
-        "kind": "widen",
         "parent": "2",
+        "edge": "u^-1.y^-1",
+        "index": 1,
+        "sub": {},
         "n": "u.y, y.u^-1, u^-1.y^-1, u.u^-1",
         "missing": "u.y^-1",
         "expect": "ambiguous",
     },
     {
         "id": "2.1",
-        "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
         "index": 1,
@@ -92,7 +105,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "2.2",
-        "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
         "index": 2,
@@ -103,7 +115,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "2.3",
-        "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
         "index": 4,
@@ -114,7 +125,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "2.4",
-        "kind": "split",
         "parent": "2'",
         "edge": "u.y^-1",
         "index": 3,
@@ -125,15 +135,16 @@ SPLIT_ROWS = [
     },
     {
         "id": "4'",
-        "kind": "widen",
         "parent": "4",
+        "edge": "u^-1.y^-1",
+        "index": 1,
+        "sub": {},
         "n": "v.u^-1, u.v^-1, y.v^-1, u.y, u^-1.y^-1",
         "missing": "v.y^-1",
         "expect": "ambiguous",
     },
     {
         "id": "4.1",
-        "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
         "index": 1,
@@ -144,7 +155,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "4.2",
-        "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
         "index": 2,
@@ -158,7 +168,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "4.3",
-        "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
         "index": 3,
@@ -169,7 +178,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "4.4",
-        "kind": "split",
         "parent": "4'",
         "edge": "v.y^-1",
         "index": 4,
@@ -180,7 +188,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x",
-        "kind": "free",
         "alphabet": ("u", "v", "x"),
         "inner": ("u v x",),
         "outer": ("u v x", "v u x"),
@@ -190,7 +197,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x'",
-        "kind": "free",
         "alphabet": ("u", "v", "t", "x"),
         "inner": ("u t v x",),
         "outer": ("u t v x", "v t u x"),
@@ -200,7 +206,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.1",
-        "kind": "split",
         "parent": "3",
         "edge": "u.v",
         "index": 1,
@@ -211,7 +216,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.2",
-        "kind": "split",
         "parent": "3",
         "edge": "u.v",
         "index": 2,
@@ -222,7 +226,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.3",
-        "kind": "split",
         "parent": "3",
         "edge": "u.v",
         "index": 4,
@@ -233,7 +236,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.4",
-        "kind": "split",
         "parent": "3",
         "edge": "u.v",
         "index": 3,
@@ -244,7 +246,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.1",
-        "kind": "split",
         "parent": "x",
         "edge": "u.v",
         "index": 1,
@@ -255,7 +256,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.2",
-        "kind": "split",
         "parent": "x",
         "edge": "u.v",
         "index": 2,
@@ -266,7 +266,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.3",
-        "kind": "split",
         "parent": "x",
         "edge": "u.v",
         "index": 4,
@@ -277,7 +276,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.4",
-        "kind": "split",
         "parent": "x",
         "edge": "u.v",
         "index": 3,
@@ -288,7 +286,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.5",
-        "kind": "split",
         "parent": "x",
         "edge": "u.v",
         "index": 5,
@@ -299,7 +296,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x'.1",
-        "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
         "index": 1,
@@ -314,7 +310,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x'.2",
-        "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
         "index": 2,
@@ -331,7 +326,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x'.3",
-        "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
         "index": 4,
@@ -345,7 +339,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x'.4",
-        "kind": "split",
         "parent": "x'",
         "edge": "u^-1.v^-1",
         "index": 3,
@@ -358,7 +351,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.1.1",
-        "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
         "index": 1,
@@ -369,7 +361,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.1.2",
-        "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
         "index": 2,
@@ -385,7 +376,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.1.3",
-        "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
         "index": 4,
@@ -396,7 +386,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "x.1.4",
-        "kind": "split",
         "parent": "x.1",
         "edge": "u^-1.v^-1",
         "index": 3,
@@ -409,7 +398,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.1.1",
-        "kind": "split",
         "parent": "3.1",
         "edge": "u^-1.v^-1",
         "index": 1,
@@ -423,7 +411,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.1.1.2",
-        "kind": "split",
         "parent": "3.1.1",
         "edge": "v.v^-1",
         "index": 2,
@@ -437,7 +424,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.1.1.2.1",
-        "kind": "split",
         "parent": "3.1.1.2",
         "edge": "u.u^-1",
         "index": 1,
@@ -450,7 +436,6 @@ SPLIT_ROWS = [
     },
     {
         "id": "3.1.1.2.2",
-        "kind": "split",
         "parent": "3.1.1.2",
         "edge": "u.u^-1",
         "index": 2,

@@ -1,37 +1,35 @@
 """Row-by-row derivation and verification of the bundled case analysis.
 
-The case engine derives every split row: ``split_on_edge`` splits the
-row's parent along the row's edge and the row takes the child it names
-by index.  The row's recorded cells are expected values: the derived
-substitution, restriction set and missing Whitehead edges are compared
-against them.  Then the row's claim is checked: positive rows must carry
-full restrictions with an injective morphism, ambiguous rows must be
-ambiguous, and containment rows must reduce to their target under the
-recorded renaming.
+Each row yields one case.  A given row builds its inclusion with
+``given_case``.  For a split row, ``split_on_edge`` splits the row's
+parent along the row's edge and the row takes the child it names by
+index; the derived substitution and restriction set are compared
+against the recorded cells, as are a coordinate-change row's graphs
+against the root's.  Then every row's missing Whitehead edges are
+compared against its recorded column and its claim is checked: positive
+rows must carry full restrictions with an injective morphism, ambiguous
+rows must be ambiguous, and containment rows must reduce to their target
+under the recorded renaming.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..errors import StallingsError
 from ..functor import image_core
 from ..graph import classify, iso_pointed
-from ..subgroups import Subgroup, inclusion_morphism
 from ..whitehead import RestrictionSet, parse_edges
-from ..words import Alphabet
 from .engine import (
     InjectivityCase,
     Resolution,
     SplitCase,
     classify_case,
-    initial_split,
+    given_case,
     make_substitution,
     reduce_to,
-    root_case,
     split_on_edge,
 )
-from .table import INITIAL_CASES, SPLIT_ROWS
+from .table import ROWS
 
 
 @dataclass
@@ -67,67 +65,31 @@ def verify_tables() -> TableReport:
     states: dict[str, InjectivityCase] = {}
     splits: dict[tuple[str, str], dict[int, SplitCase]] = {}
 
-    root = root_case()
-    states["root"] = root
-    res = classify_case(root)
-    row = RowResult("root", res.kind.value, res.missing_text)
-    row.checks["ambiguous"] = res.kind is Resolution.AMBIGUOUS
-    row.checks["missing"] = res.missing.edges == parse_edges(
-        "a.b, a.b^-1, a^-1.b, a^-1.b^-1"
-    )
-    report.rows.append(row)
-
-    for case, data in zip(initial_split(root), INITIAL_CASES):
-        states[case.id] = case
-        res = classify_case(case)
-        row = RowResult(case.id, res.kind.value, res.missing_text)
-        row.checks["missing"] = res.missing.edges == parse_edges(data["missing"])
-        row.checks[data["expect"]] = res.kind.value == data["expect"]
-        # the coordinate change really carries the root graphs here
-        coords = case.chain[-1]
-        row.checks["coords"] = iso_pointed(
-            image_core(coords, root.source), case.source
-        ) and iso_pointed(image_core(coords, root.target), case.target)
-        if case.id == "1":
-            row.checks["source_equals_target"] = iso_pointed(
-                case.source, case.target
-            )
-        report.rows.append(row)
-
-    for data in SPLIT_ROWS:
+    for data in ROWS:
         row = RowResult(data["id"], "", "", note=data.get("note", ""))
 
-        if data["kind"] == "widen":
-            parent = states[data["parent"]]
-            case = InjectivityCase(
-                data["id"],
-                RestrictionSet.parse(parent.alphabet, data["n"]),
-                parent.morphism,
-                parent.chain,
-            )
-        elif data["kind"] == "free":
-            u = Alphabet(data["alphabet"])
-            inner = Subgroup.of(u, *data["inner"])
-            outer = Subgroup.of(u, *data["outer"])
-            m = inclusion_morphism(inner, outer)
-            if m is None:
-                raise StallingsError(f"internal error: row {data['id']} is not an inclusion")
-            case = InjectivityCase(data["id"], RestrictionSet.parse(u, data["n"]), m)
-        else:
+        if "parent" in data:
             key = (data["parent"], data["edge"])
             if key not in splits:  # sibling rows share one split
                 parent = states[data["parent"]]
                 (edge,) = RestrictionSet.parse(parent.alphabet, data["edge"]).codes
-                children = split_on_edge(parent, edge)
-                splits[key] = {c.index: c for c in children}
+                splits[key] = {c.index: c for c in split_on_edge(parent, edge)}
             split = splits[key][data["index"]]
             psi = split.substitution
             expected_sub = make_substitution(psi.source, psi.target, data["sub"])
             row.checks["substitution"] = psi == expected_sub
-            row.checks["restrictions"] = split.case.restrictions.edges == parse_edges(
-                data["n"]
-            )
+            row.checks["restrictions"] = split.case.restrictions.edges == parse_edges(data["n"])
             case = replace(split.case, id=data["id"])
+        else:
+            case = given_case(data)
+            if "coords" in data:
+                # the coordinate change really carries the root graphs here
+                root, coords = states["root"], case.chain[-1]
+                row.checks["coords"] = iso_pointed(
+                    image_core(coords, root.source), case.source
+                ) and iso_pointed(image_core(coords, root.target), case.target)
+            if case.id == "1":
+                row.checks["source_equals_target"] = iso_pointed(case.source, case.target)
 
         states[case.id] = case
         res = classify_case(case)
@@ -144,9 +106,7 @@ def verify_tables() -> TableReport:
         else:
             _, target_id, renaming_text = expect
             target = states[target_id]
-            renaming = make_substitution(
-                target.alphabet, case.alphabet, renaming_text
-            )
+            renaming = make_substitution(target.alphabet, case.alphabet, renaming_text)
             ok = reduce_to(case, target, renaming)
             row.checks[f"contained in {target_id}"] = ok
             if ok and not reduce_to(case, target, renaming, require_square=True):

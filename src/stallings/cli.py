@@ -4,7 +4,8 @@ Subcommands cover graph construction, membership, morphism
 classification, the onto-base construction, homomorphism transport,
 Whitehead graphs, admissibility checking, the bundled case table, and
 randomized checking of the bundled example.  Exit codes: 0 on success,
-1 on a mathematical negative or counterexample, 2 on usage errors.
+1 on a mathematical negative or counterexample, 2 on usage errors, 3 on
+an internal error of the library.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cases import fuzz_example, render_tsv, verify_tables
-from .errors import NotIncludedError, StallingsError, TrivialSubgroupError
+from .errors import InternalError, NotIncludedError, StallingsError, TrivialSubgroupError
 from .graph import canonical_form, classify, to_dot
 from .subgroups import (
     Subgroup,
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
     log.debug("running %s", args.command)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except StallingsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

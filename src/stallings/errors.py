@@ -43,3 +43,7 @@ class NotAmbiguousError(StallingsError):
 
 class EdgeNotMissingError(StallingsError):
     """The selected Whitehead edge is not missing from the restriction set."""
+
+
+class InternalError(StallingsError):
+    """A library invariant failed: a bug, not a property of the input."""

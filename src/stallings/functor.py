@@ -14,6 +14,7 @@ from __future__ import annotations
 from .errors import (
     AlphabetMismatchError,
     DegenerateHomError,
+    InternalError,
     StallingsError,
     TrivialSubgroupError,
 )
@@ -135,7 +136,7 @@ def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """
     m = unique_pointed_morphism(image_core(phi, f.source), image_core(phi, f.target))
     if m is None:
-        raise StallingsError("internal error: image cores admit no morphism")
+        raise InternalError("internal error: image cores admit no morphism")
     return m
 
 

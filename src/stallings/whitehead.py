@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
+from .functor import _edge_images
 from .graph import LabeledGraph
 from .words import Alphabet, GroupHom, Letter, parse_letter
 
@@ -183,12 +184,16 @@ def is_restriction_morphism(
 
 
 def preserves_folding(phi: GroupHom, g: LabeledGraph) -> bool:
-    """True iff subdividing the graph's edges by the images stays folded."""
-    from .functor import subdivide  # local import to avoid a cycle
+    """True iff subdividing the graph's edges by the images stays folded.
 
+    Images are reduced, so each path's interior is folded; at a vertex of
+    the graph, its half-edges' images must start with distinct letters.
+    """
     if not g.is_folded():
         return False
-    return subdivide(phi, g).is_folded()
+    images = _edge_images(phi, g)
+    starts = {(v, images[c][0]) for v, c in zip(g.einit, g.elabel)}
+    return len(starts) == g.n_half_edges
 
 
 def guarantees_folding(restrictions: RestrictionSet, g: LabeledGraph) -> bool:

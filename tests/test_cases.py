@@ -15,9 +15,14 @@ from stallings.cases import (
     table,
     verify_tables,
 )
-from stallings.cases import engine, verify
+from stallings.cases import engine
 from stallings.cases.engine import make_substitution
-from stallings.errors import EdgeNotMissingError, NotAmbiguousError, StallingsError
+from stallings.errors import (
+    EdgeNotMissingError,
+    InternalError,
+    NotAmbiguousError,
+    StallingsError,
+)
 from stallings.functor import image_morphism, subdivide, unbased_image_morphism
 from stallings.graph import classify, iso_pointed
 from stallings.whitehead import (
@@ -69,8 +74,13 @@ class TestInternalErrors:
             initial_split(root)
 
     def test_free_rows(self, monkeypatch):
-        monkeypatch.setattr(verify, "inclusion_morphism", lambda h, k: None)
-        with pytest.raises(StallingsError, match="^internal error: row "):
+        include = engine.inclusion_morphism
+        monkeypatch.setattr(
+            engine,
+            "inclusion_morphism",
+            lambda h, k: None if "x" in h.alphabet else include(h, k),
+        )
+        with pytest.raises(InternalError, match="^internal error: case x "):
             verify_tables()
 
 
@@ -269,11 +279,11 @@ class TestTableVerification:
     )
     def test_derivation_check_bites(self, monkeypatch, row_id, cell, value):
         """A wrong recorded cell fails its own row and no other."""
-        rows = [dict(r) for r in table.SPLIT_ROWS]
+        rows = [dict(r) for r in table.ROWS]
         for r in rows:
             if r["id"] == row_id:
                 r[cell] = value
-        monkeypatch.setattr("stallings.cases.verify.SPLIT_ROWS", rows)
+        monkeypatch.setattr("stallings.cases.verify.ROWS", rows)
         failing = {
             r.id: [name for name, ok in r.checks.items() if not ok]
             for r in verify_tables().rows
@@ -281,6 +291,21 @@ class TestTableVerification:
         }
         assert list(failing) == [row_id]
         assert "substitution" in failing[row_id]
+
+    @pytest.mark.parametrize("row_id", ["2'", "4'"])
+    def test_first_children_are_derived(self, report, row_id):
+        """2' and 4' are split rows, so their derivation is checked too."""
+        (row,) = [r for r in report.rows if r.id == row_id]
+        assert row.ok
+        assert {"substitution", "restrictions"} <= set(row.checks)
+
+    def test_given_rows_match_root_and_initial_split(self, report):
+        for case in [root_case(), *initial_split(root_case())]:
+            derived = report.cases[case.id]
+            assert derived.restrictions == case.restrictions
+            assert iso_pointed(derived.source, case.source)
+            assert iso_pointed(derived.target, case.target)
+            assert derived.chain == case.chain
 
     def test_positive_rows_transport_injectively(self, report):
         # sample admissible maps out of each fully restricted case

@@ -259,6 +259,15 @@ class TestCaseTable:
         assert len(lines) == 39
         assert all("\tpass\t" in line for line in lines[1:])
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        """A broken library is not reported as a failed certificate (exit 1)."""
+        monkeypatch.setattr("stallings.cases.engine.inclusion_morphism", lambda h, k: None)
+        code = main(["case-table"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: internal error: case root is not an inclusion\n"
+
 
 class TestFuzz:
     def test_clean_run(self, capsys):
@@ -329,8 +338,10 @@ def _failing_rows():
     """The case table with one recorded missing column made wrong."""
     from stallings.cases import table
 
-    rows = [dict(row) for row in table.SPLIT_ROWS]
-    rows[0]["missing"] = "a.b"
+    rows = [dict(row) for row in table.ROWS]
+    for row in rows:
+        if row["id"] == "2'":
+            row["missing"] = "a.b"
     return rows
 
 
@@ -375,7 +386,7 @@ CONTRACT = {
     },
     "case-table": {
         "ok": (["case-table"], None),
-        "negative": (["case-table"], ("stallings.cases.verify.SPLIT_ROWS", _failing_rows)),
+        "negative": (["case-table"], ("stallings.cases.verify.ROWS", _failing_rows)),
         "malformed": (["case-table", "extra"], None),
     },
     "fuzz": {

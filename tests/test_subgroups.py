@@ -212,7 +212,7 @@ class TestCoreCache:
         h = Subgroup.of(AB, "b", "a b a^-1")
         assert contains(h, parse_word("b"))
         calls = []
-        monkeypatch.setattr(subgroups, "core", lambda g: calls.append(g))
+        monkeypatch.setattr("stallings.graph.core", lambda g: calls.append(g))
         monkeypatch.setattr(subgroups, "_fold_paths", lambda *args: calls.append(args))
         assert contains(h, parse_word("a b a^-1"))
         assert not contains(h, parse_word("a"))

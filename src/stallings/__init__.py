@@ -61,6 +61,7 @@ from .subgroups import (
 from .whitehead import (
     AdmissibilityReport,
     RestrictionSet,
+    code_edge,
     format_edge,
     full_whitehead,
     guarantees_folding,

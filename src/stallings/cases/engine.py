@@ -30,6 +30,7 @@ from ..whitehead import (
     RestrictionSet,
     WhiteheadEdge,
     _tau,
+    code_edge,
     format_edge,
     is_restriction_morphism,
     whitehead_graph,
@@ -119,8 +120,8 @@ def child_restrictions(
     result over its target.  Returns None when a renaming degenerates,
     i.e. the substitution contradicts an existing restriction.
     """
-    edges = {frozenset(_tau(psi, c) for c in e) for e in parent.codes}
-    if 1 in map(len, edges):
+    edges = {code_edge(_tau(psi, c), _tau(psi, d)) for c, d in parent.codes}
+    if any(c == d for c, d in edges):
         return None
     for codes in psi.codes:
         edges |= word_link(codes)

@@ -15,7 +15,6 @@ from .errors import (
     AlphabetMismatchError,
     DegenerateHomError,
     InternalError,
-    StallingsError,
     TrivialSubgroupError,
 )
 from .graph import (
@@ -124,7 +123,7 @@ def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
         vmap = tuple(t_vnew[f.vmap[v]] for v in s_vnew)
         emap = tuple(t_enew[f.emap[e]] for e in s_enew)
     except KeyError:
-        raise StallingsError("a kept source part maps into a trimmed part") from None
+        raise InternalError("internal error: a kept source part maps into a trimmed part") from None
     return GraphMorphism(s, t, vmap, emap)
 
 

@@ -229,7 +229,7 @@ def covering_circuit(g: LabeledGraph, first_code_not: int = 0) -> tuple[int, ...
             first_code_not=first_not,
         )
         if leg is None:
-            raise StallingsError("no reduced walk reaches an uncovered edge")
+            raise InternalError("internal error: no reduced walk reaches an uncovered edge")
         first_not = 0
         for d in leg:
             uncovered.discard(d // 2)
@@ -241,7 +241,7 @@ def covering_circuit(g: LabeledGraph, first_code_not: int = 0) -> tuple[int, ...
             g, allowed, pos_vertex, pos_dart, lambda d: g.head(d) == junction
         )
         if leg is None:
-            raise StallingsError("no reduced walk closes the circuit")
+            raise InternalError("internal error: no reduced walk closes the circuit")
         circuit.extend(leg)
     circuit.extend(d ^ 1 for d in reversed(tail))
 

@@ -2,32 +2,38 @@
 
 The Whitehead graph of a labeled graph records which pairs of signed
 letters appear around a common vertex; its edges are unordered pairs of
-distinct letters, stored as pairs of label codes over the graph's
-alphabet.  A restriction set is a subset of the full Whitehead graph
-over an alphabet.  A homomorphism is admissible between two restricted
-alphabets when the images respect both restriction sets via last-letter
-conditions; admissible maps out of an alphabet whose restrictions
-contain a graph's Whitehead graph keep that graph's edge subdivisions
-folded.  Letters appear only where edges are parsed or printed.
+distinct letters, stored as pairs (c, d), c < d, of label codes over the
+graph's alphabet.  A restriction set is a subset of the full Whitehead
+graph over an alphabet.  A homomorphism is admissible between two
+restricted alphabets when the images respect both restriction sets via
+last-letter conditions; admissible maps out of an alphabet whose
+restrictions contain a graph's Whitehead graph keep that graph's edge
+subdivisions folded.  Letters appear only where edges are parsed or printed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations, starmap
+from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
 from .functor import _edge_images
 from .graph import LabeledGraph
 from .words import Alphabet, GroupHom, Letter, parse_letter
 
-# Two distinct label codes over a restriction set's alphabet; parse_edges
-# and the RestrictionSet.edges view hold two Letters instead.
-WhiteheadEdge = frozenset
+# Two distinct label codes (c, d), c < d, over a restriction set's
+# alphabet; parse_edges and the RestrictionSet.edges view hold frozensets
+# of two Letters instead.
+WhiteheadEdge = tuple[int, int]
 
 
-def whitehead_edge(a: Letter, b: Letter) -> WhiteheadEdge:
+def code_edge(c: int, d: int) -> WhiteheadEdge:
+    """The code edge joining c and d: the two codes in increasing order."""
+    return (c, d) if c < d else (d, c)
+
+
+def whitehead_edge(a: Letter, b: Letter) -> frozenset[Letter]:
     if a == b:
         raise AlphabetMismatchError(f"degenerate Whitehead edge {a!r}.{b!r}")
     return frozenset((a, b))
@@ -40,7 +46,7 @@ def format_edge(alphabet: Alphabet, e: WhiteheadEdge) -> str:
     return f"{min(letters, key=key).token}.{max(letters, key=key).token}"
 
 
-def parse_edges(text: str) -> frozenset[WhiteheadEdge]:
+def parse_edges(text: str) -> frozenset[frozenset[Letter]]:
     """Parse comma-separated ``x.y`` pairs in letter token syntax."""
     edges = set()
     for chunk in text.split(","):
@@ -54,6 +60,14 @@ def parse_edges(text: str) -> frozenset[WhiteheadEdge]:
     return frozenset(edges)
 
 
+def _check_range(alphabet: Alphabet, groups: Iterable[Iterable[int]]) -> None:
+    """Every code in the groups labels a letter of the alphabet."""
+    rank = len(alphabet)
+    outside = set().union(*groups).difference(range(-rank, 0), range(1, rank + 1))
+    if outside:
+        raise AlphabetMismatchError(f"code {min(outside)} outside {alphabet.generators}")
+
+
 @dataclass(frozen=True)
 class RestrictionSet:
     """An alphabet together with a set of Whitehead edges over it."""
@@ -62,14 +76,25 @@ class RestrictionSet:
     codes: frozenset[WhiteheadEdge]
 
     def __post_init__(self):
-        rank = len(self.alphabet)
-        outside = set().union(*self.codes).difference(range(-rank, 0), range(1, rank + 1))
-        if outside:
-            raise AlphabetMismatchError(f"code {min(outside)} outside {self.alphabet.generators}")
-        if not set(map(len, self.codes)) <= {2}:
-            e = next(e for e in self.codes if len(e) != 2)
+        _check_range(self.alphabet, self.codes)
+        bad = [e for e in self.codes if len(e) != 2 or e[0] >= e[1]]
+        if not bad:
+            return
+        e = min(bad)
+        if len(e) != 2:
+            raise AlphabetMismatchError(f"Whitehead edge {e} is not a pair of codes")
+        if e[0] == e[1]:
             text = format_edge(self.alphabet, e)
             raise AlphabetMismatchError(f"degenerate Whitehead edge {text}")
+        raise AlphabetMismatchError(f"unordered Whitehead edge {e}: code_edge gives {e[::-1]}")
+
+    @classmethod
+    def _raw(cls, alphabet: Alphabet, codes: frozenset[WhiteheadEdge]) -> "RestrictionSet":
+        """Pairs (c, d), c < d, of codes already checked against the alphabet."""
+        restrictions = cls.__new__(cls)
+        object.__setattr__(restrictions, "alphabet", alphabet)
+        object.__setattr__(restrictions, "codes", codes)
+        return restrictions
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "RestrictionSet":
@@ -77,10 +102,10 @@ class RestrictionSet:
         foreign = [l for e in edges for l in e if l not in alphabet]
         if foreign:
             raise AlphabetMismatchError(f"{min(foreign)!r} outside {alphabet.generators}")
-        return cls(alphabet, frozenset(frozenset(alphabet.encode(e)) for e in edges))
+        return cls(alphabet, frozenset(code_edge(*alphabet.encode(e)) for e in edges))
 
     @property
-    def edges(self) -> frozenset[WhiteheadEdge]:
+    def edges(self) -> frozenset[frozenset[Letter]]:
         """The edges as pairs of letters."""
         decode = self.alphabet.decode
         return frozenset(frozenset(map(decode, e)) for e in self.codes)
@@ -105,25 +130,25 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     stars: list[list[int]] = [[] for _ in range(g.n_vertices)]
     for v, c in zip(g.einit, g.elabel):
         stars[v].append(-c)
-    edges: set[WhiteheadEdge] = set()
-    # vertices with the same star give the same edges
-    for star in set(map(frozenset, stars)):
-        if len(star) == 2:  # a star of two codes is itself an edge
-            edges.add(star)
-        elif len(star) > 2:
-            edges.update(map(frozenset, combinations(star, 2)))
-    return RestrictionSet(g.alphabet, frozenset(edges))
+    # vertices with the same star give the same edges; a set also drops
+    # the repeated labels of an unfolded vertex
+    distinct = set(map(frozenset, stars))
+    _check_range(g.alphabet, distinct)  # the codes the edges are made of
+    # a star of two codes is one edge; a wider one gives every pair of its codes
+    pairs = starmap(code_edge, [star for star in distinct if len(star) == 2])
+    wider = [combinations(sorted(star), 2) for star in distinct if len(star) > 2]
+    return RestrictionSet._raw(g.alphabet, frozenset(chain(pairs, *wider)))
 
 
 def full_whitehead(alphabet: Alphabet) -> RestrictionSet:
     """All unordered pairs of distinct signed letters."""
-    codes = alphabet.encode(alphabet.letters())
-    return RestrictionSet(alphabet, frozenset(map(frozenset, combinations(codes, 2))))
+    codes = sorted(alphabet.encode(alphabet.letters()))
+    return RestrictionSet._raw(alphabet, frozenset(combinations(codes, 2)))
 
 
 def word_link(codes: Sequence[int]) -> frozenset[WhiteheadEdge]:
     """The turns {c_i, -c_(i+1)} spelled by a reduced code word along a path."""
-    return frozenset([frozenset((c, -d)) for c, d in zip(codes, codes[1:])])
+    return frozenset([code_edge(c, -d) for c, d in zip(codes, codes[1:])])
 
 
 def _tau(phi: GroupHom, c: int) -> int:
@@ -175,7 +200,7 @@ def is_restriction_morphism(
                 f"(iii) images of {a} and {b} share last letter "
                 f"{dst.alphabet.decode(ta).token}"
             )
-        elif frozenset((ta, tb)) not in dst.codes:
+        elif code_edge(ta, tb) not in dst.codes:
             violations.append(
                 f"(iv) last letters {format_edge(dst.alphabet, (ta, tb))} of "
                 f"{text} not allowed"

@@ -27,11 +27,12 @@ from stallings.functor import image_morphism, subdivide, unbased_image_morphism
 from stallings.graph import classify, iso_pointed
 from stallings.whitehead import (
     RestrictionSet,
+    code_edge,
     full_whitehead,
     is_restriction_morphism,
     parse_edges,
 )
-from stallings.words import Alphabet, conjugation_hom, compose_homs
+from stallings.words import Alphabet, conjugation_hom, compose_homs, identity_hom
 
 from helpers import random_hom, random_reduced_word
 
@@ -46,7 +47,7 @@ def images(phi) -> dict[str, str]:
     return {g: phi.target.word(w).text for g, w in zip(phi.source.generators, phi.codes)}
 
 
-def code_edge(case, text):
+def parsed_edge(case, text):
     """The one Whitehead edge in ``text`` as codes over the case's alphabet."""
     (edge,) = RestrictionSet.parse(case.alphabet, text).codes
     return edge
@@ -112,7 +113,7 @@ class TestInitialSplit:
 class TestSplitOnEdge:
     def test_split_shapes(self, report):
         parent = report.cases["2'"]
-        children = split_on_edge(parent, code_edge(parent, "u.y^-1"))
+        children = split_on_edge(parent, parsed_edge(parent, "u.y^-1"))
         subs = {tuple(sorted(images(c.substitution).items())) for c in children}
         assert subs == {
             (("u", "u"), ("y", "y")),
@@ -123,7 +124,7 @@ class TestSplitOnEdge:
 
     def test_identification_generated_when_admissible(self, report):
         parent = report.cases["x"]
-        children = split_on_edge(parent, code_edge(parent, "u.v"))
+        children = split_on_edge(parent, parsed_edge(parent, "u.v"))
         assert len(children) == 5
         ident = [c for c in children if c.index == 5][0]
         assert images(ident.substitution)["v"] == "u"
@@ -131,7 +132,7 @@ class TestSplitOnEdge:
 
     def test_inverse_pair_split_has_two_shapes(self, report):
         parent = report.cases["3.1.1"]
-        children = split_on_edge(parent, code_edge(parent, "v.v^-1"))
+        children = split_on_edge(parent, parsed_edge(parent, "v.v^-1"))
         assert [c.index for c in children] == [1, 2]
         fresh = children[1]
         assert images(fresh.substitution)["v"] == "t^-1 v t"
@@ -139,26 +140,34 @@ class TestSplitOnEdge:
     def test_split_requires_ambiguous(self, report):
         done = report.cases["2.1"]
         with pytest.raises(NotAmbiguousError):
-            split_on_edge(done, code_edge(done, "u.y^-1"))
+            split_on_edge(done, parsed_edge(done, "u.y^-1"))
 
     def test_split_requires_missing_edge(self, report):
         parent = report.cases["2'"]
         with pytest.raises(EdgeNotMissingError):
-            split_on_edge(parent, code_edge(parent, "u.u^-1"))
+            split_on_edge(parent, parsed_edge(parent, "u.u^-1"))
 
     def test_children_strictly_refine(self, report):
         from stallings.cases.engine import _tau
 
         parent = report.cases["x.1"]
-        edge = code_edge(parent, "u^-1.v^-1")
+        edge = parsed_edge(parent, "u^-1.v^-1")
         for child in split_on_edge(parent, edge):
-            renamed = {
-                frozenset(_tau(child.substitution, c) for c in e)
-                for e in parent.restrictions.codes
-            }
+            tau = lambda c: _tau(child.substitution, c)
+            renamed = {code_edge(tau(c), tau(d)) for c, d in parent.restrictions.codes}
             assert renamed <= child.case.restrictions.codes
             if child.index == 1:
                 assert edge in child.case.restrictions.codes
+
+
+class TestChildRestrictions:
+    def test_collapsing_renaming_gives_none(self):
+        ab = Alphabet.of("a", "b")
+        parent = RestrictionSet.parse(ab, "a.b, a.b^-1")
+        # a -> b sends the edge a.b to the degenerate b.b
+        psi = make_substitution(ab, ab, {"a": "b"})
+        assert engine.child_restrictions(parent, psi, None) is None
+        assert engine.child_restrictions(parent, identity_hom(ab), None) == parent.codes
 
 
 class TestCorrectedFreshRows:
@@ -194,7 +203,7 @@ class TestCorrectedFreshRows:
         self, report, row_id, parent_id, fresh, old_sub, old_n
     ):
         parent = report.cases[parent_id]
-        edge = code_edge(parent, "u^-1.v^-1")
+        edge = parsed_edge(parent, "u^-1.v^-1")
         (derived,) = [c for c in split_on_edge(parent, edge) if c.index == 2]
         engine = derived.case
         u = parent.alphabet.extended(fresh)

@@ -143,6 +143,15 @@ class TestOntoBase:
         assert captured.out == "no conjugator: the first subgroup is not inside the second\n"
         assert captured.err == ""
 
+    def test_circuit_invariant_failure_exits_3(self, capsys, files, monkeypatch):
+        """A covering circuit the graph cannot walk is a bug, not a negative."""
+        monkeypatch.setattr("stallings.subgroups._dart_bfs", lambda *args, **kwargs: None)
+        code = main(["onto-base", files["H"], files["K"]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: internal error: no reduced walk reaches an uncovered edge\n"
+
     def test_trivial_inner_fails(self, capsys, files, tmp_path):
         """A trivial first subgroup is a negative on stdout too."""
         empty = tmp_path / "triv.txt"

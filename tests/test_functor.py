@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from stallings.errors import (
     AlphabetMismatchError,
     DegenerateHomError,
+    InternalError,
     NotFoldedError,
     TrivialSubgroupError,
 )
+from stallings import functor
 from stallings.functor import (
     image_core,
     subdivide,
@@ -247,6 +249,21 @@ class TestUnbasedCore:
         out = unbased_core_morphism(m)
         assert out.source.n_edges == 1
         assert classify(out).injective
+
+    def test_trimmed_target_part_is_internal_error(self, monkeypatch):
+        m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
+        two_core_maps = functor.two_core_maps
+
+        def drop_image_of_base(g):
+            """The target's maps without the vertex the source base lands on."""
+            h, vnew, enew = two_core_maps(g)
+            if g is m.target:
+                vnew = {v: i for v, i in vnew.items() if v != m.vmap[0]}
+            return h, vnew, enew
+
+        monkeypatch.setattr(functor, "two_core_maps", drop_image_of_base)
+        with pytest.raises(InternalError, match="^internal error: a kept source part"):
+            unbased_core_morphism(m)
 
     def test_functorial(self):
         rng = random.Random(11)

@@ -9,6 +9,7 @@ from stallings.graph import LabeledGraph, bouquet, core, unique_pointed_morphism
 from stallings.subgroups import Subgroup, gamma
 from stallings.whitehead import (
     RestrictionSet,
+    code_edge,
     full_whitehead,
     guarantees_folding,
     is_restriction_morphism,
@@ -40,6 +41,7 @@ from helpers import (
 
 AB = Alphabet.of("a", "b")
 GREEK = Alphabet.of("alpha", "beta")
+WIDE = Alphabet(tuple(f"g{i}" for i in range(60)))
 DELTA = gamma(Subgroup.of(AB, "b", "a b a^-1"))
 B_LOOP = gamma(Subgroup.of(AB, "b"))
 
@@ -105,6 +107,17 @@ class TestWhiteheadGraph:
         assert not all(g.is_folded() for g in graphs)
         assert sizes == {1, 2, 3}
 
+    @given(
+        st.sampled_from([AB, Alphabet.of("a", "b", "c"), WIDE]).flatmap(pointed_graphs),
+        st.booleans(),
+    )
+    def test_codes_are_ordered_two_path_pairs(self, g, fold):
+        if fold:
+            g = core(g)
+        codes = whitehead_graph(g).codes
+        assert codes == {code_edge(*g.alphabet.encode(e)) for e in two_path_edges(g)}
+        assert all(c < d for c, d in codes)
+
     @given(core_graphs)
     def test_text_parses_back(self, g):
         white = whitehead_graph(g)
@@ -117,9 +130,12 @@ class TestWhiteheadGraph:
     @pytest.mark.parametrize(
         "codes, message",
         [
-            ({frozenset((1, -3))}, "code -3 outside ('a', 'b')"),
-            ({frozenset((0, 2))}, "code 0 outside ('a', 'b')"),
-            ({frozenset((2,))}, "degenerate Whitehead edge b.b"),
+            ({(-3, 1)}, "code -3 outside ('a', 'b')"),
+            ({(0, 2)}, "code 0 outside ('a', 'b')"),
+            ({(2, 2)}, "degenerate Whitehead edge b.b"),
+            ({(2, 1)}, "unordered Whitehead edge (2, 1): code_edge gives (1, 2)"),
+            ({(1,)}, "Whitehead edge (1,) is not a pair of codes"),
+            ({(1, -2), (3, 4)}, "code 3 outside ('a', 'b')"),
         ],
     )
     def test_bad_codes_rejected(self, codes, message):
@@ -149,7 +165,10 @@ class TestFullWhitehead:
         # all unordered pairs of distinct signed letters
         for n in (1, 2, 3, 4, 5):
             ab = Alphabet(tuple(f"g{i}" for i in range(n)))
-            assert len(full_whitehead(ab).edges) == comb(2 * n, 2)
+            white = full_whitehead(ab)
+            assert len(white.edges) == comb(2 * n, 2)
+            assert len(white.codes) == comb(2 * n, 2)
+            assert all(c < d for c, d in white.codes)
 
 
 class TestAdmissibility:

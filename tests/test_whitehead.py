@@ -82,22 +82,20 @@ class TestWhiteheadGraph:
             assert whitehead_graph(g).edges == two_path_edges(g)
 
     def test_matches_oracle_at_rank_sixty(self):
-        ab = Alphabet(tuple(f"g{i}" for i in range(60)))
         rng = random.Random(4)
         for _ in range(20):
-            g = gamma(random_subgroup(rng, ab, max_gens=8, max_len=12))
+            g = gamma(random_subgroup(rng, WIDE, max_gens=8, max_len=12))
             assert whitehead_graph(g).edges == two_path_edges(g)
 
     def test_matches_oracle_on_unfolded_graphs(self):
         """Repeated labels at a vertex, and stars of one, two and more codes."""
         rng = random.Random(6)
-        wide = Alphabet(tuple(f"g{i}" for i in range(60)))
         graphs = [
             # two a-edges out of the base: every star has one code
             LabeledGraph(AB, 3, (0, 1, 0, 2), (1, -1, 1, -1), 0),
             # the base sees a twice, b and b^-1
             bouquet(AB, [(1, 2), (1, -2)]),  # a b, a b^-1
-            *(random_wedge(rng, ab, max_words=6) for ab in (AB, wide) for _ in range(15)),
+            *(random_wedge(rng, ab, max_words=6) for ab in (AB, WIDE) for _ in range(15)),
         ]
         sizes = set()
         for g in graphs:

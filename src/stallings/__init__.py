@@ -43,7 +43,6 @@ from .functor import (
     image_core,
     image_morphism,
     subdivide,
-    subdivide_morphism,
     unbased_core_morphism,
     unbased_image_morphism,
 )
@@ -64,7 +63,6 @@ from .whitehead import (
     code_edge,
     format_edge,
     full_whitehead,
-    guarantees_folding,
     is_restriction_morphism,
     parse_edges,
     preserves_folding,

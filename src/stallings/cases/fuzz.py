@@ -22,15 +22,21 @@ def random_reduced_word(
 ) -> tuple[int, ...]:
     """A uniformly random reduced code word of length between 1 and max_len.
 
-    Letters are drawn in :meth:`Alphabet.letters` order, which keeps the
-    draws of a seed fixed.
+    Each letter is drawn as a position in :meth:`Alphabet.letters` order,
+    skipping the position of the previous letter's inverse, which keeps
+    the draws of a seed fixed; no list of the letters is built.
     """
-    codes = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+    n = 2 * len(alphabet)
     length = rng.randint(1, max_len)
     out: list[int] = []
     for _ in range(length):
-        choices = [c for c in codes if c != -out[-1]] if out else codes
-        out.append(rng.choice(choices))
+        if out:
+            p = rng.choice(range(n - 1))
+            p += p >= Alphabet.code_index(-out[-1])
+        else:
+            p = rng.choice(range(n))
+        c = p // 2 + 1
+        out.append(-c if p % 2 else c)
     return tuple(out)
 
 

@@ -69,9 +69,13 @@ def _positive_int(text: str) -> int:
 
 
 def _emit_graph(g, dot_path: str | None) -> None:
-    print(canonical_form(g))
+    """Write the DOT file first, so a failed write leaves stdout empty."""
     if dot_path:
-        Path(dot_path).write_text(to_dot(g) + "\n")
+        try:
+            Path(dot_path).write_text(to_dot(g) + "\n")
+        except OSError as exc:
+            _usage_error(f"cannot write {dot_path}: {exc}")
+    print(canonical_form(g))
 
 
 def _cmd_core(args) -> int:

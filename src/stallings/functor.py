@@ -28,8 +28,8 @@ from .graph import (
 from .words import GroupHom, invert_codes, is_nondegenerate
 
 
-def _edge_images(phi: GroupHom, g: LabeledGraph) -> dict[int, tuple[int, ...]]:
-    """The image code word of every label code, once phi and g are checked."""
+def _image_paths(phi: GroupHom, g: LabeledGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """One path (tail, head, image codes) per edge of g, once phi and g are checked."""
     if not is_nondegenerate(phi):
         raise DegenerateHomError("subdivision needs nonempty images")
     if g.alphabet.generators != phi.source.generators:
@@ -41,29 +41,8 @@ def _edge_images(phi: GroupHom, g: LabeledGraph) -> dict[int, tuple[int, ...]]:
     for c, codes in enumerate(phi.codes, 1):
         images[c] = codes
         images[-c] = invert_codes(codes)
-    return images
-
-
-def _subdivide_tables(
-    phi: GroupHom, g: LabeledGraph
-) -> tuple[LabeledGraph, list[range], list[range]]:
-    images = _edge_images(phi, g)
-    einit: list[int] = []
-    elabel: list[int] = []
-    seg: list[range] = []
-    interior: list[range] = []
-    next_v = g.n_vertices
-    for e in range(0, g.n_half_edges, 2):
-        codes = images[g.elabel[e]]
-        h = len(einit)
-        seg.append(range(h, h + 2 * len(codes), 2))
-        fresh = next_v
-        next_v = _spell(einit, elabel, g.einit[e], g.head(e), codes, fresh)
-        interior.append(range(fresh, next_v))
-    new_g = LabeledGraph(
-        phi.target, next_v, tuple(einit), tuple(elabel), g.base, _validate=False
-    )
-    return new_g, seg, interior
+    einit, elabel = g.einit, g.elabel
+    return [(einit[e], einit[e ^ 1], images[elabel[e]]) for e in range(0, len(einit), 2)]
 
 
 def subdivide(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
@@ -71,29 +50,12 @@ def subdivide(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
 
     The base point survives; the result is generally not folded.
     """
-    return _subdivide_tables(phi, g)[0]
-
-
-def subdivide_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
-    """The induced morphism between subdivisions, position by position."""
-    gs, seg_s, int_s = _subdivide_tables(phi, f.source)
-    gt, seg_t, int_t = _subdivide_tables(phi, f.target)
-    vmap = [-1] * gs.n_vertices
-    emap = [-1] * gs.n_half_edges
-    for v in range(f.source.n_vertices):
-        vmap[v] = f.vmap[v]
-    for i in range(f.source.n_edges):
-        q = f.emap[2 * i]
-        i2, reverse = divmod(q, 2)
-        k = len(seg_s[i])
-        for j in range(k):
-            h = seg_s[i][j]
-            h2 = seg_t[i2][k - 1 - j] ^ 1 if reverse else seg_t[i2][j]
-            emap[h] = h2
-            emap[h ^ 1] = h2 ^ 1
-        for j, m in enumerate(int_s[i], start=1):
-            vmap[m] = int_t[i2][k - 1 - j] if reverse else int_t[i2][j - 1]
-    return GraphMorphism(gs, gt, tuple(vmap), tuple(emap))
+    einit: list[int] = []
+    elabel: list[int] = []
+    n = g.n_vertices
+    for u, v, codes in _image_paths(phi, g):
+        n = _spell(einit, elabel, u, v, codes, n)
+    return LabeledGraph(phi.target, n, tuple(einit), tuple(elabel), g.base, _validate=False)
 
 
 def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
@@ -102,10 +64,7 @@ def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
     Each edge's image path is folded in as it is spelled, so the
     subdivision itself is never built.
     """
-    images = _edge_images(phi, g)
-    einit, elabel = g.einit, g.elabel
-    paths = [(einit[e], einit[e ^ 1], images[elabel[e]]) for e in range(0, len(einit), 2)]
-    return _fold_paths(phi.target, g.n_vertices, paths, g.base)
+    return _fold_paths(phi.target, g.n_vertices, _image_paths(phi, g), g.base)
 
 
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:

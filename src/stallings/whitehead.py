@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, starmap
 from typing import Iterable, Sequence
 
-from .errors import AlphabetMismatchError, NotFoldedError, UnknownGeneratorError
-from .functor import _edge_images
+from .errors import AlphabetMismatchError, UnknownGeneratorError
+from .functor import _image_paths
 from .graph import LabeledGraph
 from .words import Alphabet, GroupHom, Letter, parse_letter
 
@@ -216,19 +216,6 @@ def preserves_folding(phi: GroupHom, g: LabeledGraph) -> bool:
     """
     if not g.is_folded():
         return False
-    images = _edge_images(phi, g)
-    starts = {(v, images[c][0]) for v, c in zip(g.einit, g.elabel)}
+    paths = _image_paths(phi, g)
+    starts = {(u, w[0]) for u, _, w in paths} | {(v, -w[-1]) for _, v, w in paths}
     return len(starts) == g.n_half_edges
-
-
-def guarantees_folding(restrictions: RestrictionSet, g: LabeledGraph) -> bool:
-    """Do the restrictions cover the graph's Whitehead edges?
-
-    If so, every admissible homomorphism out of them keeps the graph's
-    subdivision folded.
-    """
-    if not g.is_folded():
-        raise NotFoldedError("the guarantee is about folded graphs")
-    if g.alphabet.generators != restrictions.alphabet.generators:
-        raise AlphabetMismatchError("graph and restrictions over different alphabets")
-    return whitehead_graph(g).codes <= restrictions.codes

@@ -342,8 +342,9 @@ class GroupHom:
         phi.__dict__.update(source=source, target=target, codes=codes)
         return phi
 
-    def image(self, w: Iterable[int]) -> tuple[int, ...]:
+    def image(self, w: Sequence[int]) -> tuple[int, ...]:
         """Reduced image of a code word over the source."""
+        _check_labels(self.source, w)
         codes = self.codes
         return reduce_codes(
             [d for c in w for d in (codes[c - 1] if c > 0 else invert_codes(codes[-c - 1]))]

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's fast paths: folding by
 one-pair-at-a-time scanning, trimming by rescanning for a leaf,
 reduction by repeated adjacent elimination, Whitehead edges by brute
-two-step path enumeration, canonical text by a plain breadth-first search.
+two-step path enumeration, canonical text by a plain breadth-first search,
+edge images by reading the homomorphism's codes edge by edge.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from stallings import _kernel
 from stallings.cases.fuzz import random_reduced_word
-from stallings.functor import subdivide
 from stallings.graph import LabeledGraph, attach_path, bouquet, canonical_form
 from stallings.subgroups import Subgroup
 from stallings.words import Alphabet, GroupHom, Letter, Word, reduce_codes
@@ -23,8 +23,11 @@ from stallings.words import Alphabet, GroupHom, Letter, Word, reduce_codes
 __all__ = [
     "graph",
     "spelled",
+    "image_paths",
+    "naive_is_folded",
     "count_folds",
     "random_reduced_word",
+    "list_reduced_word",
     "random_subgroup",
     "random_hom",
     "random_wedge",
@@ -81,6 +84,25 @@ def spelled(
     return graph(alphabet, n, edges, base)
 
 
+def image_paths(phi: GroupHom, g: LabeledGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """One path ``(tail, head, image codes)`` per edge of g, read off phi's codes.
+
+    The image of an inverse letter is the generator's image with every
+    code negated, in reverse order.
+    """
+    paths = []
+    for e in range(0, g.n_half_edges, 2):
+        c = g.elabel[e]
+        image = phi.codes[c - 1] if c > 0 else tuple(-d for d in reversed(phi.codes[-c - 1]))
+        paths.append((g.einit[e], g.einit[e ^ 1], image))
+    return paths
+
+
+def naive_is_folded(g: LabeledGraph) -> bool:
+    """No two half-edges share an initial vertex and a label."""
+    return len(set(zip(g.einit, g.elabel))) == g.n_half_edges
+
+
 def count_folds(monkeypatch) -> list:
     """Record the arguments of every fold-kernel call from now on."""
     calls = []
@@ -92,6 +114,24 @@ def count_folds(monkeypatch) -> list:
 
     monkeypatch.setattr(_kernel, "fold", counted)
     return calls
+
+
+def list_reduced_word(
+    rng: random.Random, alphabet: Alphabet, max_len: int
+) -> tuple[int, ...]:
+    """The reference draw of a random reduced code word.
+
+    Each letter is ``rng.choice`` from the list of all codes in
+    :meth:`Alphabet.letters` order, less the previous letter's inverse;
+    :func:`random_reduced_word` must draw the same words from a seed.
+    """
+    codes = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+    length = rng.randint(1, max_len)
+    out: list[int] = []
+    for _ in range(length):
+        choices = [c for c in codes if c != -out[-1]] if out else codes
+        out.append(rng.choice(choices))
+    return tuple(out)
 
 
 def random_subgroup(
@@ -154,7 +194,8 @@ def pointed_graphs(draw, alphabet: Alphabet = ALPHABETS[2]) -> LabeledGraph:
     """Unfolded pointed graphs of the kinds the library takes cores of.
 
     A bouquet of words, a bouquet with a path hung at its base (as in
-    conjugation), or a bouquet subdivided along an endomorphism.
+    conjugation), or a bouquet subdivided along an endomorphism, spelled
+    by :func:`spelled` from :func:`image_paths`.
     """
     letters = st.sampled_from(alphabet.letters())
     words = st.lists(letters, max_size=8).map(alphabet.encode).map(reduce_codes)
@@ -165,7 +206,7 @@ def pointed_graphs(draw, alphabet: Alphabet = ALPHABETS[2]) -> LabeledGraph:
     elif kind == "subdivide":
         images = st.lists(letters, min_size=1, max_size=4).map(Word).filter(bool)
         phi = GroupHom(alphabet, alphabet, {x: draw(images) for x in alphabet.generators})
-        g = subdivide(phi, g)
+        g = spelled(alphabet, g.n_vertices, image_paths(phi, g), g.base)
     return g
 
 

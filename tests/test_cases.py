@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from stallings.errors import (
     NotAmbiguousError,
     StallingsError,
 )
-from stallings.functor import image_morphism, subdivide, unbased_image_morphism
+from stallings.functor import image_morphism, unbased_image_morphism
 from stallings.graph import classify, iso_pointed
 from stallings.whitehead import (
     RestrictionSet,
@@ -34,7 +35,14 @@ from stallings.whitehead import (
 )
 from stallings.words import Alphabet, conjugation_hom, compose_homs, identity_hom
 
-from helpers import random_hom, random_reduced_word
+from helpers import (
+    image_paths,
+    list_reduced_word,
+    naive_is_folded,
+    random_hom,
+    random_reduced_word,
+    spelled,
+)
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +343,10 @@ class TestTableVerification:
                 ):
                     continue
                 hits += 1
-                assert subdivide(phi, case.target).is_folded()
+                g = case.target
+                assert naive_is_folded(
+                    spelled(target_alphabet, g.n_vertices, image_paths(phi, g), g.base)
+                )
                 out = unbased_image_morphism(phi, case.morphism)
                 assert classify(out).injective
             assert hits >= 5, row.id
@@ -360,6 +371,27 @@ class TestFuzz:
             "x1^-1 x3^-1 x1^-1 x2^-1 x1^-1",
             "x3",
         ]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 7, 50])
+    def test_draws_match_the_list_reference(self, rank):
+        """Positions instead of letter lists: the same words, the same stream."""
+        alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(rank)))
+        for seed in range(200):
+            ours, reference = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert random_reduced_word(ours, alphabet, 8) == list_reduced_word(
+                    reference, alphabet, 8
+                )
+            assert ours.getstate() == reference.getstate()
+
+    def test_draw_time_does_not_grow_with_rank(self):
+        """One letter costs the same at rank 100,000 as at rank 3."""
+        rng = random.Random(0)
+        wide = Alphabet(tuple(f"x{i + 1}" for i in range(100_000)))
+        start = time.perf_counter()
+        words = [random_reduced_word(rng, wide, 6) for _ in range(40)]
+        assert time.perf_counter() - start < 0.05
+        assert all(0 < abs(c) <= 100_000 for w in words for c in w)
 
     def test_deterministic_under_seed(self):
         a = fuzz_example(trials=50, alphabet_size=3, max_len=5, seed=9)

@@ -54,6 +54,11 @@ class TestCore:
         assert code == 0
         assert "doublecircle" in dot.read_text()
 
+    def test_unwritable_dot_exits_2(self, capsys, files):
+        dot = files["dir"] / "missing" / "x.dot"
+        err = usage_error(capsys, "core", files["K"], "--dot", str(dot))
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {dot}: ")
+
     def test_malformed_subgroup_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("a^-2\n")
@@ -168,6 +173,11 @@ class TestTransportAndChecks:
         code, out = run(capsys, "fphi", files["hom"], files["H"])
         assert code == 0
         assert out.splitlines() == ["base 0", "0 -a-> 1", "1 -b-> 1"]
+
+    def test_fphi_unwritable_dot_exits_2(self, capsys, files):
+        dot = files["dir"] / "missing" / "x.dot"
+        err = usage_error(capsys, "fphi", files["hom"], files["H"], "--dot", str(dot))
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {dot}: ")
 
     def test_fphi_degenerate_hom(self, capsys, files, tmp_path):
         """a -> 1 is well formed: the image of <b, a b a^-1> is <a b>."""

@@ -15,7 +15,6 @@ from stallings import functor
 from stallings.functor import (
     image_core,
     subdivide,
-    subdivide_morphism,
     unbased_core_morphism,
     unbased_image_morphism,
 )
@@ -29,7 +28,12 @@ from stallings.graph import (
     unpointed_isomorphisms,
 )
 from stallings.subgroups import Subgroup, gamma, pi1_basis
-from stallings.whitehead import is_restriction_morphism, whitehead_graph, full_whitehead
+from stallings.whitehead import (
+    full_whitehead,
+    is_restriction_morphism,
+    preserves_folding,
+    whitehead_graph,
+)
 from stallings.words import (
     Alphabet,
     GroupHom,
@@ -38,7 +42,6 @@ from stallings.words import (
     compose_homs,
     conjugation_hom,
     identity_hom,
-    invert_codes,
     is_nondegenerate,
     parse_word,
 )
@@ -47,8 +50,10 @@ from helpers import (
     ALPHABETS,
     count_folds,
     graph,
+    image_paths,
     naive_canonical_form,
     naive_fold,
+    naive_is_folded,
     naive_trim,
     pointed_graphs,
     random_hom,
@@ -102,37 +107,20 @@ class TestSubdivide:
         )
         assert iso_pointed(core(subdivide(phi, g1)), core(subdivide(phi, g2)))
 
+    @settings(max_examples=200)
+    @given(pointed_graphs(), st.data())
+    def test_spells_the_image_paths(self, g, data):
+        """Folded or not, the subdivision is the image paths spelled plainly.
 
-class TestSubdivideMorphism:
-    def test_identity_morphism(self):
-        g = gamma(K_DELTA)
-        m = unique_pointed_morphism(g, g)
-        out = subdivide_morphism(conjugation_hom((1,), AB), m)
-        assert out.source.n_edges == out.target.n_edges
-
-    def test_positional_mapping_is_valid(self):
-        m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
-        phi = GroupHom(AB, AB, {"a": parse_word("a b"), "b": parse_word("b a b")})
-        out = subdivide_morphism(phi, m)  # validation runs in the constructor
-        assert out.source.n_edges == 3 and classify(out).edge_injective
-
-    def test_identity_hom_gives_same_shape(self):
-        m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
-        out = subdivide_morphism(identity_hom(AB), m)
-        c1, c2 = classify(m), classify(out)
-        assert (c1.injective, c1.surjective) == (c2.injective, c2.surjective)
-
-    def test_injectivity_preserved(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            k = random_subgroup(rng, AB, max_gens=3, max_len=5)
-            h = Subgroup(AB, [AB.word(k.codes[0])])
-            m = unique_pointed_morphism(gamma(h), gamma(k))
-            if m is None or not classify(m).injective:
-                continue
-            phi = random_hom(rng, AB, Alphabet.of("a", "b", "c"), 4)
-            out = subdivide_morphism(phi, m)
-            assert classify(out).injective
+        On the same paths, preserves_folding holds exactly when the graph
+        and its spelled subdivision are both folded.
+        """
+        target = data.draw(st.sampled_from(ALPHABETS[1:3]))
+        phi = data.draw(_homs(g.alphabet, target))
+        for h in (g, core(g)):
+            sub = spelled(target, h.n_vertices, image_paths(phi, h), h.base)
+            assert subdivide(phi, h) == sub
+            assert preserves_folding(phi, h) == (naive_is_folded(h) and naive_is_folded(sub))
 
 
 @st.composite
@@ -148,12 +136,7 @@ def _homs(draw, source: Alphabet, target: Alphabet) -> GroupHom:
 
 def _naive_image_core(phi: GroupHom, g):
     """The naive fold and trim of g's subdivision, spelled edge by edge."""
-    paths = []
-    for e in range(0, g.n_half_edges, 2):
-        c = g.elabel[e]
-        image = phi.codes[c - 1] if c > 0 else invert_codes(phi.codes[-c - 1])
-        paths.append((g.einit[e], g.einit[e ^ 1], image))
-    return naive_trim(naive_fold(spelled(phi.target, g.n_vertices, paths, g.base)))
+    return naive_trim(naive_fold(spelled(phi.target, g.n_vertices, image_paths(phi, g), g.base)))
 
 
 class TestImageCore:
@@ -336,8 +319,8 @@ class TestTransport:
             if not is_restriction_morphism(n, full_whitehead(x3), phi):
                 continue
             hits += 1
-            sub = subdivide(phi, g)
-            assert sub.is_folded()
+            sub = spelled(x3, g.n_vertices, image_paths(phi, g), g.base)
+            assert naive_is_folded(sub)
             c = core(sub)
             assert (c.n_vertices, c.n_edges) == (sub.n_vertices, sub.n_edges)
         assert hits > 30

@@ -11,7 +11,6 @@ from stallings.whitehead import (
     RestrictionSet,
     code_edge,
     full_whitehead,
-    guarantees_folding,
     is_restriction_morphism,
     parse_edges,
     preserves_folding,
@@ -229,20 +228,6 @@ class TestFoldingPreservation:
 
 
 class TestFoldingGuarantee:
-    def test_full_restrictions(self):
-        assert guarantees_folding(full_whitehead(AB), DELTA)
-
-    def test_missing_edges(self):
-        assert not guarantees_folding(RestrictionSet.parse(AB, "b.b^-1"), DELTA)
-
-    def test_loop_only_needs_its_own_edge(self):
-        assert guarantees_folding(RestrictionSet.parse(AB, "b.b^-1"), B_LOOP)
-
-    def test_other_alphabet_rejected(self):
-        # codes name letters only together with their alphabet
-        with pytest.raises(AlphabetMismatchError):
-            guarantees_folding(RestrictionSet.parse(Alphabet.of("b", "a"), "b.b^-1"), B_LOOP)
-
     def test_guarantee_holds_for_random_admissible_maps(self):
         rng = random.Random(9)
         target = Alphabet.of("a", "b", "c")
@@ -270,7 +255,7 @@ class TestFoldingGuarantee:
             if unique_pointed_morphism(gh, gk) is None:
                 continue
             n = whitehead_graph(gk)
-            assert guarantees_folding(n, gh)
+            assert whitehead_graph(gh).codes <= n.codes
 
 
 class TestComposition:

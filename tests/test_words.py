@@ -161,6 +161,12 @@ class TestHoms:
         phi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b^-1")})
         assert phi.image(c("a b")) == c("a")
 
+    @pytest.mark.parametrize("code", [0, 3, -3])
+    def test_image_rejects_codes_outside_the_source(self, code):
+        phi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
+        with pytest.raises(UnknownGeneratorError, match=f"^label {code} outside the alphabet$"):
+            phi.image((1, code))
+
     def test_compose_with_identity(self):
         psi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
         assert compose_homs(identity_hom(AB), psi) == psi

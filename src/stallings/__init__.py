@@ -66,7 +66,6 @@ from .whitehead import (
     is_restriction_morphism,
     parse_edges,
     preserves_folding,
-    whitehead_edge,
     whitehead_graph,
     word_link,
 )

@@ -5,9 +5,7 @@ from .engine import (
     InjectivityCase,
     Resolution,
     SplitCase,
-    apply_substitution,
     classify_case,
-    initial_split,
     morphisms_unpointed_isomorphic,
     reduce_to,
     root_case,
@@ -21,9 +19,7 @@ __all__ = [
     "InjectivityCase",
     "Resolution",
     "SplitCase",
-    "apply_substitution",
     "classify_case",
-    "initial_split",
     "morphisms_unpointed_isomorphic",
     "reduce_to",
     "root_case",

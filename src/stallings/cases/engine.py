@@ -14,7 +14,7 @@ reduced to another by renaming its letters to words of the other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import EdgeNotMissingError, InternalError, NotAmbiguousError
 from ..graph import (
@@ -83,10 +83,6 @@ class CaseResolution:
     kind: Resolution
     missing: RestrictionSet
 
-    @property
-    def missing_text(self) -> str:
-        return self.missing.text
-
 
 def classify_case(case: InjectivityCase) -> CaseResolution:
     """Negative, positive, or ambiguous with the missing Whitehead edges."""
@@ -128,21 +124,6 @@ def child_restrictions(
     if add_edge is not None:
         edges.add(add_edge)
     return frozenset(edges)
-
-
-def apply_substitution(
-    case: InjectivityCase,
-    case_id: str,
-    psi: GroupHom,
-    new_edges: frozenset[WhiteheadEdge],
-) -> InjectivityCase:
-    """Rebuild a case's graphs and morphism through a substitution."""
-    return InjectivityCase(
-        case_id,
-        RestrictionSet(psi.target, new_edges),
-        image_morphism(psi, case.morphism),
-        case.chain + (psi,),
-    )
 
 
 @dataclass(frozen=True)
@@ -217,7 +198,12 @@ def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]
         edges = child_restrictions(case.restrictions, psi, add_edge)
         if edges is None:
             continue
-        child = apply_substitution(case, f"{case.id}.{index}", psi, edges)
+        child = InjectivityCase(
+            f"{case.id}.{index}",
+            RestrictionSet(psi.target, edges),
+            image_morphism(psi, case.morphism),
+            case.chain + (psi,),
+        )
         children.append(SplitCase(case.id, edge, index, psi, child))
     return children
 
@@ -322,14 +308,3 @@ def root_case() -> InjectivityCase:
     be taken cyclically reduced.
     """
     return given_case(ROWS[0])
-
-
-def initial_split(root: InjectivityCase) -> list[InjectivityCase]:
-    """The four coordinate-change cases of the bundled example.
-
-    Splits on the shape of the images of the two outer generators: both
-    conjugating prefix and cyclic remainder trivial, only one trivial, or
-    neither.
-    """
-    cases = [given_case(row) for row in ROWS if "coords" in row]
-    return [replace(c, chain=root.chain + c.chain) for c in cases]

@@ -94,7 +94,7 @@ def verify_tables() -> TableReport:
         states[case.id] = case
         res = classify_case(case)
         row.resolution = res.kind.value
-        row.missing = res.missing_text
+        row.missing = res.missing.text
         row.checks["missing"] = res.missing.edges == parse_edges(data["missing"])
 
         expect = data["expect"]

@@ -11,8 +11,6 @@ an internal error of the library.
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -30,8 +28,6 @@ from .subgroups import (
 )
 from .whitehead import RestrictionSet, is_restriction_morphism, whitehead_graph
 from .words import Alphabet, parse_hom, parse_word
-
-log = logging.getLogger("stallings")
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -94,18 +90,8 @@ def _cmd_member(args) -> int:
     return 0 if all(verdicts) else 1
 
 
-def _load_pair(args) -> tuple[Subgroup, Subgroup]:
-    """The inner and outer subgroups over the union of their alphabets."""
-    h = _load(args.inner)
-    k = _load(args.outer)
-    ab = Alphabet(tuple(dict.fromkeys(h.alphabet.generators + k.alphabet.generators)))
-    return tuple(
-        Subgroup._raw(ab, tuple(ab.recode(w, s.alphabet) for w in s.codes)) for s in (h, k)
-    )
-
-
 def _cmd_morphism(args) -> int:
-    m = inclusion_morphism(*_load_pair(args))
+    m = inclusion_morphism(_load(args.inner), _load(args.outer))
     if m is None:
         print("no morphism: the first subgroup is not inside the second")
         return 1
@@ -124,7 +110,7 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_onto_base(args) -> int:
-    h, k = _load_pair(args)
+    h, k = _load(args.inner), _load(args.outer)
     try:
         u, f = onto_base(h, k)
     except (NotIncludedError, TrivialSubgroupError) as exc:
@@ -245,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("STALLINGS_LOG", "").upper()
-    if level:
-        logging.basicConfig(level=getattr(logging, level, logging.INFO))
     args = build_parser().parse_args(argv)
-    log.debug("running %s", args.command)
     try:
         return args.func(args)
     except InternalError as exc:

@@ -122,11 +122,6 @@ class LabeledGraph:
                 return False
         return True
 
-    def with_base(self, v: int) -> "LabeledGraph":
-        return LabeledGraph(
-            self.alphabet, self.n_vertices, self.einit, self.elabel, v, _validate=False
-        )
-
     def unbased(self) -> "LabeledGraph":
         return LabeledGraph(
             self.alphabet, self.n_vertices, self.einit, self.elabel, None, _validate=False
@@ -649,6 +644,8 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
         root = g.base
     if root is None:
         raise NotFoldedError("canonical form needs a base or explicit root")
+    if not 0 <= root < g.n_vertices:
+        raise DisconnectedGraphError("root is not a vertex")
     order, _, folded = _bfs_order(g, root)
     if not folded:
         raise NotFoldedError("canonical form needs a folded graph")

@@ -32,7 +32,7 @@ from .graph import (
     _peel,
     _whole,
 )
-from .words import Alphabet, Word, invert_codes, parse_codes, reduce_codes
+from .words import Alphabet, Word, _check_labels, invert_codes, parse_codes, reduce_codes
 
 
 @dataclass(frozen=True, init=False)
@@ -69,6 +69,7 @@ class Subgroup:
 
     def conjugate(self, u: Sequence[int]) -> "Subgroup":
         """The subgroup u H u^-1, for a code word u over the alphabet."""
+        _check_labels(self.alphabet, u)
         ui = invert_codes(u)
         return Subgroup._raw(
             self.alphabet, tuple(reduce_codes((*u, *g, *ui)) for g in self.codes)

@@ -33,12 +33,6 @@ def code_edge(c: int, d: int) -> WhiteheadEdge:
     return (c, d) if c < d else (d, c)
 
 
-def whitehead_edge(a: Letter, b: Letter) -> frozenset[Letter]:
-    if a == b:
-        raise AlphabetMismatchError(f"degenerate Whitehead edge {a!r}.{b!r}")
-    return frozenset((a, b))
-
-
 def format_edge(alphabet: Alphabet, e: WhiteheadEdge) -> str:
     """``x.y`` for a code edge, its letters ordered by name, generator first."""
     letters = [alphabet.decode(c) for c in e]
@@ -55,8 +49,10 @@ def parse_edges(text: str) -> frozenset[frozenset[Letter]]:
             continue
         if "." not in chunk:
             raise UnknownGeneratorError(f"bad Whitehead edge {chunk!r}")
-        left, right = chunk.split(".", 1)
-        edges.add(whitehead_edge(parse_letter(left.strip()), parse_letter(right.strip())))
+        a, b = (parse_letter(t.strip()) for t in chunk.split(".", 1))
+        if a == b:
+            raise AlphabetMismatchError(f"degenerate Whitehead edge {a!r}.{b!r}")
+        edges.add(frozenset((a, b)))
     return frozenset(edges)
 
 

@@ -277,11 +277,14 @@ class Alphabet:
         return tuple(out)
 
     def decode(self, c: int) -> Letter:
-        return Letter(self.generators[abs(c) - 1], 1 if c > 0 else -1)
+        return self.word((c,)).letters[0]
 
     def word(self, codes: Iterable[int]) -> Word:
         """The ``Word`` a reduced code word over this alphabet spells."""
-        return Word._raw(tuple(map(self.decode, codes)))
+        codes = tuple(codes)
+        _check_labels(self, codes)
+        names = self.generators
+        return Word._raw(tuple([Letter(names[abs(c) - 1], 1 if c > 0 else -1) for c in codes]))
 
     def recode(self, codes: Sequence[int], source: "Alphabet") -> Sequence[int]:
         """Codes over ``source`` re-encoded over this alphabet by name.

@@ -8,7 +8,6 @@ from stallings.cases import (
     Resolution,
     classify_case,
     fuzz_example,
-    initial_split,
     morphisms_unpointed_isomorphic,
     reduce_to,
     root_case,
@@ -17,7 +16,7 @@ from stallings.cases import (
     verify_tables,
 )
 from stallings.cases import engine
-from stallings.cases.engine import make_substitution
+from stallings.cases.engine import given_case, make_substitution
 from stallings.errors import (
     EdgeNotMissingError,
     InternalError,
@@ -55,6 +54,11 @@ def images(phi) -> dict[str, str]:
     return {g: phi.target.word(w).text for g, w in zip(phi.source.generators, phi.codes)}
 
 
+def coordinate_cases():
+    """The four coordinate-change cases: the given rows with ``coords``."""
+    return [given_case(row) for row in table.ROWS if "coords" in row]
+
+
 def parsed_edge(case, text):
     """The one Whitehead edge in ``text`` as codes over the case's alphabet."""
     (edge,) = RestrictionSet.parse(case.alphabet, text).codes
@@ -77,10 +81,9 @@ class TestInternalErrors:
             root_case()
 
     def test_initial_split(self, monkeypatch):
-        root = root_case()
         monkeypatch.setattr(engine, "inclusion_morphism", lambda h, k: None)
         with pytest.raises(StallingsError, match="^internal error: case 1 "):
-            initial_split(root)
+            coordinate_cases()
 
     def test_free_rows(self, monkeypatch):
         include = engine.inclusion_morphism
@@ -95,25 +98,25 @@ class TestInternalErrors:
 
 class TestInitialSplit:
     def test_four_cases(self):
-        cases = initial_split(root_case())
+        cases = coordinate_cases()
         assert [c.id for c in cases] == ["1", "2", "3", "4"]
 
     def test_case_one_graphs_coincide(self):
-        one = initial_split(root_case())[0]
+        one = coordinate_cases()[0]
         assert iso_pointed(one.source, one.target)
         assert classify_case(one).kind is Resolution.POSITIVE
 
     def test_case_three_restrictions(self):
-        three = initial_split(root_case())[2]
+        three = coordinate_cases()[2]
         assert three.restrictions.edges == parse_edges("v.u^-1, u.v^-1")
 
     def test_case_two_coordinates(self):
-        two = initial_split(root_case())[1]
+        two = coordinate_cases()[1]
         coords = two.chain[-1]
         assert images(coords) == {"a": "y", "b": "u"}
 
     def test_case_with_chain_hashes(self):
-        two = initial_split(root_case())[1]
+        two = coordinate_cases()[1]
         assert two.chain
         assert two in {two}
 
@@ -317,7 +320,7 @@ class TestTableVerification:
         assert {"substitution", "restrictions"} <= set(row.checks)
 
     def test_given_rows_match_root_and_initial_split(self, report):
-        for case in [root_case(), *initial_split(root_case())]:
+        for case in [root_case(), *coordinate_cases()]:
             derived = report.cases[case.id]
             assert derived.restrictions == case.restrictions
             assert iso_pointed(derived.source, case.source)

@@ -168,6 +168,36 @@ class TestOntoBase:
         assert captured.err == ""
 
 
+class TestInferredAlphabets:
+    """Each file keeps the alphabet it infers; generators match by name."""
+
+    @pytest.fixture()
+    def texts(self, files):
+        paths = dict(files)
+        for name, text in [("S", "a b a^-1\n"), ("F", "b\na\n"), ("C", "c a\n")]:
+            path = files["dir"] / f"{name}.txt"
+            path.write_text(text)
+            paths[name] = str(path)
+        return paths
+
+    def test_morphism_onto_the_free_group(self, capsys, texts):
+        code, out = run(capsys, "morphism", texts["S"], texts["F"])
+        assert code == 0
+        assert out.splitlines()[:2] == ["injective: false", "surjective: true"]
+
+    @pytest.mark.parametrize("outer, conjugator", [("F", "a a b a^-1"), ("K", "a b a^-1 b")])
+    def test_onto_base_conjugator(self, capsys, texts, outer, conjugator):
+        code, out = run(capsys, "onto-base", texts["S"], texts[outer])
+        assert code == 0
+        assert out.splitlines()[0] == f"conjugator: {conjugator}"
+
+    @pytest.mark.parametrize("command, negative", [("morphism", "morphism"), ("onto-base", "conjugator")])
+    def test_foreign_generator_is_a_negative(self, capsys, texts, command, negative):
+        code, out = run(capsys, command, texts["C"], texts["K"])
+        assert code == 1
+        assert out == f"no {negative}: the first subgroup is not inside the second\n"
+
+
 class TestTransportAndChecks:
     def test_fphi(self, capsys, files):
         code, out = run(capsys, "fphi", files["hom"], files["H"])

@@ -46,9 +46,9 @@ A = Letter("a", 1)
 B = Letter("b", 1)
 
 
-def delta() -> LabeledGraph:
-    """Loop at the base, an a-edge to a second vertex, a loop there."""
-    return graph(AB, 2, [(0, 0, B), (0, 1, A), (1, 1, B)], base=0)
+def delta(base: int = 0) -> LabeledGraph:
+    """Loop at vertex 0, an a-edge to a second vertex, a loop there."""
+    return graph(AB, 2, [(0, 0, B), (0, 1, A), (1, 1, B)], base=base)
 
 
 def codes(text: str) -> tuple[int, ...]:
@@ -300,8 +300,8 @@ class TestIso:
         assert not unpointed_isomorphisms(b_loop(), a_loop)
 
     def test_rebased_delta(self):
-        assert unpointed_isomorphisms(delta(), delta().with_base(1))
-        assert not iso_pointed(delta(), delta().with_base(1))
+        assert unpointed_isomorphisms(delta(), delta(base=1))
+        assert not iso_pointed(delta(), delta(base=1))
 
 
 class TestAttach:
@@ -358,6 +358,12 @@ class TestSerialization:
             canonical_form(g)
         with pytest.raises(NotFoldedError):
             canonical_form(g, 1)
+
+    @pytest.mark.parametrize("root", [-1, 2, 5])
+    def test_root_outside_the_graph_rejected(self, root):
+        g = gamma(Subgroup.of(AB, "b", "a b a^-1"))
+        with pytest.raises(DisconnectedGraphError, match="^root is not a vertex$"):
+            canonical_form(g, root)
 
     def test_dot_output(self):
         dot = to_dot(delta())

@@ -385,6 +385,11 @@ class TestConjugateCore:
         g = gamma(K_DELTA)
         assert core(attach_path(g, ())) is g
 
+    @pytest.mark.parametrize("code", [0, 3, -3])
+    def test_conjugator_outside_the_alphabet_rejected(self, code):
+        with pytest.raises(UnknownGeneratorError, match=f"^label {code} outside the alphabet$"):
+            K_DELTA.conjugate((1, code))
+
     def test_matches_conjugated_generators(self):
         rng = random.Random(17)
         for _ in range(50):

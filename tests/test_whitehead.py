@@ -14,14 +14,12 @@ from stallings.whitehead import (
     is_restriction_morphism,
     parse_edges,
     preserves_folding,
-    whitehead_edge,
     whitehead_graph,
     word_link,
 )
 from stallings.words import (
     Alphabet,
     GroupHom,
-    Letter,
     cyclic_reduce,
     parse_word,
     reduce_codes,
@@ -121,8 +119,8 @@ class TestWhiteheadGraph:
         assert RestrictionSet.parse(g.alphabet, white.text) == white
 
     def test_degenerate_pairs_rejected(self):
-        with pytest.raises(AlphabetMismatchError):
-            whitehead_edge(Letter("a", 1), Letter("a", 1))
+        with pytest.raises(AlphabetMismatchError, match="^degenerate Whitehead edge a.a$"):
+            parse_edges("a.a")
 
     @pytest.mark.parametrize(
         "codes, message",

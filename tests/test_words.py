@@ -295,6 +295,12 @@ class TestConjugation:
 
 
 class TestAlphabet:
+    @pytest.mark.parametrize("code", [0, 3, -3])
+    def test_decode_rejects_codes_outside_the_alphabet(self, code):
+        for decode in (AB.decode, lambda c: AB.word((1, c))):
+            with pytest.raises(UnknownGeneratorError, match=f"^label {code} outside the alphabet$"):
+                decode(code)
+
     def test_fresh_avoids_collisions(self):
         ab = Alphabet.of("a", "t", "s")
         name = ab.fresh_name()

@@ -102,8 +102,11 @@ class LabeledGraph:
         """No two half-edges share an initial vertex and a label."""
         return len(set(zip(self.einit, self.elabel))) == len(self.einit)
 
-    def edge_at(self, v: int, code: int) -> int | None:
-        """The unique half-edge at v with the given label code (folded graphs)."""
+    def _edge_table(self) -> list[dict[int, int]]:
+        """Per vertex, label code -> the half-edge leaving it (folded graphs).
+
+        Built on first use and kept.
+        """
         if self._lookup is None:
             if not self.is_folded():
                 raise NotFoldedError("label lookup needs a folded graph")
@@ -111,7 +114,11 @@ class LabeledGraph:
             for e, w in enumerate(self.einit):
                 table[w][self.elabel[e]] = e
             self._lookup = table
-        return self._lookup[v].get(code)
+        return self._lookup
+
+    def edge_at(self, v: int, code: int) -> int | None:
+        """The unique half-edge at v with the given label code (folded graphs)."""
+        return self._edge_table()[v].get(code)
 
     def is_core(self) -> bool:
         """Folded, and every vertex except the base has degree > 1."""
@@ -267,6 +274,7 @@ def extend_morphism(
     clash.
     """
     labels = d.alphabet.recode(g.elabel, g.alphabet)
+    table, ginit, dinit = d._edge_table(), g.einit, d.einit
     vmap = [-1] * g.n_vertices
     emap = [-1] * g.n_half_edges
     vmap[seed_vertex] = seed_image
@@ -274,7 +282,7 @@ def extend_morphism(
     while stack:
         v = stack.pop()
         for e in g.out_edges(v):
-            fe = d.edge_at(vmap[v], labels[e])
+            fe = table[vmap[v]].get(labels[e])
             if fe is None:
                 return None
             if emap[e] == -1:
@@ -282,7 +290,7 @@ def extend_morphism(
                 emap[e ^ 1] = fe ^ 1
             elif emap[e] != fe:
                 return None
-            w, fw = g.head(e), d.head(fe)
+            w, fw = ginit[e ^ 1], dinit[fe ^ 1]
             if vmap[w] == -1:
                 vmap[w] = fw
                 stack.append(w)
@@ -591,13 +599,21 @@ def attach_path(g: LabeledGraph, codes: Sequence[int]) -> LabeledGraph:
 
 
 def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
-    """Endpoint of the path spelling a code word from ``start``, or None."""
+    """Endpoint of the path spelling a code word from ``start``, or None.
+
+    The walk reads ``codes`` one at a time and stops at the first code
+    with no edge, so it may be a lazy iterator.  The graph must be
+    folded: an unfolded one raises ``NotFoldedError`` for every word,
+    the empty word included.
+    """
+    table, einit = g._edge_table(), g.einit
     v = start
     for c in codes:
-        e = g.edge_at(v, c)
-        if e is None:
+        try:
+            e = table[v][c]
+        except KeyError:
             return None
-        v = g.head(e)
+        v = einit[e ^ 1]
     return v
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     StallingsError,
     TrivialGraphError,
     TrivialSubgroupError,
-    UnknownGeneratorError,
 )
 from .graph import (
     GraphMorphism,
@@ -105,14 +105,13 @@ def gamma(h: Subgroup) -> LabeledGraph:
 def contains(h: Subgroup, w: Word) -> bool:
     """Membership: does the word close up at the base point?
 
-    A word with a letter outside the subgroup's alphabet is not a member.
+    Letters are encoded as the walk reads them, and the walk stops at
+    the first letter with no edge.  A letter outside the subgroup's
+    alphabet reads as code 0, which labels no edge, so such a word is
+    not a member.
     """
-    try:
-        codes = h.alphabet.encode(w)
-    except UnknownGeneratorError:
-        return False
     g = gamma(h)
-    return trace(g, g.base, codes) == g.base
+    return trace(g, g.base, map(h.alphabet._code_table().get, w.letters, repeat(0))) == g.base
 
 
 def pi1_basis(g: LabeledGraph) -> list[tuple[int, ...]]:

@@ -221,6 +221,7 @@ class Alphabet:
 
     generators: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _letter_codes: dict[Letter, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.generators:
@@ -230,6 +231,7 @@ class Alphabet:
         if len(index) != len(self.generators):
             raise UnknownGeneratorError("duplicate generator names")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_letter_codes", None)
 
     @classmethod
     def _raw(cls, generators: tuple[str, ...]) -> "Alphabet":
@@ -237,6 +239,7 @@ class Alphabet:
         alphabet = cls.__new__(cls)
         object.__setattr__(alphabet, "generators", generators)
         object.__setattr__(alphabet, "_index", {name: i for i, name in enumerate(generators)})
+        object.__setattr__(alphabet, "_letter_codes", None)
         return alphabet
 
     @classmethod
@@ -266,15 +269,28 @@ class Alphabet:
         """Position of the letter with code ``c`` in :meth:`letters`."""
         return 2 * c - 2 if c > 0 else -2 * c - 1
 
+    def _code_table(self) -> dict[Letter, int]:
+        """Letter -> code for every signed letter, built on first use and kept."""
+        table = self._letter_codes
+        if table is None:
+            table = {}
+            for i, name in enumerate(self.generators, 1):
+                table[Letter(name, 1)] = i
+                table[Letter(name, -1)] = -i
+            object.__setattr__(self, "_letter_codes", table)
+        return table
+
     def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
-        index = self._index
-        out = []
-        for l in letters:
-            i = index.get(l.gen)
-            if i is None:
-                raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}")
-            out.append(i + 1 if l.sign > 0 else -i - 1)
-        return tuple(out)
+        table = self._code_table()
+        try:
+            return tuple([table[l] for l in letters])
+        except KeyError as miss:
+            l = miss.args[0] if miss.args else None
+            if not isinstance(l, Letter):
+                raise  # not a miss of the table
+            if l.sign not in (1, -1):
+                raise UnknownGeneratorError(f"bad letter sign in {l!r}") from None
+            raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}") from None
 
     def decode(self, c: int) -> Letter:
         return self.word((c,)).letters[0]

@@ -219,6 +219,8 @@ class TestTrace:
         g = graph(AB, 2, [(0, 1, B), (0, 1, B)], base=0)
         with pytest.raises(NotFoldedError):
             trace(g, 0, codes("b"))
+        with pytest.raises(NotFoldedError):  # before any code is read
+            trace(g, 0, ())
 
     def test_at_most_one_continuation(self):
         rng = random.Random(23)

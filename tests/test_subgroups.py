@@ -271,9 +271,67 @@ class TestMembership:
         assert not contains(K_DELTA, parse_word("c"))
         assert not contains(K_DELTA, parse_word("a b c a^-1"))
 
+    @pytest.mark.parametrize(
+        "text, member",
+        [
+            ("c a b a^-1", False),  # foreign letter first
+            ("a b c a^-1", False),  # in the middle
+            ("a b a^-1 c", False),  # last, after a member
+            ("a a c", False),  # the walk leaves the graph before it
+            ("c c^-1 b", True),  # a foreign letter that cancels
+        ],
+    )
+    def test_foreign_letter_anywhere(self, text, member):
+        w = parse_word(text)
+        assert contains(K_DELTA, w) == naive_member(K_DELTA, w) == member
+
+    def test_text_query_is_rejected(self):
+        with pytest.raises(AttributeError):
+            contains(K_DELTA, "a b")
+
     def test_identity_always_member(self):
         assert contains(K_DELTA, Word())
         assert contains(Subgroup(AB, ()), Word())
+
+    def test_benchmark_sized_queries(self):
+        """Rank 3, generators of length 20, products of up to 6 of them.
+
+        Every other query is a random word of length 20 instead, and
+        each query is also asked with a foreign letter first, in the
+        middle and last.
+        """
+        abc, abcd = Alphabet.of("a", "b", "c"), Alphabet.of("a", "b", "c", "d")
+        rng = random.Random(41)
+
+        def word20() -> tuple[int, ...]:
+            out = [rng.choice([1, -1, 2, -2, 3, -3])]
+            while len(out) < 20:
+                out.append(rng.choice([c for c in (1, -1, 2, -2, 3, -3) if c != -out[-1]]))
+            return tuple(out)
+
+        verdicts, left_early = [], []
+        for _ in range(3):
+            gens = [word20() for _ in range(rng.randint(2, 6))]
+            h = subgroup(abc, gens)
+            g = gamma(h)
+            for j in range(30):
+                q = ()
+                if j % 2:
+                    q = word20()
+                else:
+                    for _ in range(rng.randint(1, 6)):
+                        w = rng.choice(gens)
+                        q = reduce_codes(q + (w if rng.random() < 0.5 else invert_codes(w)))
+                w = abc.word(q)
+                verdict = naive_member(h, w)
+                assert contains(h, w) == verdict
+                verdicts.append(verdict)
+                left_early.append(trace(g, g.base, q) is None)
+                for i in (0, len(q) // 2, len(q)):
+                    w = abcd.word(q[:i] + (4,) + q[i:])
+                    assert contains(h, w) is naive_member(h, w) is False
+        assert True in verdicts and False in verdicts
+        assert True in left_early and False in left_early
 
     def test_products_and_certified_nonmembers(self):
         rng = random.Random(7)

@@ -333,8 +333,47 @@ class TestAlphabet:
         assert positions == list(range(len(letters)))
 
     def test_foreign_generator_not_encoded(self):
-        with pytest.raises(UnknownGeneratorError):
+        with pytest.raises(UnknownGeneratorError, match=r"^c not over alphabet \('a', 'b'\)$"):
             AB.encode([Letter("c", 1)])
         with pytest.raises(UnknownGeneratorError):
             AB.encode(w("a c^-1"))
         assert Letter("c", 1) not in AB and "c" not in AB
+
+    @pytest.mark.parametrize("sign", [2, 0, -2])
+    def test_bad_sign_not_encoded(self, sign):
+        l = Letter("a", sign)
+        message = f"^bad letter sign in {re.escape(repr(l))}$"
+        with pytest.raises(UnknownGeneratorError, match=message):
+            Alphabet.of("a", "b").encode([Letter("b", 1), l])
+        with pytest.raises(UnknownGeneratorError, match="^bad letter sign in "):
+            Word([l])  # the message Word gives
+
+    def test_encode_reads_a_one_shot_iterator(self):
+        assert AB.encode(iter(w("a b^-1 a"))) == (1, -2, 1)
+        assert AB.encode(l for l in w("b^-1 a")) == (-2, 1)
+        assert AB.encode(iter(())) == ()
+
+        def failing():
+            yield Letter("a", 1)
+            raise KeyError("from the iterator")
+
+        with pytest.raises(KeyError, match="from the iterator"):  # not read as a miss
+            AB.encode(failing())
+
+    def test_letter_table_built_once(self):
+        for ab in (Alphabet.of("a", "b"), parse_codes([["a", "b"]])[0]):
+            assert ab._letter_codes is None  # not built until the first encode
+            assert ab.encode(w("a b^-1")) == (1, -2)
+            table = ab._letter_codes
+            assert table == {
+                Letter("a", 1): 1, Letter("a", -1): -1, Letter("b", 1): 2, Letter("b", -1): -2
+            }
+            assert ab.encode(w("b a^-1")) == (2, -1)
+            assert ab._letter_codes is table
+
+    def test_letter_table_ignored_by_equality_hash_and_repr(self):
+        fresh, used = Alphabet.of("a", "b"), Alphabet.of("a", "b")
+        used.encode(w("a b"))
+        assert used._letter_codes is not None and fresh._letter_codes is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "Alphabet(generators=('a', 'b'))"

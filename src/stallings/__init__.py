@@ -37,7 +37,7 @@ from .graph import (
     trim_all,
     two_core,
     unique_pointed_morphism,
-    unpointed_isomorphisms,
+    unpointed_isomorphic,
 )
 from .functor import (
     image_core,

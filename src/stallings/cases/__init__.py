@@ -3,6 +3,7 @@
 from .engine import (
     CaseResolution,
     InjectivityCase,
+    Reduction,
     Resolution,
     SplitCase,
     classify_case,
@@ -17,6 +18,7 @@ from .verify import TableReport, render_tsv, verify_tables
 __all__ = [
     "CaseResolution",
     "InjectivityCase",
+    "Reduction",
     "Resolution",
     "SplitCase",
     "classify_case",

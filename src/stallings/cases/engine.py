@@ -20,9 +20,9 @@ from ..errors import EdgeNotMissingError, InternalError, NotAmbiguousError
 from ..graph import (
     GraphMorphism,
     LabeledGraph,
+    _isomorphism,
     classify,
-    extend_morphism,
-    unpointed_isomorphisms,
+    unpointed_isomorphic,
 )
 from ..functor import image_morphism
 from ..subgroups import Subgroup, inclusion_morphism
@@ -214,39 +214,26 @@ def split_on_edge(case: InjectivityCase, edge: WhiteheadEdge) -> list[SplitCase]
 def morphisms_unpointed_isomorphic(f1: GraphMorphism, f2: GraphMorphism) -> bool:
     """Do two morphisms agree up to base-point-free isomorphisms?
 
-    Looks for isomorphisms of sources and targets making the square
-    commute.
+    Both ways round the square are morphisms out of a connected graph
+    into a folded one, so they are equal once they agree at one vertex:
+    a source isomorphism 0 -> w needs only the target isomorphism
+    ``f1.vmap[0] -> f2.vmap[w]``.
     """
-    if (
-        f1.source.n_vertices != f2.source.n_vertices
-        or f1.target.n_vertices != f2.target.n_vertices
-        or f1.source.n_half_edges != f2.source.n_half_edges
-        or f1.target.n_half_edges != f2.target.n_half_edges
-    ):
-        return False
-    for g_iso in unpointed_isomorphisms(f1.source, f2.source):
-        h = extend_morphism(
-            f1.target, f2.target, f1.vmap[0], f2.vmap[g_iso.vmap[0]]
-        )
-        if h is None or len(set(h.vmap)) != f2.target.n_vertices:
-            continue
-        if all(
-            h.vmap[f1.vmap[v]] == f2.vmap[g_iso.vmap[v]]
-            for v in range(f1.source.n_vertices)
-        ) and all(
-            h.emap[f1.emap[e]] == f2.emap[g_iso.emap[e]]
-            for e in range(f1.source.n_half_edges)
-        ):
-            return True
-    return False
+    return any(
+        _isomorphism(f1.source, f2.source, 0, w) is not None
+        and _isomorphism(f1.target, f2.target, f1.vmap[0], f2.vmap[w]) is not None
+        for w in range(f2.source.n_vertices)
+    )
+
+
+class Reduction(enum.Enum):
+    SQUARE = "square"  # the renamed inclusion matches as a commuting square
+    GRAPH_PAIR = "graph pair"  # only its source and target match
 
 
 def reduce_to(
-    child: InjectivityCase,
-    target: InjectivityCase,
-    renaming: GroupHom,
-    require_square: bool = False,
-) -> bool:
+    child: InjectivityCase, target: InjectivityCase, renaming: GroupHom
+) -> Reduction | None:
     """Is the child an instance of the target under the renaming?
 
     The renaming sends the target's letters to words over the child's
@@ -259,26 +246,25 @@ def reduce_to(
     child's source and target up to base-point-free isomorphism.
 
     Usually the renamed inclusion also matches the child's as a
-    commuting square of base-point-free isomorphisms; one recorded
-    reduction differs from its target by an inner conjugation of the
-    outer subgroup, so the square is only required when
-    ``require_square`` is set.
+    commuting square of base-point-free isomorphisms (``SQUARE``); one
+    recorded reduction differs from its target by an inner conjugation
+    of the outer subgroup and matches only the graph pair
+    (``GRAPH_PAIR``).  None means no reduction.
     """
     if renaming.source.generators != target.alphabet.generators:
-        return False
+        return None
     if renaming.target.generators != child.alphabet.generators:
-        return False
+        return None
     if not is_restriction_morphism(target.restrictions, child.restrictions, renaming):
-        return False
+        return None
     m = image_morphism(renaming, target.morphism)
     if morphisms_unpointed_isomorphic(m, child.morphism):
-        return True
-    if require_square:
-        return False
-    return bool(
-        unpointed_isomorphisms(m.source, child.source)
-        and unpointed_isomorphisms(m.target, child.target)
-    )
+        return Reduction.SQUARE
+    if unpointed_isomorphic(m.source, child.source) and unpointed_isomorphic(
+        m.target, child.target
+    ):
+        return Reduction.GRAPH_PAIR
+    return None
 
 
 # -- the bundled example ----------------------------------------------------

@@ -271,8 +271,13 @@ def extend_morphism(
 
     Requires the target to be folded, which makes the extension unique if
     it exists; returns None when some half-edge has no image or images
-    clash.
+    clash.  A seed that is not a vertex of its graph raises
+    ``DisconnectedGraphError``.
     """
+    if not 0 <= seed_vertex < g.n_vertices:
+        raise DisconnectedGraphError(f"seed {seed_vertex} is not a vertex")
+    if not 0 <= seed_image < d.n_vertices:
+        raise DisconnectedGraphError(f"seed image {seed_image} is not a vertex")
     labels = d.alphabet.recode(g.elabel, g.alphabet)
     table, ginit, dinit = d._edge_table(), g.einit, d.einit
     vmap = [-1] * g.n_vertices
@@ -308,30 +313,34 @@ def unique_pointed_morphism(g: LabeledGraph, d: LabeledGraph) -> GraphMorphism |
     return extend_morphism(g, d, g.base, d.base)
 
 
-def unpointed_isomorphisms(g: LabeledGraph, d: LabeledGraph) -> list[GraphMorphism]:
-    """All label-preserving isomorphisms, ignoring base points."""
-    if (
-        g.n_vertices != d.n_vertices
-        or g.n_half_edges != d.n_half_edges
-        or g.alphabet.generators != d.alphabet.generators
+def _isomorphism(g: LabeledGraph, d: LabeledGraph, v: int, w: int) -> GraphMorphism | None:
+    """The isomorphism g -> d sending vertex v to w, or None (d folded).
+
+    A morphism out of a connected graph into a folded one is fixed by
+    one vertex's image, so one extension from v decides it.
+    """
+    if (g.n_vertices, g.n_half_edges, g.alphabet.generators) != (
+        d.n_vertices, d.n_half_edges, d.alphabet.generators
     ):
-        return []
-    out = []
-    for w in range(d.n_vertices):
-        m = extend_morphism(g, d, 0, w)
-        if m is not None and len(set(m.vmap)) == d.n_vertices:
-            out.append(m)
-    return out
+        return None
+    m = extend_morphism(g, d, v, w)
+    if m is None or len(set(m.vmap)) != d.n_vertices or len(set(m.emap)) != d.n_half_edges:
+        return None
+    return m
+
+
+def unpointed_isomorphic(g: LabeledGraph, d: LabeledGraph) -> bool:
+    """Is there a label-preserving isomorphism, ignoring base points?"""
+    return any(_isomorphism(g, d, 0, w) is not None for w in range(d.n_vertices))
 
 
 def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
-    """True iff there is a base-preserving isomorphism."""
-    if g.alphabet.generators != d.alphabet.generators:
-        return False
-    if g.n_vertices != d.n_vertices or g.n_half_edges != d.n_half_edges:
-        return False
-    m = unique_pointed_morphism(g, d)
-    return m is not None and len(set(m.vmap)) == d.n_vertices
+    """True iff there is a base-preserving isomorphism (source folded)."""
+    if g.base is None or d.base is None:
+        raise NotFoldedError("both graphs need base points")
+    if not g.is_folded():
+        raise NotFoldedError("source must be folded")
+    return _isomorphism(g, d, g.base, d.base) is not None
 
 
 # -- folding / trimming / core ---------------------------------------

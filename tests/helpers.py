@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's fast paths: folding by
 one-pair-at-a-time scanning, trimming by rescanning for a leaf,
 reduction by repeated adjacent elimination, Whitehead edges by brute
 two-step path enumeration, canonical text by a plain breadth-first search,
-edge images by reading the homomorphism's codes edge by edge.
+edge images by reading the homomorphism's codes edge by edge, isomorphisms
+of morphisms by checking the square on every vertex and half-edge.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 from stallings import _kernel
 from stallings.cases.fuzz import random_reduced_word
-from stallings.graph import LabeledGraph, attach_path, bouquet, canonical_form
+from stallings.graph import (
+    GraphMorphism,
+    LabeledGraph,
+    attach_path,
+    bouquet,
+    canonical_form,
+)
 from stallings.subgroups import Subgroup
 from stallings.words import Alphabet, GroupHom, Letter, Word, reduce_codes
 
@@ -40,6 +47,8 @@ __all__ = [
     "two_path_edges",
     "naive_canonical_form",
     "same_at_some_root",
+    "naive_isomorphism",
+    "naive_square_isomorphic",
     "ALPHABETS",
 ]
 
@@ -398,3 +407,66 @@ def same_at_some_root(g: LabeledGraph, oracle: LabeledGraph) -> bool:
         for v in range(oracle.n_vertices)
         if theirs[v] == mine[root]
     )
+
+
+def naive_isomorphism(
+    g: LabeledGraph, d: LabeledGraph, v: int, w: int
+) -> tuple[dict[int, int], dict[int, int]] | None:
+    """The isomorphism g -> d sending v to w, as vertex and half-edge maps.
+
+    Grows the map from v, matching each half-edge of g to the one
+    half-edge of d at the image vertex with the same label, found by
+    scanning all of d's half-edges; None when there is no such
+    half-edge or more than one, when images clash, or when the map is
+    not a bijection.
+    """
+    if (g.alphabet.generators, g.n_vertices, g.n_half_edges) != (
+        d.alphabet.generators, d.n_vertices, d.n_half_edges
+    ):
+        return None
+    vmap, emap = {v: w}, {}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for e in range(g.n_half_edges):
+            if g.einit[e] != x:
+                continue
+            matches = [
+                f
+                for f in range(d.n_half_edges)
+                if d.einit[f] == vmap[x] and d.elabel[f] == g.elabel[e]
+            ]
+            if len(matches) != 1 or emap.setdefault(e, matches[0]) != matches[0]:
+                return None
+            y, z = g.einit[e ^ 1], d.einit[matches[0] ^ 1]
+            if y not in vmap:
+                vmap[y] = z
+                stack.append(y)
+            elif vmap[y] != z:
+                return None
+    if len(set(vmap.values())) != d.n_vertices or len(set(emap.values())) != d.n_half_edges:
+        return None
+    return vmap, emap
+
+
+def naive_square_isomorphic(f1: GraphMorphism, f2: GraphMorphism) -> bool:
+    """Whether isomorphisms of sources and targets make the square commute.
+
+    The explicit check: for every source isomorphism (0 -> w), take the
+    target isomorphism seeded at ``f1.vmap[0] -> f2.vmap[w]`` and compare
+    both ways round the square on every vertex and every half-edge.
+    """
+    s1 = f1.source
+    for w in range(f2.source.n_vertices):
+        source_iso = naive_isomorphism(s1, f2.source, 0, w)
+        if source_iso is None:
+            continue
+        target_iso = naive_isomorphism(f1.target, f2.target, f1.vmap[0], f2.vmap[w])
+        if target_iso is None:
+            continue
+        (gv, ge), (hv, he) = source_iso, target_iso
+        if all(hv[f1.vmap[x]] == f2.vmap[gv[x]] for x in range(s1.n_vertices)) and all(
+            he[f1.emap[e]] == f2.emap[ge[e]] for e in range(s1.n_half_edges)
+        ):
+            return True
+    return False

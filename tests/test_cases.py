@@ -5,6 +5,7 @@ import pytest
 
 from stallings.cases import (
     InjectivityCase,
+    Reduction,
     Resolution,
     classify_case,
     fuzz_example,
@@ -38,6 +39,8 @@ from helpers import (
     image_paths,
     list_reduced_word,
     naive_is_folded,
+    naive_isomorphism,
+    naive_square_isomorphic,
     random_hom,
     random_reduced_word,
     spelled,
@@ -225,8 +228,8 @@ class TestCorrectedFreshRows:
             image_morphism(psi, parent.morphism),
         )
         flip = make_substitution(u, u, {fresh: f"{fresh}^-1"})
-        assert reduce_to(engine, recorded, flip, require_square=True)
-        assert reduce_to(recorded, engine, flip, require_square=True)
+        assert reduce_to(engine, recorded, flip) is Reduction.SQUARE
+        assert reduce_to(recorded, engine, flip) is Reduction.SQUARE
 
     @pytest.mark.parametrize(
         "row_id, renaming",
@@ -239,7 +242,7 @@ class TestCorrectedFreshRows:
         child = report.cases[row_id]
         target = report.cases["x'.1"]
         rho = make_substitution(target.alphabet, child.alphabet, renaming)
-        assert reduce_to(child, target, rho, require_square=True)
+        assert reduce_to(child, target, rho) is Reduction.SQUARE
 
 
 class TestReduceTo:
@@ -258,14 +261,14 @@ class TestReduceTo:
     def test_self_reduction_with_identity(self, report):
         case = report.cases["x"]
         identity = make_substitution(case.alphabet, case.alphabet, {})
-        assert reduce_to(case, case, identity, require_square=True)
+        assert reduce_to(case, case, identity) is Reduction.SQUARE
 
     def test_restrictions_must_carry_over(self, report):
         """Same graphs, but the child lacks the target's restrictions."""
         case = report.cases["x"]
         bare = InjectivityCase("bare", RestrictionSet(case.alphabet, frozenset()), case.morphism)
         identity = make_substitution(case.alphabet, case.alphabet, {})
-        assert reduce_to(case, bare, identity, require_square=True)
+        assert reduce_to(case, bare, identity) is Reduction.SQUARE
         assert not reduce_to(bare, case, identity)
 
     def test_wrong_renaming_rejected(self, report):
@@ -273,6 +276,60 @@ class TestReduceTo:
         target = report.cases["x"]
         renaming = make_substitution(target.alphabet, child.alphabet, {"x": "v x"})
         assert not reduce_to(child, target, renaming)
+
+
+    def test_only_row_2_3_matches_just_the_graph_pair(self, report):
+        """Every contained row's square commutes, except row 2.3's."""
+        outcomes = {}
+        for data in table.ROWS:
+            if data["expect"] in ("positive", "ambiguous"):
+                continue
+            _, target_id, renaming_text = data["expect"]
+            child, target = report.cases[data["id"]], report.cases[target_id]
+            renaming = make_substitution(target.alphabet, child.alphabet, renaming_text)
+            outcomes[data["id"]] = reduce_to(child, target, renaming)
+        assert len(outcomes) == 17
+        assert {i: r for i, r in outcomes.items() if r is not Reduction.SQUARE} == {
+            "2.3": Reduction.GRAPH_PAIR
+        }
+        noted = [r.id for r in report.rows if "graph pair" in r.note]
+        assert noted == ["2.3"]
+
+
+class TestSquare:
+    def test_one_vertex_decides_the_square(self):
+        """The seeded target isomorphism against the square checked everywhere.
+
+        Pairs of pointed and unbased images of the root inclusion over a
+        rank-2 target; both kinds of pair the shortcut could confuse occur.
+        """
+        rng = random.Random(1)
+        root = root_case()
+        x2 = Alphabet.of("p", "q")
+        morphisms = []
+        for _ in range(60):
+            phi = random_hom(rng, root.alphabet, x2, 4)
+            morphisms += [
+                image_morphism(phi, root.morphism),
+                unbased_image_morphism(phi, root.morphism),
+            ]
+
+        def ends(g, d):
+            return any(naive_isomorphism(g, d, 0, w) for w in range(d.n_vertices))
+
+        positives = non_commuting = 0
+        for i, f1 in enumerate(morphisms):
+            for j, f2 in enumerate(morphisms):
+                expected = naive_square_isomorphic(f1, f2)
+                assert morphisms_unpointed_isomorphic(f1, f2) == expected, (i, j)
+                if i == j:
+                    continue
+                if expected:
+                    positives += 1
+                elif ends(f1.source, f2.source) and ends(f1.target, f2.target):
+                    non_commuting += 1
+        assert positives > 100
+        assert non_commuting > 100
 
 
 class TestTableVerification:

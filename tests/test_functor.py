@@ -25,7 +25,7 @@ from stallings.graph import (
     iso_pointed,
     two_core,
     unique_pointed_morphism,
-    unpointed_isomorphisms,
+    unpointed_isomorphic,
 )
 from stallings.subgroups import Subgroup, gamma, pi1_basis
 from stallings.whitehead import (
@@ -288,7 +288,7 @@ class TestTransport:
         phi = GroupHom(AB, AB, {"a": parse_word("a"), "b": parse_word("b b")})
         out = unbased_image_morphism(phi, self._root())
         assert classify(out).injective
-        assert unpointed_isomorphisms(
+        assert unpointed_isomorphic(
             out.target, two_core(gamma(Subgroup.of(AB, "b b", "a b b a^-1")))
         )
 

@@ -18,6 +18,7 @@ from stallings.graph import (
     canonical_form,
     classify,
     core,
+    extend_morphism,
     fold_all,
     iso_pointed,
     to_dot,
@@ -25,7 +26,7 @@ from stallings.graph import (
     trim_all,
     two_core,
     unique_pointed_morphism,
-    unpointed_isomorphisms,
+    unpointed_isomorphic,
 )
 from stallings.subgroups import Subgroup, gamma
 from stallings.words import Alphabet, Letter, parse_word
@@ -241,6 +242,20 @@ class TestMorphisms:
     def test_no_morphism_backwards(self):
         assert unique_pointed_morphism(delta(), b_loop()) is None
 
+    @pytest.mark.parametrize("seed", [-1, -2, 1, 2])
+    def test_seed_must_be_a_vertex(self, seed):
+        """b_loop has the one vertex 0; a negative index must not wrap."""
+        with pytest.raises(DisconnectedGraphError, match=f"^seed {seed} is not a vertex$"):
+            extend_morphism(b_loop(), delta(), seed, 0)
+
+    @pytest.mark.parametrize("image", [-1, -2, 2, 3])
+    def test_seed_image_must_be_a_vertex(self, image):
+        """delta has the vertices 0 and 1; a negative index must not wrap."""
+        with pytest.raises(
+            DisconnectedGraphError, match=f"^seed image {image} is not a vertex$"
+        ):
+            extend_morphism(b_loop(), delta(), 0, image)
+
     def test_identity(self):
         m = unique_pointed_morphism(delta(), delta())
         c = classify(m)
@@ -297,13 +312,34 @@ class TestMorphisms:
 
 class TestIso:
     def test_loops(self):
-        assert unpointed_isomorphisms(b_loop(), b_loop())
+        assert unpointed_isomorphic(b_loop(), b_loop())
         a_loop = graph(AB, 1, [(0, 0, A)], base=0)
-        assert not unpointed_isomorphisms(b_loop(), a_loop)
+        assert not unpointed_isomorphic(b_loop(), a_loop)
 
     def test_rebased_delta(self):
-        assert unpointed_isomorphisms(delta(), delta(base=1))
+        assert unpointed_isomorphic(delta(), delta(base=1))
         assert not iso_pointed(delta(), delta(base=1))
+
+    def test_sizes_must_match(self):
+        assert not unpointed_isomorphic(b_loop(), delta())
+        assert not iso_pointed(b_loop(), delta())
+        assert not iso_pointed(delta(), b_loop())
+
+    def test_unfolded_source_is_not_isomorphic(self):
+        """Two a-loops onto an a-loop and a b-loop: onto every vertex, not every edge."""
+        two_a = graph(AB, 1, [(0, 0, A), (0, 0, A)], base=0)
+        a_and_b = graph(AB, 1, [(0, 0, A), (0, 0, B)], base=0)
+        assert extend_morphism(two_a, a_and_b, 0, 0) is not None
+        assert not unpointed_isomorphic(two_a, a_and_b)
+
+    def test_pointed_errors_kept(self):
+        with pytest.raises(NotFoldedError, match="^both graphs need base points$"):
+            iso_pointed(delta().unbased(), delta())
+        with pytest.raises(NotFoldedError, match="^both graphs need base points$"):
+            iso_pointed(delta(), delta().unbased())
+        unfolded = graph(AB, 2, [(0, 0, B), (0, 1, A), (0, 1, A), (1, 1, B)], base=0)
+        with pytest.raises(NotFoldedError, match="^source must be folded$"):
+            iso_pointed(unfolded, delta())
 
 
 class TestAttach:

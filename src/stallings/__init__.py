@@ -13,6 +13,7 @@ from .errors import (
     DisconnectedGraphError,
     EdgeNotMissingError,
     InternalError,
+    MissingBaseError,
     NotAmbiguousError,
     NotFoldedError,
     NotIncludedError,

@@ -17,6 +17,10 @@ class NotFoldedError(StallingsError):
     """The operation is only defined on folded graphs."""
 
 
+class MissingBaseError(StallingsError):
+    """The operation needs a base point (or a root) and the graph has none."""
+
+
 class DisconnectedGraphError(StallingsError):
     """Graphs are assumed connected; a disconnected one was produced."""
 

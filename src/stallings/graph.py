@@ -18,6 +18,7 @@ from . import _kernel
 from .errors import (
     AlphabetMismatchError,
     DisconnectedGraphError,
+    MissingBaseError,
     NotFoldedError,
     UnknownGeneratorError,
 )
@@ -307,7 +308,7 @@ def extend_morphism(
 def unique_pointed_morphism(g: LabeledGraph, d: LabeledGraph) -> GraphMorphism | None:
     """The unique base-preserving morphism between folded pointed graphs."""
     if g.base is None or d.base is None:
-        raise NotFoldedError("both graphs need base points")
+        raise MissingBaseError("both graphs need base points")
     if not g.is_folded():
         raise NotFoldedError("source must be folded")
     return extend_morphism(g, d, g.base, d.base)
@@ -337,7 +338,7 @@ def unpointed_isomorphic(g: LabeledGraph, d: LabeledGraph) -> bool:
 def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
     """True iff there is a base-preserving isomorphism (source folded)."""
     if g.base is None or d.base is None:
-        raise NotFoldedError("both graphs need base points")
+        raise MissingBaseError("both graphs need base points")
     if not g.is_folded():
         raise NotFoldedError("source must be folded")
     return _isomorphism(g, d, g.base, d.base) is not None
@@ -593,7 +594,7 @@ def attach_path(g: LabeledGraph, codes: Sequence[int]) -> LabeledGraph:
     not folded.
     """
     if g.base is None:
-        raise NotFoldedError("attach_path needs a pointed graph")
+        raise MissingBaseError("attach_path needs a pointed graph")
     if not codes:
         return g
     _check_labels(g.alphabet, codes)
@@ -668,7 +669,7 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     if root is None:
         root = g.base
     if root is None:
-        raise NotFoldedError("canonical form needs a base or explicit root")
+        raise MissingBaseError("canonical form needs a base or explicit root")
     if not 0 <= root < g.n_vertices:
         raise DisconnectedGraphError("root is not a vertex")
     order, _, folded = _bfs_order(g, root)

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InternalError,
+    MissingBaseError,
     NotIncludedError,
     StallingsError,
     TrivialGraphError,
@@ -117,7 +118,7 @@ def contains(h: Subgroup, w: Word) -> bool:
 def pi1_basis(g: LabeledGraph) -> list[tuple[int, ...]]:
     """A free basis from a spanning tree: one code word per non-tree edge."""
     if g.base is None:
-        raise TrivialGraphError("basis extraction needs a pointed graph")
+        raise MissingBaseError("basis extraction needs a pointed graph")
     parent_dart = _bfs_order(g, g.base)[1]
     tree_edges = {d // 2 for d in parent_dart if d >= 0}
 

@@ -14,7 +14,7 @@ subdivisions folded.  Letters appear only where edges are parsed or printed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, UnknownGeneratorError
@@ -126,14 +126,20 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     stars: list[list[int]] = [[] for _ in range(g.n_vertices)]
     for v, c in zip(g.einit, g.elabel):
         stars[v].append(-c)
-    # vertices with the same star give the same edges; a set also drops
-    # the repeated labels of an unfolded vertex
-    distinct = set(map(frozenset, stars))
-    _check_range(g.alphabet, distinct)  # the codes the edges are made of
-    # a star of two codes is one edge; a wider one gives every pair of its codes
-    pairs = starmap(code_edge, [star for star in distinct if len(star) == 2])
-    wider = [combinations(sorted(star), 2) for star in distinct if len(star) > 2]
-    return RestrictionSet._raw(g.alphabet, frozenset(chain(pairs, *wider)))
+    # the stars hold the labels negated, so one test over the labels checks
+    # every code the edges are made of; only a failure reads the stars
+    rank, labels = len(g.alphabet), g.elabel
+    if labels and (max(labels) > rank or min(labels) < -rank or 0 in labels):
+        _check_range(g.alphabet, stars)
+    # a star of two distinct codes is one edge; an unfolded vertex that
+    # repeats one label gives none
+    two = [star for star in stars if len(star) == 2]
+    pairs = {(a, b) if a < b else (b, a) for a, b in two if a != b}
+    # a wider star gives every pair of its codes; vertices with the same
+    # codes give the same pairs, and a set drops repeated labels
+    wider = {frozenset(star) for star in stars if len(star) > 2}
+    edges = chain(pairs, *[combinations(sorted(star), 2) for star in wider])
+    return RestrictionSet._raw(g.alphabet, frozenset(edges))
 
 
 def full_whitehead(alphabet: Alphabet) -> RestrictionSet:

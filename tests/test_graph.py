@@ -7,7 +7,9 @@ from stallings import _kernel
 from stallings.errors import (
     AlphabetMismatchError,
     DisconnectedGraphError,
+    MissingBaseError,
     NotFoldedError,
+    TrivialGraphError,
     UnknownGeneratorError,
 )
 from stallings.graph import (
@@ -28,7 +30,7 @@ from stallings.graph import (
     unique_pointed_morphism,
     unpointed_isomorphic,
 )
-from stallings.subgroups import Subgroup, gamma
+from stallings.subgroups import Subgroup, gamma, pi1_basis
 from stallings.words import Alphabet, Letter, parse_word
 
 from helpers import (
@@ -333,13 +335,30 @@ class TestIso:
         assert not unpointed_isomorphic(two_a, a_and_b)
 
     def test_pointed_errors_kept(self):
-        with pytest.raises(NotFoldedError, match="^both graphs need base points$"):
-            iso_pointed(delta().unbased(), delta())
-        with pytest.raises(NotFoldedError, match="^both graphs need base points$"):
-            iso_pointed(delta(), delta().unbased())
+        for g, d in [(delta().unbased(), delta()), (delta(), delta().unbased())]:
+            with pytest.raises(MissingBaseError, match="^both graphs need base points$") as exc:
+                iso_pointed(g, d)
+            assert not isinstance(exc.value, NotFoldedError)
         unfolded = graph(AB, 2, [(0, 0, B), (0, 1, A), (0, 1, A), (1, 1, B)], base=0)
         with pytest.raises(NotFoldedError, match="^source must be folded$"):
             iso_pointed(unfolded, delta())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: unique_pointed_morphism(g, delta()), "both graphs need base points"),
+        (lambda g: unique_pointed_morphism(delta(), g), "both graphs need base points"),
+        (lambda g: attach_path(g, codes("a")), "attach_path needs a pointed graph"),
+        (canonical_form, "canonical form needs a base or explicit root"),
+        (pi1_basis, "basis extraction needs a pointed graph"),
+    ],
+)
+def test_missing_base_is_its_own_error(call, message):
+    with pytest.raises(MissingBaseError) as exc:
+        call(delta().unbased())
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, (NotFoldedError, TrivialGraphError))
 
 
 class TestAttach:

@@ -39,6 +39,7 @@ from helpers import (
 AB = Alphabet.of("a", "b")
 GREEK = Alphabet.of("alpha", "beta")
 WIDE = Alphabet(tuple(f"g{i}" for i in range(60)))
+THOUSAND = Alphabet(tuple(f"x{i}" for i in range(1, 1001)))
 DELTA = gamma(Subgroup.of(AB, "b", "a b a^-1"))
 B_LOOP = gamma(Subgroup.of(AB, "b"))
 
@@ -84,6 +85,17 @@ class TestWhiteheadGraph:
             g = gamma(random_subgroup(rng, WIDE, max_gens=8, max_len=12))
             assert whitehead_graph(g).edges == two_path_edges(g)
 
+    def test_matches_oracle_at_rank_thousand(self):
+        """Two-code stars along the words, a wider one where they meet."""
+        rng = random.Random(5)
+        sizes = set()
+        for _ in range(5):
+            words = [random_reduced_word(rng, THOUSAND, 12) for _ in range(8)]
+            g = gamma(Subgroup(THOUSAND, [THOUSAND.word(w) for w in words]))
+            assert whitehead_graph(g).edges == two_path_edges(g)
+            sizes.update(min(len(g.out_edges(v)), 3) for v in range(g.n_vertices))
+        assert {2, 3} <= sizes
+
     def test_matches_oracle_on_unfolded_graphs(self):
         """Repeated labels at a vertex, and stars of one, two and more codes."""
         rng = random.Random(6)
@@ -117,6 +129,17 @@ class TestWhiteheadGraph:
     def test_text_parses_back(self, g):
         white = whitehead_graph(g)
         assert RestrictionSet.parse(g.alphabet, white.text) == white
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [(3, "code -3 outside ('a', 'b')"), (0, "code 0 outside ('a', 'b')")],
+    )
+    def test_labels_outside_alphabet_rejected(self, label, message):
+        # the path a, label: the middle vertex's star has two codes
+        g = LabeledGraph(AB, 3, (0, 1, 1, 2), (1, -1, label, -label), 0, _validate=False)
+        with pytest.raises(AlphabetMismatchError) as exc:
+            whitehead_graph(g)
+        assert str(exc.value) == message
 
     def test_degenerate_pairs_rejected(self):
         with pytest.raises(AlphabetMismatchError, match="^degenerate Whitehead edge a.a$"):

@@ -88,16 +88,24 @@ class LabeledGraph:
         """Endpoint of a half-edge: the initial vertex of its reverse."""
         return self.einit[e ^ 1]
 
-    def out_edges(self, v: int) -> list[int]:
-        if self._out is None:
-            out: list[list[int]] = [[] for _ in range(self.n_vertices)]
+    def _out_lists(self) -> list[list[int]]:
+        """Per vertex, the half-edges leaving it, in half-edge order.
+
+        Built on first use and kept; every traversal reads this one table.
+        """
+        out = self._out
+        if out is None:
+            out = [[] for _ in range(self.n_vertices)]
             for e, w in enumerate(self.einit):
                 out[w].append(e)
             self._out = out
-        return self._out[v]
+        return out
+
+    def out_edges(self, v: int) -> list[int]:
+        return self._out_lists()[v]
 
     def degree(self, v: int) -> int:
-        return len(self.out_edges(v))
+        return len(self._out_lists()[v])
 
     def is_folded(self) -> bool:
         """No two half-edges share an initial vertex and a label."""
@@ -125,10 +133,8 @@ class LabeledGraph:
         """Folded, and every vertex except the base has degree > 1."""
         if not self.is_folded():
             return False
-        for v in range(self.n_vertices):
-            if v != self.base and self.degree(v) <= 1:
-                return False
-        return True
+        base = self.base
+        return all(len(es) > 1 or v == base for v, es in enumerate(self._out_lists()))
 
     def unbased(self) -> "LabeledGraph":
         return LabeledGraph(
@@ -280,14 +286,14 @@ def extend_morphism(
     if not 0 <= seed_image < d.n_vertices:
         raise DisconnectedGraphError(f"seed image {seed_image} is not a vertex")
     labels = d.alphabet.recode(g.elabel, g.alphabet)
-    table, ginit, dinit = d._edge_table(), g.einit, d.einit
+    table, out, ginit, dinit = d._edge_table(), g._out_lists(), g.einit, d.einit
     vmap = [-1] * g.n_vertices
     emap = [-1] * g.n_half_edges
     vmap[seed_vertex] = seed_image
     stack = [seed_vertex]
     while stack:
         v = stack.pop()
-        for e in g.out_edges(v):
+        for e in out[v]:
             fe = table[vmap[v]].get(labels[e])
             if fe is None:
                 return None
@@ -638,25 +644,43 @@ def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int], bool]:
     order).  Also returns each vertex's parent half-edge in that search
     tree, the half-edge that first reached it (-1 at the root), and
     whether the graph is folded.
+
+    Only the root's list and lists of more than two half-edges are
+    sorted.  Any other vertex was reached along one of its own
+    half-edges, so at most one more can reach a new vertex: a vertex of
+    degree two follows just that one, and its two labels must differ.
     """
-    einit = g.einit
-    r2 = 2 * len(g.alphabet)
-    # one key per half-edge: its vertex, then Alphabet.code_index of its label
-    key = [v * r2 + (2 * c - 2 if c > 0 else -2 * c - 1) for v, c in zip(einit, g.elabel)]
-    out: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for e in sorted(range(len(key)), key=key.__getitem__):
-        out[einit[e]].append(e)
+    einit, elabel = g.einit, g.elabel
+    out = g._out_lists()
     order = [root]
     parent = [-2] * g.n_vertices  # -2: not reached yet
     parent[root] = -1
+    # Alphabet.code_index of a half-edge's label
+    key = lambda e: 2 * c - 2 if (c := elabel[e]) > 0 else -2 * c - 1
+    folded = True
     for v in order:  # order grows while it is read
-        for e in out[v]:
+        es = out[v]
+        if len(es) == 2 and v != root:
+            e, f = es
+            if elabel[e] == elabel[f]:
+                folded = False
+            # one of e, f is parent[v] ^ 1, back the way v was reached
+            e ^= f ^ parent[v] ^ 1  # the other one
             w = einit[e ^ 1]
             if parent[w] == -2:
                 parent[w] = e
                 order.append(w)
-    # a repeated key is two half-edges sharing a vertex and a label
-    return order, parent, len(set(key)) == len(key)
+            continue
+        if len(es) > 2 or v == root:
+            es = sorted(es, key=key)  # stable: equal labels keep half-edge order
+            if folded and len({elabel[e] for e in es}) != len(es):
+                folded = False
+        for e in es:
+            w = einit[e ^ 1]
+            if parent[w] == -2:
+                parent[w] = e
+                order.append(w)
+    return order, parent, folded
 
 
 def canonical_form(g: LabeledGraph, root: int | None = None) -> str:

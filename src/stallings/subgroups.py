@@ -167,9 +167,10 @@ def _dart_bfs(
     immediately reverse.  Only darts whose geometric edge is in
     ``allowed`` are used.
     """
+    out, einit = g._out_lists(), g.einit
     frontier: list[int] = []
     parent: dict[int, int | None] = {}
-    for d in g.out_edges(start_vertex):
+    for d in out[start_vertex]:
         if d // 2 not in allowed:
             continue
         if last_dart is not None and d == (last_dart ^ 1):
@@ -187,8 +188,7 @@ def _dart_bfs(
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
             return list(reversed(path))
-        v = g.head(d)
-        for e in g.out_edges(v):
+        for e in out[einit[d ^ 1]]:
             if e // 2 not in allowed or e == (d ^ 1) or e in parent:
                 continue
             parent[e] = d
@@ -204,7 +204,9 @@ def covering_circuit(g: LabeledGraph, first_code_not: int = 0) -> tuple[int, ...
     nothing); when the graph has a hanging path at the base the first
     letter is forced, and forbidding it is an error.
     """
-    if g.base is None or not g.is_core():
+    if g.base is None:
+        raise MissingBaseError("covering circuits need a pointed core graph")
+    if not g.is_core():
         raise TrivialGraphError("covering circuits need a pointed core graph")
     if g.n_edges == 0:
         raise TrivialGraphError("the one-vertex graph has no circuits")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, UnknownGeneratorError
@@ -122,23 +123,22 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     vertex.  Degenerate pairs (equal labels at an unfolded vertex) are
     not representable and are skipped.
     """
-    # a vertex's star: the inverses of its out-labels
-    stars: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for v, c in zip(g.einit, g.elabel):
-        stars[v].append(-c)
-    # the stars hold the labels negated, so one test over the labels checks
-    # every code the edges are made of; only a failure reads the stars
-    rank, labels = len(g.alphabet), g.elabel
+    out, labels = g._out_lists(), g.elabel
+    # a vertex's star is the inverses of its out-labels, so one test over
+    # the labels checks every code the edges are made of
+    rank = len(g.alphabet)
     if labels and (max(labels) > rank or min(labels) < -rank or 0 in labels):
-        _check_range(g.alphabet, stars)
+        _check_range(g.alphabet, [[-c for c in labels]])
     # a star of two distinct codes is one edge; an unfolded vertex that
     # repeats one label gives none
-    two = [star for star in stars if len(star) == 2]
-    pairs = {(a, b) if a < b else (b, a) for a, b in two if a != b}
+    two = [es for es in out if len(es) == 2]
+    pairs = {
+        (-c, -d) if c > d else (-d, -c) for e, f in two if (c := labels[e]) != (d := labels[f])
+    }
     # a wider star gives every pair of its codes; vertices with the same
-    # codes give the same pairs, and a set drops repeated labels
-    wider = {frozenset(star) for star in stars if len(star) > 2}
-    edges = chain(pairs, *[combinations(sorted(star), 2) for star in wider])
+    # labels give the same pairs, and a set drops repeated labels
+    wider = {frozenset(itemgetter(*es)(labels)) for es in out if len(es) > 2}
+    edges = chain(pairs, *[combinations(sorted([-c for c in ls]), 2) for ls in wider])
     return RestrictionSet._raw(g.alphabet, frozenset(edges))
 
 

@@ -15,6 +15,7 @@ from stallings.errors import (
 from stallings.graph import (
     GraphMorphism,
     LabeledGraph,
+    _bfs_order,
     attach_path,
     bouquet,
     canonical_form,
@@ -30,13 +31,14 @@ from stallings.graph import (
     unique_pointed_morphism,
     unpointed_isomorphic,
 )
-from stallings.subgroups import Subgroup, gamma, pi1_basis
-from stallings.words import Alphabet, Letter, parse_word
+from stallings.subgroups import Subgroup, covering_circuit, gamma, pi1_basis
+from stallings.words import Alphabet, Letter, parse_word, reduce_codes
 
 from helpers import (
     graph,
     naive_canonical_form,
     naive_fold,
+    naive_is_folded,
     naive_trim,
     pointed_graphs,
     random_subgroup,
@@ -60,6 +62,49 @@ def codes(text: str) -> tuple[int, ...]:
 
 def b_loop() -> LabeledGraph:
     return graph(AB, 1, [(0, 0, B)], base=0)
+
+
+# one reduced code word as a loop at the base; it folds at the base when
+# its last code inverts its first
+one_loop = (
+    st.lists(st.sampled_from(AB.letters()), min_size=1, max_size=8)
+    .map(AB.encode)
+    .map(reduce_codes)
+    .filter(bool)
+    .map(lambda w: bouquet(AB, [w]))
+)
+
+
+def reduced_words(
+    rng: random.Random, rank: int, count: int, length: int
+) -> tuple[tuple[int, ...], ...]:
+    """``count`` random reduced code words of exactly ``length`` letters."""
+    codes = [c for i in range(1, rank + 1) for c in (i, -i)]
+    words = []
+    for _ in range(count):
+        w = [rng.choice(codes)]
+        while len(w) < length:
+            w.append(rng.choice([c for c in codes if c != -w[-1]]))
+        words.append(tuple(w))
+    return tuple(words)
+
+
+def permutation_cover(rng: random.Random, alphabet: Alphabet, n: int) -> LabeledGraph:
+    """A finite cover of the rose: each generator permutes ``n`` vertices.
+
+    The first generator is one n-cycle, which keeps the cover connected;
+    every vertex has degree twice the rank.
+    """
+    cycle = rng.sample(range(n), n)
+    perms = [dict(zip(cycle, cycle[1:] + cycle[:1]))]
+    perms += [rng.sample(range(n), n) for _ in alphabet.generators[1:]]
+    einit: list[int] = []
+    elabel: list[int] = []
+    for c, perm in enumerate(perms, 1):
+        for v in range(n):
+            einit += (v, perm[v])
+            elabel += (c, -c)
+    return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), 0)
 
 
 class TestStructure:
@@ -352,6 +397,7 @@ class TestIso:
         (lambda g: attach_path(g, codes("a")), "attach_path needs a pointed graph"),
         (canonical_form, "canonical form needs a base or explicit root"),
         (pi1_basis, "basis extraction needs a pointed graph"),
+        (covering_circuit, "covering circuits need a pointed core graph"),
     ],
 )
 def test_missing_base_is_its_own_error(call, message):
@@ -408,6 +454,52 @@ class TestSerialization:
             root = rng.randrange(g.n_vertices)
             assert canonical_form(g, root) == naive_canonical_form(g, root)
             assert canonical_form(g.unbased(), root) == naive_canonical_form(g, root)
+
+    def test_matches_naive_bfs_oracle_at_traffic_scale(self):
+        """Cores of 50 words of 40 letters, and a cover where every vertex branches.
+
+        Each core is checked at its base, at a vertex of degree two and at
+        a branch vertex: the search sorts only the root's and the branch
+        vertices' half-edges.
+        """
+        abc = Alphabet.of("a", "b", "c")
+        rng = random.Random(2002)
+        for _ in range(3):
+            g = gamma(Subgroup._raw(abc, reduced_words(rng, 3, 50, 40)))
+            assert canonical_form(g) == naive_canonical_form(g)
+            for wide in (False, True):
+                roots = [
+                    v for v in range(g.n_vertices) if (g.degree(v) > 2) == wide and v != g.base
+                ]
+                root = rng.choice(roots)
+                assert canonical_form(g, root) == naive_canonical_form(g, root)
+        g = permutation_cover(rng, abc, 200)
+        assert all(g.degree(v) == 6 for v in range(g.n_vertices))
+        for root in [0, *rng.sample(range(1, 200), 3)]:
+            assert canonical_form(g, root) == naive_canonical_form(g, root)
+
+    @pytest.mark.parametrize(
+        "words, root, degree",
+        [(["a b a^-1"], 1, 2), (["a b a^-1"], 0, 2), (["a b", "a b^-1"], 1, 4)],
+        ids=["degree-two-vertex", "degree-two-root", "branch-vertex"],
+    )
+    def test_repeated_label_rejected_wherever_it_sits(self, words, root, degree):
+        """The one repeated label sits at vertex 0, of the given degree."""
+        g = bouquet(AB, [codes(w) for w in words])
+        labels = [[g.elabel[e] for e in g.out_edges(v)] for v in range(g.n_vertices)]
+        repeated = [v for v, ls in enumerate(labels) if len(set(ls)) < len(ls)]
+        assert repeated == [0] and g.degree(0) == degree
+        with pytest.raises(NotFoldedError, match="^canonical form needs a folded graph$"):
+            canonical_form(g, root)
+
+    @given(st.one_of(pointed_graphs(), one_loop), st.booleans())
+    def test_fold_flag_matches_naive_at_every_root(self, g, take_core):
+        """Also on single loops, whose base has degree two and may repeat a label."""
+        if take_core:
+            g = core(g)
+        folded = naive_is_folded(g)
+        for root in range(g.n_vertices):
+            assert _bfs_order(g, root)[2] == folded
 
     def test_unfolded_bouquet_rejected(self):
         g = bouquet(AB, [codes("a b"), codes("a b^-1")])

@@ -26,7 +26,6 @@ from .graph import (
     GraphMorphism,
     LabeledGraph,
     MorphismClassification,
-    attach_path,
     bouquet,
     canonical_form,
     classify,

@@ -11,6 +11,8 @@ isomorphism.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import (
     AlphabetMismatchError,
     DegenerateHomError,
@@ -22,7 +24,8 @@ from .graph import (
     LabeledGraph,
     _fold_paths,
     _spell,
-    two_core_maps,
+    _two_core,
+    extend_morphism,
     unique_pointed_morphism,
 )
 from .words import GroupHom, invert_codes, is_nondegenerate
@@ -71,19 +74,19 @@ def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
     """Restrict a morphism of pointed core graphs to the unbased cores.
 
     Well defined because a folded source maps hanging paths into hanging
-    paths; the restriction is checked and a failure raises.
+    paths.  The restriction is the extension of the image of the first
+    kept source vertex; a failure raises.
     """
     if f.source.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    s, s_vnew, s_enew = two_core_maps(f.source)
-    t, t_vnew, t_enew = two_core_maps(f.target)
-    # the source maps list the kept vertices and half-edges in their new order
-    try:
-        vmap = tuple(t_vnew[f.vmap[v]] for v in s_vnew)
-        emap = tuple(t_enew[f.emap[e]] for e in s_enew)
-    except KeyError:
-        raise InternalError("internal error: a kept source part maps into a trimmed part") from None
-    return GraphMorphism(s, t, vmap, emap)
+    s, s_kept = _two_core(f.source)
+    t, t_kept = _two_core(f.target)
+    w = f.vmap[s_kept[0]]
+    i = bisect_left(t_kept, w)
+    m = extend_morphism(s, t, 0, i) if i < len(t_kept) and t_kept[i] == w else None
+    if m is None:
+        raise InternalError("internal error: a kept source part maps into a trimmed part")
+    return m
 
 
 def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:

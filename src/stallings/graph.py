@@ -11,6 +11,7 @@ Graphs are frozen after construction; every operation returns new values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,6 +19,7 @@ from . import _kernel
 from .errors import (
     AlphabetMismatchError,
     DisconnectedGraphError,
+    InternalError,
     MissingBaseError,
     NotFoldedError,
     UnknownGeneratorError,
@@ -114,14 +116,16 @@ class LabeledGraph:
     def _edge_table(self) -> list[dict[int, int]]:
         """Per vertex, label code -> the half-edge leaving it (folded graphs).
 
-        Built on first use and kept.
+        Built on first use and kept.  Two half-edges with one initial
+        vertex and one label share an entry, so a table with fewer
+        entries than half-edges shows the graph is not folded.
         """
         if self._lookup is None:
-            if not self.is_folded():
-                raise NotFoldedError("label lookup needs a folded graph")
             table: list[dict[int, int]] = [{} for _ in range(self.n_vertices)]
             for e, w in enumerate(self.einit):
                 table[w][self.elabel[e]] = e
+            if sum(map(len, table)) != len(self.einit):
+                raise NotFoldedError("label lookup needs a folded graph")
             self._lookup = table
         return self._lookup
 
@@ -353,33 +357,34 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 # -- folding / trimming / core ---------------------------------------
 
 
-def _fold_reps(
-    g: LabeledGraph,
-) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+def _fold_reps(g: LabeledGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     """Fold with the kernel, keeping ``g``'s numbering.
 
-    Returns the kernel's vertex and half-edge representative arrays, the
-    initial vertex of every half-edge moved onto its class's
-    representative, the representative vertices, and the even half-edge
-    of every representative edge (both ascending).
+    Returns the kernel's vertex representative array, the initial vertex
+    of every half-edge moved onto its class's representative, the
+    representative vertices, and the even half-edge of every
+    representative edge (both ascending).
     """
     vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel)
     einit = [vrep[v] for v in g.einit]
     vertices = [v for v, r in enumerate(vrep) if r == v]
     # the representatives of a class and of its reverse form one edge
     edges = [e for e in range(0, len(erep), 2) if erep[e] == e]
-    return vrep, erep, einit, vertices, edges
+    return vrep, einit, vertices, edges
 
 
 def fold_all(g: LabeledGraph) -> tuple[LabeledGraph, GraphMorphism]:
-    """Fold completely; return the folded graph and the quotient morphism."""
-    vrep, erep, einit, vertices, edges = _fold_reps(g)
+    """Fold completely; return the folded graph and the quotient morphism.
+
+    The quotient is the extension of vertex 0's image, its class's
+    representative in the folded numbering.
+    """
+    vrep, einit, vertices, edges = _fold_reps(g)
     base = None if g.base is None else vrep[g.base]
     folded = _renumber(g.alphabet, einit, g.elabel, base, vertices, edges)
-    vnew, enew = _maps(vertices, edges)
-    vmap = tuple([vnew[r] for r in vrep])
-    emap = tuple([enew[r] for r in erep])
-    quotient = GraphMorphism(g, folded, vmap, emap, _validate=False)
+    quotient = extend_morphism(g, folded, 0, bisect_left(vertices, vrep[0]))
+    if quotient is None:
+        raise InternalError("internal error: a graph does not map onto its fold")
     return folded, quotient
 
 
@@ -463,18 +468,6 @@ def _renumber(
     )
 
 
-def _maps(
-    kept_v: Sequence[int], kept_e: Sequence[int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Kept vertices and half-edges (both orientations) to their new numbers."""
-    vnew = {v: i for i, v in enumerate(kept_v)}
-    enew: dict[int, int] = {}
-    for j, e in enumerate(kept_e):
-        enew[e] = 2 * j
-        enew[e ^ 1] = 2 * j + 1
-    return vnew, enew
-
-
 def trim_all(g: LabeledGraph) -> LabeledGraph:
     """Remove hanging edges until every non-base vertex has degree > 1."""
     kept_v, kept_e, dropped = _peel(*_whole(g), g.base)
@@ -483,22 +476,17 @@ def trim_all(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, g.einit, g.elabel, g.base, kept_v, kept_e)
 
 
-def two_core_maps(
-    g: LabeledGraph,
-) -> tuple[LabeledGraph, dict[int, int], dict[int, int]]:
-    """The 2-core of a folded graph with its vertex and half-edge maps.
+def _two_core(g: LabeledGraph) -> tuple[LabeledGraph, Sequence[int]]:
+    """The 2-core of a folded graph and the vertices of ``g`` it keeps, ascending.
 
-    The maps send kept vertices and kept half-edges of ``g`` to their
-    numbers in the 2-core, in the 2-core's order.
+    The 2-core numbers its vertices in that order.
     """
     if not g.is_folded():
         raise NotFoldedError("the unbased core needs a folded graph")
     kept_v, kept_e, dropped = _peel(*_whole(g), None)
-    if dropped:
-        h = _renumber(g.alphabet, g.einit, g.elabel, None, kept_v, kept_e)
-    else:
-        h = g.unbased()
-    return (h, *_maps(kept_v, kept_e))
+    if not dropped:
+        return g.unbased(), kept_v
+    return _renumber(g.alphabet, g.einit, g.elabel, None, kept_v, kept_e), kept_v
 
 
 def two_core(g: LabeledGraph) -> LabeledGraph:
@@ -506,7 +494,7 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
 
     A graph whose fundamental group is trivial collapses to one vertex.
     """
-    return two_core_maps(g)[0]
+    return _two_core(g)[0]
 
 
 def core(g: LabeledGraph) -> LabeledGraph:
@@ -521,7 +509,7 @@ def core(g: LabeledGraph) -> LabeledGraph:
         einit, vertices, edges = _whole(g)
         base = g.base
     else:
-        vrep, _, einit, vertices, edges = _fold_reps(g)
+        vrep, einit, vertices, edges = _fold_reps(g)
         base = None if g.base is None else vrep[g.base]
     kept_v, kept_e, dropped = _peel(einit, vertices, edges, base)
     if folded and not dropped:
@@ -591,24 +579,6 @@ def _fold_paths(
         if dropped:
             return _renumber(alphabet, einit, elabel, base, kept_v, kept_e)
     return g
-
-
-def attach_path(g: LabeledGraph, codes: Sequence[int]) -> LabeledGraph:
-    """Attach a path spelling a code word whose end is glued to the base point.
-
-    The new base point is the start of the path.  The result is generally
-    not folded.
-    """
-    if g.base is None:
-        raise MissingBaseError("attach_path needs a pointed graph")
-    if not codes:
-        return g
-    _check_labels(g.alphabet, codes)
-    n = g.n_vertices
-    einit = list(g.einit)
-    elabel = list(g.elabel)
-    end = _spell(einit, elabel, n, g.base, codes, n + 1)
-    return LabeledGraph(g.alphabet, end, tuple(einit), tuple(elabel), n, _validate=False)
 
 
 # -- traversal ---------------------------------------------------------

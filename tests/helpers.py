@@ -20,16 +20,16 @@ from stallings.cases.fuzz import random_reduced_word
 from stallings.graph import (
     GraphMorphism,
     LabeledGraph,
-    attach_path,
     bouquet,
     canonical_form,
 )
 from stallings.subgroups import Subgroup
-from stallings.words import Alphabet, GroupHom, Letter, Word, reduce_codes
+from stallings.words import Alphabet, GroupHom, Letter, Word, invert_codes, reduce_codes
 
 __all__ = [
     "graph",
     "spelled",
+    "hang_path",
     "image_paths",
     "naive_is_folded",
     "count_folds",
@@ -40,8 +40,10 @@ __all__ = [
     "random_wedge",
     "relabel",
     "pointed_graphs",
+    "nested_pairs",
     "naive_fold",
     "naive_trim",
+    "naive_kept",
     "naive_member",
     "naive_reduce",
     "two_path_edges",
@@ -91,6 +93,20 @@ def spelled(
         n += len(codes) - 1
         edges += [(p, q, alphabet.decode(c)) for p, q, c in zip(walk, walk[1:], codes)]
     return graph(alphabet, n, edges, base)
+
+
+def hang_path(g: LabeledGraph, codes: tuple[int, ...]) -> LabeledGraph:
+    """g with a path spelling codes from a fresh vertex to its base, the new base.
+
+    Spelled by :func:`spelled` after g's own edges, so g keeps its
+    numbering; the fresh vertex is ``g.n_vertices``.  An empty word
+    gives g back.
+    """
+    if not codes:
+        return g
+    n = g.n_vertices
+    edges = [(g.einit[e], g.einit[e ^ 1], (g.elabel[e],)) for e in range(0, g.n_half_edges, 2)]
+    return spelled(g.alphabet, n + 1, edges + [(n, g.base, codes)], n)
 
 
 def image_paths(phi: GroupHom, g: LabeledGraph) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -202,21 +218,37 @@ def relabel(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
 def pointed_graphs(draw, alphabet: Alphabet = ALPHABETS[2]) -> LabeledGraph:
     """Unfolded pointed graphs of the kinds the library takes cores of.
 
-    A bouquet of words, a bouquet with a path hung at its base (as in
-    conjugation), or a bouquet subdivided along an endomorphism, spelled
-    by :func:`spelled` from :func:`image_paths`.
+    A bouquet of words, a bouquet with a path hung at its base by
+    :func:`hang_path` (as in conjugation), or a bouquet subdivided along
+    an endomorphism, spelled by :func:`spelled` from :func:`image_paths`.
     """
     letters = st.sampled_from(alphabet.letters())
     words = st.lists(letters, max_size=8).map(alphabet.encode).map(reduce_codes)
     g = bouquet(alphabet, draw(st.lists(words, min_size=1, max_size=4)))
     kind = draw(st.sampled_from(["bouquet", "attach", "subdivide"]))
     if kind == "attach":
-        g = attach_path(g, draw(words))
+        g = hang_path(g, draw(words))
     elif kind == "subdivide":
         images = st.lists(letters, min_size=1, max_size=4).map(Word).filter(bool)
         phi = GroupHom(alphabet, alphabet, {x: draw(images) for x in alphabet.generators})
         g = spelled(alphabet, g.n_vertices, image_paths(phi, g), g.base)
     return g
+
+
+@st.composite
+def nested_pairs(draw) -> tuple[Subgroup, Subgroup]:
+    """(H, K) over {a, b} with H generated by products of K's generators."""
+    ab = ALPHABETS[1]
+    word = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5).map(reduce_codes)
+    k_gens = draw(st.lists(word.filter(bool), min_size=1, max_size=3))
+    factor = st.tuples(st.sampled_from(k_gens), st.booleans())
+    h_gens = []
+    for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1, max_size=3)):
+        w = ()
+        for g, inverse in factors:
+            w = reduce_codes(w + (invert_codes(g) if inverse else g))
+        h_gens.append(w)
+    return Subgroup(ab, map(ab.word, h_gens)), Subgroup(ab, map(ab.word, k_gens))
 
 
 def naive_reduce(letters: list) -> tuple:
@@ -301,6 +333,25 @@ def naive_trim(g: LabeledGraph) -> LabeledGraph:
             base -= base > v
         n -= 1
     return LabeledGraph(g.alphabet, n, tuple(einit), tuple(elabel), base)
+
+
+def naive_kept(g: LabeledGraph) -> list[int]:
+    """The vertices of g, ascending, that trimming with no base point keeps.
+
+    Delete a vertex of degree at most one until none is left, with
+    degrees recounted from scratch over the surviving vertices after
+    every deletion; a tree keeps its last vertex.
+    """
+    alive = list(range(g.n_vertices))
+    while len(alive) > 1:
+        degree = Counter(
+            v for e, v in enumerate(g.einit) if v in alive and g.einit[e ^ 1] in alive
+        )
+        leaves = [v for v in alive if degree[v] <= 1]
+        if not leaves:
+            break
+        alive.remove(leaves[0])
+    return alive
 
 
 def naive_member(h: Subgroup, w: Word) -> bool:

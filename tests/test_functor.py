@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stallings.errors import (
     AlphabetMismatchError,
@@ -19,6 +19,7 @@ from stallings.functor import (
     unbased_image_morphism,
 )
 from stallings.graph import (
+    GraphMorphism,
     canonical_form,
     classify,
     core,
@@ -27,7 +28,7 @@ from stallings.graph import (
     unique_pointed_morphism,
     unpointed_isomorphic,
 )
-from stallings.subgroups import Subgroup, gamma, pi1_basis
+from stallings.subgroups import Subgroup, gamma, inclusion_morphism, pi1_basis
 from stallings.whitehead import (
     full_whitehead,
     is_restriction_morphism,
@@ -54,7 +55,9 @@ from helpers import (
     naive_canonical_form,
     naive_fold,
     naive_is_folded,
+    naive_kept,
     naive_trim,
+    nested_pairs,
     pointed_graphs,
     random_hom,
     random_subgroup,
@@ -235,18 +238,48 @@ class TestUnbasedCore:
 
     def test_trimmed_target_part_is_internal_error(self, monkeypatch):
         m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
-        two_core_maps = functor.two_core_maps
+        two_core = functor._two_core
 
         def drop_image_of_base(g):
-            """The target's maps without the vertex the source base lands on."""
-            h, vnew, enew = two_core_maps(g)
+            """The target's kept vertices without the one the source base lands on."""
+            h, kept = two_core(g)
             if g is m.target:
-                vnew = {v: i for v, i in vnew.items() if v != m.vmap[0]}
-            return h, vnew, enew
+                kept = [v for v in kept if v != m.vmap[0]]
+            return h, kept
 
-        monkeypatch.setattr(functor, "two_core_maps", drop_image_of_base)
+        monkeypatch.setattr(functor, "_two_core", drop_image_of_base)
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
             unbased_core_morphism(m)
+
+    def test_failed_extension_is_internal_error(self, monkeypatch):
+        """The seed's image is kept, but the extension from it fails."""
+        m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
+        two_core = functor._two_core
+        # the delta graph without the b-loop at vertex 0, where H_B's loop lands
+        no_loop = graph(AB, 2, [(0, 1, Letter("a", 1)), (1, 1, Letter("b", 1))])
+
+        def drop_loop_at_base(g):
+            h, kept = two_core(g)
+            return (no_loop, kept) if g is m.target else (h, kept)
+
+        monkeypatch.setattr(functor, "_two_core", drop_loop_at_base)
+        with pytest.raises(InternalError, match="^internal error: a kept source part"):
+            unbased_core_morphism(m)
+
+    @given(pair=nested_pairs())
+    def test_restricts_f_on_nested_pairs(self, pair):
+        """A genuine morphism that agrees with f on the vertices trimming keeps.
+
+        The kept vertices come from the naive peel; the cores number them
+        in ascending order.
+        """
+        f = inclusion_morphism(*pair)
+        assume(f.source.n_edges > 0)
+        out = unbased_core_morphism(f)
+        GraphMorphism(out.source, out.target, out.vmap, out.emap)  # raises unless valid
+        s_kept, t_kept = naive_kept(f.source), naive_kept(f.target)
+        assert len(out.vmap) == len(s_kept)
+        assert [t_kept[w] for w in out.vmap] == [f.vmap[v] for v in s_kept]
 
     def test_functorial(self):
         rng = random.Random(11)

@@ -16,7 +16,6 @@ from stallings.graph import (
     GraphMorphism,
     LabeledGraph,
     _bfs_order,
-    attach_path,
     bouquet,
     canonical_form,
     classify,
@@ -36,6 +35,7 @@ from stallings.words import Alphabet, Letter, parse_word, reduce_codes
 
 from helpers import (
     graph,
+    hang_path,
     naive_canonical_form,
     naive_fold,
     naive_is_folded,
@@ -158,8 +158,6 @@ class TestStructure:
         for codes in [(1, 3), (-3,), (1, 0)]:
             with pytest.raises(UnknownGeneratorError):
                 bouquet(AB, [codes])
-            with pytest.raises(UnknownGeneratorError):
-                attach_path(bouquet(AB, [(1,)]), codes)
 
 
 class TestFold:
@@ -188,7 +186,9 @@ class TestFold:
             folded, q = fold_all(g)
             assert folded.is_folded()
             assert canonical_form(folded) == canonical_form(naive_fold(g, rng))
-            # quotient is a genuine morphism onto the folded graph
+            # quotient is a genuine morphism onto the folded graph: the
+            # validating constructor raises unless it keeps every law
+            GraphMorphism(g, folded, q.vmap, q.emap)
             assert classify(q).surjective
 
     def test_confluent_under_random_orders(self):
@@ -394,7 +394,6 @@ class TestIso:
     [
         (lambda g: unique_pointed_morphism(g, delta()), "both graphs need base points"),
         (lambda g: unique_pointed_morphism(delta(), g), "both graphs need base points"),
-        (lambda g: attach_path(g, codes("a")), "attach_path needs a pointed graph"),
         (canonical_form, "canonical form needs a base or explicit root"),
         (pi1_basis, "basis extraction needs a pointed graph"),
         (covering_circuit, "covering circuits need a pointed core graph"),
@@ -408,17 +407,13 @@ def test_missing_base_is_its_own_error(call, message):
 
 
 class TestAttach:
-    def test_empty_word_is_noop(self):
-        g = b_loop()
-        assert attach_path(g, ()) is g
-
     def test_attach_a(self):
-        g = attach_path(b_loop(), codes("a"))
+        g = hang_path(b_loop(), codes("a"))
         assert g.n_vertices == 2 and g.base == 1
         assert core(g).n_vertices == 2  # conjugate subgroup graph keeps the spur
 
     def test_attach_b_folds_back(self):
-        g = core(attach_path(b_loop(), codes("b")))
+        g = core(hang_path(b_loop(), codes("b")))
         assert iso_pointed(g, b_loop())
 
 
@@ -520,7 +515,7 @@ class TestSerialization:
         assert '0 -> 1 [label="a"];' in dot
 
     def test_two_core_drops_spur(self):
-        g = core(attach_path(b_loop(), codes("a")))
+        g = core(hang_path(b_loop(), codes("a")))
         t = two_core(g)
         assert t.n_vertices == 1 and t.n_edges == 1 and t.base is None
 

@@ -11,7 +11,6 @@ from stallings.errors import (
     UnknownGeneratorError,
 )
 from stallings.graph import (
-    attach_path,
     canonical_form,
     classify,
     core,
@@ -39,10 +38,12 @@ from stallings.words import (
 from helpers import (
     ALPHABETS,
     count_folds,
+    hang_path,
     naive_canonical_form,
     naive_fold,
     naive_member,
     naive_trim,
+    nested_pairs,
     pointed_graphs,
     random_reduced_word,
     random_subgroup,
@@ -432,16 +433,16 @@ class TestConjugateCore:
     """The core of a graph with a path attached at its base, as onto_base takes it."""
 
     def test_shift_by_a(self):
-        g = core(attach_path(gamma(H_B), codes("a")))
+        g = core(hang_path(gamma(H_B), codes("a")))
         assert iso_pointed(g, gamma(Subgroup.of(AB, "a b a^-1")))
 
     def test_conjugate_by_member_is_noop(self):
-        g = core(attach_path(gamma(H_B), codes("b")))
+        g = core(hang_path(gamma(H_B), codes("b")))
         assert iso_pointed(g, gamma(H_B))
 
     def test_identity_conjugator(self):
         g = gamma(K_DELTA)
-        assert core(attach_path(g, ())) is g
+        assert core(hang_path(g, ())) is g
 
     @pytest.mark.parametrize("code", [0, 3, -3])
     def test_conjugator_outside_the_alphabet_rejected(self, code):
@@ -453,7 +454,7 @@ class TestConjugateCore:
         for _ in range(50):
             h = random_subgroup(rng, AB, max_gens=3, max_len=6)
             w = random_reduced_word(rng, AB, 5)
-            assert iso_pointed(core(attach_path(gamma(h), w)), gamma(h.conjugate(w)))
+            assert iso_pointed(core(hang_path(gamma(h), w)), gamma(h.conjugate(w)))
 
 
 def _assert_valid_circuit(h: Subgroup, u: tuple[int, ...]):
@@ -502,7 +503,7 @@ class TestCoveringCircuit:
         w ends in a^1 or a^-1, so the path does not fold into the loop and
         the core of <w b w^-1> is the loop plus a hanging path spelling w.
         """
-        g = core(attach_path(gamma(H_B), w))
+        g = core(hang_path(gamma(H_B), w))
         u = covering_circuit(g)
         assert u[: len(w)] == w
         assert u[-len(w) :] == invert_codes(w)
@@ -517,23 +518,8 @@ class TestCoveringCircuit:
         _assert_valid_circuit(h, u)
 
 
-@st.composite
-def _nested_pairs(draw) -> tuple[Subgroup, Subgroup]:
-    """(H, K) over {a, b} with H generated by products of K's generators."""
-    word = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5).map(reduce_codes)
-    k_gens = draw(st.lists(word.filter(bool), min_size=1, max_size=3))
-    factor = st.tuples(st.sampled_from(k_gens), st.booleans())
-    h_gens = []
-    for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=3), min_size=1, max_size=3)):
-        w = ()
-        for g, inverse in factors:
-            w = reduce_codes(w + (invert_codes(g) if inverse else g))
-        h_gens.append(w)
-    return subgroup(AB, h_gens), subgroup(AB, k_gens)
-
-
 class TestOntoBase:
-    @given(pair=_nested_pairs())
+    @given(pair=nested_pairs())
     def test_onto_nested_pairs(self, pair):
         """Onto for every H <= K; an injective onto morphism makes H = K.
 

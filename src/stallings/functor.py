@@ -12,11 +12,13 @@ isomorphism.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Callable
 
 from .errors import (
     AlphabetMismatchError,
     DegenerateHomError,
     InternalError,
+    NotFoldedError,
     TrivialSubgroupError,
 )
 from .graph import (
@@ -26,6 +28,7 @@ from .graph import (
     _spell,
     _two_core,
     extend_morphism,
+    trace,
     unique_pointed_morphism,
 )
 from .words import GroupHom, invert_codes, is_nondegenerate
@@ -70,23 +73,50 @@ def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
     return _fold_paths(phi.target, g.n_vertices, _image_paths(phi, g), g.base)
 
 
+def _restrict(
+    g: LabeledGraph, d: LabeledGraph, image: Callable[[int, list[int]], int | None]
+) -> GraphMorphism:
+    """The restriction of a morphism of pointed core graphs g -> d to their 2-cores.
+
+    Peeled with no protected vertex, g drops ``tail``, its hanging path
+    from the base; the junction is where that path ends, or the base
+    (vertex 0 if g has none) when nothing hangs.  ``image(junction,
+    tail)`` names the junction's image in d, or None when it has none.
+    A morphism out of a connected graph into a folded one is fixed by
+    one vertex's image, so the restriction is one extension from the
+    junction.  Both graphs must be folded.
+    """
+    s, s_kept, tail = _two_core(g)
+    if s.n_edges == 0:
+        raise TrivialSubgroupError("a tree source has no unbased core morphism")
+    if tail:
+        # g has a cycle, so the last vertex the peel removes hangs off a kept one
+        junction = g.einit[tail[-1] ^ 1]
+    else:  # every vertex is kept
+        junction = 0 if g.base is None else g.base
+    w = image(junction, tail)
+    if w is None:
+        raise InternalError("internal error: image cores admit no morphism")
+    t, t_kept, _ = _two_core(d)
+    i = bisect_left(t_kept, w)
+    m = None
+    if i < len(t_kept) and t_kept[i] == w:
+        m = extend_morphism(s, t, bisect_left(s_kept, junction), i)
+    if m is None:
+        raise InternalError("internal error: a kept source part maps into a trimmed part")
+    return m
+
+
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
     """Restrict a morphism of pointed core graphs to the unbased cores.
 
     Well defined because a folded source maps hanging paths into hanging
-    paths.  The restriction is the extension of the image of the first
-    kept source vertex; a failure raises.
+    paths.  The restriction extends f's image of the junction where the
+    source's hanging path meets its 2-core; a failure raises.
     """
-    if f.source.n_edges == 0:
-        raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    s, s_kept = _two_core(f.source)
-    t, t_kept = _two_core(f.target)
-    w = f.vmap[s_kept[0]]
-    i = bisect_left(t_kept, w)
-    m = extend_morphism(s, t, 0, i) if i < len(t_kept) and t_kept[i] == w else None
-    if m is None:
-        raise InternalError("internal error: a kept source part maps into a trimmed part")
-    return m
+    if not (f.source.is_folded() and f.target.is_folded()):
+        raise NotFoldedError("the unbased core needs a folded graph")
+    return _restrict(f.source, f.target, lambda v, _: f.vmap[v])
 
 
 def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
@@ -104,10 +134,18 @@ def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """Transport a pointed morphism along a homomorphism, unbased.
 
-    Takes the pointed morphism between the image cores and restricts it
-    to the unbased cores.  Raises :class:`DegenerateHomError`, from
+    The restriction to the unbased cores of the pointed morphism between
+    the image cores, built without that morphism: it sends the base to
+    the base, so the junction of the source's hanging path goes where
+    the path's labels lead from the target's base.  The image cores are
+    folded as they are built.  Raises :class:`DegenerateHomError`, from
     :func:`image_core`, when phi sends a generator to the identity, and
-    :class:`TrivialSubgroupError`, from :func:`unbased_core_morphism`,
-    when the image of the source subgroup is trivial.
+    :class:`TrivialSubgroupError` when the image of the source subgroup
+    is trivial.
     """
-    return unbased_core_morphism(image_morphism(phi, f))
+    g, d = image_core(phi, f.source), image_core(phi, f.target)
+
+    def along_tail(junction: int, tail: list[int]) -> int | None:
+        return trace(d, d.base, [g.elabel[e] for e in tail]) if tail else d.base
+
+    return _restrict(g, d, along_tail)

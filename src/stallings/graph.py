@@ -141,15 +141,24 @@ class LabeledGraph:
         return all(len(es) > 1 or v == base for v, es in enumerate(self._out_lists()))
 
     def unbased(self) -> "LabeledGraph":
-        return LabeledGraph(
+        """The same graph without a base point.
+
+        Neither table depends on the base, so the copy shares those built.
+        """
+        g = LabeledGraph(
             self.alphabet, self.n_vertices, self.einit, self.elabel, None, _validate=False
         )
+        g._out, g._lookup = self._out, self._lookup
+        return g
 
     def __eq__(self, other) -> bool:
         """Structural equality: same vertices, half-edges, labels, base."""
         return (
             isinstance(other, LabeledGraph)
-            and self.alphabet.generators == other.alphabet.generators
+            and (
+                self.alphabet is other.alphabet
+                or self.alphabet.generators == other.alphabet.generators
+            )
             and self.n_vertices == other.n_vertices
             and self.einit == other.einit
             and self.elabel == other.elabel
@@ -157,9 +166,8 @@ class LabeledGraph:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.alphabet.generators, self.n_vertices, self.einit, self.elabel, self.base)
-        )
+        # equal generator tuples have equal lengths; the names are not walked
+        return hash((len(self.alphabet), self.n_vertices, self.einit, self.elabel, self.base))
 
     def __repr__(self) -> str:
         b = f", base={self.base}" if self.base is not None else ""
@@ -476,17 +484,18 @@ def trim_all(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, g.einit, g.elabel, g.base, kept_v, kept_e)
 
 
-def _two_core(g: LabeledGraph) -> tuple[LabeledGraph, Sequence[int]]:
-    """The 2-core of a folded graph and the vertices of ``g`` it keeps, ascending.
+def _two_core(g: LabeledGraph) -> tuple[LabeledGraph, Sequence[int], list[int]]:
+    """The 2-core of ``g``, the vertices of ``g`` it keeps, and what the peel drops.
 
-    The 2-core numbers its vertices in that order.
+    The kept vertices are ascending, and the 2-core numbers them in that
+    order.  The dropped half-edges come in removal order, so on a pointed
+    core graph they are its hanging path from the base.  The caller
+    checks that ``g`` is folded.
     """
-    if not g.is_folded():
-        raise NotFoldedError("the unbased core needs a folded graph")
     kept_v, kept_e, dropped = _peel(*_whole(g), None)
     if not dropped:
-        return g.unbased(), kept_v
-    return _renumber(g.alphabet, g.einit, g.elabel, None, kept_v, kept_e), kept_v
+        return g.unbased(), kept_v, dropped
+    return _renumber(g.alphabet, g.einit, g.elabel, None, kept_v, kept_e), kept_v, dropped
 
 
 def two_core(g: LabeledGraph) -> LabeledGraph:
@@ -494,6 +503,8 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
 
     A graph whose fundamental group is trivial collapses to one vertex.
     """
+    if not g.is_folded():
+        raise NotFoldedError("the unbased core needs a folded graph")
     return _two_core(g)[0]
 
 

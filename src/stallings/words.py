@@ -307,7 +307,7 @@ class Alphabet:
 
         Generators missing here get code 0, which labels nothing.
         """
-        if source.generators == self.generators:
+        if source is self or source.generators == self.generators:
             return codes
         index = [self._index.get(name, -1) + 1 for name in source.generators]
         return tuple([index[c - 1] if c > 0 else -index[-c - 1] for c in codes])

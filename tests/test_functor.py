@@ -43,8 +43,10 @@ from stallings.words import (
     compose_homs,
     conjugation_hom,
     identity_hom,
+    invert_codes,
     is_nondegenerate,
     parse_word,
+    reduce_codes,
 )
 
 from helpers import (
@@ -55,11 +57,13 @@ from helpers import (
     naive_canonical_form,
     naive_fold,
     naive_is_folded,
+    naive_isomorphism,
     naive_kept,
     naive_trim,
     nested_pairs,
     pointed_graphs,
     random_hom,
+    random_reduced_word,
     random_subgroup,
     same_at_some_root,
     spelled,
@@ -140,6 +144,28 @@ def _homs(draw, source: Alphabet, target: Alphabet) -> GroupHom:
 def _naive_image_core(phi: GroupHom, g):
     """The naive fold and trim of g's subdivision, spelled edge by edge."""
     return naive_trim(naive_fold(spelled(phi.target, g.n_vertices, image_paths(phi, g), g.base)))
+
+
+def _naive_pointed_map(g, d) -> dict[int, int]:
+    """Where the pointed morphism g -> d (d folded) sends each vertex of g.
+
+    A breadth-first search from g's base scans every half-edge; a
+    vertex it reaches goes where the same label leads from its parent's
+    image, found by scanning every half-edge of d.
+    """
+    image = {g.base: d.base}
+    queue = [g.base]
+    for v in queue:  # queue grows while it is read
+        for e in range(g.n_half_edges):
+            if g.einit[e] != v or g.einit[e ^ 1] in image:
+                continue
+            (step,) = [
+                x for x in range(d.n_half_edges)
+                if d.einit[x] == image[v] and d.elabel[x] == g.elabel[e]
+            ]
+            image[g.einit[e ^ 1]] = d.einit[step ^ 1]
+            queue.append(g.einit[e ^ 1])
+    return image
 
 
 class TestImageCore:
@@ -236,35 +262,19 @@ class TestUnbasedCore:
         assert out.source.n_edges == 1
         assert classify(out).injective
 
-    def test_trimmed_target_part_is_internal_error(self, monkeypatch):
-        m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
-        two_core = functor._two_core
-
-        def drop_image_of_base(g):
-            """The target's kept vertices without the one the source base lands on."""
-            h, kept = two_core(g)
-            if g is m.target:
-                kept = [v for v in kept if v != m.vmap[0]]
-            return h, kept
-
-        monkeypatch.setattr(functor, "_two_core", drop_image_of_base)
+    def test_trimmed_target_part_is_internal_error(self):
+        """The junction's image is a vertex the target's peel drops."""
+        # the base of <a b a^-1> hangs off its b-loop
+        g, d = gamma(H_B), gamma(Subgroup.of(AB, "a b a^-1"))
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
-            unbased_core_morphism(m)
+            functor._restrict(g, d, lambda v, tail: d.base)
 
-    def test_failed_extension_is_internal_error(self, monkeypatch):
-        """The seed's image is kept, but the extension from it fails."""
-        m = unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
-        two_core = functor._two_core
-        # the delta graph without the b-loop at vertex 0, where H_B's loop lands
-        no_loop = graph(AB, 2, [(0, 1, Letter("a", 1)), (1, 1, Letter("b", 1))])
-
-        def drop_loop_at_base(g):
-            h, kept = two_core(g)
-            return (no_loop, kept) if g is m.target else (h, kept)
-
-        monkeypatch.setattr(functor, "_two_core", drop_loop_at_base)
+    def test_failed_extension_is_internal_error(self):
+        """The junction's image is kept, but the extension from it fails."""
+        # the a-edge at the delta graph's base is no loop
+        g, d = gamma(Subgroup.of(AB, "a")), gamma(K_DELTA)
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
-            unbased_core_morphism(m)
+            functor._restrict(g, d, lambda v, tail: d.base)
 
     @given(pair=nested_pairs())
     def test_restricts_f_on_nested_pairs(self, pair):
@@ -337,6 +347,99 @@ class TestTransport:
             TrivialSubgroupError, match="^a tree source has no unbased core morphism$"
         ):
             unbased_image_morphism(identity_hom(AB), m)
+
+    def test_degenerate_checked_before_trivial(self):
+        g = gamma(Subgroup(AB, (parse_word(""),)))
+        m = unique_pointed_morphism(g, gamma(H_B))
+        bad = GroupHom(AB, AB, {"a": parse_word("a"), "b": parse_word("")})
+        with pytest.raises(DegenerateHomError):
+            unbased_image_morphism(bad, m)
+
+    def test_untraced_hanging_path_is_internal_error(self, monkeypatch):
+        # conjugating by a makes the source's image core hang an a-edge
+        monkeypatch.setattr(functor, "trace", lambda g, v, codes: None)
+        with pytest.raises(
+            InternalError, match="^internal error: image cores admit no morphism$"
+        ):
+            unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+
+    def test_failed_extension_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(functor, "extend_morphism", lambda g, d, v, w: None)
+        with pytest.raises(InternalError, match="^internal error: a kept source part"):
+            unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+
+    @settings(max_examples=150)
+    @given(pair=nested_pairs(), data=st.data())
+    def test_matches_the_pointed_route(self, pair, data):
+        """The restriction of the pointed morphism between the image cores.
+
+        The same arrays as restricting :func:`image_morphism`, a valid
+        morphism, and on vertices the naive one: each vertex of the naive
+        image core of H goes where its path from the base leads in that
+        of K, matched to the library's numbering by pointed isomorphisms.
+        """
+        f = inclusion_morphism(*pair)
+        target = data.draw(st.sampled_from(ALPHABETS[:3]))
+        phi = data.draw(_homs(AB, target))
+        # conjugating the images makes the image cores hang a path
+        c = target.encode(data.draw(st.lists(st.sampled_from(target.letters()), max_size=3)))
+        codes = tuple(reduce_codes(c + w + invert_codes(c)) for w in phi.codes)
+        phi = GroupHom._raw(AB, target, codes)
+        g, d = image_core(phi, f.source), image_core(phi, f.target)
+        if g.n_edges == 0:
+            with pytest.raises(TrivialSubgroupError):
+                unbased_image_morphism(phi, f)
+            return
+        out = unbased_image_morphism(phi, f)
+        ref = unbased_core_morphism(functor.image_morphism(phi, f))
+        for h, r in ((out.source, ref.source), (out.target, ref.target)):
+            assert (h.n_vertices, h.einit, h.elabel, h.base) == (
+                r.n_vertices, r.einit, r.elabel, r.base
+            )
+        assert (out.vmap, out.emap) == (ref.vmap, ref.emap)
+        GraphMorphism(out.source, out.target, out.vmap, out.emap)  # raises unless valid
+        naive_g, naive_d = _naive_image_core(phi, f.source), _naive_image_core(phi, f.target)
+        to_g = naive_isomorphism(g, naive_g, g.base, naive_g.base)[0]
+        to_d = naive_isomorphism(d, naive_d, d.base, naive_d.base)[0]
+        s_kept, t_kept = naive_kept(g), naive_kept(d)
+        assert sorted(to_g[v] for v in s_kept) == naive_kept(naive_g)
+        assert sorted(to_d[w] for w in t_kept) == naive_kept(naive_d)
+        along = _naive_pointed_map(naive_g, naive_d)
+        assert [to_d[t_kept[w]] for w in out.vmap] == [along[to_g[v]] for v in s_kept]
+
+    def test_wide_target_alphabet_is_not_walked(self):
+        """Transport and classify make no full pass over the target's names."""
+        passes = []
+
+        class Names(tuple):
+            def __eq__(self, other):
+                passes.append("eq")
+                return tuple.__eq__(self, other)
+
+            def __ne__(self, other):
+                passes.append("ne")
+                return tuple.__ne__(self, other)
+
+            def __hash__(self):
+                passes.append("hash")
+                return tuple.__hash__(self)
+
+            def __iter__(self):
+                passes.append("iter")
+                return tuple.__iter__(self)
+
+        wide = Alphabet(Names(f"x{i}" for i in range(200_000)))
+        narrow = Alphabet.of("x0", "x1", "x2")  # words over the first names collide
+        rng = random.Random(5)
+        root = self._root()
+        homs = [
+            GroupHom._raw(AB, wide, tuple(random_reduced_word(rng, a, 6) for _ in "ab"))
+            for a in (wide, narrow) * 25
+        ]
+        passes.clear()
+        for phi in homs:
+            assert classify(unbased_image_morphism(phi, root)).injective
+        assert passes == []
 
     def test_no_fold_no_trim_under_guarantee(self):
         rng = random.Random(13)

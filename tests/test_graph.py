@@ -115,6 +115,20 @@ class TestStructure:
             assert g.elabel[e ^ 1] == -g.elabel[e]
             assert AB.decode(g.elabel[e ^ 1]) == AB.decode(g.elabel[e]).inverse()
 
+    def test_unbased_copy_shares_built_tables(self):
+        """Neither table depends on the base, so the copy keeps the built ones."""
+        g = delta()
+        out, table = g._out_lists(), g._edge_table()
+        h = g.unbased()
+        assert h.base is None
+        assert h._out_lists() is out and h._edge_table() is table
+        # a fresh copy over an equal alphabet that is another object
+        fresh = LabeledGraph(Alphabet.of("a", "b"), g.n_vertices, g.einit, g.elabel)
+        assert fresh.alphabet is not h.alphabet
+        assert h == fresh and hash(h) == hash(fresh)
+        assert h != g
+        assert LabeledGraph(Alphabet.of("a", "c"), g.n_vertices, g.einit, g.elabel) != h
+
     def test_loop_counts_twice_in_degree(self):
         assert b_loop().degree(0) == 2
         assert delta().degree(0) == 3

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -106,13 +105,15 @@ def gamma(h: Subgroup) -> LabeledGraph:
 def contains(h: Subgroup, w: Word) -> bool:
     """Membership: does the word close up at the base point?
 
-    Letters are encoded as the walk reads them, and the walk stops at
-    the first letter with no edge.  A letter outside the subgroup's
-    alphabet reads as code 0, which labels no edge, so such a word is
-    not a member.
+    The word's codes over the subgroup's alphabet come from
+    :meth:`Alphabet.read` as the walk reads them, and the walk stops at
+    the first code with no edge.  A parsed word carries its codes, so
+    they are recoded by name and no letter is looked up.  A letter
+    outside the subgroup's alphabet reads as code 0, which labels no
+    edge, so such a word is not a member.
     """
     g = gamma(h)
-    return trace(g, g.base, map(h.alphabet._code_table().get, w.letters, repeat(0))) == g.base
+    return trace(g, g.base, h.alphabet.read(w)) == g.base
 
 
 def pi1_basis(g: LabeledGraph) -> list[tuple[int, ...]]:

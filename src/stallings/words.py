@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import AlphabetMismatchError, UnknownGeneratorError
@@ -99,24 +99,39 @@ class Word:
     """An immutable freely reduced word.
 
     The constructor reduces its input, so ``Word`` values always satisfy
-    the no-adjacent-cancellation invariant.
+    the no-adjacent-cancellation invariant.  A word made by
+    :meth:`Alphabet.word` also keeps the alphabet and code word it was
+    made from (``_coded``; None for ``Word(letters)``), so that
+    :meth:`Alphabet.read` need not look its letters up again.
+    Equality, hashing, ``repr`` and iteration ignore it.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_coded")
 
     letters: tuple[Letter, ...]
+    _coded: tuple[Alphabet, tuple[int, ...]] | None
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _reduce_letters(letters))
+        object.__setattr__(self, "_coded", None)
 
     @classmethod
-    def _raw(cls, reduced: tuple[Letter, ...]) -> "Word":
+    def _raw(
+        cls,
+        reduced: tuple[Letter, ...],
+        coded: tuple[Alphabet, tuple[int, ...]] | None = None,
+    ) -> "Word":
         w = cls.__new__(cls)
         object.__setattr__(w, "letters", reduced)
+        object.__setattr__(w, "_coded", coded)
         return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _raw: the slots refuse __setattr__
+        return (Word._raw, (self.letters, self._coded))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -296,11 +311,43 @@ class Alphabet:
         return self.word((c,)).letters[0]
 
     def word(self, codes: Iterable[int]) -> Word:
-        """The ``Word`` a reduced code word over this alphabet spells."""
+        """The ``Word`` a reduced code word over this alphabet spells.
+
+        The word keeps this alphabet and the code word, for :meth:`read`.
+        """
         codes = tuple(codes)
         _check_labels(self, codes)
         names = self.generators
-        return Word._raw(tuple([Letter(names[abs(c) - 1], 1 if c > 0 else -1) for c in codes]))
+        letters = tuple([Letter(names[abs(c) - 1], 1 if c > 0 else -1) for c in codes])
+        return Word._raw(letters, (self, codes))
+
+    def read(self, w: Word) -> Iterable[int]:
+        """The codes of a word over this alphabet, made as they are read.
+
+        A name missing here reads as code 0, which labels nothing.  The
+        cost follows the word, never either alphabet: a word made by
+        ``self.word`` gives its own codes; one made by another alphabet
+        no larger than the word is recoded by name through one table
+        over that alphabet; any other word (``Word(letters)``, or one
+        whose alphabet is larger than it) is read letter by letter from
+        this alphabet's ``Letter`` -> code table.
+        """
+        coded = w._coded
+        if coded is not None:
+            source, codes = coded
+            if source is self:
+                return codes
+            if len(source) <= len(codes):
+                return map(self._renumbering(source).__getitem__, codes)
+        return map(self._code_table().get, w.letters, repeat(0))
+
+    def _renumbering(self, source: "Alphabet") -> list[int]:
+        """``table[c]`` is the code here of code c over ``source``, negative c too.
+
+        A generator missing here gets code 0.  O(rank of ``source``).
+        """
+        index = [self._index.get(name, -1) + 1 for name in source.generators]
+        return [0, *index, *[-i for i in reversed(index)]]
 
     def recode(self, codes: Sequence[int], source: "Alphabet") -> Sequence[int]:
         """Codes over ``source`` re-encoded over this alphabet by name.
@@ -309,8 +356,7 @@ class Alphabet:
         """
         if source is self or source.generators == self.generators:
             return codes
-        index = [self._index.get(name, -1) + 1 for name in source.generators]
-        return tuple([index[c - 1] if c > 0 else -index[-c - 1] for c in codes])
+        return tuple(map(self._renumbering(source).__getitem__, codes))
 
     def fresh_name(self) -> str:
         """A generator name that does not collide with existing ones."""

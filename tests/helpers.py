@@ -51,6 +51,7 @@ __all__ = [
     "same_at_some_root",
     "naive_isomorphism",
     "naive_square_isomorphic",
+    "counting_names",
     "ALPHABETS",
 ]
 
@@ -249,6 +250,33 @@ def nested_pairs(draw) -> tuple[Subgroup, Subgroup]:
             w = reduce_codes(w + (invert_codes(g) if inverse else g))
         h_gens.append(w)
     return Subgroup(ab, map(ab.word, h_gens)), Subgroup(ab, map(ab.word, k_gens))
+
+
+def counting_names(names, passes: list) -> tuple:
+    """A tuple of names that appends to ``passes`` on every full pass.
+
+    ``__eq__``, ``__ne__``, ``__hash__`` and ``__iter__`` are recorded
+    as ``"eq"``, ``"ne"``, ``"hash"`` and ``"iter"``; indexing is not.
+    """
+
+    class Names(tuple):
+        def __eq__(self, other):
+            passes.append("eq")
+            return tuple.__eq__(self, other)
+
+        def __ne__(self, other):
+            passes.append("ne")
+            return tuple.__ne__(self, other)
+
+        def __hash__(self):
+            passes.append("hash")
+            return tuple.__hash__(self)
+
+        def __iter__(self):
+            passes.append("iter")
+            return tuple.__iter__(self)
+
+    return Names(names)
 
 
 def naive_reduce(letters: list) -> tuple:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,6 +33,7 @@ from stallings.words import (
     Alphabet,
     Word,
     invert_codes,
+    parse_letter,
     parse_word,
     reduce_codes,
 )
@@ -38,6 +41,7 @@ from stallings.words import (
 from helpers import (
     ALPHABETS,
     count_folds,
+    counting_names,
     hang_path,
     naive_canonical_form,
     naive_fold,
@@ -286,6 +290,23 @@ class TestMembership:
         w = parse_word(text)
         assert contains(K_DELTA, w) == naive_member(K_DELTA, w) == member
 
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("text, member", [("a b a^-1 b", True), ("b a", False)])
+    def test_copies_keep_codes_and_verdict(self, clone, text, member):
+        parsed = parse_word(text)
+        made = Word(map(parse_letter, text.split()))
+        for w in (parsed, made):
+            out = clone(w)
+            assert out == w and out.letters == w.letters
+            assert contains(K_DELTA, out) is member
+        assert clone(made)._coded is None
+        alphabet, codes = clone(parsed)._coded
+        assert alphabet == parsed._coded[0] and codes == parsed._coded[1]
+
     def test_text_query_is_rejected(self):
         with pytest.raises(AttributeError):
             contains(K_DELTA, "a b")
@@ -380,6 +401,63 @@ class TestMembership:
             expected = naive_member(subgroup(AB, gens), w)
             assert contains(subgroup(AB, gens), w) == expected
             assert contains(warm, w) == expected
+
+    @given(data=st.data())
+    def test_three_ways_to_make_a_query(self, data):
+        """One query gets the naive verdict however its ``Word`` was made.
+
+        It is parsed, made by the subgroup's own alphabet, and made from
+        letters.  The subgroup's alphabet is {a, b, c} in a drawn order,
+        which a parsed word's alphabet, in order of first appearance,
+        need not follow.  The query is a product of generators times a
+        tail that may keep the foreign name ``d``, with ``d d^-1`` put in
+        at a drawn place, so a foreign name also cancels.
+        """
+        names = tuple(data.draw(st.permutations("abc")))
+        alphabet = Alphabet(names)
+        letter = st.sampled_from([1, -1, 2, -2, 3, -3])
+        gens = data.draw(st.lists(st.lists(letter, max_size=5).map(reduce_codes), max_size=3))
+        h = subgroup(alphabet, gens)
+        query = ()
+        factors = st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=3)
+        for i, inverse in data.draw(factors):
+            if gens:
+                w = gens[i % len(gens)]
+                query = reduce_codes(query + (invert_codes(w) if inverse else w))
+        tail = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=3)
+        query += tuple(data.draw(tail))
+        tokens = [(names + ("d",))[abs(c) - 1] + ("" if c > 0 else "^-1") for c in query]
+        at = data.draw(st.integers(0, len(tokens)))
+        tokens[at:at] = ["d", "d^-1"]
+        made = Word(map(parse_letter, tokens))
+        parsed = parse_word(" ".join(tokens))
+        assert parsed == made
+        verdict = naive_member(h, made)
+        assert contains(h, parsed) is contains(h, made) is verdict
+        reduced = reduce_codes(query)
+        if 4 not in map(abs, reduced):
+            native = alphabet.word(reduced)
+            assert native == parsed and native._coded[0] is alphabet
+            assert contains(h, native) is verdict
+
+    def test_wide_subgroup_alphabet_is_not_walked(self):
+        """Parsed queries make no full pass over the subgroup's names."""
+        passes = []
+        wide = Alphabet(counting_names((f"x{i}" for i in range(200_000)), passes))
+        rng = random.Random(3)
+        gens = ["x0 x1 x0^-1", "x2 x1", "x1 x2 x0 x2^-1"]
+        h = Subgroup.of(wide, *gens)
+        texts = []
+        for _ in range(50):
+            query = " ".join(rng.choice(gens) for _ in range(rng.randint(1, 3)))
+            if rng.random() < 0.5:  # a name no generator uses; x200000 is foreign
+                query += rng.choice([" x200000", " x200000 x200000^-1", " x7"])
+            texts.append(query)
+        queries = [parse_word(t) for t in texts]
+        passes.clear()
+        verdicts = [contains(h, w) for w in queries]
+        assert passes == []
+        assert True in verdicts and False in verdicts
 
 
 class TestBasis:

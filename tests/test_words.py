@@ -377,3 +377,46 @@ class TestAlphabet:
         assert used._letter_codes is not None and fresh._letter_codes is None
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "Alphabet(generators=('a', 'b'))"
+
+
+class TestCarriedCodes:
+    def test_parsed_word_carries_its_codes(self):
+        parsed = w("b a^-1 b")
+        alphabet, codes = parsed._coded
+        assert alphabet.generators == ("b", "a") and codes == (1, -2, 1)
+        assert Word(parsed.letters)._coded is None
+        made = AB.word((2, -1, 2))
+        assert made._coded == (AB, (2, -1, 2)) and made._coded[0] is AB
+
+    def test_equality_hash_repr_and_iteration_ignore_the_codes(self):
+        words = [w("b a^-1 b"), AB.word((2, -1, 2)), Word(w("b a^-1 b").letters)]
+        assert len({*words}) == 1 and len({hash(x) for x in words}) == 1
+        assert len({repr(x) for x in words}) == 1
+        assert len({tuple(x) for x in words}) == 1
+
+    def test_read_passes_own_codes_through(self):
+        ab = Alphabet.of("a", "b")
+        made = ab.word((2, -1, 2))
+        assert ab.read(made) is made._coded[1]
+        assert ab._letter_codes is None  # no letter was looked up
+
+    def test_read_recodes_by_name(self):
+        ab = Alphabet.of("a", "b")
+        assert list(ab.read(w("b a^-1 b"))) == [2, -1, 2]
+        assert list(ab.read(w("b c a^-1"))) == [2, 0, -1]  # c is foreign
+        assert list(ab.read(w("c c^-1 a"))) == [1]  # c cancels
+        assert ab._letter_codes is None  # no letter was looked up
+
+    def test_read_looks_up_letters_otherwise(self):
+        """Words from letters, and words whose alphabet is larger than them."""
+        ab = Alphabet.of("a", "b")
+        made = Word([Letter("b", 1), Letter("c", -1)])
+        assert list(ab.read(made)) == [2, 0]
+        assert ab._letter_codes is not None
+        wide = Alphabet.of("x", "y", "z", "b", "a")
+        fresh = Alphabet.of("a", "b")
+        assert list(fresh.read(wide.word((5, -4)))) == [1, -2]
+        assert fresh._letter_codes is not None
+        fresh = Alphabet.of("a", "b")  # a word as long as its alphabet is recoded
+        assert list(fresh.read(wide.word((5, 1, 4, 2, -4)))) == [1, 0, 2, 0, -2]
+        assert fresh._letter_codes is None

@@ -4,15 +4,15 @@ Subdivision replaces every edge labeled x by a path spelling the image
 of x; it is functorial in graph morphisms.  Taking the core afterwards
 lands on the core graph of the image subgroup.  Forgetting the base
 point and trimming the hanging path yields base-point-free core graphs,
-again functorially; chaining the three gives the transport of an
-inclusion morphism along a homomorphism, compared up to base-point-free
-isomorphism.
+again functorially.  The transport of an inclusion morphism along a
+homomorphism is the three chained, compared up to base-point-free
+isomorphism; it is built by folding each end's image paths straight to
+its 2-core and extending once, so no pointed image core is made.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable
 
 from .errors import (
     AlphabetMismatchError,
@@ -25,6 +25,7 @@ from .graph import (
     GraphMorphism,
     LabeledGraph,
     _fold_paths,
+    _fold_two_core,
     _spell,
     _two_core,
     extend_morphism,
@@ -73,19 +74,20 @@ def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
     return _fold_paths(phi.target, g.n_vertices, _image_paths(phi, g), g.base)
 
 
-def _restrict(
-    g: LabeledGraph, d: LabeledGraph, image: Callable[[int, list[int]], int | None]
-) -> GraphMorphism:
-    """The restriction of a morphism of pointed core graphs g -> d to their 2-cores.
+def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
+    """Restrict a morphism of pointed core graphs to the unbased cores.
 
-    Peeled with no protected vertex, g drops ``tail``, its hanging path
-    from the base; the junction is where that path ends, or the base
-    (vertex 0 if g has none) when nothing hangs.  ``image(junction,
-    tail)`` names the junction's image in d, or None when it has none.
+    Well defined because a folded source maps hanging paths into hanging
+    paths.  Peeled with no protected vertex, the source drops its
+    hanging path from the base; the junction is where that path ends,
+    or the base (vertex 0 if the source has none) when nothing hangs.
     A morphism out of a connected graph into a folded one is fixed by
-    one vertex's image, so the restriction is one extension from the
-    junction.  Both graphs must be folded.
+    one vertex's image, so the restriction is one extension of f's
+    image of the junction; a failure raises.
     """
+    g, d = f.source, f.target
+    if not (g.is_folded() and d.is_folded()):
+        raise NotFoldedError("the unbased core needs a folded graph")
     s, s_kept, tail = _two_core(g)
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
@@ -94,9 +96,7 @@ def _restrict(
         junction = g.einit[tail[-1] ^ 1]
     else:  # every vertex is kept
         junction = 0 if g.base is None else g.base
-    w = image(junction, tail)
-    if w is None:
-        raise InternalError("internal error: image cores admit no morphism")
+    w = f.vmap[junction]
     t, t_kept, _ = _two_core(d)
     i = bisect_left(t_kept, w)
     m = None
@@ -105,18 +105,6 @@ def _restrict(
     if m is None:
         raise InternalError("internal error: a kept source part maps into a trimmed part")
     return m
-
-
-def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
-    """Restrict a morphism of pointed core graphs to the unbased cores.
-
-    Well defined because a folded source maps hanging paths into hanging
-    paths.  The restriction extends f's image of the junction where the
-    source's hanging path meets its 2-core; a failure raises.
-    """
-    if not (f.source.is_folded() and f.target.is_folded()):
-        raise NotFoldedError("the unbased core needs a folded graph")
-    return _restrict(f.source, f.target, lambda v, _: f.vmap[v])
 
 
 def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
@@ -135,17 +123,33 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """Transport a pointed morphism along a homomorphism, unbased.
 
     The restriction to the unbased cores of the pointed morphism between
-    the image cores, built without that morphism: it sends the base to
-    the base, so the junction of the source's hanging path goes where
-    the path's labels lead from the target's base.  The image cores are
-    folded as they are built.  Raises :class:`DegenerateHomError`, from
-    :func:`image_core`, when phi sends a generator to the identity, and
-    :class:`TrivialSubgroupError` when the image of the source subgroup
-    is trivial.
+    the image cores, built without either image core or that morphism.
+    Each end's image paths fold straight to its 2-core, which also gives
+    the junction and the word its image core hangs from the base.  The
+    pointed morphism sends the base to the base, and from the target's
+    base the only way into its 2-core is along the target's word m, so
+    the source's word starts with m, and the source's junction goes
+    where the rest of its word leads from the target's junction.  One
+    extension from there is the restriction.  Raises
+    :class:`DegenerateHomError` when phi sends a generator to the
+    identity, and :class:`TrivialSubgroupError` when the image of the
+    source subgroup is trivial.
     """
-    g, d = image_core(phi, f.source), image_core(phi, f.target)
-
-    def along_tail(junction: int, tail: list[int]) -> int | None:
-        return trace(d, d.base, [g.elabel[e] for e in tail]) if tail else d.base
-
-    return _restrict(g, d, along_tail)
+    s, s_junction, tail = _fold_two_core(
+        phi.target, f.source.n_vertices, _image_paths(phi, f.source), f.source.base
+    )
+    t, t_junction, stem = _fold_two_core(
+        phi.target, f.target.n_vertices, _image_paths(phi, f.target), f.target.base
+    )
+    if s.n_edges == 0:
+        raise TrivialSubgroupError("a tree source has no unbased core morphism")
+    k = len(stem)
+    w = None
+    if t_junction is not None and tail[:k] == stem:
+        w = trace(t, t_junction, tail[k:])
+    if w is None:
+        raise InternalError("internal error: image cores admit no morphism")
+    m = extend_morphism(s, t, s_junction or 0, w)  # a source with no base seeds at 0
+    if m is None:
+        raise InternalError("internal error: a kept source part maps into a trimmed part")
+    return m

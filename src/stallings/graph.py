@@ -528,13 +528,10 @@ def core(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
 
 
-def _fold_paths(
-    alphabet: Alphabet,
-    n_vertices: int,
-    paths: Iterable[tuple[int, int, Sequence[int]]],
-    base: int | None,
-) -> LabeledGraph:
-    """The core of vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
+def _lay_paths(
+    alphabet: Alphabet, n_vertices: int, paths: Iterable[tuple[int, int, Sequence[int]]]
+) -> tuple[list[int], list[int], int, list[int], bool]:
+    """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
     Each path ``(u, v, codes)`` spells a nonempty reduced code word from
     u to v.  It is read forward from u and backward from v along the
@@ -543,8 +540,9 @@ def _fold_paths(
     at one vertex lays its cancelling ends once, as a stem.  So the
     graph stays folded, and only the given vertices can hang.  When the
     two reads meet at different vertices, which must be identified,
-    the path is spelled plainly and the whole graph goes through
-    :func:`core` at the end.
+    the path is spelled plainly and the graph is no longer folded.
+    Returns the half-edge arrays, the vertex count, the degrees of the
+    given vertices (meaningful while folded) and whether it is folded.
     """
     width = 2 * len(alphabet) + 1
     step: dict[int, int] = {}  # vertex * width + code -> head of that edge
@@ -582,6 +580,21 @@ def _fold_paths(
             deg[x] += 1
         if end < n_vertices:
             deg[end] += 1
+    return einit, elabel, n, deg, folded
+
+
+def _fold_paths(
+    alphabet: Alphabet,
+    n_vertices: int,
+    paths: Iterable[tuple[int, int, Sequence[int]]],
+    base: int | None,
+) -> LabeledGraph:
+    """The core of vertices ``0..n_vertices-1`` joined by paths.
+
+    The paths are laid by :func:`_lay_paths`; when two reads met at
+    different vertices, the whole graph goes through :func:`core`.
+    """
+    einit, elabel, n, deg, folded = _lay_paths(alphabet, n_vertices, paths)
     g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
     if not folded:
         return core(g)
@@ -590,6 +603,48 @@ def _fold_paths(
         if dropped:
             return _renumber(alphabet, einit, elabel, base, kept_v, kept_e)
     return g
+
+
+def _fold_two_core(
+    alphabet: Alphabet,
+    n_vertices: int,
+    paths: Iterable[tuple[int, int, Sequence[int]]],
+    base: int | None,
+) -> tuple[LabeledGraph, int | None, list[int]]:
+    """The 2-core of :func:`_fold_paths`' core, the base's junction, and its hanging word.
+
+    The paths are laid by :func:`_lay_paths`, folded with
+    :func:`_fold_reps` when two reads met at different vertices, and
+    peeled once with no protected vertex; the 2-core numbers the kept
+    vertices in ascending order, as :func:`_two_core` does.  The
+    junction is the 2-core's vertex where the hanging path from the
+    base meets it (the base itself when nothing hangs there), and the
+    word is that path's labels from the base, read off the dropped
+    half-edges.  With no base the junction is None; a tree keeps one
+    vertex, which is the junction, and hangs no word.
+    """
+    einit, elabel, n, deg, folded = _lay_paths(alphabet, n_vertices, paths)
+    if folded:
+        if all(d > 1 for d in deg):  # only the given vertices can hang
+            return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False), base, []
+        vertices, edges = range(n), range(0, len(einit), 2)
+    else:
+        g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
+        vrep, einit, vertices, edges = _fold_reps(g)
+        if base is not None:
+            base = vrep[base]
+    kept_v, kept_e, dropped = _peel(einit, vertices, edges, None)
+    peeled = _renumber(alphabet, einit, elabel, None, kept_v, kept_e)
+    if base is None or not kept_e:
+        return peeled, None if base is None else 0, []
+    # each dropped half-edge leaves the vertex it removes, toward the 2-core
+    up = {einit[e]: e for e in dropped}
+    word = []
+    v = base
+    while (e := up.get(v)) is not None:
+        word.append(elabel[e])
+        v = einit[e ^ 1]
+    return peeled, bisect_left(kept_v, v), word
 
 
 # -- traversal ---------------------------------------------------------

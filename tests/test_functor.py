@@ -11,7 +11,7 @@ from stallings.errors import (
     NotFoldedError,
     TrivialSubgroupError,
 )
-from stallings import functor
+from stallings import functor, graph as graph_module
 from stallings.functor import (
     image_core,
     subdivide,
@@ -20,6 +20,7 @@ from stallings.functor import (
 )
 from stallings.graph import (
     GraphMorphism,
+    LabeledGraph,
     canonical_form,
     classify,
     core,
@@ -263,19 +264,24 @@ class TestUnbasedCore:
         assert out.source.n_edges == 1
         assert classify(out).injective
 
+    @staticmethod
+    def _to_base(g, d) -> GraphMorphism:
+        """An unchecked map g -> d sending every vertex to d's base."""
+        return GraphMorphism(g, d, (d.base,) * g.n_vertices, (0, 1) * g.n_edges, _validate=False)
+
     def test_trimmed_target_part_is_internal_error(self):
         """The junction's image is a vertex the target's peel drops."""
         # the base of <a b a^-1> hangs off its b-loop
         g, d = gamma(H_B), gamma(Subgroup.of(AB, "a b a^-1"))
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
-            functor._restrict(g, d, lambda v, tail: d.base)
+            unbased_core_morphism(self._to_base(g, d))
 
     def test_failed_extension_is_internal_error(self):
         """The junction's image is kept, but the extension from it fails."""
         # the a-edge at the delta graph's base is no loop
         g, d = gamma(Subgroup.of(AB, "a")), gamma(K_DELTA)
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
-            functor._restrict(g, d, lambda v, tail: d.base)
+            unbased_core_morphism(self._to_base(g, d))
 
     def test_restricts_f_on_nested_pairs(self):
         """A genuine morphism that agrees with f on the vertices trimming keeps.
@@ -379,45 +385,135 @@ class TestTransport:
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
             unbased_image_morphism(conjugation_hom((1,), AB), self._root())
 
-    @settings(max_examples=150)
-    @given(pair=nested_pairs(), data=st.data())
-    def test_matches_the_pointed_route(self, pair, data):
+    @pytest.mark.parametrize("word", [[-1], []], ids=["diverges", "stops-short"])
+    def test_source_word_off_the_target_word_is_internal_error(self, monkeypatch, word):
+        """The source's hanging word must start with the target's."""
+        fold, words = functor._fold_two_core, []
+
+        def swapped(*args):
+            core, junction, hanging = fold(*args)
+            words.append(hanging)
+            return core, junction, word if len(words) == 1 else hanging
+
+        monkeypatch.setattr(functor, "_fold_two_core", swapped)
+        # conjugating by a makes both image cores hang an a-edge
+        with pytest.raises(
+            InternalError, match="^internal error: image cores admit no morphism$"
+        ):
+            unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+        assert words == [[1], [1]]
+
+    def test_matches_the_pointed_route(self, monkeypatch):
         """The restriction of the pointed morphism between the image cores.
 
         The same arrays as restricting :func:`image_morphism`, a valid
         morphism, and on vertices the naive one: each vertex of the naive
         image core of H goes where its path from the base leads in that
         of K, matched to the library's numbering by pointed isomorphisms.
+        Drawn pairs and the example along seeded homs reach every branch
+        of the transport: nothing hangs, only the source hangs, the
+        target hangs too (its word is stripped from the source's), and
+        two reads of a path meet.
         """
-        f = inclusion_morphism(*pair)
-        target = data.draw(st.sampled_from(ALPHABETS[:3]))
-        phi = data.draw(_homs(AB, target))
-        # conjugating the images makes the image cores hang a path
-        c = target.encode(data.draw(st.lists(st.sampled_from(target.letters()), max_size=3)))
-        codes = tuple(reduce_codes(c + w + invert_codes(c)) for w in phi.codes)
-        phi = GroupHom._raw(AB, target, codes)
-        g, d = image_core(phi, f.source), image_core(phi, f.target)
-        if g.n_edges == 0:
-            with pytest.raises(TrivialSubgroupError):
-                unbased_image_morphism(phi, f)
-            return
-        out = unbased_image_morphism(phi, f)
-        ref = unbased_core_morphism(functor.image_morphism(phi, f))
-        for h, r in ((out.source, ref.source), (out.target, ref.target)):
-            assert (h.n_vertices, h.einit, h.elabel, h.base) == (
-                r.n_vertices, r.einit, r.elabel, r.base
-            )
-        assert (out.vmap, out.emap) == (ref.vmap, ref.emap)
-        GraphMorphism(out.source, out.target, out.vmap, out.emap)  # raises unless valid
-        naive_g, naive_d = _naive_image_core(phi, f.source), _naive_image_core(phi, f.target)
-        to_g = naive_isomorphism(g, naive_g, g.base, naive_g.base)[0]
-        to_d = naive_isomorphism(d, naive_d, d.base, naive_d.base)[0]
-        s_kept, t_kept = naive_kept(g), naive_kept(d)
-        assert sorted(to_g[v] for v in s_kept) == naive_kept(naive_g)
-        assert sorted(to_d[w] for w in t_kept) == naive_kept(naive_d)
-        along = _naive_pointed_map(naive_g, naive_d)
-        assert [to_d[t_kept[w]] for w in out.vmap] == [along[to_g[v]] for v in s_kept]
+        hangs, meets = set(), set()
+        folds = count_folds(monkeypatch)
 
+        def compare(phi, f):
+            g, d = image_core(phi, f.source), image_core(phi, f.target)
+            if g.n_edges == 0:
+                with pytest.raises(TrivialSubgroupError):
+                    unbased_image_morphism(phi, f)
+                return
+            folds.clear()
+            out = unbased_image_morphism(phi, f)
+            meets.add(bool(folds))
+            ref = unbased_core_morphism(functor.image_morphism(phi, f))
+            for h, r in ((out.source, ref.source), (out.target, ref.target)):
+                assert (h.n_vertices, h.einit, h.elabel, h.base) == (
+                    r.n_vertices, r.einit, r.elabel, r.base
+                )
+            assert (out.vmap, out.emap) == (ref.vmap, ref.emap)
+            GraphMorphism(out.source, out.target, out.vmap, out.emap)  # raises unless valid
+            naive_g, naive_d = _naive_image_core(phi, f.source), _naive_image_core(phi, f.target)
+            to_g = naive_isomorphism(g, naive_g, g.base, naive_g.base)[0]
+            to_d = naive_isomorphism(d, naive_d, d.base, naive_d.base)[0]
+            s_kept, t_kept = naive_kept(g), naive_kept(d)
+            hangs.add((len(s_kept) < g.n_vertices, len(t_kept) < d.n_vertices))
+            assert sorted(to_g[v] for v in s_kept) == naive_kept(naive_g)
+            assert sorted(to_d[w] for w in t_kept) == naive_kept(naive_d)
+            along = _naive_pointed_map(naive_g, naive_d)
+            assert [to_d[t_kept[w]] for w in out.vmap] == [along[to_g[v]] for v in s_kept]
+
+        def conjugated(target, images, c):
+            codes = tuple(reduce_codes(c + w + invert_codes(c)) for w in images)
+            return GroupHom._raw(AB, target, codes)
+
+        @settings(max_examples=150)
+        @given(pair=nested_pairs(), data=st.data())
+        def check(pair, data):
+            # conjugating H by an element of K keeps it in K
+            k = data.draw(st.sampled_from([(), *pair[1].codes]))
+            target = data.draw(st.sampled_from(ALPHABETS[:3]))
+            phi = data.draw(_homs(AB, target))
+            # conjugating the images makes the image cores hang a path
+            c = target.encode(data.draw(st.lists(st.sampled_from(target.letters()), max_size=3)))
+            f = inclusion_morphism(pair[0].conjugate(k), pair[1])
+            compare(conjugated(target, phi.codes, c), f)
+
+        check()
+        # the source alone hangs too rarely in the drawn pairs to count on
+        rng = random.Random(0)
+        for i, target in enumerate(ALPHABETS[:3] * 20):
+            c = random_reduced_word(rng, target, 2) if i % 2 else ()
+            images = [random_reduced_word(rng, target, 6) for _ in "ab"]
+            compare(conjugated(target, images, c), self._root())
+        # (source hangs, target hangs): a target that hangs a word makes the source hang it
+        assert hangs == {(False, False), (True, False), (True, True)}
+        assert meets == {False, True}
+
+    def test_one_peel_per_image_core(self, monkeypatch):
+        """Transport peels each image core once and builds no pointed one.
+
+        It never runs the 2-core, the pointed image core, the pointed
+        core or an unbased copy, and the fold kernel and the peel do run
+        in some of the draws.
+        """
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [
+            (graph_module, "_peel"),
+            (graph_module, "_two_core"),
+            (graph_module, "core"),
+            (functor, "_two_core"),
+            (functor, "image_core"),
+            (LabeledGraph, "unbased"),
+        ]:
+            count(owner, name)
+        folds = count_folds(monkeypatch)
+        rng = random.Random(3)
+        root = self._root()
+        peeled = 0
+        for target in ALPHABETS[:3] * 30:
+            c = random_reduced_word(rng, target, 2)
+            codes = tuple(
+                reduce_codes(c + random_reduced_word(rng, target, 5) + invert_codes(c))
+                for _ in "ab"
+            )
+            phi = GroupHom._raw(AB, target, codes)
+            calls.clear()
+            unbased_image_morphism(phi, root)
+            assert calls == ["_peel"] * len(calls) and len(calls) <= 2
+            peeled += len(calls)
+        assert folds and peeled
     def test_wide_target_alphabet_is_not_walked(self):
         """Transport and classify make no full pass over the target's names."""
         passes = []

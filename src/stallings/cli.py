@@ -20,14 +20,14 @@ from .errors import InternalError, NotIncludedError, StallingsError, TrivialSubg
 from .graph import canonical_form, classify, to_dot
 from .subgroups import (
     Subgroup,
-    contains,
+    contains_codes,
     gamma,
     inclusion_morphism,
     load_subgroup,
     onto_base,
 )
 from .whitehead import RestrictionSet, is_restriction_morphism, whitehead_graph
-from .words import Alphabet, parse_hom, parse_word
+from .words import Alphabet, parse_codes, parse_hom
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -83,8 +83,14 @@ def _cmd_core(args) -> int:
 def _cmd_member(args) -> int:
     h = _load(args.subgroup)
     texts = sys.stdin.read().splitlines() if args.word == ["-"] else args.word
-    words = [_parse(f"word {i}", parse_word, t) for i, t in enumerate(texts, 1)]
-    verdicts = [contains(h, w) for w in words]
+    lines = [t.split() for t in texts]
+    try:
+        source, words = parse_codes(lines)
+    except StallingsError:
+        for i, line in enumerate(lines, 1):  # name the first malformed word
+            _parse(f"word {i}", parse_codes, [line])
+        raise
+    verdicts = contains_codes(h, source, words)
     for ok in verdicts:
         print("true" if ok else "false")
     return 0 if all(verdicts) else 1

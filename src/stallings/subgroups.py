@@ -116,6 +116,25 @@ def contains(h: Subgroup, w: Word) -> bool:
     return trace(g, g.base, h.alphabet.read(w)) == g.base
 
 
+def contains_codes(
+    h: Subgroup, source: Alphabet, words: Iterable[Sequence[int]]
+) -> list[bool]:
+    """Membership of many code words over one alphabet, such as a parsed batch.
+
+    Each word is read into the walk through one renumbering table from
+    ``source`` to the subgroup's alphabet, built once for the batch.  A
+    generator missing from the subgroup's alphabet reads as code 0, which
+    labels no edge, so a word that keeps one is not a member.
+    """
+    g = gamma(h)
+    table = h.alphabet._renumbering(source)
+    verdicts = []
+    for w in words:
+        _check_labels(source, w)
+        verdicts.append(trace(g, g.base, map(table.__getitem__, w)) == g.base)
+    return verdicts
+
+
 def pi1_basis(g: LabeledGraph) -> list[tuple[int, ...]]:
     """A free basis from a spanning tree: one code word per non-tree edge."""
     if g.base is None:

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
+from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import AlphabetMismatchError, UnknownGeneratorError
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
+_TOKEN = _NAME + r"(?:\^-1)?"
+_TOKENS_RE = re.compile(rf"(?:{_TOKEN}(?: {_TOKEN})*)?")  # tokens joined by single spaces
 
 
 class Letter(NamedTuple):
@@ -177,27 +181,6 @@ def parse_word(text: str) -> Word:
     return alphabet.word(codes)
 
 
-class _TokenCodes(dict):
-    """Token -> code over the names in order of first appearance.
-
-    Each distinct token is parsed once, on first lookup, and each name
-    is checked once.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.names: dict[str, int] = {}
-
-    def __missing__(self, token: str) -> int:
-        name, sign = _split_token(token)
-        i = self.names.get(name)
-        if i is None:
-            _check_name(name, token)
-            i = self.names[name] = len(self.names) + 1
-        self[token] = code = sign * i
-        return code
-
-
 def parse_codes(
     lines: Iterable[list[str]], alphabet: Alphabet | None = None
 ) -> tuple[Alphabet, tuple[tuple[int, ...], ...]]:
@@ -206,23 +189,54 @@ def parse_codes(
     Without an alphabet, it is the generators of the reduced words, in
     order of first appearance.  A name outside a given alphabet is
     accepted when it cancels and rejected when it survives reduction.
+    A malformed token raises, the first in reading order.
+
+    The cost follows the distinct tokens, in a few bulk passes: one
+    regex match over their join checks them all, one table gives the
+    code of each name and of its inverse token, each line is coded
+    through that table, and only a line with an adjacent cancelling pair
+    is reduced.  A malformed token sends the parse down a slow path
+    that checks the distinct tokens one at a time, in reading order.
     """
-    tokens = _TokenCodes()
-    words = [reduce_codes(map(tokens.__getitem__, line)) for line in lines]
-    names = list(tokens.names)
+    lines = list(lines)
+    distinct = dict.fromkeys(chain.from_iterable(lines))
+    joined = " ".join(distinct)
+    per_token = joined.replace("^-1", "").split()  # the grammar puts ^-1 only at the end
+    # a token holding whitespace passes neither test: it splits in two or fails the match
+    if len(per_token) != len(distinct) or not _TOKENS_RE.fullmatch(joined):
+        for token in distinct:
+            parse_letter(token)  # raises at the first malformed token
+    names = list(dict.fromkeys(per_token))
     if alphabet is None:
+        gens = range(1, len(names) + 1)
+    else:  # a foreign name gets a code of its own past the alphabet
+        gens = list(map((1).__add__, map(alphabet._index.get, names, count(len(alphabet)))))
+    table = dict(zip(names, gens))
+    table.update(zip(("^-1 ".join(names) + "^-1").split(" "), map(neg, gens)))
+    words = []
+    cancelled = False
+    for line in lines:
+        w = tuple(map(table.__getitem__, line))
+        if any(map(eq, w[1:], map(neg, w))):
+            w = reduce_codes(w)
+            cancelled = True
+        words.append(w)
+    if alphabet is not None:
+        rank = len(alphabet)
+        if max(gens, default=0) > rank:
+            for c in chain.from_iterable(words):
+                if abs(c) > rank:
+                    token = names[gens.index(abs(c))] + ("" if c > 0 else "^-1")
+                    raise UnknownGeneratorError(f"{token} not over alphabet {alphabet.generators}")
+        return alphabet, tuple(words)
+    alphabet = Alphabet._raw(tuple(names))
+    if cancelled:  # a name may be gone, or first appear later
         used = dict.fromkeys(map(abs, chain.from_iterable(words)))
-        alphabet = Alphabet._raw(tuple([names[i - 1] for i in used]))
-    index = [alphabet._index.get(name, -1) + 1 for name in names]  # 0: foreign
-    if 0 in index:
-        for c in chain.from_iterable(words):
-            if not index[abs(c) - 1]:
-                token = names[abs(c) - 1] + ("" if c > 0 else "^-1")
-                raise UnknownGeneratorError(f"{token} not over alphabet {alphabet.generators}")
-    if index != list(range(1, len(names) + 1)):
-        # one renumbering; table[c] is the new code of c, for negative c too
-        table = [0, *index, *[-i for i in reversed(index)]]
-        words = [tuple(map(table.__getitem__, w)) for w in words]
+        reduced = Alphabet._raw(tuple([names[c - 1] for c in used]))
+        if reduced.generators != alphabet.generators:
+            table = reduced._renumbering(alphabet)
+            words = [tuple(map(table.__getitem__, w)) for w in words]
+        alphabet = reduced
     return alphabet, tuple(words)
 
 
@@ -253,7 +267,7 @@ class Alphabet:
         """An alphabet of distinct names the parser has already checked."""
         alphabet = cls.__new__(cls)
         object.__setattr__(alphabet, "generators", generators)
-        object.__setattr__(alphabet, "_index", {name: i for i, name in enumerate(generators)})
+        object.__setattr__(alphabet, "_index", dict(zip(generators, count())))
         object.__setattr__(alphabet, "_letter_codes", None)
         return alphabet
 
@@ -456,22 +470,26 @@ def parse_hom(text: str) -> GroupHom:
     first appearance.
     """
     sources: dict[str, None] = {}
-
-    def right_sides() -> Iterator[list[str]]:
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "->" not in line:
-                raise UnknownGeneratorError(f"bad hom line {line!r}")
-            lhs, rhs = line.split("->", 1)
-            name = lhs.strip()
-            if not _NAME_RE.match(name):
-                raise UnknownGeneratorError(f"bad generator name {name!r}")
-            if name in sources:
-                raise UnknownGeneratorError(f"duplicate image for {name!r}")
-            sources[name] = None
-            yield rhs.split()
-
-    target, codes = parse_codes(right_sides())
+    right_sides: list[list[str]] = []
+    bad_line = None  # the first malformed line; a bad token before it comes first
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "->" not in line:
+            bad_line = f"bad hom line {line!r}"
+            break
+        lhs, rhs = line.split("->", 1)
+        name = lhs.strip()
+        if not _NAME_RE.match(name):
+            bad_line = f"bad generator name {name!r}"
+            break
+        if name in sources:
+            bad_line = f"duplicate image for {name!r}"
+            break
+        sources[name] = None
+        right_sides.append(rhs.split())
+    target, codes = parse_codes(right_sides)
+    if bad_line is not None:
+        raise UnknownGeneratorError(bad_line)
     return GroupHom._raw(Alphabet._raw(tuple(sources)), target, codes)

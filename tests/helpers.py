@@ -11,12 +11,14 @@ of morphisms by checking the square on every vertex and half-edge.
 from __future__ import annotations
 
 import random
+import string
 from collections import Counter
 
 from hypothesis import strategies as st
 
 from stallings import _kernel
 from stallings.cases.fuzz import random_reduced_word
+from stallings.errors import UnknownGeneratorError
 from stallings.graph import (
     GraphMorphism,
     LabeledGraph,
@@ -46,6 +48,7 @@ __all__ = [
     "naive_kept",
     "naive_member",
     "naive_reduce",
+    "naive_parse",
     "two_path_edges",
     "naive_canonical_form",
     "same_at_some_root",
@@ -295,6 +298,51 @@ def naive_reduce(letters: list) -> tuple:
                 changed = True
                 break
     return tuple(out)
+
+
+def naive_parse(lines, generators=None) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """Generator names and reduced code words, read token by token from the grammar.
+
+    A token is a name, an ASCII letter followed by ASCII letters and
+    digits, optionally suffixed by ``^-1``; the first malformed token in
+    reading order raises.  Each line is reduced by :func:`naive_reduce`.
+    Without ``generators`` they are the names of the reduced words in
+    order of first appearance; with them, the first surviving letter
+    whose name is not among them raises.  Nothing here calls
+    ``stallings.words``.
+    """
+    seen: list[str] = []  # every name, cancelled or not, in order of first appearance
+    reduced = []
+    for line in lines:
+        codes = []
+        for token in line:
+            name, sign = (token[:-3], -1) if token.endswith("^-1") else (token, 1)
+            if not (
+                name
+                and name[0] in string.ascii_letters
+                and all(ch in string.ascii_letters + string.digits for ch in name)
+            ):
+                raise UnknownGeneratorError(f"bad letter token {token!r}")
+            if name not in seen:
+                seen.append(name)
+            codes.append(sign * (seen.index(name) + 1))
+        reduced.append(naive_reduce(codes))
+    if generators is None:
+        generators = []
+        for word in reduced:
+            for c in word:
+                if seen[abs(c) - 1] not in generators:
+                    generators.append(seen[abs(c) - 1])
+    generators = tuple(generators)
+    out = []
+    for word in reduced:
+        letters = [(seen[abs(c) - 1], 1 if c > 0 else -1) for c in word]
+        for name, sign in letters:
+            if name not in generators:
+                token = name if sign > 0 else name + "^-1"
+                raise UnknownGeneratorError(f"{token} not over alphabet {generators}")
+        out.append(tuple(sign * (generators.index(name) + 1) for name, sign in letters))
+    return generators, tuple(out)
 
 
 def naive_fold(g: LabeledGraph, rng: random.Random | None = None) -> LabeledGraph:

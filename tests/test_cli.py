@@ -112,6 +112,18 @@ class TestMember:
         err = usage_error(capsys, "member", files["K"], "-")
         assert err.count("\n") == 1 and err.startswith("error: word 3:")
 
+    def test_first_malformed_word_of_a_batch(self, capsys, files, monkeypatch):
+        # word 5 repeats word 3's bad token, and word 4 holds another
+        monkeypatch.setattr("sys.stdin", io.StringIO("b\n\nb a^^\n1x\na^^\n"))
+        err = usage_error(capsys, "member", files["K"], "-")
+        assert err == "error: word 3: bad letter token 'a^^'\n"
+
+    def test_foreign_names_in_a_batch(self, capsys, files, monkeypatch):
+        # c cancels in word 1 and survives in word 3 of the one parsed batch
+        monkeypatch.setattr("sys.stdin", io.StringIO("c c^-1 b\n\nb c\na b a^-1\n"))
+        code, out = run(capsys, "member", files["K"], "-")
+        assert code == 1 and out == "true\ntrue\nfalse\ntrue\n"
+
     def test_malformed_argument_names_position(self, capsys, files):
         err = usage_error(capsys, "member", files["K"], "b", "a^^")
         assert err.count("\n") == 1 and err.startswith("error: word 2:")

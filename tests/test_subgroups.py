@@ -22,6 +22,7 @@ from stallings.graph import (
 from stallings.subgroups import (
     Subgroup,
     contains,
+    contains_codes,
     covering_circuit,
     gamma,
     inclusion_morphism,
@@ -33,6 +34,7 @@ from stallings.words import (
     Alphabet,
     Word,
     invert_codes,
+    parse_codes,
     parse_letter,
     parse_word,
     reduce_codes,
@@ -407,7 +409,7 @@ class TestMembership:
         """One query gets the naive verdict however its ``Word`` was made.
 
         It is parsed, made by the subgroup's own alphabet, and made from
-        letters.  The subgroup's alphabet is {a, b, c} in a drawn order,
+        letters; its code word is also parsed in a batch.  The subgroup's alphabet is {a, b, c} in a drawn order,
         which a parsed word's alphabet, in order of first appearance,
         need not follow.  The query is a product of generators times a
         tail that may keep the foreign name ``d``, with ``d d^-1`` put in
@@ -434,11 +436,17 @@ class TestMembership:
         assert parsed == made
         verdict = naive_member(h, made)
         assert contains(h, parsed) is contains(h, made) is verdict
+        # in a batch, whose second word puts every name in another order
+        assert contains_codes(h, *parse_codes([tokens, ["d", "c", "b", "a"]]))[0] is verdict
         reduced = reduce_codes(query)
         if 4 not in map(abs, reduced):
             native = alphabet.word(reduced)
             assert native == parsed and native._coded[0] is alphabet
             assert contains(h, native) is verdict
+
+    def test_batch_codes_outside_their_alphabet_raise(self):
+        with pytest.raises(UnknownGeneratorError, match="^label 3 outside the alphabet$"):
+            contains_codes(K_DELTA, AB, [(2,), (1, 3)])
 
     def test_wide_subgroup_alphabet_is_not_walked(self):
         """Parsed queries make no full pass over the subgroup's names."""
@@ -454,8 +462,10 @@ class TestMembership:
                 query += rng.choice([" x200000", " x200000 x200000^-1", " x7"])
             texts.append(query)
         queries = [parse_word(t) for t in texts]
+        batch = parse_codes([t.split() for t in texts])
         passes.clear()
         verdicts = [contains(h, w) for w in queries]
+        assert contains_codes(h, *batch) == verdicts
         assert passes == []
         assert True in verdicts and False in verdicts
 

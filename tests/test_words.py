@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stallings import words
 
@@ -23,7 +23,7 @@ from stallings.words import (
     reduce_codes,
 )
 
-from helpers import naive_reduce
+from helpers import naive_parse, naive_reduce
 
 AB = Alphabet.of("a", "b")
 
@@ -231,6 +231,19 @@ class TestParseHom:
         with pytest.raises(UnknownGeneratorError):
             parse_hom(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a -> 1b\nb c", "bad letter token '1b'"),
+            ("a -> x y\nb -> 2z\nb -> q", "bad letter token '2z'"),
+            ("a -> x\na -> y^-1^-1", "duplicate image for 'a'"),
+        ],
+        ids=["token-before-bad-line", "token-before-duplicate", "duplicate-before-its-token"],
+    )
+    def test_first_error_in_reading_order(self, text, message):
+        with pytest.raises(UnknownGeneratorError, match=f"^{re.escape(message)}$"):
+            parse_hom(text)
+
 
 class TestParseCodes:
     @pytest.mark.parametrize("alphabet", [None, AB], ids=["inferred", "explicit"])
@@ -241,25 +254,68 @@ class TestParseCodes:
             parse_codes([["a"], ["b", token]], alphabet)
 
     def test_each_name_checked_once(self, monkeypatch):
-        checked = []
-        pattern = words._NAME_RE
+        # the cost follows the distinct names: a valid parse checks its
+        # tokens in one bulk pass and never splits or checks them one by one
+        def per_token(*args):
+            raise AssertionError(f"per-token call on a valid parse: {args!r}")
 
-        class Counting:
-            def match(self, name):
-                checked.append(name)
-                return pattern.match(name)
-
-        monkeypatch.setattr(words, "_NAME_RE", Counting())
-        alphabet, codes = parse_codes([["b", "a^-1", "b"], ["a", "c", "c^-1"]])
-        assert sorted(checked) == ["a", "b", "c"]
-        assert alphabet == Alphabet.of("b", "a") and codes == ((1, -2, 1), (2,))
+        monkeypatch.setattr(words, "_split_token", per_token)
+        monkeypatch.setattr(words, "_check_name", per_token)
+        lines = [["b", "a^-1", "b"], ["a", "c", "c^-1"]] * 500
+        alphabet, codes = parse_codes(lines)
+        assert alphabet == Alphabet.of("b", "a") and codes == ((1, -2, 1), (2,)) * 500
         assert alphabet.encode(w("a b^-1")) == (2, -1)
+        assert parse_codes(lines, Alphabet.of("a", "b"))[1] == ((2, -1, 2), (1,)) * 500
 
     def test_alphabet_constructor_still_checks_names(self):
         with pytest.raises(UnknownGeneratorError, match="^bad generator name '1b'$"):
             Alphabet.of("a", "1b")
         with pytest.raises(UnknownGeneratorError, match="^duplicate generator names$"):
             Alphabet.of("a", "a")
+
+
+NAMES = ["a", "b", "c", "x1", "Ab2"]
+# malformed tokens, some holding whitespace or the space that joins tokens,
+# which only the list API lets through
+BAD_TOKENS = [
+    "1b", "a^-2", "b_", "x^-1^-1", "^-1", "é", "x²",
+    "", " ", "a b", "a\tb", "a\nb", "a^-1 b",
+]
+signed = st.sampled_from(NAMES).flatmap(lambda n: st.sampled_from([n, n + "^-1"]))
+chunks = st.one_of(
+    *[signed.map(lambda t: [t])] * 3,
+    # a cancelling pair, so a name may appear only where it cancels
+    st.sampled_from(NAMES).flatmap(lambda n: st.sampled_from([[n, n + "^-1"], [n + "^-1", n]])),
+    st.sampled_from(BAD_TOKENS).map(lambda t: [t]),
+)
+token_lines = st.lists(
+    st.lists(chunks, max_size=6).map(lambda cs: [t for c in cs for t in c]), max_size=5
+)
+
+
+def outcome(parse, *args):
+    """What a parse gives: its result, or the type and message of what it raised."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParseDifferential:
+    """``parse_codes`` against the per-token reference ``helpers.naive_parse``."""
+
+    @given(lines=token_lines, generators=st.none() | st.lists(st.sampled_from(NAMES), unique=True))
+    @example(lines=[["a\nb"]], generators=None)
+    @example(lines=[["b", "a b"]], generators=["a", "b"])
+    @example(lines=[["a", "c", "c^-1"], [], ["c", "b"]], generators=["a", "b"])
+    def test_same_alphabet_codes_or_error(self, lines, generators):
+        alphabet = None if generators is None else Alphabet(tuple(generators))
+
+        def parse():
+            parsed, codes = parse_codes(lines, alphabet)
+            return parsed.generators, codes
+
+        assert outcome(parse) == outcome(naive_parse, lines, generators)
 
 
 class TestNondegenerate:

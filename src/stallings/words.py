@@ -202,7 +202,7 @@ def parse_codes(
     distinct = dict.fromkeys(chain.from_iterable(lines))
     joined = " ".join(distinct)
     per_token = joined.replace("^-1", "").split()  # the grammar puts ^-1 only at the end
-    # a token holding whitespace passes neither test: it splits in two or fails the match
+    # a token holding whitespace fails one test or the other: it adds a name or breaks the match
     if len(per_token) != len(distinct) or not _TOKENS_RE.fullmatch(joined):
         for token in distinct:
             parse_letter(token)  # raises at the first malformed token

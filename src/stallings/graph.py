@@ -757,13 +757,13 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
 
 def to_dot(g: LabeledGraph) -> str:
     """Graphviz export: one arrow per positively oriented edge."""
+    names = g.alphabet.generators  # a positive code's token is its name
     lines = ["digraph stallings {", "  rankdir=LR;"]
     for v in range(g.n_vertices):
         shape = "doublecircle" if v == g.base else "circle"
         lines.append(f'  {v} [shape={shape}];')
     for e in range(0, g.n_half_edges, 2):
         pos = e if g.elabel[e] > 0 else e ^ 1
-        token = g.alphabet.decode(g.elabel[pos]).token
-        lines.append(f'  {g.einit[pos]} -> {g.head(pos)} [label="{token}"];')
+        lines.append(f'  {g.einit[pos]} -> {g.head(pos)} [label="{names[g.elabel[pos] - 1]}"];')
     lines.append("}")
     return "\n".join(lines)

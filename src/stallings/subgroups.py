@@ -50,7 +50,7 @@ class Subgroup:
     _core: LabeledGraph | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, alphabet: Alphabet, generators: Iterable[Word]):
-        codes = tuple([alphabet.encode(w) for w in generators])
+        codes = tuple([alphabet._word_codes(w) for w in generators])
         self.__dict__.update(alphabet=alphabet, codes=codes, _core=None)
 
     @classmethod
@@ -127,7 +127,7 @@ def contains_codes(
     labels no edge, so a word that keeps one is not a member.
     """
     g = gamma(h)
-    table = h.alphabet._renumbering(source)
+    table = h.alphabet._renumbering(source.generators)
     verdicts = []
     for w in words:
         _check_labels(source, w)

@@ -144,7 +144,8 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
 
 def full_whitehead(alphabet: Alphabet) -> RestrictionSet:
     """All unordered pairs of distinct signed letters."""
-    codes = sorted(alphabet.encode(alphabet.letters()))
+    rank = len(alphabet)
+    codes = [*range(-rank, 0), *range(1, rank + 1)]
     return RestrictionSet._raw(alphabet, frozenset(combinations(codes, 2)))
 
 

@@ -5,9 +5,10 @@ alphabet's int codes, the codes that also label graph edges, so
 inverting a letter is negation.  The empty tuple is the identity, and
 every product, inverse and image is taken on code words.  ``Letter``
 (a generator name with a sign, +1 for the generator, -1 for its formal
-inverse) and ``Word`` (a reduced sequence of letters) are the public
-text types, made where text is parsed or printed and taken by the
-public entry points.  Text syntax: whitespace separated tokens, a token
+inverse) and ``Word`` (a reduced code word over the generator names it
+keeps, spelled as letters only when asked) are the public text types,
+made where text is parsed or printed and taken by the public entry
+points.  Text syntax: whitespace separated tokens, a token
 being a generator name optionally suffixed by ``^-1``, e.g.
 ``a b^-1 a``.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, count
 from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -99,35 +100,46 @@ def _check_labels(alphabet: Alphabet, codes: Sequence[int]) -> None:
         raise UnknownGeneratorError(f"label {bad!r} outside the alphabet")
 
 
-class Word:
-    """An immutable freely reduced word.
+def _spell(names: tuple[str, ...], codes: Iterable[int]) -> tuple[Letter, ...]:
+    return tuple([Letter(names[c - 1], 1) if c > 0 else Letter(names[-c - 1], -1) for c in codes])
 
-    The constructor reduces its input, so ``Word`` values always satisfy
-    the no-adjacent-cancellation invariant.  A word made by
-    :meth:`Alphabet.word` also keeps the alphabet and code word it was
-    made from (``_coded``; None for ``Word(letters)``), so that
-    :meth:`Alphabet.read` need not look its letters up again.
-    Equality, hashing, ``repr`` and iteration ignore it.
+
+class Word:
+    """An immutable freely reduced word: a code word and the names it spells.
+
+    Code i spells the i-th name the word keeps, -i its inverse.  A word
+    made by :meth:`Alphabet.word`, and so every ``parse_word`` result,
+    keeps that alphabet's generators; ``Word(letters)`` names the
+    generators of its letters in order of first appearance and reduces
+    their codes on an int stack.  Letters are made only when asked for,
+    by ``letters``, iteration, indexing, ``text`` and ``repr``; equality
+    and hashing go by the letters, whatever names two words keep.
     """
 
-    __slots__ = ("letters", "_coded")
-
-    letters: tuple[Letter, ...]
-    _coded: tuple[Alphabet, tuple[int, ...]] | None
+    __slots__ = ("_names", "_codes")
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        object.__setattr__(self, "letters", _reduce_letters(letters))
-        object.__setattr__(self, "_coded", None)
+        index: dict[str, int] = {}
+        stack: list[int] = []
+        for l in letters:
+            sign = l.sign
+            c = index.setdefault(l.gen, len(index) + 1)
+            if sign == -1:
+                c = -c
+            elif sign != 1:
+                raise UnknownGeneratorError(f"bad letter sign in {l!r}")
+            if stack and stack[-1] == -c:
+                stack.pop()
+            else:
+                stack.append(c)
+        _set_names(self, tuple(index))
+        _set_codes(self, tuple(stack))
 
     @classmethod
-    def _raw(
-        cls,
-        reduced: tuple[Letter, ...],
-        coded: tuple[Alphabet, tuple[int, ...]] | None = None,
-    ) -> "Word":
+    def _raw(cls, names: tuple[str, ...], codes: tuple[int, ...]) -> "Word":
         w = cls.__new__(cls)
-        object.__setattr__(w, "letters", reduced)
-        object.__setattr__(w, "_coded", coded)
+        _set_names(w, names)
+        _set_codes(w, codes)
         return w
 
     def __setattr__(self, name, value):
@@ -135,19 +147,25 @@ class Word:
 
     def __reduce__(self):
         # copy and pickle rebuild through _raw: the slots refuse __setattr__
-        return (Word._raw, (self.letters, self._coded))
+        return (Word._raw, (self._names, self._codes))
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return _spell(self._names, self._codes)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def __getitem__(self, i):
-        return self.letters[i]
+        if isinstance(i, slice):
+            return _spell(self._names, self._codes[i])
+        return _spell(self._names, (self._codes[i],))[0]
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self._codes)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -160,25 +178,16 @@ class Word:
         return " ".join(l.token for l in self.letters)
 
     def __repr__(self) -> str:
-        return self.text if self.letters else "1"
+        return self.text if self._codes else "1"
 
 
-def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for l in letters:
-        if l.sign not in (1, -1):
-            raise UnknownGeneratorError(f"bad letter sign in {l!r}")
-        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
-            stack.pop()
-        else:
-            stack.append(l)
-    return tuple(stack)
+_set_names, _set_codes = Word._names.__set__, Word._codes.__set__  # the slots, past __setattr__
 
 
 def parse_word(text: str) -> Word:
     """Parse the whitespace token syntax; the empty string is the identity."""
     alphabet, (codes,) = parse_codes([text.split()])
-    return alphabet.word(codes)
+    return Word._raw(alphabet.generators, codes)
 
 
 def parse_codes(
@@ -234,7 +243,7 @@ def parse_codes(
         used = dict.fromkeys(map(abs, chain.from_iterable(words)))
         reduced = Alphabet._raw(tuple([names[c - 1] for c in used]))
         if reduced.generators != alphabet.generators:
-            table = reduced._renumbering(alphabet)
+            table = reduced._renumbering(alphabet.generators)
             words = [tuple(map(table.__getitem__, w)) for w in words]
         alphabet = reduced
     return alphabet, tuple(words)
@@ -250,7 +259,6 @@ class Alphabet:
 
     generators: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _letter_codes: dict[Letter, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.generators:
@@ -260,7 +268,6 @@ class Alphabet:
         if len(index) != len(self.generators):
             raise UnknownGeneratorError("duplicate generator names")
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_letter_codes", None)
 
     @classmethod
     def _raw(cls, generators: tuple[str, ...]) -> "Alphabet":
@@ -268,7 +275,6 @@ class Alphabet:
         alphabet = cls.__new__(cls)
         object.__setattr__(alphabet, "generators", generators)
         object.__setattr__(alphabet, "_index", dict(zip(generators, count())))
-        object.__setattr__(alphabet, "_letter_codes", None)
         return alphabet
 
     @classmethod
@@ -287,80 +293,73 @@ class Alphabet:
 
     def letters(self) -> tuple[Letter, ...]:
         """All signed letters, in alphabet order, generator before inverse."""
-        out = []
-        for name in self.generators:
-            out.append(Letter(name, 1))
-            out.append(Letter(name, -1))
-        return tuple(out)
+        return tuple([Letter(name, sign) for name in self.generators for sign in (1, -1)])
 
     @staticmethod
     def code_index(c: int) -> int:
         """Position of the letter with code ``c`` in :meth:`letters`."""
         return 2 * c - 2 if c > 0 else -2 * c - 1
 
-    def _code_table(self) -> dict[Letter, int]:
-        """Letter -> code for every signed letter, built on first use and kept."""
-        table = self._letter_codes
-        if table is None:
-            table = {}
-            for i, name in enumerate(self.generators, 1):
-                table[Letter(name, 1)] = i
-                table[Letter(name, -1)] = -i
-            object.__setattr__(self, "_letter_codes", table)
-        return table
-
     def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
-        table = self._code_table()
-        try:
-            return tuple([table[l] for l in letters])
-        except KeyError as miss:
-            l = miss.args[0] if miss.args else None
-            if not isinstance(l, Letter):
-                raise  # not a miss of the table
+        """The codes of any letters, a one-shot iterator's too, in order and not reduced.
+
+        A sign other than ±1 raises ``bad letter sign in ...``, as ``Word``
+        does, and a foreign name ``... not over alphabet ...``.
+        """
+        index = self._index
+        codes = []
+        for l in letters:
+            i = index.get(l.gen)
             if l.sign not in (1, -1):
-                raise UnknownGeneratorError(f"bad letter sign in {l!r}") from None
-            raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}") from None
+                raise UnknownGeneratorError(f"bad letter sign in {l!r}")
+            if i is None:
+                raise UnknownGeneratorError(f"{l!r} not over alphabet {self.generators}")
+            codes.append(i + 1 if l.sign == 1 else -1 - i)
+        return tuple(codes)
 
     def decode(self, c: int) -> Letter:
-        return self.word((c,)).letters[0]
+        return self.word((c,))[0]
 
     def word(self, codes: Iterable[int]) -> Word:
-        """The ``Word`` a reduced code word over this alphabet spells.
-
-        The word keeps this alphabet and the code word, for :meth:`read`.
-        """
+        """The ``Word`` a reduced code word over this alphabet spells."""
         codes = tuple(codes)
         _check_labels(self, codes)
-        names = self.generators
-        letters = tuple([Letter(names[abs(c) - 1], 1 if c > 0 else -1) for c in codes])
-        return Word._raw(letters, (self, codes))
+        return Word._raw(self.generators, codes)
 
     def read(self, w: Word) -> Iterable[int]:
         """The codes of a word over this alphabet, made as they are read.
 
         A name missing here reads as code 0, which labels nothing.  The
-        cost follows the word, never either alphabet: a word made by
-        ``self.word`` gives its own codes; one made by another alphabet
-        no larger than the word is recoded by name through one table
-        over that alphabet; any other word (``Word(letters)``, or one
-        whose alphabet is larger than it) is read letter by letter from
-        this alphabet's ``Letter`` -> code table.
+        cost follows the word: a word over this alphabet's own names gives
+        its own codes; one with no more names than letters, a parsed word
+        too, is recoded through one table over its names; any other, one
+        made by a wider alphabet say, is recoded code by code, by name.
         """
-        coded = w._coded
-        if coded is not None:
-            source, codes = coded
-            if source is self:
-                return codes
-            if len(source) <= len(codes):
-                return map(self._renumbering(source).__getitem__, codes)
-        return map(self._code_table().get, w.letters, repeat(0))
+        names, codes = w._names, w._codes
+        if names is self.generators:
+            return codes
+        if len(names) <= len(codes):
+            return map(self._renumbering(names).__getitem__, codes)
+        get = self._index.get  # code by code, by name
+        return [get(names[c - 1], -1) + 1 if c > 0 else -1 - get(names[-c - 1], -1)
+                for c in codes]
 
-    def _renumbering(self, source: "Alphabet") -> list[int]:
-        """``table[c]`` is the code here of code c over ``source``, negative c too.
+    def _word_codes(self, w: Word) -> tuple[int, ...]:
+        """A word's codes here, recoded code by code; a foreign name raises."""
+        names, codes = w._names, w._codes
+        if names is self.generators:
+            return codes
+        index = self._index
+        try:
+            return tuple([index[names[c - 1]] + 1 if c > 0 else -1 - index[names[-c - 1]]
+                          for c in codes])
+        except KeyError:
+            foreign = next(l for l in w if l.gen not in index)
+        raise UnknownGeneratorError(f"{foreign!r} not over alphabet {self.generators}")
 
-        A generator missing here gets code 0.  O(rank of ``source``).
-        """
-        index = [self._index.get(name, -1) + 1 for name in source.generators]
+    def _renumbering(self, names: tuple[str, ...]) -> list[int]:
+        """``table[c]``, c of either sign, is the code here of code c over ``names``, or 0."""
+        index = [self._index.get(name, -1) + 1 for name in names]
         return [0, *index, *[-i for i in reversed(index)]]
 
     def recode(self, codes: Sequence[int], source: "Alphabet") -> Sequence[int]:
@@ -370,7 +369,7 @@ class Alphabet:
         """
         if source is self or source.generators == self.generators:
             return codes
-        return tuple(map(self._renumbering(source).__getitem__, codes))
+        return tuple(map(self._renumbering(source.generators).__getitem__, codes))
 
     def fresh_name(self) -> str:
         """A generator name that does not collide with existing ones."""
@@ -409,7 +408,7 @@ class GroupHom:
         for name in images:
             if name not in source:
                 raise UnknownGeneratorError(f"image given for foreign generator {name!r}")
-        codes = tuple([target.encode(images[name]) for name in source.generators])
+        codes = tuple([target._word_codes(images[name]) for name in source.generators])
         self.__dict__.update(source=source, target=target, codes=codes)
 
     @classmethod

@@ -524,9 +524,22 @@ class TestSerialization:
             canonical_form(g, root)
 
     def test_dot_output(self):
-        dot = to_dot(delta())
-        assert "doublecircle" in dot
-        assert '0 -> 1 [label="a"];' in dot
+        """Every arrow runs along its generator, whichever way the edge is stored."""
+        g = gamma(Subgroup.of(AB, "a b^-1 a^-1 b"))
+        assert any(g.elabel[e] < 0 for e in range(0, g.n_half_edges, 2))
+        assert to_dot(g) == "\n".join([
+            "digraph stallings {",
+            "  rankdir=LR;",
+            "  0 [shape=doublecircle];",
+            "  1 [shape=circle];",
+            "  2 [shape=circle];",
+            "  3 [shape=circle];",
+            '  0 -> 1 [label="a"];',
+            '  2 -> 1 [label="b"];',
+            '  3 -> 2 [label="a"];',
+            '  3 -> 0 [label="b"];',
+            "}",
+        ])
 
     def test_two_core_drops_spur(self):
         g = core(hang_path(b_loop(), codes("a")))

@@ -301,13 +301,14 @@ class TestMembership:
     def test_copies_keep_codes_and_verdict(self, clone, text, member):
         parsed = parse_word(text)
         made = Word(map(parse_letter, text.split()))
-        for w in (parsed, made):
+        native = AB.word(AB.encode(made))
+        cancelled = Word(map(parse_letter, ["c", "c^-1", *text.split()]))  # c is no letter
+        for w in (parsed, made, native, cancelled):
             out = clone(w)
-            assert out == w and out.letters == w.letters
+            assert out == w and out.letters == w.letters and hash(out) == hash(w)
+            assert repr(out) == repr(w) == text
+            assert list(AB.read(out)) == list(AB.read(w)) == list(AB.encode(made))
             assert contains(K_DELTA, out) is member
-        assert clone(made)._coded is None
-        alphabet, codes = clone(parsed)._coded
-        assert alphabet == parsed._coded[0] and codes == parsed._coded[1]
 
     def test_text_query_is_rejected(self):
         with pytest.raises(AttributeError):
@@ -441,7 +442,7 @@ class TestMembership:
         reduced = reduce_codes(query)
         if 4 not in map(abs, reduced):
             native = alphabet.word(reduced)
-            assert native == parsed and native._coded[0] is alphabet
+            assert native == parsed and alphabet.read(native) == reduced
             assert contains(h, native) is verdict
 
     def test_batch_codes_outside_their_alphabet_raise(self):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+import random
 import re
 
 import pytest
@@ -22,8 +25,9 @@ from stallings.words import (
     parse_word,
     reduce_codes,
 )
+from stallings.subgroups import Subgroup, contains
 
-from helpers import naive_parse, naive_reduce
+from helpers import counting_names, naive_member, naive_parse, naive_reduce
 
 AB = Alphabet.of("a", "b")
 
@@ -416,33 +420,31 @@ class TestAlphabet:
         with pytest.raises(KeyError, match="from the iterator"):  # not read as a miss
             AB.encode(failing())
 
-    def test_letter_table_built_once(self):
+    def test_encode_codes_each_letter_unreduced(self):
         for ab in (Alphabet.of("a", "b"), parse_codes([["a", "b"]])[0]):
-            assert ab._letter_codes is None  # not built until the first encode
             assert ab.encode(w("a b^-1")) == (1, -2)
-            table = ab._letter_codes
-            assert table == {
-                Letter("a", 1): 1, Letter("a", -1): -1, Letter("b", 1): 2, Letter("b", -1): -2
-            }
-            assert ab.encode(w("b a^-1")) == (2, -1)
-            assert ab._letter_codes is table
+            assert ab.encode([Letter("a", 1), Letter("a", -1), Letter("b", -1)]) == (1, -1, -2)
+            assert ab.encode(w("b a^-1")) == (2, -1)  # the same answer however often asked
+            assert ab.encode(w("a b^-1")) == (1, -2)
 
-    def test_letter_table_ignored_by_equality_hash_and_repr(self):
+    def test_alphabet_equality_hash_and_repr_ignore_use(self):
         fresh, used = Alphabet.of("a", "b"), Alphabet.of("a", "b")
         used.encode(w("a b"))
-        assert used._letter_codes is not None and fresh._letter_codes is None
+        list(used.read(Word([Letter("b", 1), Letter("c", -1)])))
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "Alphabet(generators=('a', 'b'))"
 
 
 class TestCarriedCodes:
     def test_parsed_word_carries_its_codes(self):
+        """A parsed word reads over any alphabet by name, with its own letters."""
         parsed = w("b a^-1 b")
-        alphabet, codes = parsed._coded
-        assert alphabet.generators == ("b", "a") and codes == (1, -2, 1)
-        assert Word(parsed.letters)._coded is None
+        assert parsed.letters == (Letter("b", 1), Letter("a", -1), Letter("b", 1))
+        assert parsed[1] == Letter("a", -1) and parsed[-2:] == parsed.letters[1:]
+        assert list(AB.read(parsed)) == [2, -1, 2] and AB.encode(parsed) == (2, -1, 2)
+        assert list(Alphabet.of("b", "a").read(parsed)) == [1, -2, 1]
         made = AB.word((2, -1, 2))
-        assert made._coded == (AB, (2, -1, 2)) and made._coded[0] is AB
+        assert made == parsed and AB.read(made) == (2, -1, 2)
 
     def test_equality_hash_repr_and_iteration_ignore_the_codes(self):
         words = [w("b a^-1 b"), AB.word((2, -1, 2)), Word(w("b a^-1 b").letters)]
@@ -452,27 +454,91 @@ class TestCarriedCodes:
 
     def test_read_passes_own_codes_through(self):
         ab = Alphabet.of("a", "b")
-        made = ab.word((2, -1, 2))
-        assert ab.read(made) is made._coded[1]
-        assert ab._letter_codes is None  # no letter was looked up
+        codes = (2, -1, 2)
+        made = ab.word(codes)
+        assert ab.read(made) is codes
+        assert list(Alphabet.of("a", "b").read(made)) == [2, -1, 2]  # an equal alphabet recodes
 
     def test_read_recodes_by_name(self):
         ab = Alphabet.of("a", "b")
         assert list(ab.read(w("b a^-1 b"))) == [2, -1, 2]
         assert list(ab.read(w("b c a^-1"))) == [2, 0, -1]  # c is foreign
         assert list(ab.read(w("c c^-1 a"))) == [1]  # c cancels
-        assert ab._letter_codes is None  # no letter was looked up
+        assert list(ab.read(Word([Letter("b", 1), Letter("c", -1)]))) == [2, 0]
 
-    def test_read_looks_up_letters_otherwise(self):
-        """Words from letters, and words whose alphabet is larger than them."""
+    def test_read_recodes_other_words_code_by_code(self):
+        """Words from letters that cancel, and words made by a wider alphabet."""
         ab = Alphabet.of("a", "b")
-        made = Word([Letter("b", 1), Letter("c", -1)])
-        assert list(ab.read(made)) == [2, 0]
-        assert ab._letter_codes is not None
+        made = Word([Letter("c", 1), Letter("c", -1), Letter("b", 1)])
+        assert list(ab.read(made)) == [2]
         wide = Alphabet.of("x", "y", "z", "b", "a")
-        fresh = Alphabet.of("a", "b")
-        assert list(fresh.read(wide.word((5, -4)))) == [1, -2]
-        assert fresh._letter_codes is not None
-        fresh = Alphabet.of("a", "b")  # a word as long as its alphabet is recoded
-        assert list(fresh.read(wide.word((5, 1, 4, 2, -4)))) == [1, 0, 2, 0, -2]
-        assert fresh._letter_codes is None
+        assert list(ab.read(wide.word((5, -4)))) == [1, -2]
+        assert list(ab.read(wide.word((5, 1, 4, 2, -4)))) == [1, 0, 2, 0, -2]
+        assert list(ab.read(wide.word(()))) == []
+
+    def test_wide_alphabet_is_not_walked(self):
+        """No word operation makes a full pass over a rank-200,000 alphabet's names."""
+        passes = []
+        wide = Alphabet(counting_names((f"x{i}" for i in range(200_000)), passes))
+        small = Alphabet.of("x1", "x0", "y")
+        rng = random.Random(11)
+        names = ["x0", "x1", "x2", "x7", "x199999"]
+        spelled = [
+            [Letter(rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))]
+            for _ in range(40)
+        ]
+        wide_codes = [(1, 2, -1), (200_000, 3), (2,), (8, -2, -2)]
+        h = Subgroup.of(wide, "x0 x1 x0^-1", "x2 x1", "x1 x2 x0 x2^-1")
+        passes.clear()
+        queries = [Word(letters) for letters in spelled]
+        verdicts = [contains(h, q) for q in queries]
+        wide_words = [wide.word(codes) for codes in wide_codes]
+        reads = [list(small.read(x)) for x in wide_words]
+        encoded = [wide.encode(letters) for letters in spelled]
+        k = Subgroup(wide, queries + wide_words)
+        phi = GroupHom(small, wide, {"x1": queries[0], "x0": wide_words[1], "y": Word()})
+        clones = [copy.copy(x) for x in queries + wide_words]
+        clones += [copy.deepcopy(q) for q in queries]
+        clones += [pickle.loads(pickle.dumps(q)) for q in queries]
+        assert passes == []
+        assert verdicts == [naive_member(h, q) for q in queries]
+        assert True in verdicts and False in verdicts
+        assert reads == [[2, 1, -2], [0, 0], [1], [0, -1, -1]]
+        assert encoded == [tuple((int(l.gen[1:]) + 1) * l.sign for l in ls) for ls in spelled]
+        assert k.codes == tuple(map(reduce_codes, encoded)) + tuple(wide_codes)
+        assert phi.codes == (k.codes[0], wide_codes[1], ())
+        assert clones == queries + wide_words + queries + queries
+
+
+A_C = [Letter("a", 1), Letter("c", -1)]
+NOT_AB = "not over alphabet ('a', 'b')"
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: Word([Letter("a", 2)]), UnknownGeneratorError("bad letter sign in a")),
+        (lambda: Word([Letter("a", 0)]), UnknownGeneratorError("bad letter sign in a^-1")),
+        (lambda: Word([Letter("a", -2)]), UnknownGeneratorError("bad letter sign in a^-1")),
+        (lambda: AB.encode([Letter("c", 1)]), UnknownGeneratorError(f"c {NOT_AB}")),
+        (lambda: Subgroup(AB, [Word(A_C)]), UnknownGeneratorError(f"c^-1 {NOT_AB}")),
+        (lambda: Subgroup(AB, [parse_word("a c^-1")]), UnknownGeneratorError(f"c^-1 {NOT_AB}")),
+        (
+            lambda: GroupHom(Alphabet.of("s"), Alphabet.of("x"), {"s": parse_word("y")}),
+            UnknownGeneratorError("y not over alphabet ('x',)"),
+        ),
+        (lambda: Word([("a", 1)]), AttributeError("'tuple' object has no attribute 'sign'")),
+        (lambda: list(AB.read(Word([Letter("b", 1), Letter("c", -1)]))), [2, 0]),
+    ],
+    ids=[
+        "sign-2", "sign-0", "sign--2", "encode-foreign", "subgroup-letters", "subgroup-parsed",
+        "hom-image", "plain-tuple", "read-foreign",
+    ],
+)
+def test_messages_and_results_at_the_letter_boundary(make, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as caught:
+            make()
+        assert str(caught.value) == str(expected)
+    else:
+        assert make() == expected

@@ -100,10 +100,6 @@ def _check_labels(alphabet: Alphabet, codes: Sequence[int]) -> None:
         raise UnknownGeneratorError(f"label {bad!r} outside the alphabet")
 
 
-def _spell(names: tuple[str, ...], codes: Iterable[int]) -> tuple[Letter, ...]:
-    return tuple([Letter(names[c - 1], 1) if c > 0 else Letter(names[-c - 1], -1) for c in codes])
-
-
 class Word:
     """An immutable freely reduced word: a code word and the names it spells.
 
@@ -113,7 +109,8 @@ class Word:
     generators of its letters in order of first appearance and reduces
     their codes on an int stack.  Letters are made only when asked for,
     by ``letters``, iteration, indexing, ``text`` and ``repr``; equality
-    and hashing go by the letters, whatever names two words keep.
+    and hashing go by the letters' names and signs, with no ``Letter``
+    made, whatever names two words keep.
     """
 
     __slots__ = ("_names", "_codes")
@@ -151,7 +148,9 @@ class Word:
 
     @property
     def letters(self) -> tuple[Letter, ...]:
-        return _spell(self._names, self._codes)
+        names = self._names
+        return tuple([Letter(names[c - 1], 1) if c > 0 else Letter(names[-c - 1], -1)
+                      for c in self._codes])
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -160,18 +159,20 @@ class Word:
         return iter(self.letters)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _spell(self._names, self._codes[i])
-        return _spell(self._names, (self._codes[i],))[0]
+        return self.letters[i]
 
     def __bool__(self) -> bool:
         return bool(self._codes)
 
+    def _key(self) -> tuple[tuple[str, ...], tuple[bool, ...]]:
+        names, codes = self._names, self._codes
+        return tuple([names[abs(c) - 1] for c in codes]), tuple([c > 0 for c in codes])
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self._key())
 
     @property
     def text(self) -> str:
@@ -340,22 +341,21 @@ class Alphabet:
             return codes
         if len(names) <= len(codes):
             return map(self._renumbering(names).__getitem__, codes)
-        get = self._index.get  # code by code, by name
+        return self._recode(w)
+
+    def _recode(self, w: Word) -> list[int]:
+        """A word's codes here, recoded code by code, by name; a missing name gives 0."""
+        names, get = w._names, self._index.get
         return [get(names[c - 1], -1) + 1 if c > 0 else -1 - get(names[-c - 1], -1)
-                for c in codes]
+                for c in w._codes]
 
     def _word_codes(self, w: Word) -> tuple[int, ...]:
-        """A word's codes here, recoded code by code; a foreign name raises."""
-        names, codes = w._names, w._codes
-        if names is self.generators:
-            return codes
-        index = self._index
-        try:
-            return tuple([index[names[c - 1]] + 1 if c > 0 else -1 - index[names[-c - 1]]
-                          for c in codes])
-        except KeyError:
-            foreign = next(l for l in w if l.gen not in index)
-        raise UnknownGeneratorError(f"{foreign!r} not over alphabet {self.generators}")
+        """A word's own codes or ``_recode``'s, skipping the table; a foreign name raises."""
+        codes = w._codes if w._names is self.generators else tuple(self._recode(w))
+        if 0 in codes:
+            foreign = w[codes.index(0)]
+            raise UnknownGeneratorError(f"{foreign!r} not over alphabet {self.generators}")
+        return codes
 
     def _renumbering(self, names: tuple[str, ...]) -> list[int]:
         """``table[c]``, c of either sign, is the code here of code c over ``names``, or 0."""

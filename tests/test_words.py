@@ -452,6 +452,14 @@ class TestCarriedCodes:
         assert len({repr(x) for x in words}) == 1
         assert len({tuple(x) for x in words}) == 1
 
+    def test_equality_and_hashing_make_no_letter(self, monkeypatch):
+        """Words that keep other names compare and hash by names and signs alone."""
+        parsed, made, other = w("b a^-1 b"), AB.word((2, -1, 2)), w("b a b")
+        monkeypatch.setattr(words, "Letter", None)  # spelling a letter would now raise
+        assert parsed._names != made._names
+        assert parsed == made and hash(parsed) == hash(made)
+        assert parsed != other and made != AB.word((2, 1, 2)) and parsed != AB.word((2, -1))
+
     def test_read_passes_own_codes_through(self):
         ab = Alphabet.of("a", "b")
         codes = (2, -1, 2)

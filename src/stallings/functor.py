@@ -32,24 +32,43 @@ from .graph import (
     trace,
     unique_pointed_morphism,
 )
-from .words import GroupHom, invert_codes, is_nondegenerate
+from .words import GroupHom, _check_labels, invert_codes, is_nondegenerate
 
 
-def _image_paths(phi: GroupHom, g: LabeledGraph) -> list[tuple[int, int, tuple[int, ...]]]:
-    """One path (tail, head, image codes) per edge of g, once phi and g are checked."""
+def _checked_images(phi: GroupHom) -> tuple[tuple[int, ...], ...]:
+    """phi's image code words, once each is checked nonempty and over phi's target."""
     if not is_nondegenerate(phi):
         raise DegenerateHomError("subdivision needs nonempty images")
-    if g.alphabet.generators != phi.source.generators:
+    target = phi.target
+    for codes in phi.codes:
+        _check_labels(target, codes)
+    return phi.codes
+
+
+def _paths(
+    phi: GroupHom, images: tuple[tuple[int, ...], ...], g: LabeledGraph
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """One path (tail, head, image codes) per edge of g, from phi's checked images.
+
+    An image is inverted only for an edge whose even half-edge is
+    labelled by an inverse.
+    """
+    if g.alphabet is not phi.source and g.alphabet.generators != phi.source.generators:
         raise AlphabetMismatchError(
             f"graph over {g.alphabet.generators}, homomorphism from "
             f"{phi.source.generators}"
         )
-    images: dict[int, tuple[int, ...]] = {}  # image codes keyed by source code
-    for c, codes in enumerate(phi.codes, 1):
-        images[c] = codes
-        images[-c] = invert_codes(codes)
     einit, elabel = g.einit, g.elabel
-    return [(einit[e], einit[e ^ 1], images[elabel[e]]) for e in range(0, len(einit), 2)]
+    return [
+        (einit[e], einit[e ^ 1],
+         images[c - 1] if (c := elabel[e]) > 0 else invert_codes(images[-c - 1]))
+        for e in range(0, len(einit), 2)
+    ]
+
+
+def _image_paths(phi: GroupHom, g: LabeledGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """One path (tail, head, image codes) per edge of g, once phi and g are checked."""
+    return _paths(phi, _checked_images(phi), g)
 
 
 def subdivide(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
@@ -135,11 +154,13 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     identity, and :class:`TrivialSubgroupError` when the image of the
     source subgroup is trivial.
     """
+    images = _checked_images(phi)
+    g, d = f.source, f.target
     s, s_junction, tail = _fold_two_core(
-        phi.target, f.source.n_vertices, _image_paths(phi, f.source), f.source.base
+        phi.target, g.n_vertices, _paths(phi, images, g), g.base
     )
     t, t_junction, stem = _fold_two_core(
-        phi.target, f.target.n_vertices, _image_paths(phi, f.target), f.target.base
+        phi.target, d.n_vertices, _paths(phi, images, d), d.base
     )
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")

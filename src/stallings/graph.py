@@ -130,8 +130,14 @@ class LabeledGraph:
         return self._lookup
 
     def edge_at(self, v: int, code: int) -> int | None:
-        """The unique half-edge at v with the given label code (folded graphs)."""
-        return self._edge_table()[v].get(code)
+        """The unique half-edge at v with the given label code (folded graphs).
+
+        A v that is not a vertex raises ``DisconnectedGraphError``.
+        """
+        table = self._edge_table()
+        if not 0 <= v < self.n_vertices:
+            raise DisconnectedGraphError(f"{v} is not a vertex")
+        return table[v].get(code)
 
     def is_core(self) -> bool:
         """Folded, and every vertex except the base has degree > 1."""
@@ -276,10 +282,10 @@ def classify(f: GraphMorphism) -> MorphismClassification:
     vimage = set(f.vmap)
     eimage = set(f.emap)
     return MorphismClassification(
-        vertex_injective=len(vimage) == len(f.vmap),
-        edge_injective=len(eimage) == len(f.emap),
-        vertex_surjective=len(vimage) == f.target.n_vertices,
-        edge_surjective=len(eimage) == f.target.n_half_edges,
+        len(vimage) == len(f.vmap),  # vertex_injective
+        len(eimage) == len(f.emap),  # edge_injective
+        len(vimage) == f.target.n_vertices,  # vertex_surjective
+        len(eimage) == f.target.n_half_edges,  # edge_surjective
     )
 
 
@@ -533,11 +539,13 @@ def _lay_paths(
 ) -> tuple[list[int], list[int], int, list[int], bool]:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
-    Each path ``(u, v, codes)`` spells a nonempty reduced code word from
-    u to v.  It is read forward from u and backward from v along the
-    edges laid so far, and only its unread middle is spelled, on fresh
-    vertices numbered in spelling order; a middle that starts and ends
-    at one vertex lays its cancelling ends once, as a stem.  So the
+    Each path ``(u, v, codes)`` spells a nonempty reduced code word over
+    the alphabet from u to v.  The caller checks the codes: one out of
+    range would alias another's key here.  A path is read forward from u
+    and backward from v along the edges laid so far, and only its unread
+    middle is spelled, on fresh vertices numbered in spelling order; a
+    middle that starts and ends at one vertex lays its cancelling ends
+    once, as a stem.  So the
     graph stays folded, and only the given vertices can hang.  When the
     two reads meet at different vertices, which must be identified,
     the path is spelled plainly and the graph is no longer folded.
@@ -552,7 +560,6 @@ def _lay_paths(
     n = n_vertices
     folded = True
     for u, v, codes in paths:
-        _check_labels(alphabet, codes)  # a code out of range would alias keys
         i, j, x, y = 0, len(codes), u, v
         while i < j and (w := step.get(x * width + codes[i])) is not None:
             x, i = w, i + 1
@@ -656,9 +663,12 @@ def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
     The walk reads ``codes`` one at a time and stops at the first code
     with no edge, so it may be a lazy iterator.  The graph must be
     folded: an unfolded one raises ``NotFoldedError`` for every word,
-    the empty word included.
+    the empty word included.  A start that is not a vertex raises
+    ``DisconnectedGraphError``, also for the empty word.
     """
     table, einit = g._edge_table(), g.einit
+    if not 0 <= start < g.n_vertices:
+        raise DisconnectedGraphError(f"start {start} is not a vertex")
     v = start
     for c in codes:
         try:

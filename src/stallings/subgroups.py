@@ -97,6 +97,8 @@ def gamma(h: Subgroup) -> LabeledGraph:
     return that same graph.
     """
     if h._core is None:
+        for w in h.codes:
+            _check_labels(h.alphabet, w)
         loops = [(0, 0, w) for w in h.codes if w]
         object.__setattr__(h, "_core", _fold_paths(h.alphabet, 1, loops, 0))
     return h._core

@@ -402,12 +402,13 @@ class GroupHom:
     codes: tuple[tuple[int, ...], ...]
 
     def __init__(self, source: Alphabet, target: Alphabet, images: Mapping[str, Word]):
-        for name in source.generators:
-            if name not in images:
-                raise UnknownGeneratorError(f"no image for generator {name!r}")
-        for name in images:
-            if name not in source:
-                raise UnknownGeneratorError(f"image given for foreign generator {name!r}")
+        if images.keys() != source._index.keys():  # the loops only name the error
+            for name in source.generators:
+                if name not in images:
+                    raise UnknownGeneratorError(f"no image for generator {name!r}")
+            for name in images:
+                if name not in source:
+                    raise UnknownGeneratorError(f"image given for foreign generator {name!r}")
         codes = tuple([target._word_codes(images[name]) for name in source.generators])
         self.__dict__.update(source=source, target=target, codes=codes)
 

@@ -10,6 +10,7 @@ from stallings.errors import (
     InternalError,
     NotFoldedError,
     TrivialSubgroupError,
+    UnknownGeneratorError,
 )
 from stallings import functor, graph as graph_module
 from stallings.functor import (
@@ -202,6 +203,16 @@ class TestImageCore:
         image_core(phi, rose)
         assert len(calls) == folds
 
+    def test_numbering_is_pinned(self):
+        """The exact arrays of an image core whose source has an inverse-labelled edge."""
+        g = gamma(Subgroup.of(AB, "a b^-1 a^-1 b", "b^-1 a b"))
+        assert (g.n_vertices, g.einit, g.elabel) == (2, (0, 0, 1, 1, 1, 0), (1, -1, -1, 1, 2, -2))
+        phi = GroupHom(AB, AB, {"a": parse_word("a b"), "b": parse_word("b a^-1")})
+        c = image_core(phi, g)
+        assert (c.n_vertices, c.einit, c.elabel, c.base) == (
+            4, (0, 2, 2, 0, 1, 3, 3, 1, 1, 2), (1, -1, 2, -2, -2, 2, -1, 1, 2, -2), 0
+        )
+
     def test_sigma_image_of_rose(self):
         rose = gamma(Subgroup.of(GREEK, "alpha", "beta"))
         assert iso_pointed(image_core(SIGMA, rose), gamma(K_DELTA))
@@ -239,6 +250,28 @@ class TestImageCore:
             assert iso_pointed(image_core(both, g), image_core(phi, image_core(psi, g)))
             checked += 1
         assert checked >= 100
+
+
+# code 3 labels nothing over {a, b}: each entry point checks the codes it takes in
+OUT_OF_RANGE = GroupHom._raw(AB, AB, ((3,), (2,)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma(Subgroup._raw(AB, ((2,), (3,)))),
+        lambda: image_core(OUT_OF_RANGE, gamma(K_DELTA)),
+        lambda: unbased_image_morphism(
+            OUT_OF_RANGE, unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
+        ),
+        lambda: subdivide(OUT_OF_RANGE, gamma(K_DELTA)),
+        lambda: preserves_folding(OUT_OF_RANGE, gamma(K_DELTA)),
+    ],
+    ids=["gamma", "image_core", "unbased_image_morphism", "subdivide", "preserves_folding"],
+)
+def test_codes_are_checked_where_they_enter(call):
+    with pytest.raises(UnknownGeneratorError, match="^label 3 outside the alphabet$"):
+        call()
 
 
 class TestUnbasedCore:
@@ -470,6 +503,62 @@ class TestTransport:
         # (source hangs, target hangs): a target that hangs a word makes the source hang it
         assert hangs == {(False, False), (True, False), (True, True)}
         assert meets == {False, True}
+
+    @pytest.mark.parametrize(
+        "images, hanging, folds, source, target, vmap, emap",
+        [
+            (
+                ("a b", "b a^-1"), [[], []], 0,
+                (2, (0, 1, 1, 0), (2, -2, -1, 1)),
+                (4, (0, 2, 2, 0, 2, 1, 1, 3, 3, 1), (2, -2, -1, 1, 2, -2, 2, -2, -1, 1)),
+                (0, 2), (0, 1, 2, 3),
+            ),
+            (
+                ("b", "a b a^-1"), [[1], []], 0,
+                (1, (0, 0), (2, -2)),
+                (4, (0, 2, 2, 2, 0, 1, 1, 3, 3, 3), (1, -1, 2, -2, 2, -2, 1, -1, 2, -2)),
+                (2,), (2, 3),
+            ),
+            (
+                ("a a", "a b a^-1"), [[1], [1]], 0,
+                (1, (0, 0), (2, -2)),
+                (3, (1, 1, 1, 0, 0, 2, 2, 2), (2, -2, 1, -1, 1, -1, 2, -2)),
+                (1,), (0, 1),
+            ),
+            (
+                ("a b", "b^-1 a b"), [[-2], []], 1,
+                (1, (0, 0), (1, -1)),
+                (2, (0, 1, 1, 1, 0, 0), (-2, 2, 1, -1, 1, -1)),
+                (1,), (2, 3),
+            ),
+        ],
+        ids=["clean", "source-peeled", "target-peeled", "reads-meet"],
+    )
+    def test_numbering_is_pinned(
+        self, monkeypatch, images, hanging, folds, source, target, vmap, emap
+    ):
+        """The exact arrays of the example's transport, one hom per route.
+
+        Each end's image paths are laid and numbered in spelling order,
+        then peeled and renumbered; the hanging words and the fold-kernel
+        calls show which route each hom takes.
+        """
+        fold, words = functor._fold_two_core, []
+
+        def recorded(*args):
+            out = fold(*args)
+            words.append(out[2])
+            return out
+
+        monkeypatch.setattr(functor, "_fold_two_core", recorded)
+        calls = count_folds(monkeypatch)
+        phi = GroupHom(AB, AB, dict(zip("ab", map(parse_word, images))))
+        m = unbased_image_morphism(phi, self._root())
+        assert (words, len(calls)) == (hanging, folds)
+        assert (m.source.n_vertices, m.source.einit, m.source.elabel) == source
+        assert (m.target.n_vertices, m.target.einit, m.target.elabel) == target
+        assert m.source.base is None and m.target.base is None
+        assert (m.vmap, m.emap) == (vmap, emap)
 
     def test_one_peel_per_image_core(self, monkeypatch):
         """Transport peels each image core once and builds no pointed one.

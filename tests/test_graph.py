@@ -284,6 +284,19 @@ class TestTrace:
         with pytest.raises(NotFoldedError):  # before any code is read
             trace(g, 0, ())
 
+    @pytest.mark.parametrize("word", ["b", ""], ids=["word", "empty"])
+    @pytest.mark.parametrize("start", [-1, 2], ids=["negative", "n_vertices"])
+    def test_start_outside_the_graph_is_rejected(self, start, word):
+        """A negative start does not wrap to the last vertex, nor does one past it index."""
+        g = gamma(Subgroup.of(AB, "b", "a b a^-1"))
+        assert g.n_vertices == 2
+        with pytest.raises(DisconnectedGraphError, match=f"^start {start} is not a vertex$"):
+            trace(g, start, codes(word))
+        with pytest.raises(DisconnectedGraphError, match=f"^{start} is not a vertex$"):
+            g.edge_at(start, 2)
+        assert [trace(g, v, codes(word)) for v in (0, 1)] == [0, 1]
+        assert [g.edge_at(v, 2) for v in (0, 1)] == [0, 4]
+
     def test_at_most_one_continuation(self):
         rng = random.Random(23)
         for _ in range(50):

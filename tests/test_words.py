@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import types
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -170,6 +171,26 @@ class TestHoms:
         phi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
         with pytest.raises(UnknownGeneratorError, match=f"^label {code} outside the alphabet$"):
             phi.image((1, code))
+
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ({"a": "a"}, "no image for generator 'b'"),
+            ({"a": "a", "b": "b", "c": "a"}, "image given for foreign generator 'c'"),
+            ({"a": "a", "c": "b"}, "no image for generator 'b'"),  # missing comes first
+        ],
+        ids=["missing", "foreign", "missing-and-foreign"],
+    )
+    def test_constructor_names_the_bad_generator(self, images, message):
+        images = {name: w(text) for name, text in images.items()}
+        with pytest.raises(UnknownGeneratorError, match=f"^{re.escape(message)}$"):
+            GroupHom(AB, AB, images)
+
+    def test_constructor_takes_any_mapping(self):
+        images = types.MappingProxyType({"b": w("b"), "a": w("a b")})
+        phi = GroupHom(AB, AB, images)
+        assert phi == GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})
+        assert phi.codes == ((1, 2), (2,))
 
     def test_compose_with_identity(self):
         psi = GroupHom(AB, AB, {"a": w("a b"), "b": w("b")})

@@ -682,33 +682,52 @@ def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
 # -- canonical form and export ------------------------------------------
 
 
-def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int], bool]:
+def _bfs_order(
+    g: LabeledGraph, root: int
+) -> tuple[list[int], list[int], bool, list[int]]:
     """Vertices in label-driven breadth-first order from ``root``.
 
     Out-edges are followed in :meth:`Alphabet.letters` order, generator
     before inverse (equal labels at an unfolded vertex in half-edge
     order).  Also returns each vertex's parent half-edge in that search
-    tree, the half-edge that first reached it (-1 at the root), and
-    whether the graph is folded.
+    tree, the half-edge that first reached it (-1 at the root), whether
+    the graph is folded, and the rows: for each vertex reached, in search
+    order, its positively labelled out-half-edges, ordered by generator
+    name as a string.
 
     Only the root's list and lists of more than two half-edges are
-    sorted.  Any other vertex was reached along one of its own
-    half-edges, so at most one more can reach a new vertex: a vertex of
-    degree two follows just that one, and its two labels must differ.
+    sorted, and only theirs are sorted again by name for the rows.  Any
+    other vertex was reached along one of its own half-edges, so at most
+    one more can reach a new vertex: a vertex of degree two follows just
+    that one, and its two labels must differ; one name comparison orders
+    its rows.
     """
     einit, elabel = g.einit, g.elabel
+    names = g.alphabet.generators  # a positive code's token is its name
     out = g._out_lists()
     order = [root]
     parent = [-2] * g.n_vertices  # -2: not reached yet
     parent[root] = -1
+    rows: list[int] = []
     # Alphabet.code_index of a half-edge's label
     key = lambda e: 2 * c - 2 if (c := elabel[e]) > 0 else -2 * c - 1
+    name = lambda e: names[elabel[e] - 1]
     folded = True
     for v in order:  # order grows while it is read
         es = out[v]
         if len(es) == 2 and v != root:
             e, f = es
-            if elabel[e] == elabel[f]:
+            c, d = elabel[e], elabel[f]
+            if c > 0:
+                if d < 0:
+                    rows.append(e)
+                else:
+                    if c == d:
+                        folded = False
+                    rows += (f, e) if names[d - 1] < names[c - 1] else es
+            elif d > 0:
+                rows.append(f)
+            elif c == d:
                 folded = False
             # one of e, f is parent[v] ^ 1, back the way v was reached
             e ^= f ^ parent[v] ^ 1  # the other one
@@ -721,12 +740,15 @@ def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int], bool]:
             es = sorted(es, key=key)  # stable: equal labels keep half-edge order
             if folded and len({elabel[e] for e in es}) != len(es):
                 folded = False
+            rows += sorted([e for e in es if elabel[e] > 0], key=name)
+        elif elabel[es[0]] > 0:  # degree one
+            rows.append(es[0])
         for e in es:
             w = einit[e ^ 1]
             if parent[w] == -2:
                 parent[w] = e
                 order.append(w)
-    return order, parent, folded
+    return order, parent, folded, rows
 
 
 def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
@@ -734,7 +756,9 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
 
     Vertices are renumbered in label-driven breadth-first order from the
     base (or the given root); one line per positively oriented edge,
-    sorted by new tail vertex, then by token as a string.
+    sorted by new tail vertex, then by token as a string.  The search
+    (:func:`_bfs_order`) lists those rows in that order as it reaches
+    each vertex, so this only numbers the vertices and formats the rows.
     """
     if root is None:
         root = g.base
@@ -742,25 +766,16 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
         raise MissingBaseError("canonical form needs a base or explicit root")
     if not 0 <= root < g.n_vertices:
         raise DisconnectedGraphError("root is not a vertex")
-    order, _, folded = _bfs_order(g, root)
+    order, _, folded, rows = _bfs_order(g, root)
     if not folded:
         raise NotFoldedError("canonical form needs a folded graph")
     vnew = [0] * g.n_vertices
     for i, v in enumerate(order):
         vnew[v] = i
-    names = g.alphabet.generators  # a positive code's token is its name
+    names = g.alphabet.generators
     einit, elabel = g.einit, g.elabel
-    # the generators on edges, ranked by name; a folded graph has at most
-    # one positive edge per tail and generator, so (tail, rank) is a key
-    ranked = sorted({abs(c) for c in elabel}, key=lambda c: names[c - 1])
-    by_name = {c: i for i, c in enumerate(ranked)}
-    k, m = len(ranked), len(einit)
-    pos = [e if elabel[e] > 0 else e ^ 1 for e in range(0, m, 2)]
-    # the half-edge rides in the low digits of its row key
-    rows = sorted([(vnew[einit[e]] * k + by_name[elabel[e]]) * m + e for e in pos])
     lines = [
-        f"{vnew[einit[e]]} -{names[elabel[e] - 1]}-> {vnew[einit[e ^ 1]]}"
-        for e in [r % m for r in rows]
+        f"{vnew[einit[e]]} -{names[elabel[e] - 1]}-> {vnew[einit[e ^ 1]]}" for e in rows
     ]
     return "\n".join([f"base {vnew[root]}"] + lines)
 

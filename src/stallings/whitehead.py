@@ -73,13 +73,21 @@ class RestrictionSet:
     codes: frozenset[WhiteheadEdge]
 
     def __post_init__(self):
+        # a set of two codes, a string or a pair of names is no pair of codes
+        # either; repr orders edges of mixed kinds
+        shapeless = [
+            e
+            for e in self.codes
+            if not isinstance(e, tuple) or len(e) != 2 or not all(type(c) is int for c in e)
+        ]
+        if shapeless:
+            e = min(shapeless, key=repr)
+            raise AlphabetMismatchError(f"Whitehead edge {e!r} is not a pair of codes")
         _check_range(self.alphabet, self.codes)
-        bad = [e for e in self.codes if len(e) != 2 or e[0] >= e[1]]
+        bad = [e for e in self.codes if e[0] >= e[1]]
         if not bad:
             return
         e = min(bad)
-        if len(e) != 2:
-            raise AlphabetMismatchError(f"Whitehead edge {e} is not a pair of codes")
         if e[0] == e[1]:
             text = format_edge(self.alphabet, e)
             raise AlphabetMismatchError(f"degenerate Whitehead edge {text}")

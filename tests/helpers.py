@@ -51,6 +51,7 @@ __all__ = [
     "naive_parse",
     "two_path_edges",
     "naive_canonical_form",
+    "naive_search",
     "same_at_some_root",
     "naive_isomorphism",
     "naive_square_isomorphic",
@@ -470,13 +471,14 @@ def two_path_edges(g: LabeledGraph) -> frozenset:
     return frozenset(edges)
 
 
-def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
-    """Canonical text by a plain breadth-first search.
+def naive_search(g: LabeledGraph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root`` and each vertex's parent half-edge.
 
     The out-edges of every vertex are gathered in one scan of the
     half-edges and followed in the order of their letters in
-    ``Alphabet.letters()``; rows are sorted as ``(tail, token, head)``
-    tuples.
+    ``Alphabet.letters()``, equal letters in half-edge order.  A parent
+    is the half-edge that first reached the vertex: -1 at the root, -2
+    at a vertex never reached.
     """
     names = g.alphabet.generators
     letters = list(g.alphabet.letters())
@@ -488,19 +490,31 @@ def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     out: dict[int, list[int]] = {}
     for e in range(g.n_half_edges):
         out.setdefault(g.einit[e], []).append(e)
-    root = g.base if root is None else root
-    number = {root: 0}
-    queue = [root]
-    for v in queue:
+    order = [root]
+    parent = [-2] * g.n_vertices
+    parent[root] = -1
+    for v in order:
         for e in sorted(out.get(v, []), key=lambda e: letters.index(letter(e))):
             w = g.einit[e ^ 1]
-            if w not in number:
-                number[w] = len(number)
-                queue.append(w)
+            if parent[w] == -2:
+                parent[w] = e
+                order.append(w)
+    return order, parent
+
+
+def naive_canonical_form(g: LabeledGraph, root: int | None = None) -> str:
+    """Canonical text by a plain breadth-first search.
+
+    Vertices are numbered in :func:`naive_search` order; rows are sorted
+    as ``(tail, token, head)`` tuples.
+    """
+    names = g.alphabet.generators
+    root = g.base if root is None else root
+    number = {v: i for i, v in enumerate(naive_search(g, root)[0])}
     rows = sorted(
-        (number[g.einit[e]], letter(e).token, number[g.einit[e ^ 1]])
+        (number[g.einit[e]], names[g.elabel[e] - 1], number[g.einit[e ^ 1]])
         for e in range(g.n_half_edges)
-        if letter(e).sign > 0
+        if g.elabel[e] > 0
     )
     lines = [f"base {number[root]}"] + [f"{v} -{t}-> {w}" for v, t, w in rows]
     return "\n".join(lines)

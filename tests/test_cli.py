@@ -43,6 +43,26 @@ class TestCore:
         assert code == 0
         assert out.splitlines() == ["base 0", "0 -a-> 1", "0 -b-> 0", "1 -b-> 1"]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # vertex 2 has degree two and two positive rows, x2 after x10
+            ("x2 x10^-1 x2\n", ["base 0", "0 -x2-> 1", "2 -x10-> 1", "2 -x2-> 0"]),
+            # the second word makes vertex 2 a branch vertex
+            (
+                "x2 x10^-1 x2\nx2 x10^-1 x3 x1\n",
+                ["base 0", "0 -x2-> 1", "2 -x10-> 1", "2 -x2-> 0", "2 -x3-> 3", "3 -x1-> 0"],
+            ),
+        ],
+        ids=["degree-two", "branch"],
+    )
+    def test_rows_sort_by_name_not_letter_order(self, capsys, tmp_path, text, expected):
+        f = tmp_path / "X.txt"
+        f.write_text(text)
+        code, out = run(capsys, "core", str(f))
+        assert code == 0
+        assert out.splitlines() == expected
+
     def test_deterministic(self, capsys, files):
         _, first = run(capsys, "core", files["K"])
         _, second = run(capsys, "core", files["K"])

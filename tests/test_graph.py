@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -39,6 +40,7 @@ from helpers import (
     naive_canonical_form,
     naive_fold,
     naive_is_folded,
+    naive_search,
     naive_trim,
     pointed_graphs,
     random_subgroup,
@@ -482,23 +484,36 @@ class TestSerialization:
 
         Each core is checked at its base, at a vertex of degree two and at
         a branch vertex: the search sorts only the root's and the branch
-        vertices' half-edges.
+        vertices' half-edges.  Its order, parent half-edges and fold flag
+        match :func:`naive_search`, and their digest was recorded before
+        the search listed rows.
         """
         abc = Alphabet.of("a", "b", "c")
         rng = random.Random(2002)
+        digest = hashlib.sha256()
+
+        def check(g: LabeledGraph, root: int) -> None:
+            assert canonical_form(g, root) == naive_canonical_form(g, root)
+            search = _bfs_order(g, root)[:3]
+            assert search == (*naive_search(g, root), naive_is_folded(g))
+            digest.update(repr(search).encode())
+
         for _ in range(3):
             g = gamma(Subgroup._raw(abc, reduced_words(rng, 3, 50, 40)))
             assert canonical_form(g) == naive_canonical_form(g)
+            check(g, g.base)
             for wide in (False, True):
                 roots = [
                     v for v in range(g.n_vertices) if (g.degree(v) > 2) == wide and v != g.base
                 ]
-                root = rng.choice(roots)
-                assert canonical_form(g, root) == naive_canonical_form(g, root)
+                check(g, rng.choice(roots))
         g = permutation_cover(rng, abc, 200)
         assert all(g.degree(v) == 6 for v in range(g.n_vertices))
         for root in [0, *rng.sample(range(1, 200), 3)]:
-            assert canonical_form(g, root) == naive_canonical_form(g, root)
+            check(g, root)
+        assert digest.hexdigest() == (
+            "c5e6a42529cf4228fcddb9ce463973481661559f30f6c9b80562fdd4175790d0"
+        )
 
     @pytest.mark.parametrize(
         "words, root, degree",
@@ -522,6 +537,17 @@ class TestSerialization:
         folded = naive_is_folded(g)
         for root in range(g.n_vertices):
             assert _bfs_order(g, root)[2] == folded
+
+    @given(pointed_graphs(Alphabet.of("x2", "x10", "x1")), st.integers(0, 2**32))
+    def test_rows_match_naive_at_every_root(self, g, seed):
+        """Letter order x2, x10, x1 is not name order, so rows sort by name.
+
+        ``naive_fold`` keeps the vertices of degree one that ``core`` trims.
+        """
+        for h in (core(g), naive_fold(g)):
+            for root in range(h.n_vertices):
+                assert canonical_form(h, root) == naive_canonical_form(h, root)
+            assert canonical_form(relabel(h, random.Random(seed))) == canonical_form(h)
 
     def test_unfolded_bouquet_rejected(self):
         g = bouquet(AB, [codes("a b"), codes("a b^-1")])

@@ -481,6 +481,31 @@ class TestBasis:
     def test_trivial(self):
         assert pi1_basis(gamma(Subgroup(AB, ()))) == []
 
+    @pytest.mark.parametrize(
+        "text, generators, basis",
+        [
+            # three branch vertices; the other vertices have degree two
+            (
+                "a b c a^-1\na c b^-1 c a^-1\nb a c a\n",
+                ("a", "b", "c"),
+                [(1, 2, 3, -1), (1, 2, 2, -3, -1), (2, 1, 3, 1)],
+            ),
+            # letter order that is not name order
+            ("x2 x10^-1 x2\n", ("x2", "x10"), [(-1, 2, -1)]),
+            (
+                "x2 x10^-1 x2\nx2 x10^-1 x3 x1\n",
+                ("x2", "x10", "x3", "x1"),
+                [(-1, 2, -1), (-1, 3, 4)],
+            ),
+        ],
+        ids=["B3", "X2", "X3"],
+    )
+    def test_basis_is_pinned(self, text, generators, basis):
+        """The spanning tree is the label-ordered search's; these bases are literal."""
+        g = gamma(load_subgroup(text))
+        assert g.alphabet.generators == generators
+        assert pi1_basis(g) == basis
+
     @given(g=pointed_graphs())
     def test_basis_generates_the_core(self, g):
         c = core(g)

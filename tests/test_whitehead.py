@@ -154,6 +154,11 @@ class TestWhiteheadGraph:
             ({(2, 1)}, "unordered Whitehead edge (2, 1): code_edge gives (1, 2)"),
             ({(1,)}, "Whitehead edge (1,) is not a pair of codes"),
             ({(1, -2), (3, 4)}, "code 3 outside ('a', 'b')"),
+            # the edge form before code pairs, a string and a pair of names
+            ({frozenset({1, 2})}, "Whitehead edge frozenset({1, 2}) is not a pair of codes"),
+            ({"ab"}, "Whitehead edge 'ab' is not a pair of codes"),
+            ({("a", "b")}, "Whitehead edge ('a', 'b') is not a pair of codes"),
+            ({(1, 2), "ab", frozenset({1, 2})}, "Whitehead edge 'ab' is not a pair of codes"),
         ],
     )
     def test_bad_codes_rejected(self, codes, message):

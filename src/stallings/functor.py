@@ -12,12 +12,11 @@ its 2-core and extending once, so no pointed image core is made.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .errors import (
     AlphabetMismatchError,
     DegenerateHomError,
     InternalError,
+    MissingBaseError,
     NotFoldedError,
     TrivialSubgroupError,
 )
@@ -27,12 +26,11 @@ from .graph import (
     _fold_paths,
     _fold_two_core,
     _spell,
-    _two_core,
     extend_morphism,
     trace,
     unique_pointed_morphism,
 )
-from .words import GroupHom, _check_labels, invert_codes, is_nondegenerate
+from .words import GroupHom, _check_labels, identity_hom, invert_codes, is_nondegenerate
 
 
 def _checked_images(phi: GroupHom) -> tuple[tuple[int, ...], ...]:
@@ -94,36 +92,25 @@ def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
 
 
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
-    """Restrict a morphism of pointed core graphs to the unbased cores.
+    """Restrict a morphism of folded graphs to the unbased cores.
 
     Well defined because a folded source maps hanging paths into hanging
-    paths.  Peeled with no protected vertex, the source drops its
-    hanging path from the base; the junction is where that path ends,
-    or the base (vertex 0 if the source has none) when nothing hangs.
-    A morphism out of a connected graph into a folded one is fixed by
-    one vertex's image, so the restriction is one extension of f's
-    image of the junction; a failure raises.
+    paths.  It is f transported along the identity of its target's
+    alphabet, once f is pointed at its source's base (vertex 0 if the
+    source has none) and that vertex's image, so the source's labels
+    are read over the target's alphabet.  Raises
+    :class:`TrivialSubgroupError` for a tree source.
     """
     g, d = f.source, f.target
     if not (g.is_folded() and d.is_folded()):
         raise NotFoldedError("the unbased core needs a folded graph")
-    s, s_kept, tail = _two_core(g)
-    if s.n_edges == 0:
-        raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    if tail:
-        # g has a cycle, so the last vertex the peel removes hangs off a kept one
-        junction = g.einit[tail[-1] ^ 1]
-    else:  # every vertex is kept
-        junction = 0 if g.base is None else g.base
-    w = f.vmap[junction]
-    t, t_kept, _ = _two_core(d)
-    i = bisect_left(t_kept, w)
-    m = None
-    if i < len(t_kept) and t_kept[i] == w:
-        m = extend_morphism(s, t, bisect_left(s_kept, junction), i)
-    if m is None:
-        raise InternalError("internal error: a kept source part maps into a trimmed part")
-    return m
+    a = d.alphabet
+    v = 0 if g.base is None else g.base
+    labels = a.recode(g.elabel, g.alphabet)
+    source = LabeledGraph(a, g.n_vertices, g.einit, labels, v, _validate=False)
+    target = LabeledGraph(a, d.n_vertices, d.einit, d.elabel, f.vmap[v], _validate=False)
+    pointed = GraphMorphism(source, target, f.vmap, f.emap, _validate=False)
+    return unbased_image_morphism(identity_hom(a), pointed)
 
 
 def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
@@ -151,26 +138,24 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     where the rest of its word leads from the target's junction.  One
     extension from there is the restriction.  Raises
     :class:`DegenerateHomError` when phi sends a generator to the
-    identity, and :class:`TrivialSubgroupError` when the image of the
+    identity, :class:`MissingBaseError` when either end of f has no
+    base point, and :class:`TrivialSubgroupError` when the image of the
     source subgroup is trivial.
     """
     images = _checked_images(phi)
     g, d = f.source, f.target
-    s, s_junction, tail = _fold_two_core(
-        phi.target, g.n_vertices, _paths(phi, images, g), g.base
-    )
-    t, t_junction, stem = _fold_two_core(
-        phi.target, d.n_vertices, _paths(phi, images, d), d.base
-    )
+    g_paths, d_paths = _paths(phi, images, g), _paths(phi, images, d)
+    if g.base is None or d.base is None:
+        raise MissingBaseError("both graphs need base points")
+    s, s_junction, tail = _fold_two_core(phi.target, g.n_vertices, g_paths, g.base)
+    t, t_junction, stem = _fold_two_core(phi.target, d.n_vertices, d_paths, d.base)
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
     k = len(stem)
-    w = None
-    if t_junction is not None and tail[:k] == stem:
-        w = trace(t, t_junction, tail[k:])
+    w = trace(t, t_junction, tail[k:]) if tail[:k] == stem else None
     if w is None:
         raise InternalError("internal error: image cores admit no morphism")
-    m = extend_morphism(s, t, s_junction or 0, w)  # a source with no base seeds at 0
+    m = extend_morphism(s, t, s_junction, w)
     if m is None:
         raise InternalError("internal error: a kept source part maps into a trimmed part")
     return m

@@ -490,20 +490,6 @@ def trim_all(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, g.einit, g.elabel, g.base, kept_v, kept_e)
 
 
-def _two_core(g: LabeledGraph) -> tuple[LabeledGraph, Sequence[int], list[int]]:
-    """The 2-core of ``g``, the vertices of ``g`` it keeps, and what the peel drops.
-
-    The kept vertices are ascending, and the 2-core numbers them in that
-    order.  The dropped half-edges come in removal order, so on a pointed
-    core graph they are its hanging path from the base.  The caller
-    checks that ``g`` is folded.
-    """
-    kept_v, kept_e, dropped = _peel(*_whole(g), None)
-    if not dropped:
-        return g.unbased(), kept_v, dropped
-    return _renumber(g.alphabet, g.einit, g.elabel, None, kept_v, kept_e), kept_v, dropped
-
-
 def two_core(g: LabeledGraph) -> LabeledGraph:
     """Drop the base point and trim; every remaining vertex has degree > 1.
 
@@ -511,7 +497,7 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
     """
     if not g.is_folded():
         raise NotFoldedError("the unbased core needs a folded graph")
-    return _two_core(g)[0]
+    return trim_all(g.unbased())
 
 
 def core(g: LabeledGraph) -> LabeledGraph:
@@ -521,16 +507,11 @@ def core(g: LabeledGraph) -> LabeledGraph:
     are, and the survivors renumbered once.  A subgraph of a folded
     graph is folded, so trimming never undoes the fold.
     """
-    folded = g.is_folded()
-    if folded:
-        einit, vertices, edges = _whole(g)
-        base = g.base
-    else:
-        vrep, einit, vertices, edges = _fold_reps(g)
-        base = None if g.base is None else vrep[g.base]
-    kept_v, kept_e, dropped = _peel(einit, vertices, edges, base)
-    if folded and not dropped:
-        return g
+    if g.is_folded():
+        return trim_all(g)
+    vrep, einit, vertices, edges = _fold_reps(g)
+    base = None if g.base is None else vrep[g.base]
+    kept_v, kept_e, _ = _peel(einit, vertices, edges, base)
     return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
 
 
@@ -606,9 +587,7 @@ def _fold_paths(
     if not folded:
         return core(g)
     if any(d <= 1 and v != base for v, d in enumerate(deg)):
-        kept_v, kept_e, dropped = _peel(*_whole(g), base)
-        if dropped:
-            return _renumber(alphabet, einit, elabel, base, kept_v, kept_e)
+        return trim_all(g)
     return g
 
 
@@ -616,19 +595,19 @@ def _fold_two_core(
     alphabet: Alphabet,
     n_vertices: int,
     paths: Iterable[tuple[int, int, Sequence[int]]],
-    base: int | None,
-) -> tuple[LabeledGraph, int | None, list[int]]:
+    base: int,
+) -> tuple[LabeledGraph, int, list[int]]:
     """The 2-core of :func:`_fold_paths`' core, the base's junction, and its hanging word.
 
     The paths are laid by :func:`_lay_paths`, folded with
     :func:`_fold_reps` when two reads met at different vertices, and
     peeled once with no protected vertex; the 2-core numbers the kept
-    vertices in ascending order, as :func:`_two_core` does.  The
+    vertices in ascending order, as :func:`two_core` does.  The
     junction is the 2-core's vertex where the hanging path from the
     base meets it (the base itself when nothing hangs there), and the
     word is that path's labels from the base, read off the dropped
-    half-edges.  With no base the junction is None; a tree keeps one
-    vertex, which is the junction, and hangs no word.
+    half-edges.  A tree keeps one vertex, which is the junction, and
+    hangs no word.
     """
     einit, elabel, n, deg, folded = _lay_paths(alphabet, n_vertices, paths)
     if folded:
@@ -638,12 +617,11 @@ def _fold_two_core(
     else:
         g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
         vrep, einit, vertices, edges = _fold_reps(g)
-        if base is not None:
-            base = vrep[base]
+        base = vrep[base]
     kept_v, kept_e, dropped = _peel(einit, vertices, edges, None)
     peeled = _renumber(alphabet, einit, elabel, None, kept_v, kept_e)
-    if base is None or not kept_e:
-        return peeled, None if base is None else 0, []
+    if not kept_e:
+        return peeled, 0, []
     # each dropped half-edge leaves the vertex it removes, toward the 2-core
     up = {einit[e]: e for e in dropped}
     word = []

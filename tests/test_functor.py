@@ -8,6 +8,7 @@ from stallings.errors import (
     AlphabetMismatchError,
     DegenerateHomError,
     InternalError,
+    MissingBaseError,
     NotFoldedError,
     TrivialSubgroupError,
     UnknownGeneratorError,
@@ -30,7 +31,7 @@ from stallings.graph import (
     unique_pointed_morphism,
     unpointed_isomorphic,
 )
-from stallings.subgroups import Subgroup, gamma, inclusion_morphism, pi1_basis
+from stallings.subgroups import Subgroup, gamma, inclusion_morphism, load_subgroup, pi1_basis
 from stallings.whitehead import (
     full_whitehead,
     is_restriction_morphism,
@@ -303,10 +304,14 @@ class TestUnbasedCore:
         return GraphMorphism(g, d, (d.base,) * g.n_vertices, (0, 1) * g.n_edges, _validate=False)
 
     def test_trimmed_target_part_is_internal_error(self):
-        """The junction's image is a vertex the target's peel drops."""
+        """The base's image is a vertex the target's peel drops.
+
+        The target's hanging word from there is then no prefix of the
+        source's, which is empty.
+        """
         # the base of <a b a^-1> hangs off its b-loop
         g, d = gamma(H_B), gamma(Subgroup.of(AB, "a b a^-1"))
-        with pytest.raises(InternalError, match="^internal error: a kept source part"):
+        with pytest.raises(InternalError, match="^internal error: image cores admit no morphism$"):
             unbased_core_morphism(self._to_base(g, d))
 
     def test_failed_extension_is_internal_error(self):
@@ -322,15 +327,32 @@ class TestUnbasedCore:
         The kept vertices come from the naive peel; the cores number them
         in ascending order.  Both subgroups are conjugated by one drawn
         word, so that the source often hangs a path from its base, and
-        both branches of the junction are reached.
+        both branches of the junction are reached.  f is the inclusion
+        as built, with its source's base or both bases dropped, or
+        between the subgroups reloaded from their text, each over the
+        alphabet it infers.
         """
-        hangs = set()
+        hangs, kinds = set(), set()
 
-        @given(pair=nested_pairs(), u=st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3))
-        def check(pair, u):
+        def text(h):
+            return "\n".join(h.alphabet.word(codes).text for codes in h.codes)
+
+        @given(
+            pair=nested_pairs(),
+            u=st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3),
+            kind=st.sampled_from(["pointed", "unbased source", "unbased", "reloaded"]),
+        )
+        def check(pair, u, kind):
             u = reduce_codes(u)
-            f = inclusion_morphism(pair[0].conjugate(u), pair[1].conjugate(u))
+            h, k = pair[0].conjugate(u), pair[1].conjugate(u)
+            if kind == "reloaded":
+                h, k = load_subgroup(text(h)), load_subgroup(text(k))
+            f = inclusion_morphism(h, k)
             assume(f.source.n_edges > 0)
+            if kind.startswith("unbased"):
+                d = f.target.unbased() if kind == "unbased" else f.target
+                f = GraphMorphism(f.source.unbased(), d, f.vmap, f.emap)
+            kinds.add(kind)
             out = unbased_core_morphism(f)
             GraphMorphism(out.source, out.target, out.vmap, out.emap)  # raises unless valid
             s_kept, t_kept = naive_kept(f.source), naive_kept(f.target)
@@ -340,6 +362,7 @@ class TestUnbasedCore:
 
         check()
         assert hangs == {False, True}
+        assert len(kinds) == 4
 
     def test_functorial(self):
         rng = random.Random(11)
@@ -397,6 +420,22 @@ class TestTransport:
             TrivialSubgroupError, match="^a tree source has no unbased core morphism$"
         ):
             unbased_image_morphism(identity_hom(AB), m)
+
+    @pytest.mark.parametrize("dropped", ["source", "target", "both"])
+    def test_missing_base_is_rejected(self, dropped):
+        """Each end's hanging word is read from its base, so both need one.
+
+        The target's junction is its vertex 0, but the restriction sends
+        the source's one 2-core vertex to vertex 1, so no seed stands in
+        for a missing base.
+        """
+        f = inclusion_morphism(Subgroup.of(AB, "a b a^-1"), K_DELTA)
+        g = f.source if dropped == "target" else f.source.unbased()
+        d = f.target if dropped == "source" else f.target.unbased()
+        m = GraphMorphism(g, d, f.vmap, f.emap)
+        with pytest.raises(MissingBaseError, match="^both graphs need base points$"):
+            unbased_image_morphism(identity_hom(AB), m)
+        assert unbased_core_morphism(m).vmap == (1,)
 
     def test_degenerate_checked_before_trivial(self):
         g = gamma(Subgroup(AB, (parse_word(""),)))
@@ -563,9 +602,9 @@ class TestTransport:
     def test_one_peel_per_image_core(self, monkeypatch):
         """Transport peels each image core once and builds no pointed one.
 
-        It never runs the 2-core, the pointed image core, the pointed
-        core or an unbased copy, and the fold kernel and the peel do run
-        in some of the draws.
+        It never runs the 2-core, the trim, the pointed image core, the
+        pointed core or an unbased copy, and the fold kernel and the peel
+        do run in some of the draws.
         """
         calls = []
 
@@ -580,9 +619,9 @@ class TestTransport:
 
         for owner, name in [
             (graph_module, "_peel"),
-            (graph_module, "_two_core"),
+            (graph_module, "two_core"),
+            (graph_module, "trim_all"),
             (graph_module, "core"),
-            (functor, "_two_core"),
             (functor, "image_core"),
             (LabeledGraph, "unbased"),
         ]:

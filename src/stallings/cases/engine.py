@@ -251,9 +251,9 @@ def reduce_to(
     of the outer subgroup and matches only the graph pair
     (``GRAPH_PAIR``).  None means no reduction.
     """
-    if renaming.source.generators != target.alphabet.generators:
+    if renaming.source is not target.alphabet:
         return None
-    if renaming.target.generators != child.alphabet.generators:
+    if renaming.target is not child.alphabet:
         return None
     if not is_restriction_morphism(target.restrictions, child.restrictions, renaming):
         return None

@@ -51,7 +51,7 @@ def _paths(
     An image is inverted only for an edge whose even half-edge is
     labelled by an inverse.
     """
-    if g.alphabet is not phi.source and g.alphabet.generators != phi.source.generators:
+    if g.alphabet is not phi.source:
         raise AlphabetMismatchError(
             f"graph over {g.alphabet.generators}, homomorphism from "
             f"{phi.source.generators}"

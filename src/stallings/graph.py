@@ -132,10 +132,10 @@ class LabeledGraph:
     def edge_at(self, v: int, code: int) -> int | None:
         """The unique half-edge at v with the given label code (folded graphs).
 
-        A v that is not a vertex raises ``DisconnectedGraphError``.
+        A v that is no vertex, None too, raises ``DisconnectedGraphError``.
         """
         table = self._edge_table()
-        if not 0 <= v < self.n_vertices:
+        if v is None or not 0 <= v < self.n_vertices:
             raise DisconnectedGraphError(f"{v} is not a vertex")
         return table[v].get(code)
 
@@ -161,10 +161,7 @@ class LabeledGraph:
         """Structural equality: same vertices, half-edges, labels, base."""
         return (
             isinstance(other, LabeledGraph)
-            and (
-                self.alphabet is other.alphabet
-                or self.alphabet.generators == other.alphabet.generators
-            )
+            and self.alphabet is other.alphabet
             and self.n_vertices == other.n_vertices
             and self.einit == other.einit
             and self.elabel == other.elabel
@@ -172,8 +169,7 @@ class LabeledGraph:
         )
 
     def __hash__(self) -> int:
-        # equal generator tuples have equal lengths; the names are not walked
-        return hash((len(self.alphabet), self.n_vertices, self.einit, self.elabel, self.base))
+        return hash((self.alphabet, self.n_vertices, self.einit, self.elabel, self.base))
 
     def __repr__(self) -> str:
         b = f", base={self.base}" if self.base is not None else ""
@@ -344,8 +340,8 @@ def _isomorphism(g: LabeledGraph, d: LabeledGraph, v: int, w: int) -> GraphMorph
     A morphism out of a connected graph into a folded one is fixed by
     one vertex's image, so one extension from v decides it.
     """
-    if (g.n_vertices, g.n_half_edges, g.alphabet.generators) != (
-        d.n_vertices, d.n_half_edges, d.alphabet.generators
+    if g.alphabet is not d.alphabet or (g.n_vertices, g.n_half_edges) != (
+        d.n_vertices, d.n_half_edges
     ):
         return None
     m = extend_morphism(g, d, v, w)
@@ -641,11 +637,11 @@ def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
     The walk reads ``codes`` one at a time and stops at the first code
     with no edge, so it may be a lazy iterator.  The graph must be
     folded: an unfolded one raises ``NotFoldedError`` for every word,
-    the empty word included.  A start that is not a vertex raises
+    the empty word included.  A start that is no vertex, None too, raises
     ``DisconnectedGraphError``, also for the empty word.
     """
     table, einit = g._edge_table(), g.einit
-    if not 0 <= start < g.n_vertices:
+    if start is None or not 0 <= start < g.n_vertices:
         raise DisconnectedGraphError(f"start {start} is not a vertex")
     v = start
     for c in codes:

@@ -293,7 +293,7 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     contained in k, or h is trivial.  The conjugator's codes are over k's
     alphabet; h is recoded into it by name.
     """
-    if h.alphabet != k.alphabet:
+    if h.alphabet is not k.alphabet:
         codes = tuple(k.alphabet.recode(w, h.alphabet) for w in h.codes)
         if any(0 in w for w in codes):  # a reduced word with a name k lacks
             raise NotIncludedError("the first subgroup is not inside the second")

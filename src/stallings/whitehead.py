@@ -189,9 +189,9 @@ def is_restriction_morphism(
     listed per generator, those of (iii) and (iv) by source edge, each
     sorted by edge text.
     """
-    if phi.source.generators != src.alphabet.generators:
+    if phi.source is not src.alphabet:
         raise AlphabetMismatchError("homomorphism source does not match")
-    if phi.target.generators != dst.alphabet.generators:
+    if phi.target is not dst.alphabet:
         raise AlphabetMismatchError("homomorphism target does not match")
     violations: list[str] = []
     for g, codes in zip(phi.source.generators, phi.codes):

@@ -16,10 +16,11 @@ being a generator name optionally suffixed by ``^-1``, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import AlphabetMismatchError, UnknownGeneratorError
 
@@ -243,40 +244,55 @@ def parse_codes(
     if cancelled:  # a name may be gone, or first appear later
         used = dict.fromkeys(map(abs, chain.from_iterable(words)))
         reduced = Alphabet._raw(tuple([names[c - 1] for c in used]))
-        if reduced.generators != alphabet.generators:
+        if reduced is not alphabet:
             table = reduced._renumbering(alphabet.generators)
             words = [tuple(map(table.__getitem__, w)) for w in words]
         alphabet = reduced
     return alphabet, tuple(words)
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """An ordered finite set of generator names.
+    """An ordered finite set of generator names, one live object per names tuple.
 
     It also owns the integer codes that label graph edges: generator i
-    (from 0) has code ``i + 1`` and its inverse ``-(i + 1)``.
+    (from 0) has code ``i + 1`` and its inverse ``-(i + 1)``.  Equal
+    names make one alphabet, so ``==`` and ``hash`` are identity.
     """
 
-    generators: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("generators", "_index", "__weakref__")
 
-    def __post_init__(self):
-        for name in self.generators:
+    def __new__(cls, generators: Iterable[str]) -> "Alphabet":
+        if isinstance(generators, str):
+            raise UnknownGeneratorError(f"generators {generators!r} are one string, not names")
+        generators = generators if isinstance(generators, tuple) else tuple(generators)
+        for name in generators:
             if not _NAME_RE.match(name):
                 raise UnknownGeneratorError(f"bad generator name {name!r}")
-        index = {name: i for i, name in enumerate(self.generators)}
-        if len(index) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise UnknownGeneratorError("duplicate generator names")
-        object.__setattr__(self, "_index", index)
+        return cls._raw(generators)
 
     @classmethod
     def _raw(cls, generators: tuple[str, ...]) -> "Alphabet":
-        """An alphabet of distinct names the parser has already checked."""
-        alphabet = cls.__new__(cls)
-        object.__setattr__(alphabet, "generators", generators)
-        object.__setattr__(alphabet, "_index", dict(zip(generators, count())))
+        """The alphabet of distinct names the parser has already checked."""
+        alphabet = _interned.get(generators)
+        if alphabet is None:
+            alphabet = _interned[generators] = object.__new__(cls)
+            object.__setattr__(alphabet, "generators", generators)
+            object.__setattr__(alphabet, "_index", dict(zip(generators, count())))
         return alphabet
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Alphabet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which hands back the live one
+        return (Alphabet, (self.generators,))
+
+    def __repr__(self) -> str:
+        return f"Alphabet(generators={self.generators!r})"
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
@@ -367,7 +383,7 @@ class Alphabet:
 
         Generators missing here get code 0, which labels nothing.
         """
-        if source is self or source.generators == self.generators:
+        if source is self:
             return codes
         return tuple(map(self._renumbering(source.generators).__getitem__, codes))
 
@@ -386,6 +402,9 @@ class Alphabet:
 
     def without(self, name: str) -> "Alphabet":
         return Alphabet(tuple(g for g in self.generators if g != name))
+
+
+_interned: WeakValueDictionary[tuple[str, ...], Alphabet] = WeakValueDictionary()
 
 
 @dataclass(frozen=True, init=False)
@@ -438,7 +457,7 @@ class GroupHom:
 
 def compose_homs(phi: GroupHom, psi: GroupHom) -> GroupHom:
     """The composite sending x to phi(psi(x))."""
-    if psi.target.generators != phi.source.generators:
+    if psi.target is not phi.source:
         raise AlphabetMismatchError(
             f"cannot compose: {psi.target.generators} vs {phi.source.generators}"
         )

@@ -124,9 +124,9 @@ class TestStructure:
         h = g.unbased()
         assert h.base is None
         assert h._out_lists() is out and h._edge_table() is table
-        # a fresh copy over an equal alphabet that is another object
+        # a fresh copy over an alphabet made anew: equal names give the one alphabet
         fresh = LabeledGraph(Alphabet.of("a", "b"), g.n_vertices, g.einit, g.elabel)
-        assert fresh.alphabet is not h.alphabet
+        assert Alphabet.of("a", "b") is h.alphabet
         assert h == fresh and hash(h) == hash(fresh)
         assert h != g
         assert LabeledGraph(Alphabet.of("a", "c"), g.n_vertices, g.einit, g.elabel) != h
@@ -287,10 +287,14 @@ class TestTrace:
             trace(g, 0, ())
 
     @pytest.mark.parametrize("word", ["b", ""], ids=["word", "empty"])
-    @pytest.mark.parametrize("start", [-1, 2], ids=["negative", "n_vertices"])
+    @pytest.mark.parametrize("start", [-1, 2, None], ids=["negative", "n_vertices", "unbased"])
     def test_start_outside_the_graph_is_rejected(self, start, word):
-        """A negative start does not wrap to the last vertex, nor does one past it index."""
+        """A negative start does not wrap to the last vertex, nor does one past it index.
+
+        None, the base of an unbased graph, is no vertex either.
+        """
         g = gamma(Subgroup.of(AB, "b", "a b a^-1"))
+        assert g.unbased().base is None
         assert g.n_vertices == 2
         with pytest.raises(DisconnectedGraphError, match=f"^start {start} is not a vertex$"):
             trace(g, start, codes(word))

@@ -16,3 +16,20 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_no_generator_tuple_comparisons():
+    """Whether two alphabets are one is decided by ``Alphabet`` alone: by identity."""
+    root = Path(stallings.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "generators"
+            for side in (node.left, *node.comparators)
+        )
+    ]
+    assert not found, found

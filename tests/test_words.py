@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 import re
@@ -26,7 +27,16 @@ from stallings.words import (
     parse_word,
     reduce_codes,
 )
-from stallings.subgroups import Subgroup, contains
+from stallings.functor import (
+    image_core,
+    image_morphism,
+    subdivide,
+    unbased_core_morphism,
+    unbased_image_morphism,
+)
+from stallings.graph import classify, iso_pointed, unpointed_isomorphic
+from stallings.subgroups import Subgroup, contains, gamma, inclusion_morphism, onto_base
+from stallings.whitehead import is_restriction_morphism, preserves_folding, whitehead_graph
 
 from helpers import counting_names, naive_member, naive_parse, naive_reduce
 
@@ -454,6 +464,100 @@ class TestAlphabet:
         list(used.read(Word([Letter("b", 1), Letter("c", -1)])))
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "Alphabet(generators=('a', 'b'))"
+
+
+class TestInterning:
+    """Equal generator tuples make one ``Alphabet``: ``==`` and ``hash`` are identity."""
+
+    @pytest.mark.parametrize(
+        "names",
+        [["a", "b"], ("a", "b"), iter(["a", "b"]), (n for n in "ab"), dict.fromkeys("ab")],
+        ids=["list", "tuple", "iterator", "generator", "dict"],
+    )
+    def test_any_iterable_of_names_is_kept_as_a_tuple(self, names):
+        made = Alphabet(names)
+        assert made is AB and type(made.generators) is tuple and made.generators == ("a", "b")
+        assert made == Alphabet.of("a", "b") and hash(made) == hash(AB)
+        assert hash(identity_hom(made)) == hash(identity_hom(AB))
+        assert made.extended("c") is Alphabet.of("a", "b", "c")
+
+    @pytest.mark.parametrize("names", ["ab", "a", ""])
+    def test_a_lone_string_is_rejected(self, names):
+        with pytest.raises(UnknownGeneratorError, match="one string, not names"):
+            Alphabet(names)
+        with pytest.raises(UnknownGeneratorError, match="one string, not names"):
+            Alphabet(generators=names)
+
+    def test_made_and_parsed_alphabets_are_one(self):
+        parsed = parse_codes([["b", "a", "b^-1"]])[0]
+        assert parsed is Alphabet.of("b", "a") is Alphabet(generators=("b", "a"))
+        assert parse_hom("x -> b a").target is parsed and AB.without("a") is Alphabet.of("b")
+
+    def test_copies_give_back_the_one_immutable_alphabet(self):
+        h = Subgroup.of(AB, "b", "a b a^-1")
+        phi = GroupHom(AB, Alphabet.of("b", "a"), {"a": w("b a"), "b": w("a")})
+        n = whitehead_graph(gamma(h))
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert clone(AB) is AB
+            assert clone(h).alphabet is AB and clone(h) == h
+            assert clone(phi).source is AB and clone(phi).target is phi.target
+            assert clone(phi) == phi and clone(n).alphabet is AB and clone(n) == n
+        for name, value in [("generators", ("b", "a")), ("_index", {}), ("other", 1)]:
+            with pytest.raises(AttributeError, match="^Alphabet is immutable$"):
+                setattr(AB, name, value)
+            with pytest.raises(AttributeError, match="^Alphabet is immutable$"):
+                delattr(AB, name)
+        assert AB.generators == ("a", "b") and AB._index == {"a": 0, "b": 1}
+
+    def test_dropped_alphabets_leave_no_entries(self):
+        gc.collect()
+        before = len(words._interned)
+        for i in range(1000):
+            Alphabet.of("z", f"y{i}")
+            parse_codes([[f"w{i}", "z"]])
+        gc.collect()
+        assert len(words._interned) == before
+
+    def test_wide_alphabets_are_not_walked_between_two(self):
+        """No operation on two subgroups, graphs or homs makes a full pass over their names.
+
+        Construction, ``letters()`` and ``full_whitehead`` are O(rank)
+        by nature and are not run after setup.
+        """
+        passes = []
+        rank = 200_000
+        wide = Alphabet(counting_names((f"x{i}" for i in range(rank)), passes))
+        copy_names = counting_names((f"x{i}" for i in range(rank)), passes)
+        assert copy_names[7] is not wide.generators[7]  # equal names, other string objects
+        other = Alphabet(copy_names)
+        assert other is wide
+        small = Alphabet.of("s", "t")
+        h = Subgroup.of(wide, "x1")
+        k = Subgroup.of(other, "x1", "x0 x1 x0^-1")
+        k_again = Subgroup.of(wide, "x1", "x0 x1 x0^-1")
+        wide_id = identity_hom(other)
+        psi = GroupHom(small, other, {"s": w("x1"), "t": w("x0 x1 x0^-1")})
+        src = whitehead_graph(gamma(Subgroup.of(small, "s", "t s t^-1")))
+        graphs = [gamma(h), gamma(k), gamma(k_again)]
+        passes.clear()
+
+        f = inclusion_morphism(h, k)
+        assert f is not None and onto_base(h, k).morphism.target == gamma(k)
+        assert iso_pointed(gamma(k), gamma(k_again))
+        assert unpointed_isomorphic(gamma(k), gamma(k_again.conjugate((-1,))))
+        assert classify(image_morphism(wide_id, f)).injective
+        assert classify(unbased_core_morphism(f)).injective
+        assert classify(unbased_image_morphism(wide_id, f)).injective
+        assert subdivide(wide_id, gamma(k)) == image_core(wide_id, gamma(k)) == gamma(k)
+        assert preserves_folding(wide_id, gamma(k))
+        dst = whitehead_graph(gamma(k))
+        assert is_restriction_morphism(src, dst, psi)
+        assert h != k == k_again and hash(k) == hash(k_again)
+        composite = compose_homs(wide_id, psi)
+        assert composite == psi and hash(composite) == hash(psi)
+        assert dst == whitehead_graph(graphs[2]) and hash(dst) == hash(whitehead_graph(graphs[1]))
+        assert graphs[1] == graphs[2] != graphs[0] and hash(graphs[1]) == hash(graphs[2])
+        assert passes == []
 
 
 class TestCarriedCodes:

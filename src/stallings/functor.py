@@ -135,8 +135,9 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     pointed morphism sends the base to the base, and from the target's
     base the only way into its 2-core is along the target's word m, so
     the source's word starts with m, and the source's junction goes
-    where the rest of its word leads from the target's junction.  One
-    extension from there is the restriction.  Raises
+    where the rest of its word leads from the target's junction (the
+    target's junction itself when nothing is left).  One extension from
+    there is the restriction.  Raises
     :class:`DegenerateHomError` when phi sends a generator to the
     identity, :class:`MissingBaseError` when either end of f has no
     base point, and :class:`TrivialSubgroupError` when the image of the
@@ -152,7 +153,10 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
     k = len(stem)
-    w = trace(t, t_junction, tail[k:]) if tail[:k] == stem else None
+    w = None
+    if tail[:k] == stem:
+        # an empty rest stays at the junction, so t builds no head table
+        w = trace(t, t_junction, tail[k:]) if len(tail) > k else t_junction
     if w is None:
         raise InternalError("internal error: image cores admit no morphism")
     m = extend_morphism(s, t, s_junction, w)

@@ -34,7 +34,9 @@ class LabeledGraph:
     half-edges carry the orientation chosen at construction time.
     """
 
-    __slots__ = ("alphabet", "n_vertices", "einit", "elabel", "base", "_out", "_lookup")
+    __slots__ = (
+        "alphabet", "n_vertices", "einit", "elabel", "base", "_out", "_lookup", "_heads"
+    )
 
     def __init__(
         self,
@@ -52,6 +54,7 @@ class LabeledGraph:
         self.base = base
         self._out: list[list[int]] | None = None
         self._lookup: list[dict[int, int]] | None = None
+        self._heads: list[dict[int, int]] | None = None
         if _validate:
             self._validate()
 
@@ -116,9 +119,10 @@ class LabeledGraph:
     def _edge_table(self) -> list[dict[int, int]]:
         """Per vertex, label code -> the half-edge leaving it (folded graphs).
 
-        Built on first use and kept.  Two half-edges with one initial
-        vertex and one label share an entry, so a table with fewer
-        entries than half-edges shows the graph is not folded.
+        Built on first use and kept; ``edge_at`` and ``extend_morphism``
+        read it.  Two half-edges with one initial vertex and one label
+        share an entry, so a table with fewer entries than half-edges
+        shows the graph is not folded.
         """
         if self._lookup is None:
             table: list[dict[int, int]] = [{} for _ in range(self.n_vertices)]
@@ -128,6 +132,24 @@ class LabeledGraph:
                 raise NotFoldedError("label lookup needs a folded graph")
             self._lookup = table
         return self._lookup
+
+    def _head_table(self) -> list[dict[int, int]]:
+        """Per vertex, label code -> the head of the half-edge leaving it (folded graphs).
+
+        Built on first use and kept, with ``_edge_table``'s fold check;
+        only :func:`trace` reads it, so a walk takes one lookup per code
+        and a graph that is only walked, such as a subgroup's core graph
+        under membership queries, builds no half-edge table.
+        """
+        if self._heads is None:
+            einit, elabel = self.einit, self.elabel
+            table: list[dict[int, int]] = [{} for _ in range(self.n_vertices)]
+            for e, w in enumerate(einit):
+                table[w][elabel[e]] = einit[e ^ 1]
+            if sum(map(len, table)) != len(einit):
+                raise NotFoldedError("label lookup needs a folded graph")
+            self._heads = table
+        return self._heads
 
     def edge_at(self, v: int, code: int) -> int | None:
         """The unique half-edge at v with the given label code (folded graphs).
@@ -149,12 +171,12 @@ class LabeledGraph:
     def unbased(self) -> "LabeledGraph":
         """The same graph without a base point.
 
-        Neither table depends on the base, so the copy shares those built.
+        No table depends on the base, so the copy shares those built.
         """
         g = LabeledGraph(
             self.alphabet, self.n_vertices, self.einit, self.elabel, None, _validate=False
         )
-        g._out, g._lookup = self._out, self._lookup
+        g._out, g._lookup, g._heads = self._out, self._lookup, self._heads
         return g
 
     def __eq__(self, other) -> bool:
@@ -638,18 +660,18 @@ def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
     with no edge, so it may be a lazy iterator.  The graph must be
     folded: an unfolded one raises ``NotFoldedError`` for every word,
     the empty word included.  A start that is no vertex, None too, raises
-    ``DisconnectedGraphError``, also for the empty word.
+    ``DisconnectedGraphError``, also for the empty word.  Each code is
+    one lookup in the graph's head table (``LabeledGraph._head_table``).
     """
-    table, einit = g._edge_table(), g.einit
+    table = g._head_table()
     if start is None or not 0 <= start < g.n_vertices:
         raise DisconnectedGraphError(f"start {start} is not a vertex")
     v = start
     for c in codes:
         try:
-            e = table[v][c]
+            v = table[v][c]
         except KeyError:
             return None
-        v = einit[e ^ 1]
     return v
 
 

@@ -140,12 +140,20 @@ class Word:
         _set_codes(w, codes)
         return w
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Word is immutable")
 
+    __delattr__ = __setattr__
+
+    def __copy__(self):
+        return self  # immutable, so a copy may be the word itself
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # copy and pickle rebuild through _raw: the slots refuse __setattr__
-        return (Word._raw, (self._names, self._codes))
+        # pickle rebuilds past __setattr__, through _rebuild_word
+        return (_rebuild_word, (self._names, self._codes))
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -184,6 +192,17 @@ class Word:
 
 
 _set_names, _set_codes = Word._names.__set__, Word._codes.__set__  # the slots, past __setattr__
+
+
+def _rebuild_word(names: tuple[str, ...], codes: tuple[int, ...]) -> Word:
+    """An unpickled word, keeping the live alphabet's tuple of its names.
+
+    So an unpickled word over a live alphabet reads over it as its own
+    codes.  Names no live alphabet holds, which nothing may have
+    checked, are kept as they come and not interned.
+    """
+    alphabet = _interned.get(names)
+    return Word._raw(names if alphabet is None else alphabet.generators, codes)
 
 
 def parse_word(text: str) -> Word:

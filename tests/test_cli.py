@@ -144,6 +144,21 @@ class TestMember:
         code, out = run(capsys, "member", files["K"], "-")
         assert code == 1 and out == "true\ntrue\nfalse\ntrue\n"
 
+    def test_rank_ten_queries_recoded_by_name(self, capsys, tmp_path, monkeypatch):
+        """The CLI smoke test's rank-10 batch, in process.
+
+        The subgroup's alphabet is inferred in the order x2, ..., x9, x1,
+        x10; each query keeps its own names in another order, and x11 is
+        foreign.
+        """
+        w = tmp_path / "W.txt"
+        w.write_text("x2 x3 x4 x5 x6 x7 x8 x9 x1\nx10 x2\n")
+        queries = ["x10 x2", "x2^-1 x10^-1", "x2 x3 x4 x5 x6 x7 x8 x9 x1 x10 x2", "x1 x2",
+                   "x10 x2 x11"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(q + "\n" for q in queries)))
+        code, out = run(capsys, "member", str(w), "-")
+        assert code == 1 and out == "true\ntrue\ntrue\nfalse\nfalse\n"
+
     def test_malformed_argument_names_position(self, capsys, files):
         err = usage_error(capsys, "member", files["K"], "b", "a^^")
         assert err.count("\n") == 1 and err.startswith("error: word 2:")

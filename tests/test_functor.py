@@ -445,12 +445,30 @@ class TestTransport:
             unbased_image_morphism(bad, m)
 
     def test_untraced_hanging_path_is_internal_error(self, monkeypatch):
-        # conjugating by a makes the source's image core hang an a-edge
-        monkeypatch.setattr(functor, "trace", lambda g, v, codes: None)
+        """A rest of the source's word that leads nowhere is an internal error.
+
+        Under a -> b, b -> a b a^-1 the source's image core hangs an
+        a-edge and the target's hangs nothing, so the rest is (a,).
+        """
+        phi = GroupHom(AB, AB, {"a": parse_word("b"), "b": parse_word("a b a^-1")})
+        rests = []
+        monkeypatch.setattr(functor, "trace", lambda g, v, codes: rests.append(codes))
         with pytest.raises(
             InternalError, match="^internal error: image cores admit no morphism$"
         ):
-            unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+            unbased_image_morphism(phi, self._root())
+        assert rests == [[1]]
+
+    def test_empty_rest_is_not_traced(self, monkeypatch):
+        """Both image cores hang an a-edge under conjugation by a: the rest is empty.
+
+        The source's junction then goes to the target's, with no walk, so
+        the target builds no head table.
+        """
+        monkeypatch.setattr(functor, "trace", lambda g, v, codes: pytest.fail("traced"))
+        out = unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+        assert classify(out).injective
+        assert out.target._heads is None and out.target._lookup is not None
 
     def test_failed_extension_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(functor, "extend_morphism", lambda g, d, v, w: None)

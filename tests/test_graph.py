@@ -118,12 +118,13 @@ class TestStructure:
             assert AB.decode(g.elabel[e ^ 1]) == AB.decode(g.elabel[e]).inverse()
 
     def test_unbased_copy_shares_built_tables(self):
-        """Neither table depends on the base, so the copy keeps the built ones."""
+        """No table depends on the base, so the copy keeps the built ones."""
         g = delta()
-        out, table = g._out_lists(), g._edge_table()
+        out, table, heads = g._out_lists(), g._edge_table(), g._head_table()
         h = g.unbased()
         assert h.base is None
         assert h._out_lists() is out and h._edge_table() is table
+        assert h._head_table() is heads
         # a fresh copy over an alphabet made anew: equal names give the one alphabet
         fresh = LabeledGraph(Alphabet.of("a", "b"), g.n_vertices, g.einit, g.elabel)
         assert Alphabet.of("a", "b") is h.alphabet
@@ -302,6 +303,21 @@ class TestTrace:
             g.edge_at(start, 2)
         assert [trace(g, v, codes(word)) for v in (0, 1)] == [0, 1]
         assert [g.edge_at(v, 2) for v in (0, 1)] == [0, 4]
+
+    @given(pointed_graphs())
+    def test_one_step_is_the_head_of_the_edge_at(self, g):
+        """A one-code walk ends at the head of the half-edge ``edge_at`` finds.
+
+        The walk reads its own table of heads and builds no half-edge table.
+        """
+        g = core(g)
+        rank = len(g.alphabet)
+        steps = [(v, c) for v in range(g.n_vertices) for c in range(-rank, rank + 1) if c]
+        walked = [trace(g, v, (c,)) for v, c in steps]
+        assert g._heads is not None and g._lookup is None
+        assert walked == [
+            None if (e := g.edge_at(v, c)) is None else g.head(e) for v, c in steps
+        ]
 
     def test_at_most_one_continuation(self):
         rng = random.Random(23)

@@ -404,6 +404,8 @@ class TestMembership:
             expected = naive_member(subgroup(AB, gens), w)
             assert contains(subgroup(AB, gens), w) == expected
             assert contains(warm, w) == expected
+        # the walk reads the head table alone; no half-edge table is built
+        assert gamma(warm)._heads is not None and gamma(warm)._lookup is None
 
     @given(data=st.data())
     def test_three_ways_to_make_a_query(self, data):

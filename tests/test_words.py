@@ -585,6 +585,33 @@ class TestCarriedCodes:
         assert parsed == made and hash(parsed) == hash(made)
         assert parsed != other and made != AB.word((2, 1, 2)) and parsed != AB.word((2, -1))
 
+    def test_words_refuse_setting_and_deleting(self):
+        x = w("b a^-1 b")
+        for name in ("_codes", "_names", "other"):
+            with pytest.raises(AttributeError, match="^Word is immutable$"):
+                setattr(x, name, ())
+            with pytest.raises(AttributeError, match="^Word is immutable$"):
+                delattr(x, name)
+        assert len(x) == 3 and x == w("b a^-1 b")
+
+    def test_copies_keep_the_alphabets_names(self):
+        """A copied or unpickled word over an alphabet keeps its tuple of names.
+
+        So ``read`` hands back its codes, as for the original.  Names no
+        live alphabet holds are not interned by the copy.
+        """
+        parsed, made = w("a b^-1 a"), AB.word((2, -1, 2))
+        assert parsed._names is AB.generators
+        unchecked = Word([Letter("not a name", 1)])
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for x in (parsed, made):
+                out = clone(x)
+                assert out._names is x._names and out == x and hash(out) == hash(x)
+            assert AB.read(clone(made)) == (2, -1, 2)
+            out = clone(unchecked)
+            assert out == unchecked and hash(out) == hash(unchecked)
+            assert ("not a name",) not in words._interned
+
     def test_read_passes_own_codes_through(self):
         ab = Alphabet.of("a", "b")
         codes = (2, -1, 2)

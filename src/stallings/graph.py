@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from . import _kernel
@@ -47,13 +48,15 @@ class LabeledGraph:
         base: int | None = None,
         _validate: bool = True,
     ):
+        if _validate:  # tuples of its own: the caller's lists cannot change it later
+            einit, elabel = tuple(einit), tuple(elabel)
         self.alphabet = alphabet
         self.n_vertices = n_vertices
         self.einit = einit
         self.elabel = elabel
         self.base = base
         self._out: list[list[int]] | None = None
-        self._lookup: list[dict[int, int]] | None = None
+        self._lookup: dict[int, int] | None = None
         self._heads: list[dict[int, int]] | None = None
         if _validate:
             self._validate()
@@ -116,19 +119,23 @@ class LabeledGraph:
         """No two half-edges share an initial vertex and a label."""
         return len(set(zip(self.einit, self.elabel))) == len(self.einit)
 
-    def _edge_table(self) -> list[dict[int, int]]:
-        """Per vertex, label code -> the half-edge leaving it (folded graphs).
+    def _edge_table(self) -> dict[int, int]:
+        """``v * (2r + 1) + code`` -> the half-edge leaving v with that label.
 
-        Built on first use and kept; ``edge_at`` and ``extend_morphism``
-        read it.  Two half-edges with one initial vertex and one label
-        share an entry, so a table with fewer entries than half-edges
-        shows the graph is not folded.
+        For folded graphs; r is the alphabet's rank, so each vertex owns
+        the keys of the codes ``-r..r``.  :func:`_lay_paths` keys its own
+        dict so, and a 2-core laid without renumbering keeps that dict as
+        this table.  Built on first use and kept otherwise; ``edge_at`` and
+        ``extend_morphism`` read it.  Two half-edges with one initial
+        vertex and one label share an entry, so a table with fewer
+        entries than half-edges shows the graph is not folded.
         """
         if self._lookup is None:
-            table: list[dict[int, int]] = [{} for _ in range(self.n_vertices)]
-            for e, w in enumerate(self.einit):
-                table[w][self.elabel[e]] = e
-            if sum(map(len, table)) != len(self.einit):
+            width = 2 * len(self.alphabet) + 1
+            table = {
+                w * width + c: e for e, (w, c) in enumerate(zip(self.einit, self.elabel))
+            }
+            if len(table) != len(self.einit):
                 raise NotFoldedError("label lookup needs a folded graph")
             self._lookup = table
         return self._lookup
@@ -154,12 +161,17 @@ class LabeledGraph:
     def edge_at(self, v: int, code: int) -> int | None:
         """The unique half-edge at v with the given label code (folded graphs).
 
-        A v that is no vertex, None too, raises ``DisconnectedGraphError``.
+        A v that is no vertex, None too, raises ``DisconnectedGraphError``;
+        one that is no int, such as 0.0, raises ``TypeError``.  A code
+        outside the alphabet finds nothing.
         """
         table = self._edge_table()
         if v is None or not 0 <= v < self.n_vertices:
             raise DisconnectedGraphError(f"{v} is not a vertex")
-        return table[v].get(code)
+        rank = len(self.alphabet)
+        if code not in range(-rank, rank + 1):  # its key is another vertex's
+            return None
+        return table.get(index(v) * (2 * rank + 1) + code)
 
     def is_core(self) -> bool:
         """Folded, and every vertex except the base has degree > 1."""
@@ -241,6 +253,8 @@ class GraphMorphism:
         emap: tuple[int, ...],
         _validate: bool = True,
     ):
+        if _validate:  # tuples of its own, as a checked graph keeps
+            vmap, emap = tuple(vmap), tuple(emap)
         self.source = source
         self.target = target
         self.vmap = vmap
@@ -315,22 +329,24 @@ def extend_morphism(
     Requires the target to be folded, which makes the extension unique if
     it exists; returns None when some half-edge has no image or images
     clash.  A seed that is not a vertex of its graph raises
-    ``DisconnectedGraphError``.
+    ``DisconnectedGraphError``, and one that is no int ``TypeError``.
     """
     if not 0 <= seed_vertex < g.n_vertices:
         raise DisconnectedGraphError(f"seed {seed_vertex} is not a vertex")
     if not 0 <= seed_image < d.n_vertices:
         raise DisconnectedGraphError(f"seed image {seed_image} is not a vertex")
-    labels = d.alphabet.recode(g.elabel, g.alphabet)
+    labels = d.alphabet.recode(g.elabel, g.alphabet)  # 0 where d has no such name
     table, out, ginit, dinit = d._edge_table(), g._out_lists(), g.einit, d.einit
+    width = 2 * len(d.alphabet) + 1
     vmap = [-1] * g.n_vertices
     emap = [-1] * g.n_half_edges
-    vmap[seed_vertex] = seed_image
+    vmap[seed_vertex] = index(seed_image)
     stack = [seed_vertex]
     while stack:
         v = stack.pop()
+        key = vmap[v] * width
         for e in out[v]:
-            fe = table[vmap[v]].get(labels[e])
+            fe = table.get(key + labels[e])
             if fe is None:
                 return None
             if emap[e] == -1:
@@ -535,7 +551,7 @@ def core(g: LabeledGraph) -> LabeledGraph:
 
 def _lay_paths(
     alphabet: Alphabet, n_vertices: int, paths: Iterable[tuple[int, int, Sequence[int]]]
-) -> tuple[list[int], list[int], int, list[int], bool]:
+) -> tuple[list[int], list[int], int, list[int], bool, dict[int, int]]:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
     Each path ``(u, v, codes)`` spells a nonempty reduced code word over
@@ -549,10 +565,12 @@ def _lay_paths(
     two reads meet at different vertices, which must be identified,
     the path is spelled plainly and the graph is no longer folded.
     Returns the half-edge arrays, the vertex count, the degrees of the
-    given vertices (meaningful while folded) and whether it is folded.
+    given vertices (meaningful while folded), whether it is folded, and
+    the dict of the laid half-edges; while folded, that dict is the
+    graph's :meth:`LabeledGraph._edge_table`.
     """
     width = 2 * len(alphabet) + 1
-    step: dict[int, int] = {}  # vertex * width + code -> head of that edge
+    step: dict[int, int] = {}  # vertex * width + code -> the half-edge leaving there
     einit: list[int] = []
     elabel: list[int] = []
     deg = [0] * n_vertices  # degrees of the given vertices
@@ -560,10 +578,10 @@ def _lay_paths(
     folded = True
     for u, v, codes in paths:
         i, j, x, y = 0, len(codes), u, v
-        while i < j and (w := step.get(x * width + codes[i])) is not None:
-            x, i = w, i + 1
-        while j > i and (w := step.get(y * width - codes[j - 1])) is not None:
-            y, j = w, j - 1
+        while i < j and (h := step.get(x * width + codes[i])) is not None:
+            x, i = einit[h ^ 1], i + 1
+        while j > i and (h := step.get(y * width - codes[j - 1])) is not None:
+            y, j = einit[h ^ 1], j - 1
         if i == j:
             if x != y:
                 n = _spell(einit, elabel, u, v, codes, n)
@@ -576,17 +594,19 @@ def _lay_paths(
         # the last s codes walk the stem back and lay nothing
         inner = range(n, n + j - s - i - 1)
         end = inner[s - 1] if s else y
+        h = len(einit)
         for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
             einit += (a, b)
             elabel += (c, -c)
-            step[a * width + c] = b
-            step[b * width - c] = a
+            step[a * width + c] = h
+            step[b * width - c] = h + 1
+            h += 2
         n = inner.stop
         if x < n_vertices:
             deg[x] += 1
         if end < n_vertices:
             deg[end] += 1
-    return einit, elabel, n, deg, folded
+    return einit, elabel, n, deg, folded, step
 
 
 def _fold_paths(
@@ -600,7 +620,7 @@ def _fold_paths(
     The paths are laid by :func:`_lay_paths`; when two reads met at
     different vertices, the whole graph goes through :func:`core`.
     """
-    einit, elabel, n, deg, folded = _lay_paths(alphabet, n_vertices, paths)
+    einit, elabel, n, deg, folded, _ = _lay_paths(alphabet, n_vertices, paths)
     g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
     if not folded:
         return core(g)
@@ -625,12 +645,15 @@ def _fold_two_core(
     base meets it (the base itself when nothing hangs there), and the
     word is that path's labels from the base, read off the dropped
     half-edges.  A tree keeps one vertex, which is the junction, and
-    hangs no word.
+    hangs no word.  A 2-core kept as laid keeps the lay's dict as its
+    edge table, so extending into it builds none.
     """
-    einit, elabel, n, deg, folded = _lay_paths(alphabet, n_vertices, paths)
+    einit, elabel, n, deg, folded, step = _lay_paths(alphabet, n_vertices, paths)
     if folded:
         if all(d > 1 for d in deg):  # only the given vertices can hang
-            return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False), base, []
+            g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
+            g._lookup = step
+            return g, base, []
         vertices, edges = range(n), range(0, len(einit), 2)
     else:
         g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
@@ -765,9 +788,9 @@ def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     order, _, folded, rows = _bfs_order(g, root)
     if not folded:
         raise NotFoldedError("canonical form needs a folded graph")
-    vnew = [0] * g.n_vertices
+    vnew = [""] * g.n_vertices  # each vertex's new number, as text
     for i, v in enumerate(order):
-        vnew[v] = i
+        vnew[v] = str(i)
     names = g.alphabet.generators
     einit, elabel = g.einit, g.elabel
     lines = [

@@ -73,18 +73,22 @@ class RestrictionSet:
     codes: frozenset[WhiteheadEdge]
 
     def __post_init__(self):
+        # one snapshot is checked and kept frozen, so a caller's set that
+        # changes later changes neither
+        codes = tuple(self.codes)
         # a set of two codes, a string or a pair of names is no pair of codes
         # either; repr orders edges of mixed kinds
         shapeless = [
             e
-            for e in self.codes
+            for e in codes
             if not isinstance(e, tuple) or len(e) != 2 or not all(type(c) is int for c in e)
         ]
         if shapeless:
             e = min(shapeless, key=repr)
             raise AlphabetMismatchError(f"Whitehead edge {e!r} is not a pair of codes")
-        _check_range(self.alphabet, self.codes)
-        bad = [e for e in self.codes if e[0] >= e[1]]
+        object.__setattr__(self, "codes", frozenset(codes))
+        _check_range(self.alphabet, codes)
+        bad = [e for e in codes if e[0] >= e[1]]
         if not bad:
             return
         e = min(bad)

@@ -373,6 +373,36 @@ class TestFuzz:
         )
         assert code == 0 and "all transported morphisms injective" in out
 
+    @pytest.mark.parametrize(
+        "args, summary",
+        [
+            (["--trials", "200"], "200 trials, alphabet size 3, image length <= 6, seed 0"),
+            *(
+                (["--trials", "2000", "--alphabet-size", a],
+                 f"2000 trials, alphabet size {a}, image length <= 6, seed 0")
+                for a in "125"
+            ),
+            *(
+                (["--trials", "2000", "--seed", "1", "--alphabet-size", a],
+                 f"2000 trials, alphabet size {a}, image length <= 6, seed 1")
+                for a in "123"
+            ),
+            (["--trials", "2000", "--max-len", "1"],
+             "2000 trials, alphabet size 3, image length <= 1, seed 0"),
+            (["--trials", "2000", "--max-len", "12", "--alphabet-size", "2"],
+             "2000 trials, alphabet size 2, image length <= 12, seed 0"),
+        ],
+    )
+    def test_summary_lines(self, capsys, args, summary):
+        """The summary lines CI's shell step pins, each whole.
+
+        At rank 1 the reads of an image path often meet, so the 2-cores
+        take the fold fallback; long images hang long words.
+        """
+        code, out = run(capsys, "fuzz", *args)
+        assert code == 0
+        assert out == f"{summary}: all transported morphisms injective\n"
+
     def test_seed_determinism(self, capsys):
         args = ["fuzz", "--trials", "30", "--seed", "7"]
         _, first = run(capsys, *args)

@@ -470,6 +470,35 @@ class TestTransport:
         assert classify(out).injective
         assert out.target._heads is None and out.target._lookup is not None
 
+    def test_laid_cores_keep_the_lay_table(self, monkeypatch):
+        """A 2-core kept as laid keeps the lay's dict: the table its arrays give.
+
+        Over 500 seeded homs at ranks 1-3; extending into a fresh copy of
+        each target, which builds its own table, gives the same morphism.
+        """
+        fold, cores = functor._fold_two_core, []
+
+        def recorded(*args):
+            out = fold(*args)
+            cores.append((out[0], out[0]._lookup))
+            return out
+
+        monkeypatch.setattr(functor, "_fold_two_core", recorded)
+        rng = random.Random(34)
+        for i in range(500):
+            phi = random_hom(rng, AB, ALPHABETS[i % 3], 6)
+            m = unbased_image_morphism(phi, self._root())
+            t = m.target
+            fresh = LabeledGraph(t.alphabet, t.n_vertices, t.einit, t.elabel, _validate=False)
+            again = graph_module.extend_morphism(m.source, fresh, 0, m.vmap[0])
+            assert (again.vmap, again.emap) == (m.vmap, m.emap)
+        kept = [(c, table) for c, table in cores if table is not None]
+        # both routes run: most cores are kept as laid, some are renumbered
+        assert len(cores) // 2 < len(kept) < len(cores) == 1000
+        for c, table in kept:
+            fresh = LabeledGraph(c.alphabet, c.n_vertices, c.einit, c.elabel, _validate=False)
+            assert table is c._lookup and table == fresh._edge_table()
+
     def test_failed_extension_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(functor, "extend_morphism", lambda g, d, v, w: None)
         with pytest.raises(InternalError, match="^internal error: a kept source part"):

@@ -35,6 +35,7 @@ from stallings.subgroups import Subgroup, covering_circuit, gamma, pi1_basis
 from stallings.words import Alphabet, Letter, parse_word, reduce_codes
 
 from helpers import (
+    ALPHABETS,
     graph,
     hang_path,
     naive_canonical_form,
@@ -131,6 +132,24 @@ class TestStructure:
         assert h == fresh and hash(h) == hash(fresh)
         assert h != g
         assert LabeledGraph(Alphabet.of("a", "c"), g.n_vertices, g.einit, g.elabel) != h
+
+    def test_checked_constructors_keep_tuples(self):
+        """Lists given to a checked graph or morphism are copied into tuples.
+
+        So the graph hashes, equals its tuple-built twin, and a later
+        change to the caller's lists changes neither.
+        """
+        einit, elabel = [0, 0], [1, -1]
+        g = LabeledGraph(AB, 1, einit, elabel, 0)
+        twin = LabeledGraph(AB, 1, (0, 0), (1, -1), 0)
+        assert (g.einit, g.elabel) == ((0, 0), (1, -1))
+        assert g == twin and hash(g) == hash(twin)
+        vmap, emap = [0], [0, 1]
+        m = GraphMorphism(g, twin, vmap, emap)
+        assert (m.vmap, m.emap) == ((0,), (0, 1))
+        einit[0], elabel[0], vmap[0], emap[0] = 5, 2, 5, 1
+        assert g == twin and (g.einit, g.elabel) == ((0, 0), (1, -1))
+        assert (m.vmap, m.emap) == ((0,), (0, 1))
 
     def test_loop_counts_twice_in_degree(self):
         assert b_loop().degree(0) == 2
@@ -326,6 +345,51 @@ class TestTrace:
             for v in range(g.n_vertices):
                 labels = [g.elabel[e] for e in g.out_edges(v)]
                 assert len(labels) == len(set(labels))
+
+
+class TestEdgeTable:
+    """One flat dict per graph: ``v * (2r + 1) + code`` -> the half-edge leaving v."""
+
+    @given(st.sampled_from(ALPHABETS).flatmap(pointed_graphs))
+    def test_edge_at_matches_a_scan(self, g):
+        """Every code in ``-r-1..r+1``, 0 too, at every vertex: the scan's half-edge or None.
+
+        A code past the alphabet's would key a neighbouring vertex's
+        entry.  The fold's quotient built its target's table, so both
+        graphs here are fresh copies, and each builds its own.
+        """
+        f, _ = fold_all(g)
+        folded = LabeledGraph(f.alphabet, f.n_vertices, f.einit, f.elabel, f.base)
+        rank = len(folded.alphabet)
+        scan: dict[tuple[int, int], list[int]] = {}
+        for e, (v, c) in enumerate(zip(folded.einit, folded.elabel)):
+            scan.setdefault((v, c), []).append(e)
+        assert all(len(es) == 1 for es in scan.values())
+        for h in (folded.unbased(), folded):
+            assert h._lookup is None
+            for v in range(h.n_vertices):
+                for c in range(-rank - 1, rank + 2):
+                    assert h.edge_at(v, c) == scan.get((v, c), [None])[0]
+
+    def test_vertex_that_is_no_int_raises(self):
+        """0.0 is no vertex, though its flat key would find vertex 0's entry."""
+        g = delta()
+        assert g.edge_at(0, 1) == 2
+        with pytest.raises(TypeError):
+            g.edge_at(0.0, 1)
+        with pytest.raises(TypeError):
+            extend_morphism(b_loop(), g, 0.0, 0)
+        with pytest.raises(TypeError):
+            extend_morphism(b_loop(), g, 0, 0.0)
+
+    def test_unfolded_target_raises(self):
+        """Two b-edges leave vertex 0: one key, so no table."""
+        g = graph(AB, 2, [(0, 1, B), (0, 1, B)])
+        with pytest.raises(NotFoldedError, match="^label lookup needs a folded graph$"):
+            g.edge_at(0, 2)
+        with pytest.raises(NotFoldedError, match="^label lookup needs a folded graph$"):
+            extend_morphism(b_loop(), g, 0, 0)
+        assert g._lookup is None
 
 
 class TestMorphisms:

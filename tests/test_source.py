@@ -33,3 +33,15 @@ def test_no_generator_tuple_comparisons():
         )
     ]
     assert not found, found
+
+
+def test_sources_parse_as_python_3_10():
+    """Every module, test and benchmark file parses with Python 3.10's grammar.
+
+    The oldest supported Python is 3.10; this checks syntax only.
+    """
+    repo = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (repo / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -166,6 +166,24 @@ class TestWhiteheadGraph:
             RestrictionSet(AB, frozenset(codes))
         assert str(exc.value) == message
 
+    def test_caller_set_is_frozen(self):
+        """The edges are kept as a frozenset.
+
+        So the restriction set hashes, and a later change to the caller's
+        set slips nothing past the check.
+        """
+        codes = {(1, 2)}
+        s = RestrictionSet(AB, codes)
+        assert s.codes == frozenset({(1, 2)}) and isinstance(s.codes, frozenset)
+        assert hash(s) == hash(RestrictionSet(AB, frozenset({(1, 2)})))
+        codes.add((-2, 0))
+        assert s.codes == frozenset({(1, 2)})
+
+    def test_list_edge_keeps_its_message(self):
+        with pytest.raises(AlphabetMismatchError) as exc:
+            RestrictionSet(AB, [[1, 2]])
+        assert str(exc.value) == "Whitehead edge [1, 2] is not a pair of codes"
+
 
 class TestWordLink:
     @given(words_over)

@@ -408,6 +408,8 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 def _fold_reps(g: LabeledGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     """Fold with the kernel, keeping ``g``'s numbering.
 
+    The kernel serves only :func:`core` of an unfolded graph and
+    :func:`fold_all`; paths fold as they are laid (:func:`_lay_paths`).
     Returns the kernel's vertex representative array, the initial vertex
     of every half-edge moved onto its class's representative, the
     representative vertices, and the even half-edge of every
@@ -549,9 +551,74 @@ def core(g: LabeledGraph) -> LabeledGraph:
     return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
 
 
+def _find(rep: dict[int, int], v: int) -> int:
+    """The representative of v's class, pointing v's chain straight at it."""
+    root = v
+    while (w := rep.get(root)) is not None:
+        root = w
+    while v != root:
+        rep[v], v = root, rep[v]
+    return root
+
+
+def _identify(
+    step: dict[int, int],
+    einit: list[int],
+    elabel: list[int],
+    width: int,
+    out: list[list[int]],
+    rep: dict[int, int],
+    x: int,
+    y: int,
+) -> None:
+    """Identify vertices x and y of a lay, and fold until it is folded again.
+
+    Stallings folding with a queue of pending merges.  Each merge moves
+    the half-edges of the vertex with the shorter out-list onto the
+    other, re-keying their ``step`` entries, and ``rep`` maps the
+    absorbed vertex to the other.  A moved half-edge that finds one with
+    its label there is the same edge: of the two, the edge laid first
+    stays, the other's pair leaves ``step`` with initial vertices -1,
+    and their far ends are queued for a merge.  So every kept half-edge
+    starts at a representative, and the lay can read on.
+    """
+    queue = [(x, y)]
+    while queue:
+        a, b = queue.pop()
+        a, b = _find(rep, a), _find(rep, b)
+        if a == b:
+            continue
+        if len(out[a]) > len(out[b]):
+            a, b = b, a
+        rep[a] = b
+        into = out[b]
+        for e in out[a]:
+            if einit[e] < 0:  # dropped
+                continue
+            c = elabel[e]
+            del step[a * width + c]
+            einit[e] = b
+            f = step.get(b * width + c)
+            if f is None or e < f:  # the edge laid first stays
+                step[b * width + c] = e
+                into.append(e)
+                if f is None:
+                    continue
+                e, f = f, e
+            # e and f are one edge now: drop e's pair and identify their far ends
+            p = einit[e ^ 1]
+            del step[p * width - c]
+            einit[e] = einit[e ^ 1] = -1
+            queue.append((p, einit[f ^ 1]))
+        out[a] = []
+
+
 def _lay_paths(
     alphabet: Alphabet, n_vertices: int, paths: Iterable[tuple[int, int, Sequence[int]]]
-) -> tuple[list[int], list[int], int, list[int], bool, dict[int, int]]:
+) -> tuple[
+    list[int], list[int], int, list[int],
+    tuple[list[int], list[int], list[int]] | None, dict[int, int],
+]:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
     Each path ``(u, v, codes)`` spells a nonempty reduced code word over
@@ -560,14 +627,20 @@ def _lay_paths(
     and backward from v along the edges laid so far, and only its unread
     middle is spelled, on fresh vertices numbered in spelling order; a
     middle that starts and ends at one vertex lays its cancelling ends
-    once, as a stem.  So the
-    graph stays folded, and only the given vertices can hang.  When the
-    two reads meet at different vertices, which must be identified,
-    the path is spelled plainly and the graph is no longer folded.
-    Returns the half-edge arrays, the vertex count, the degrees of the
-    given vertices (meaningful while folded), whether it is folded, and
-    the dict of the laid half-edges; while folded, that dict is the
-    graph's :meth:`LabeledGraph._edge_table`.
+    once, as a stem.  So the graph stays folded, and while nothing is
+    identified only the given vertices can hang.  When the two reads
+    meet at different vertices, :func:`_identify` merges them and folds
+    what the merge makes meet; later paths are read from their ends'
+    classes.  Returns the half-edge arrays, the vertex count, the
+    degrees of the given vertices, the identified graph (None when
+    nothing was identified), and the dict of the laid half-edges; when
+    nothing was identified, that dict is the graph's
+    :meth:`LabeledGraph._edge_table`.  The identified graph is each laid
+    vertex's class, named by its least lay number, which the initial
+    vertices of the kept half-edges are rewritten to, then the kept
+    vertices and the kept even half-edges, both ascending; a dropped
+    half-edge starts at -1.  Any vertex, given or fresh, can hang then,
+    and the degrees mean nothing.
     """
     width = 2 * len(alphabet) + 1
     step: dict[int, int] = {}  # vertex * width + code -> the half-edge leaving there
@@ -575,8 +648,11 @@ def _lay_paths(
     elabel: list[int] = []
     deg = [0] * n_vertices  # degrees of the given vertices
     n = n_vertices
-    folded = True
+    rep: dict[int, int] | None = None  # absorbed vertex -> toward its class's representative
+    out: list[list[int]] = []  # per vertex, its half-edges, once anything is identified
     for u, v, codes in paths:
+        if rep:
+            u, v = _find(rep, u), _find(rep, v)
         i, j, x, y = 0, len(codes), u, v
         while i < j and (h := step.get(x * width + codes[i])) is not None:
             x, i = einit[h ^ 1], i + 1
@@ -584,8 +660,12 @@ def _lay_paths(
             y, j = einit[h ^ 1], j - 1
         if i == j:
             if x != y:
-                n = _spell(einit, elabel, u, v, codes, n)
-                folded = False
+                if rep is None:
+                    rep = {}
+                    out = [[] for _ in range(n)]
+                    for e, w in enumerate(einit):
+                        out[w].append(e)
+                _identify(step, einit, elabel, width, out, rep, x, y)
             continue
         s = 0  # the stem: cancelling ends of a middle from x back to x
         while x == y and codes[i + s] == -codes[j - 1 - s]:
@@ -594,7 +674,7 @@ def _lay_paths(
         # the last s codes walk the stem back and lay nothing
         inner = range(n, n + j - s - i - 1)
         end = inner[s - 1] if s else y
-        h = len(einit)
+        first = h = len(einit)
         for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
             einit += (a, b)
             elabel += (c, -c)
@@ -602,11 +682,27 @@ def _lay_paths(
             step[b * width - c] = h + 1
             h += 2
         n = inner.stop
+        if rep is not None:
+            out += [[] for _ in inner]
+            for e in range(first, h):
+                out[einit[e]].append(e)
         if x < n_vertices:
             deg[x] += 1
         if end < n_vertices:
             deg[end] += 1
-    return einit, elabel, n, deg, folded, step
+    if rep is None:
+        return einit, elabel, n, deg, None, step
+    cls = list(range(n))  # each vertex's class, by its least member
+    for a in rep:
+        r = _find(rep, a)  # and now rep[a] == r
+        if a < cls[r]:
+            cls[r] = a
+    for a in rep:
+        cls[a] = cls[rep[a]]
+    einit = [w if w < 0 else cls[w] for w in einit]
+    vertices = [v for v in range(n) if cls[v] == v]
+    edges = [e for e in range(0, len(einit), 2) if einit[e] >= 0]
+    return einit, elabel, n, deg, (cls, vertices, edges), step
 
 
 def _fold_paths(
@@ -617,16 +713,21 @@ def _fold_paths(
 ) -> LabeledGraph:
     """The core of vertices ``0..n_vertices-1`` joined by paths.
 
-    The paths are laid by :func:`_lay_paths`; when two reads met at
-    different vertices, the whole graph goes through :func:`core`.
+    The paths are laid by :func:`_lay_paths`.  A lay that identified
+    nothing is trimmed only when a given vertex hangs; one that did is
+    peeled whole, with the base's class protected, and renumbered once.
     """
-    einit, elabel, n, deg, folded, _ = _lay_paths(alphabet, n_vertices, paths)
-    g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
-    if not folded:
-        return core(g)
-    if any(d <= 1 and v != base for v, d in enumerate(deg)):
-        return trim_all(g)
-    return g
+    einit, elabel, n, deg, merged, _ = _lay_paths(alphabet, n_vertices, paths)
+    if merged is None:
+        g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
+        if any(d <= 1 and v != base for v, d in enumerate(deg)):
+            return trim_all(g)
+        return g
+    cls, vertices, edges = merged
+    if base is not None:
+        base = cls[base]
+    kept_v, kept_e, _ = _peel(einit, vertices, edges, base)
+    return _renumber(alphabet, einit, elabel, base, kept_v, kept_e)
 
 
 def _fold_two_core(
@@ -637,28 +738,27 @@ def _fold_two_core(
 ) -> tuple[LabeledGraph, int, list[int]]:
     """The 2-core of :func:`_fold_paths`' core, the base's junction, and its hanging word.
 
-    The paths are laid by :func:`_lay_paths`, folded with
-    :func:`_fold_reps` when two reads met at different vertices, and
-    peeled once with no protected vertex; the 2-core numbers the kept
-    vertices in ascending order, as :func:`two_core` does.  The
+    The paths are laid by :func:`_lay_paths`, which identifies what
+    meets, and peeled once with no protected vertex; the 2-core numbers
+    the kept vertices in ascending order, as :func:`two_core` does.  The
     junction is the 2-core's vertex where the hanging path from the
-    base meets it (the base itself when nothing hangs there), and the
-    word is that path's labels from the base, read off the dropped
-    half-edges.  A tree keeps one vertex, which is the junction, and
-    hangs no word.  A 2-core kept as laid keeps the lay's dict as its
-    edge table, so extending into it builds none.
+    base meets it (the base's class itself when nothing hangs there),
+    and the word is that path's labels from the base, read off the
+    dropped half-edges.  A tree keeps one vertex, which is the junction,
+    and hangs no word.  A 2-core kept as laid, with nothing identified
+    or peeled, keeps the lay's dict as its edge table, so extending
+    into it builds none.
     """
-    einit, elabel, n, deg, folded, step = _lay_paths(alphabet, n_vertices, paths)
-    if folded:
+    einit, elabel, n, deg, merged, step = _lay_paths(alphabet, n_vertices, paths)
+    if merged is None:
         if all(d > 1 for d in deg):  # only the given vertices can hang
             g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
             g._lookup = step
             return g, base, []
         vertices, edges = range(n), range(0, len(einit), 2)
     else:
-        g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
-        vrep, einit, vertices, edges = _fold_reps(g)
-        base = vrep[base]
+        cls, vertices, edges = merged
+        base = cls[base]
     kept_v, kept_e, dropped = _peel(einit, vertices, edges, None)
     peeled = _renumber(alphabet, einit, elabel, None, kept_v, kept_e)
     if not kept_e:

@@ -16,7 +16,7 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from stallings import _kernel
+from stallings import _kernel, graph as graph_module
 from stallings.cases.fuzz import random_reduced_word
 from stallings.errors import UnknownGeneratorError
 from stallings.graph import (
@@ -35,6 +35,7 @@ __all__ = [
     "image_paths",
     "naive_is_folded",
     "count_folds",
+    "count_identifications",
     "random_reduced_word",
     "list_reduced_word",
     "random_subgroup",
@@ -133,17 +134,30 @@ def naive_is_folded(g: LabeledGraph) -> bool:
     return len(set(zip(g.einit, g.elabel))) == g.n_half_edges
 
 
-def count_folds(monkeypatch) -> list:
-    """Record the arguments of every fold-kernel call from now on."""
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call of ``owner.name`` from now on."""
     calls = []
-    fold = _kernel.fold
+    original = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
-        return fold(*args)
+        return original(*args)
 
-    monkeypatch.setattr(_kernel, "fold", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_folds(monkeypatch) -> list:
+    """Record the arguments of every fold-kernel call from now on."""
+    return _count_calls(monkeypatch, _kernel, "fold")
+
+
+def count_identifications(monkeypatch) -> list:
+    """Record every merge of two vertices that a lay starts where two reads meet.
+
+    The recorded arguments are the lay's own lists, which keep changing.
+    """
+    return _count_calls(monkeypatch, graph_module, "_identify")
 
 
 def list_reduced_word(

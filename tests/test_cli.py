@@ -74,6 +74,35 @@ class TestCore:
         assert code == 0
         assert "doublecircle" in dot.read_text()
 
+    @pytest.mark.parametrize(
+        "text, rows, arrows",
+        [
+            # the reads of a^3 meet; the core keeps a loop at the base and one at vertex 1
+            (
+                "a a\na a a\nb a b^-1\n",
+                ["base 0", "0 -a-> 0", "0 -b-> 1", "1 -a-> 1"],
+                ['0 -> 0 [label="a"];', '0 -> 1 [label="b"];', '1 -> 1 [label="a"];'],
+            ),
+            # <a^4, a^6> = <a^2>: the base stays vertex 0, its class's least number
+            (
+                "a a a a\na a a a a a\n",
+                ["base 0", "0 -a-> 1", "1 -a-> 0"],
+                ['0 -> 1 [label="a"];', '1 -> 0 [label="a"];'],
+            ),
+        ],
+        ids=["two-loops", "square"],
+    )
+    def test_dot_of_meeting_reads(self, capsys, tmp_path, text, rows, arrows):
+        """Pinned: where two reads meet, the lay numbers the core in spelling order."""
+        f, dot = tmp_path / "H.txt", tmp_path / "g.dot"
+        f.write_text(text)
+        code, out = run(capsys, "core", str(f), "--dot", str(dot))
+        assert code == 0
+        assert out.splitlines() == rows
+        vertices = ["0 [shape=doublecircle];", "1 [shape=circle];"]  # two each
+        body = [f"  {line}" for line in ["rankdir=LR;", *vertices, *arrows]]
+        assert dot.read_text().splitlines() == ["digraph stallings {", *body, "}"]
+
     def test_unwritable_dot_exits_2(self, capsys, files):
         dot = files["dir"] / "missing" / "x.dot"
         err = usage_error(capsys, "core", files["K"], "--dot", str(dot))
@@ -391,13 +420,16 @@ class TestFuzz:
              "2000 trials, alphabet size 3, image length <= 1, seed 0"),
             (["--trials", "2000", "--max-len", "12", "--alphabet-size", "2"],
              "2000 trials, alphabet size 2, image length <= 12, seed 0"),
+            (["--trials", "2000", "--max-len", "12", "--alphabet-size", "1"],
+             "2000 trials, alphabet size 1, image length <= 12, seed 0"),
         ],
     )
     def test_summary_lines(self, capsys, args, summary):
         """The summary lines CI's shell step pins, each whole.
 
-        At rank 1 the reads of an image path often meet, so the 2-cores
-        take the fold fallback; long images hang long words.
+        At rank 1 the reads of an image path often meet, and the lay
+        identifies where they do; with long images those merges cascade.
+        Long images also hang long words.
         """
         code, out = run(capsys, "fuzz", *args)
         assert code == 0

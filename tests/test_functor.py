@@ -55,6 +55,7 @@ from stallings.words import (
 from helpers import (
     ALPHABETS,
     count_folds,
+    count_identifications,
     counting_names,
     graph,
     image_paths,
@@ -194,24 +195,32 @@ class TestImageCore:
             image_core(SIGMA, gamma(H_B))
 
     @pytest.mark.parametrize(
-        "images, folds",
+        "images, merges",
         [(("b", "a b a^-1"), 0), (("a", "a a"), 0), (("a a", "a a a"), 1)],
     )
-    def test_fold_kernel_runs_only_when_reads_meet(self, monkeypatch, images, folds):
+    def test_fold_kernel_runs_only_when_reads_meet(self, monkeypatch, images, merges):
+        """The fold kernel never runs: where two reads meet, the lay identifies.
+
+        ``merges`` counts the reads that meet at two different vertices.
+        """
         rose = gamma(Subgroup.of(GREEK, "alpha", "beta"))
         phi = GroupHom(GREEK, AB, dict(zip(GREEK.generators, map(parse_word, images))))
-        calls = count_folds(monkeypatch)
+        folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
         image_core(phi, rose)
-        assert len(calls) == folds
+        assert (len(folds), len(identified)) == (0, merges)
 
     def test_numbering_is_pinned(self):
-        """The exact arrays of an image core whose source has an inverse-labelled edge."""
+        """The exact arrays of an image core whose source has an inverse-labelled edge.
+
+        The reads of the source's second generator meet, and of the two
+        b-edges that the merge makes one, the edge laid first stays.
+        """
         g = gamma(Subgroup.of(AB, "a b^-1 a^-1 b", "b^-1 a b"))
-        assert (g.n_vertices, g.einit, g.elabel) == (2, (0, 0, 1, 1, 1, 0), (1, -1, -1, 1, 2, -2))
+        assert (g.n_vertices, g.einit, g.elabel) == (2, (0, 0, 0, 1, 1, 1), (1, -1, -2, 2, -1, 1))
         phi = GroupHom(AB, AB, {"a": parse_word("a b"), "b": parse_word("b a^-1")})
         c = image_core(phi, g)
         assert (c.n_vertices, c.einit, c.elabel, c.base) == (
-            4, (0, 2, 2, 0, 1, 3, 3, 1, 1, 2), (1, -1, 2, -2, -2, 2, -1, 1, 2, -2), 0
+            4, (0, 2, 2, 0, 2, 1, 1, 3, 3, 1), (1, -1, 2, -2, -2, 2, -2, 2, -1, 1), 0
         )
 
     def test_sigma_image_of_rose(self):
@@ -535,7 +544,7 @@ class TestTransport:
         two reads of a path meet.
         """
         hangs, meets = set(), set()
-        folds = count_folds(monkeypatch)
+        folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
 
         def compare(phi, f):
             g, d = image_core(phi, f.source), image_core(phi, f.target)
@@ -543,9 +552,9 @@ class TestTransport:
                 with pytest.raises(TrivialSubgroupError):
                     unbased_image_morphism(phi, f)
                 return
-            folds.clear()
+            identified.clear()
             out = unbased_image_morphism(phi, f)
-            meets.add(bool(folds))
+            meets.add(bool(identified))
             ref = unbased_core_morphism(functor.image_morphism(phi, f))
             for h, r in ((out.source, ref.source), (out.target, ref.target)):
                 assert (h.n_vertices, h.einit, h.elabel, h.base) == (
@@ -588,10 +597,10 @@ class TestTransport:
             compare(conjugated(target, images, c), self._root())
         # (source hangs, target hangs): a target that hangs a word makes the source hang it
         assert hangs == {(False, False), (True, False), (True, True)}
-        assert meets == {False, True}
+        assert meets == {False, True} and not folds
 
     @pytest.mark.parametrize(
-        "images, hanging, folds, source, target, vmap, emap",
+        "images, hanging, merges, source, target, vmap, emap",
         [
             (
                 ("a b", "b a^-1"), [[], []], 0,
@@ -621,13 +630,14 @@ class TestTransport:
         ids=["clean", "source-peeled", "target-peeled", "reads-meet"],
     )
     def test_numbering_is_pinned(
-        self, monkeypatch, images, hanging, folds, source, target, vmap, emap
+        self, monkeypatch, images, hanging, merges, source, target, vmap, emap
     ):
         """The exact arrays of the example's transport, one hom per route.
 
         Each end's image paths are laid and numbered in spelling order,
-        then peeled and renumbered; the hanging words and the fold-kernel
-        calls show which route each hom takes.
+        then peeled and renumbered; the hanging words and the lay's
+        identifications show which route each hom takes.  The fold kernel
+        never runs.
         """
         fold, words = functor._fold_two_core, []
 
@@ -637,10 +647,10 @@ class TestTransport:
             return out
 
         monkeypatch.setattr(functor, "_fold_two_core", recorded)
-        calls = count_folds(monkeypatch)
+        folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
         phi = GroupHom(AB, AB, dict(zip("ab", map(parse_word, images))))
         m = unbased_image_morphism(phi, self._root())
-        assert (words, len(calls)) == (hanging, folds)
+        assert (words, len(folds), len(identified)) == (hanging, 0, merges)
         assert (m.source.n_vertices, m.source.einit, m.source.elabel) == source
         assert (m.target.n_vertices, m.target.einit, m.target.elabel) == target
         assert m.source.base is None and m.target.base is None
@@ -650,8 +660,8 @@ class TestTransport:
         """Transport peels each image core once and builds no pointed one.
 
         It never runs the 2-core, the trim, the pointed image core, the
-        pointed core or an unbased copy, and the fold kernel and the peel
-        do run in some of the draws.
+        pointed core, an unbased copy or the fold kernel; the peel runs,
+        and the lay identifies meeting reads, in some of the draws.
         """
         calls = []
 
@@ -673,7 +683,7 @@ class TestTransport:
             (LabeledGraph, "unbased"),
         ]:
             count(owner, name)
-        folds = count_folds(monkeypatch)
+        folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
         rng = random.Random(3)
         root = self._root()
         peeled = 0
@@ -688,7 +698,8 @@ class TestTransport:
             unbased_image_morphism(phi, root)
             assert calls == ["_peel"] * len(calls) and len(calls) <= 2
             peeled += len(calls)
-        assert folds and peeled
+        assert not folds
+        assert identified and peeled
     def test_wide_target_alphabet_is_not_walked(self):
         """Transport and classify make no full pass over the target's names."""
         passes = []

@@ -1,0 +1,211 @@
+"""Reads that meet are identified inside the spelling loop.
+
+When the forward and backward reads of a path meet at two different
+vertices, ``graph._lay_paths`` merges them and folds whatever the merge
+makes meet.  Its callers (``gamma``, ``image_core`` and transport) are
+checked here against the naive fold and trim of the spelled paths, on
+draws over ranks 1 and 2 short enough that reads meet and merges
+cascade, and on pinned cases.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stallings import graph as graph_module
+from stallings.errors import TrivialSubgroupError
+from stallings.functor import _paths, image_core, unbased_image_morphism
+from stallings.graph import (
+    GraphMorphism,
+    _fold_two_core,
+    canonical_form,
+    classify,
+    unique_pointed_morphism,
+)
+from stallings.subgroups import Subgroup, gamma, inclusion_morphism
+from stallings.words import GroupHom, invert_codes, parse_word, reduce_codes
+
+from helpers import (
+    ALPHABETS,
+    count_folds,
+    count_identifications,
+    image_paths,
+    naive_canonical_form,
+    naive_fold,
+    naive_trim,
+    nested_pairs,
+    pointed_graphs,
+    random_reduced_word,
+    relabel,
+    same_at_some_root,
+    spelled,
+)
+
+A, AB = ALPHABETS[:2]
+ROOT = unique_pointed_morphism(gamma(Subgroup.of(AB, "b")), gamma(Subgroup.of(AB, "b", "a b a^-1")))
+
+
+def _words(alphabet, max_len: int = 6):
+    """Nonempty reduced code words of at most ``max_len`` letters."""
+    codes = [c for i in range(1, len(alphabet) + 1) for c in (i, -i)]
+    letters = st.lists(st.sampled_from(codes), min_size=1, max_size=max_len)
+    return letters.map(reduce_codes).filter(bool)
+
+
+def _subgroup(alphabet, gens) -> Subgroup:
+    return Subgroup(alphabet, [alphabet.word(w) for w in gens])
+
+
+def _homs(source, target):
+    """Homomorphisms with short nonempty images, so image paths meet often."""
+    images = st.tuples(*[_words(target, 4) for _ in source.generators])
+    return images.map(lambda codes: GroupHom._raw(source, target, codes))
+
+
+def _naive_core(alphabet, n_vertices, paths, base):
+    """The naive fold and trim of the paths spelled plainly."""
+    return naive_trim(naive_fold(spelled(alphabet, n_vertices, paths, base)))
+
+
+def _absorbed(monkeypatch) -> list[int]:
+    """Record, per identification, how many vertices it absorbed."""
+    counts = []
+    identify = graph_module._identify
+
+    def counted(step, einit, elabel, width, out, rep, x, y):
+        before = len(rep)
+        identify(step, einit, elabel, width, out, rep, x, y)
+        counts.append(len(rep) - before)
+
+    monkeypatch.setattr(graph_module, "_identify", counted)
+    return counts
+
+
+class TestAgainstTheOracle:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_gamma(self, data):
+        """gamma's core is the naive one, also folded from a relabelled bouquet.
+
+        The generators in another order, each maybe inverted, meet in
+        another order and must give the same core.
+        """
+        alphabet = data.draw(st.sampled_from([A, AB]))
+        gens = data.draw(st.lists(_words(alphabet), min_size=1, max_size=4))
+        g = gamma(_subgroup(alphabet, gens))
+        assert g.is_core()
+        loops = spelled(alphabet, 1, [(0, 0, w) for w in gens], 0)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        for h in (loops, relabel(loops, rng)):
+            assert canonical_form(g) == naive_canonical_form(naive_trim(naive_fold(h)))
+        moved = [invert_codes(w) if rng.random() < 0.5 else w for w in gens]
+        rng.shuffle(moved)
+        assert canonical_form(gamma(_subgroup(alphabet, moved))) == canonical_form(g)
+
+    @settings(max_examples=200)
+    @given(pointed_graphs(AB), st.data())
+    def test_image_core(self, g, data):
+        """Pointed, relabelled or unpointed: the naive image core."""
+        phi = data.draw(_homs(AB, data.draw(st.sampled_from([A, AB]))))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        for h in (g, relabel(g, rng), g.unbased()):
+            image = image_core(phi, h)
+            oracle = _naive_core(phi.target, h.n_vertices, image_paths(phi, h), h.base)
+            if h.base is None:
+                assert same_at_some_root(image, oracle)
+            else:
+                assert image.is_core()
+                assert canonical_form(image) == naive_canonical_form(oracle)
+
+    @settings(max_examples=200)
+    @given(nested_pairs(), st.data())
+    def test_transport_two_cores(self, pair, data):
+        """Each end's 2-core has the oracle's size and shape.
+
+        The oracle is the naive fold of the spelled image paths, trimmed
+        with no base point; a source whose image is trivial is refused.
+        """
+        f = data.draw(st.sampled_from([ROOT, inclusion_morphism(*pair)]))
+        phi = data.draw(_homs(AB, data.draw(st.sampled_from([A, AB]))))
+        s, t = (
+            _naive_core(phi.target, g.n_vertices, image_paths(phi, g), None)
+            for g in (f.source, f.target)
+        )
+        if s.n_edges == 0:
+            with pytest.raises(TrivialSubgroupError):
+                unbased_image_morphism(phi, f)
+            return
+        m = unbased_image_morphism(phi, f)
+        GraphMorphism(m.source, m.target, m.vmap, m.emap)  # raises unless valid
+        for mine, oracle in ((m.source, s), (m.target, t)):
+            assert (mine.n_vertices, mine.n_edges) == (oracle.n_vertices, oracle.n_edges)
+            assert same_at_some_root(mine, oracle)
+
+    def test_draws_meet_and_cascade(self, monkeypatch):
+        """Draws like the ones above meet, and some merges cascade; the kernel never runs."""
+        folds, absorbed = count_folds(monkeypatch), _absorbed(monkeypatch)
+        rng = random.Random(11)
+        for alphabet in (A, AB) * 100:
+            gens = [random_reduced_word(rng, alphabet, 6) for _ in range(rng.randint(1, 4))]
+            gamma(_subgroup(alphabet, gens))
+            images = tuple(random_reduced_word(rng, alphabet, 4) for _ in "ab")
+            phi = GroupHom._raw(AB, alphabet, images)
+            image_core(phi, ROOT.target)
+            unbased_image_morphism(phi, ROOT)
+        assert not folds
+        assert len(absorbed) > 100 and sum(n > 1 for n in absorbed) > 20
+
+
+class TestPinned:
+    def test_powers_meet_in_a_square(self, monkeypatch):
+        """<a^4, a^6> = <a^2>: the same arrays as the core of a^2 itself."""
+        identified = count_identifications(monkeypatch)
+        g = gamma(Subgroup.of(A, "a a a a", "a a a a a a"))
+        assert len(identified) == 1
+        assert g == gamma(Subgroup.of(A, "a a"))
+        assert (g.n_vertices, g.einit, g.elabel, g.base) == (2, (0, 1, 1, 0), (1, -1, 1, -1), 0)
+
+    def test_a_cascade_makes_a_rose(self, monkeypatch):
+        """The reads of a^10 meet on the 9-cycle of a^9; one merge folds it all."""
+        absorbed = _absorbed(monkeypatch)
+        g = gamma(Subgroup.of(A, " ".join("a" * 9), " ".join("a" * 10)))
+        assert absorbed == [8]
+        assert (g.n_vertices, g.einit, g.elabel, g.base) == (1, (0, 0), (1, -1), 0)
+
+    # a -> b^-1 a^-1 b^2, b -> b^-2 a^-1 b^2: on the example's target
+    # <b, a b a^-1>, the reads of the edge a's image meet at two fresh
+    # vertices, and the merge's cascade takes the base into a fresh vertex
+    BASE_MOVES = GroupHom(
+        AB, AB, {"a": parse_word("b^-1 a^-1 b b"), "b": parse_word("b^-1 b^-1 a^-1 b b")}
+    )
+
+    @staticmethod
+    def _base_moved(identified) -> bool:
+        """Whether the lay's one identification left the base in a fresh vertex's class."""
+        ((*_, rep, _, _),) = identified  # the lay's union-find, as it ended
+        return graph_module._find(rep, 0) >= 2  # 0 and 1 are given
+
+    def test_base_moves_pointed(self, monkeypatch):
+        """The pointed core keeps the base as vertex 0, its class's least number."""
+        identified = count_identifications(monkeypatch)
+        c = image_core(self.BASE_MOVES, ROOT.target)
+        assert self._base_moved(identified)
+        assert (c.n_vertices, c.einit, c.elabel, c.base) == (
+            3, (0, 1, 1, 2, 2, 2, 1, 1), (-2, 2, -2, 2, -1, 1, -1, 1), 0
+        )
+        assert canonical_form(c) == "\n".join(
+            ["base 0", "1 -a-> 1", "1 -b-> 0", "2 -a-> 2", "2 -b-> 1"]
+        )
+
+    def test_base_moves_unbased(self, monkeypatch):
+        """The 2-core drops the base's class; the junction and word lead back to it."""
+        identified = count_identifications(monkeypatch)
+        phi, d = self.BASE_MOVES, ROOT.target
+        core, junction, word = _fold_two_core(AB, d.n_vertices, _paths(phi, phi.codes, d), d.base)
+        assert self._base_moved(identified)
+        assert (core.n_vertices, core.einit, core.elabel) == (
+            2, (0, 1, 1, 1, 0, 0), (-2, 2, -1, 1, -1, 1)
+        )
+        assert (junction, word) == (0, [-2])
+        assert classify(unbased_image_morphism(phi, ROOT)).injective

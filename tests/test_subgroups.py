@@ -43,6 +43,7 @@ from stallings.words import (
 from helpers import (
     ALPHABETS,
     count_folds,
+    count_identifications,
     counting_names,
     hang_path,
     naive_canonical_form,
@@ -147,13 +148,17 @@ class TestGamma:
         assert _assert_matches_oracle([codes(w) for w in gens]) == form
 
     @pytest.mark.parametrize(
-        "gens, folds",
+        "gens, merges",
         [(["b"], 0), (["a b a^-1"], 0), (["a b", "a b^-1 a"], 0), (["a a", "a a a"], 1)],
     )
-    def test_fold_kernel_runs_only_when_reads_meet(self, monkeypatch, gens, folds):
-        calls = count_folds(monkeypatch)
+    def test_fold_kernel_runs_only_when_reads_meet(self, monkeypatch, gens, merges):
+        """The fold kernel never runs: where two reads meet, the lay identifies.
+
+        ``merges`` counts the reads that meet at two different vertices.
+        """
+        folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
         gamma(Subgroup.of(AB, *gens))
-        assert len(calls) == folds
+        assert (len(folds), len(identified)) == (0, merges)
 
     def test_single_loop(self):
         g = gamma(H_B)

@@ -7,7 +7,10 @@ point and trimming the hanging path yields base-point-free core graphs,
 again functorially.  The transport of an inclusion morphism along a
 homomorphism is the three chained, compared up to base-point-free
 isomorphism; it is built by folding each end's image paths straight to
-its 2-core and extending once, so no pointed image core is made.
+its 2-core and extending once, so no pointed image core is made.  Where
+the source's paths begin the target's, they are laid once, and when
+neither 2-core folds or hangs more, the inclusion of the one lay in the
+other is the transport, with no extension.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from .errors import (
 from .graph import (
     GraphMorphism,
     LabeledGraph,
+    _Lay,
     _fold_paths,
     _fold_two_core,
+    _lay_paths,
     _spell,
     extend_morphism,
     trace,
@@ -113,6 +118,11 @@ def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
     return unbased_image_morphism(identity_hom(a), pointed)
 
 
+def _as_laid(core: LabeledGraph, lay: _Lay) -> bool:
+    """Is the lay's 2-core the whole lay, nothing identified or peeled?"""
+    return (core.n_vertices, core.n_half_edges) == (lay[2], len(lay[0]))
+
+
 def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """The unique pointed morphism between the image cores of f's ends.
 
@@ -137,7 +147,17 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     the source's word starts with m, and the source's junction goes
     where the rest of its word leads from the target's junction (the
     target's junction itself when nothing is left).  One extension from
-    there is the restriction.  Raises
+    there is the restriction.
+
+    When both ends have one base and the source's image paths are the
+    target's first ones, as for an inclusion whose target's generators
+    begin with its source's, those paths are laid once, numbered as in
+    the target's lay.  If that shared part identified nothing, the
+    source's 2-core comes from it with its fresh vertices shifted down
+    to follow the source's own, and the same lay goes on with the
+    target's other paths.  If neither 2-core was then identified or
+    peeled, the source's lay sits inside the target's, and that
+    inclusion is the restriction: no walk and no extension.  Raises
     :class:`DegenerateHomError` when phi sends a generator to the
     identity, :class:`MissingBaseError` when either end of f has no
     base point, and :class:`TrivialSubgroupError` when the image of the
@@ -148,10 +168,28 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     g_paths, d_paths = _paths(phi, images, g), _paths(phi, images, d)
     if g.base is None or d.base is None:
         raise MissingBaseError("both graphs need base points")
-    s, s_junction, tail = _fold_two_core(phi.target, g.n_vertices, g_paths, g.base)
-    t, t_junction, stem = _fold_two_core(phi.target, d.n_vertices, d_paths, d.base)
+    a, top, k = phi.target, d.n_vertices, len(g_paths)
+    s_lay = None
+    if g.base == d.base and d_paths[:k] == g_paths:
+        t_lay = _lay_paths(a, top, g_paths)
+        if t_lay[4] is None:  # nothing identified, so the lay can go on
+            einit, elabel, n, deg, _, _ = t_lay
+            shift = top - g.n_vertices
+            own = [w - shift if w >= top else w for w in einit]
+            # no dict: the target's lay keeps growing it
+            s_lay = (own, elabel[:], n - shift, deg[: g.n_vertices], None, None)
+            t_lay = _lay_paths(a, top, d_paths[k:], t_lay)
+    if s_lay is None:
+        s_lay, t_lay = _lay_paths(a, g.n_vertices, g_paths), _lay_paths(a, top, d_paths)
+    s, s_junction, tail = _fold_two_core(a, s_lay, g.base)
+    t, t_junction, stem = _fold_two_core(a, t_lay, d.base)
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
+    # only a shared lay gives the source no dict; kept as laid, the source's
+    # lay sits in the target's, its fresh vertices shifted back up
+    if s_lay[5] is None and _as_laid(s, s_lay) and _as_laid(t, t_lay):
+        vmap = (*range(g.n_vertices), *range(top, top + s.n_vertices - g.n_vertices))
+        return GraphMorphism(s, t, vmap, tuple(range(s.n_half_edges)), _validate=False)
     k = len(stem)
     w = None
     if tail[:k] == stem:

@@ -613,12 +613,20 @@ def _identify(
         out[a] = []
 
 
-def _lay_paths(
-    alphabet: Alphabet, n_vertices: int, paths: Iterable[tuple[int, int, Sequence[int]]]
-) -> tuple[
+# a lay: half-edge arrays, vertex count, the given vertices' degrees, the
+# identified graph (None when nothing was identified) and the laid half-edges' dict
+_Lay = tuple[
     list[int], list[int], int, list[int],
     tuple[list[int], list[int], list[int]] | None, dict[int, int],
-]:
+]
+
+
+def _lay_paths(
+    alphabet: Alphabet,
+    n_vertices: int,
+    paths: Iterable[tuple[int, int, Sequence[int]]],
+    lay: _Lay | None = None,
+) -> _Lay:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
     Each path ``(u, v, codes)`` spells a nonempty reduced code word over
@@ -640,14 +648,20 @@ def _lay_paths(
     vertices of the kept half-edges are rewritten to, then the kept
     vertices and the kept even half-edges, both ascending; a dropped
     half-edge starts at -1.  Any vertex, given or fresh, can hang then,
-    and the degrees mean nothing.
+    and the degrees mean nothing.  Given ``lay``, one it returned for the
+    same given vertices with nothing identified, it spells the paths on
+    in that lay's lists and dict and returns them, as if the paths had
+    followed the lay's own in one call.
     """
     width = 2 * len(alphabet) + 1
-    step: dict[int, int] = {}  # vertex * width + code -> the half-edge leaving there
-    einit: list[int] = []
-    elabel: list[int] = []
-    deg = [0] * n_vertices  # degrees of the given vertices
-    n = n_vertices
+    if lay is None:
+        step: dict[int, int] = {}  # vertex * width + code -> the half-edge leaving there
+        einit: list[int] = []
+        elabel: list[int] = []
+        deg = [0] * n_vertices  # degrees of the given vertices
+        n = n_vertices
+    else:  # nothing identified: the lists, the count and the dict are the whole state
+        einit, elabel, n, deg, _, step = lay
     rep: dict[int, int] | None = None  # absorbed vertex -> toward its class's representative
     out: list[list[int]] = []  # per vertex, its half-edges, once anything is identified
     for u, v, codes in paths:
@@ -731,25 +745,25 @@ def _fold_paths(
 
 
 def _fold_two_core(
-    alphabet: Alphabet,
-    n_vertices: int,
-    paths: Iterable[tuple[int, int, Sequence[int]]],
-    base: int,
+    alphabet: Alphabet, lay: _Lay, base: int
 ) -> tuple[LabeledGraph, int, list[int]]:
-    """The 2-core of :func:`_fold_paths`' core, the base's junction, and its hanging word.
+    """The 2-core of a lay's core, the base's junction, and its hanging word.
 
-    The paths are laid by :func:`_lay_paths`, which identifies what
-    meets, and peeled once with no protected vertex; the 2-core numbers
-    the kept vertices in ascending order, as :func:`two_core` does.  The
+    The lay comes from :func:`_lay_paths`, which identifies what meets,
+    and is peeled once with no protected vertex; the 2-core numbers the
+    kept vertices in ascending order, as :func:`two_core` does.  The
     junction is the 2-core's vertex where the hanging path from the
     base meets it (the base's class itself when nothing hangs there),
     and the word is that path's labels from the base, read off the
     dropped half-edges.  A tree keeps one vertex, which is the junction,
     and hangs no word.  A 2-core kept as laid, with nothing identified
-    or peeled, keeps the lay's dict as its edge table, so extending
-    into it builds none.
+    or peeled, is the whole lay, vertices and half-edges numbered as
+    laid, and keeps the lay's dict as its edge table, so extending into
+    it builds none.  The lists are copied and the dict is kept, so a lay
+    that is spelled on afterwards comes here without its dict (None in
+    its place), and its 2-core builds a table of its own if one is read.
     """
-    einit, elabel, n, deg, merged, step = _lay_paths(alphabet, n_vertices, paths)
+    einit, elabel, n, deg, merged, step = lay
     if merged is None:
         if all(d > 1 for d in deg):  # only the given vertices can hang
             g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)

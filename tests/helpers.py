@@ -134,7 +134,7 @@ def naive_is_folded(g: LabeledGraph) -> bool:
     return len(set(zip(g.einit, g.elabel))) == g.n_half_edges
 
 
-def _count_calls(monkeypatch, owner, name: str) -> list:
+def count_calls(monkeypatch, owner, name: str) -> list:
     """Record the arguments of every call of ``owner.name`` from now on."""
     calls = []
     original = getattr(owner, name)
@@ -149,7 +149,7 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 
 def count_folds(monkeypatch) -> list:
     """Record the arguments of every fold-kernel call from now on."""
-    return _count_calls(monkeypatch, _kernel, "fold")
+    return count_calls(monkeypatch, _kernel, "fold")
 
 
 def count_identifications(monkeypatch) -> list:
@@ -157,7 +157,7 @@ def count_identifications(monkeypatch) -> list:
 
     The recorded arguments are the lay's own lists, which keep changing.
     """
-    return _count_calls(monkeypatch, graph_module, "_identify")
+    return count_calls(monkeypatch, graph_module, "_identify")
 
 
 def list_reduced_word(
@@ -443,6 +443,32 @@ def naive_kept(g: LabeledGraph) -> list[int]:
             break
         alive.remove(leaves[0])
     return alive
+
+
+def covers_every_edge(g: LabeledGraph, words) -> bool:
+    """Do the code words, each read from g's base, cross every edge of g?
+
+    Each word is walked over ``einit`` and ``elabel`` alone, through a
+    dict built here from (vertex, label) to half-edge; no library walk
+    runs.  A word that falls off g, or does not close up at the base,
+    makes the answer False.  For reduced generators of a subgroup H of
+    the subgroup g is the core graph of, this says whether the morphism
+    Gamma(H) -> g is onto: folding the generators' bouquet gives Gamma(H),
+    and folding is onto.
+    """
+    step = {(v, c): e for e, (v, c) in enumerate(zip(g.einit, g.elabel))}
+    crossed = set()
+    for codes in words:
+        v = g.base
+        for c in codes:
+            e = step.get((v, c))
+            if e is None:
+                return False
+            crossed.add(e >> 1)
+            v = g.einit[e ^ 1]
+        if v != g.base:
+            return False
+    return len(crossed) == g.n_edges
 
 
 def naive_member(h: Subgroup, w: Word) -> bool:

@@ -18,7 +18,14 @@ from stallings.graph import (
     iso_pointed,
     trace,
 )
-from stallings.subgroups import Subgroup, contains, gamma, onto_base, pi1_basis
+from stallings.subgroups import (
+    Subgroup,
+    contains,
+    gamma,
+    inclusion_morphism,
+    onto_base,
+    pi1_basis,
+)
 from stallings.whitehead import (
     full_whitehead,
     is_restriction_morphism,
@@ -28,6 +35,7 @@ from stallings.words import Alphabet, cyclic_reduce, invert_codes, reduce_codes
 
 from helpers import (
     ALPHABETS,
+    covers_every_edge,
     image_paths,
     naive_is_folded,
     random_hom,
@@ -105,7 +113,7 @@ class TestAcceptance:
 
     def test_4_onto_base_construction(self):
         rng = random.Random(404)
-        strict_count = 0
+        strict_count = not_onto = 0
         for i in range(500):
             alphabet = ALPHABETS[rng.randrange(1, len(ALPHABETS))]
             k = random_subgroup(rng, alphabet, max_gens=4, max_len=8)
@@ -126,6 +134,12 @@ class TestAcceptance:
             u, f = onto_base(h, k)
             assert trace(gk, gk.base, u) == gk.base, f"conjugator left k at {i}"
             assert classify(f).surjective, f"not onto at {i}"
+            conjugated = [reduce_codes(u + w + invert_codes(u)) for w in h.codes]
+            assert covers_every_edge(gk, conjugated), f"an edge left uncovered at {i}"
+            # unconjugated, the oracle and classify agree either way
+            onto = classify(inclusion_morphism(h, k)).surjective
+            assert covers_every_edge(gk, h.codes) == onto, f"oracle disagrees at {i}"
+            not_onto += not onto
             gh = gamma(h)
             strictly_smaller = any(
                 trace(gh, gh.base, b) != gh.base for b in basis
@@ -133,7 +147,7 @@ class TestAcceptance:
             if strictly_smaller:
                 strict_count += 1
                 assert not classify(f).injective, f"strict but injective at {i}"
-        assert strict_count > 100
+        assert strict_count > 100 and not_onto > 50
         report(
             f"acceptance 4 (onto base via conjugation, 500 nested pairs, "
             f"{strict_count} strict): PASS"

@@ -420,8 +420,11 @@ class TestFuzz:
              "2000 trials, alphabet size 3, image length <= 1, seed 0"),
             (["--trials", "2000", "--max-len", "12", "--alphabet-size", "2"],
              "2000 trials, alphabet size 2, image length <= 12, seed 0"),
-            (["--trials", "2000", "--max-len", "12", "--alphabet-size", "1"],
-             "2000 trials, alphabet size 1, image length <= 12, seed 0"),
+            *(
+                (["--trials", "2000", "--max-len", "12", "--alphabet-size", a],
+                 f"2000 trials, alphabet size {a}, image length <= 12, seed 0")
+                for a in "135"
+            ),
         ],
     )
     def test_summary_lines(self, capsys, args, summary):
@@ -429,7 +432,9 @@ class TestFuzz:
 
         At rank 1 the reads of an image path often meet, and the lay
         identifies where they do; with long images those merges cascade.
-        Long images also hang long words.
+        Long images also hang long words; at ranks 3 and 5 most of those
+        trials lay the source's path inside the target's and skip the
+        extension, and the rest fold or peel and extend.
         """
         code, out = run(capsys, "fuzz", *args)
         assert code == 0

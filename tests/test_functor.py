@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -54,6 +55,7 @@ from stallings.words import (
 
 from helpers import (
     ALPHABETS,
+    count_calls,
     count_folds,
     count_identifications,
     counting_names,
@@ -484,12 +486,15 @@ class TestTransport:
 
         Over 500 seeded homs at ranks 1-3; extending into a fresh copy of
         each target, which builds its own table, gives the same morphism.
+        The example's source path is the start of its target's lay, which
+        goes on filling the dict, so the source's 2-core is given none and
+        keeps none.
         """
         fold, cores = functor._fold_two_core, []
 
-        def recorded(*args):
-            out = fold(*args)
-            cores.append((out[0], out[0]._lookup))
+        def recorded(alphabet, lay, base):
+            out = fold(alphabet, lay, base)
+            cores.append((out[0], lay[5], out[0]._lookup))
             return out
 
         monkeypatch.setattr(functor, "_fold_two_core", recorded)
@@ -501,12 +506,86 @@ class TestTransport:
             fresh = LabeledGraph(t.alphabet, t.n_vertices, t.einit, t.elabel, _validate=False)
             again = graph_module.extend_morphism(m.source, fresh, 0, m.vmap[0])
             assert (again.vmap, again.emap) == (m.vmap, m.emap)
-        kept = [(c, table) for c, table in cores if table is not None]
-        # both routes run: most cores are kept as laid, some are renumbered
-        assert len(cores) // 2 < len(kept) < len(cores) == 1000
-        for c, table in kept:
+        sources, targets = cores[0::2], cores[1::2]
+        assert len(sources) == len(targets) == 500
+        assert all(given is None and table is None for _, given, table in sources)
+        kept = [(c, given, table) for c, given, table in targets if table is not None]
+        # both routes run: some targets are kept as laid, some are renumbered
+        assert 0 < len(kept) < len(targets)
+        for c, given, table in kept:
             fresh = LabeledGraph(c.alphabet, c.n_vertices, c.einit, c.elabel, _validate=False)
-            assert table is c._lookup and table == fresh._edge_table()
+            assert table is given and table == fresh._edge_table()
+
+    def test_source_path_is_laid_once(self, monkeypatch):
+        """The source's path is laid once, and extended only if something folds or hangs.
+
+        Over 500 seeded homs at ranks 1-3, the path spelling phi(b) from
+        the base is laid once per trial: as the source's lay and as the
+        start of the target's.  The extension runs exactly on the trials
+        where a lay identified two vertices or a 2-core was peeled, and
+        both kinds of trial occur.
+        """
+        lay, laid = functor._lay_paths, []
+
+        def recorded(alphabet, n_vertices, paths, *rest):
+            paths = list(paths)
+            laid.extend(paths)
+            return lay(alphabet, n_vertices, paths, *rest)
+
+        monkeypatch.setattr(functor, "_lay_paths", recorded)
+        peeled = count_calls(monkeypatch, graph_module, "_peel")
+        identified = count_identifications(monkeypatch)
+        extended = count_calls(monkeypatch, functor, "extend_morphism")
+        rng = random.Random(36)
+        root = self._root()
+        skipped = 0
+        for i in range(500):
+            phi = random_hom(rng, AB, ALPHABETS[i % 3], 6)
+            for calls in (laid, peeled, identified, extended):
+                calls.clear()
+            unbased_image_morphism(phi, root)
+            assert laid.count((0, 0, phi.codes[1])) == 1
+            assert len(extended) == bool(peeled or identified)
+            skipped += not extended
+        assert 0 < skipped < 500
+
+    def test_paths_shared_under_another_base_are_laid_apart(self):
+        """A source whose paths begin the target's, based elsewhere, is not shared.
+
+        Both ends have Gamma<a a>'s arrays, the source based at vertex 1
+        and the target at 0, so f swaps the two vertices.  The inclusion
+        of one lay in the other would fix them.
+        """
+        c = gamma(Subgroup.of(AB, "a a"))
+        f = unique_pointed_morphism(LabeledGraph(AB, c.n_vertices, c.einit, c.elabel, 1), c)
+        assert f.vmap == (1, 0)
+        m = unbased_image_morphism(identity_hom(AB), f)
+        assert (m.vmap, m.emap) == (f.vmap, f.emap)
+
+    def test_shared_lay_agrees_with_separate_lays(self):
+        """Every hom F{a,b} -> F{x1,x2} with images of length 1-3, both routes.
+
+        Gamma<b>'s edge is the first edge of Gamma<b, a b a^-1>, so that
+        transport lays the source's path once; with K's generators
+        swapped it is not, and each end is laid apart.  Each transport is
+        injective, the two classify alike, and their ends are isomorphic.
+        """
+        root = self._root()
+        swapped = unique_pointed_morphism(gamma(H_B), gamma(Subgroup.of(AB, "a b a^-1", "b")))
+        first = lambda f: (f.target.einit[:2], f.target.elabel[:2])
+        assert first(root) == (root.source.einit, root.source.elabel) != first(swapped)
+        x = Alphabet.of("x1", "x2")
+        words = [
+            w for n in (1, 2, 3) for w in itertools.product((1, -1, 2, -2), repeat=n)
+            if reduce_codes(w) == w
+        ]
+        assert len(words) == 52
+        for images in itertools.product(words, repeat=2):
+            phi = GroupHom._raw(AB, x, images)
+            shared, apart = unbased_image_morphism(phi, root), unbased_image_morphism(phi, swapped)
+            assert classify(shared) == classify(apart) and classify(shared).injective
+            assert unpointed_isomorphic(shared.source, apart.source)
+            assert unpointed_isomorphic(shared.target, apart.target)
 
     def test_failed_extension_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(functor, "extend_morphism", lambda g, d, v, w: None)
@@ -543,8 +622,9 @@ class TestTransport:
         target hangs too (its word is stripped from the source's), and
         two reads of a path meet.
         """
-        hangs, meets = set(), set()
+        hangs, meets, extends = set(), set(), set()
         folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
+        extended = count_calls(monkeypatch, functor, "extend_morphism")
 
         def compare(phi, f):
             g, d = image_core(phi, f.source), image_core(phi, f.target)
@@ -553,8 +633,10 @@ class TestTransport:
                     unbased_image_morphism(phi, f)
                 return
             identified.clear()
+            extended.clear()
             out = unbased_image_morphism(phi, f)
             meets.add(bool(identified))
+            extends.add(bool(extended))
             ref = unbased_core_morphism(functor.image_morphism(phi, f))
             for h, r in ((out.source, ref.source), (out.target, ref.target)):
                 assert (h.n_vertices, h.einit, h.elabel, h.base) == (
@@ -598,30 +680,32 @@ class TestTransport:
         # (source hangs, target hangs): a target that hangs a word makes the source hang it
         assert hangs == {(False, False), (True, False), (True, True)}
         assert meets == {False, True} and not folds
+        # the example's source lay sits in its target's when nothing folds or hangs
+        assert extends == {False, True}
 
     @pytest.mark.parametrize(
-        "images, hanging, merges, source, target, vmap, emap",
+        "images, hanging, merges, extended, source, target, vmap, emap",
         [
             (
-                ("a b", "b a^-1"), [[], []], 0,
+                ("a b", "b a^-1"), [[], []], 0, 0,
                 (2, (0, 1, 1, 0), (2, -2, -1, 1)),
                 (4, (0, 2, 2, 0, 2, 1, 1, 3, 3, 1), (2, -2, -1, 1, 2, -2, 2, -2, -1, 1)),
                 (0, 2), (0, 1, 2, 3),
             ),
             (
-                ("b", "a b a^-1"), [[1], []], 0,
+                ("b", "a b a^-1"), [[1], []], 0, 1,
                 (1, (0, 0), (2, -2)),
                 (4, (0, 2, 2, 2, 0, 1, 1, 3, 3, 3), (1, -1, 2, -2, 2, -2, 1, -1, 2, -2)),
                 (2,), (2, 3),
             ),
             (
-                ("a a", "a b a^-1"), [[1], [1]], 0,
+                ("a a", "a b a^-1"), [[1], [1]], 0, 1,
                 (1, (0, 0), (2, -2)),
                 (3, (1, 1, 1, 0, 0, 2, 2, 2), (2, -2, 1, -1, 1, -1, 2, -2)),
                 (1,), (0, 1),
             ),
             (
-                ("a b", "b^-1 a b"), [[-2], []], 1,
+                ("a b", "b^-1 a b"), [[-2], []], 1, 1,
                 (1, (0, 0), (1, -1)),
                 (2, (0, 1, 1, 1, 0, 0), (-2, 2, 1, -1, 1, -1)),
                 (1,), (2, 3),
@@ -630,14 +714,16 @@ class TestTransport:
         ids=["clean", "source-peeled", "target-peeled", "reads-meet"],
     )
     def test_numbering_is_pinned(
-        self, monkeypatch, images, hanging, merges, source, target, vmap, emap
+        self, monkeypatch, images, hanging, merges, extended, source, target, vmap, emap
     ):
         """The exact arrays of the example's transport, one hom per route.
 
         Each end's image paths are laid and numbered in spelling order,
-        then peeled and renumbered; the hanging words and the lay's
-        identifications show which route each hom takes.  The fold kernel
-        never runs.
+        the source's as the start of the target's lay, then peeled and
+        renumbered; the hanging words, the lay's identifications and the
+        extensions show which route each hom takes.  Where nothing hangs
+        or meets, the source's lay sits in the target's and nothing is
+        extended.  The fold kernel never runs.
         """
         fold, words = functor._fold_two_core, []
 
@@ -648,9 +734,11 @@ class TestTransport:
 
         monkeypatch.setattr(functor, "_fold_two_core", recorded)
         folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
+        extensions = count_calls(monkeypatch, functor, "extend_morphism")
         phi = GroupHom(AB, AB, dict(zip("ab", map(parse_word, images))))
         m = unbased_image_morphism(phi, self._root())
         assert (words, len(folds), len(identified)) == (hanging, 0, merges)
+        assert len(extensions) == extended
         assert (m.source.n_vertices, m.source.einit, m.source.elabel) == source
         assert (m.target.n_vertices, m.target.einit, m.target.elabel) == target
         assert m.source.base is None and m.target.base is None

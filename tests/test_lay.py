@@ -19,6 +19,7 @@ from stallings.functor import _paths, image_core, unbased_image_morphism
 from stallings.graph import (
     GraphMorphism,
     _fold_two_core,
+    _lay_paths,
     canonical_form,
     classify,
     unique_pointed_morphism,
@@ -202,7 +203,8 @@ class TestPinned:
         """The 2-core drops the base's class; the junction and word lead back to it."""
         identified = count_identifications(monkeypatch)
         phi, d = self.BASE_MOVES, ROOT.target
-        core, junction, word = _fold_two_core(AB, d.n_vertices, _paths(phi, phi.codes, d), d.base)
+        lay = _lay_paths(AB, d.n_vertices, _paths(phi, phi.codes, d))
+        core, junction, word = _fold_two_core(AB, lay, d.base)
         assert self._base_moved(identified)
         assert (core.n_vertices, core.einit, core.elabel) == (
             2, (0, 1, 1, 1, 0, 0), (-2, 2, -1, 1, -1, 1)

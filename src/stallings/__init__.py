@@ -86,5 +86,6 @@ from .words import (
 
 __version__ = "0.1.0"
 
-# The only fold kernel; perfbench's info line reads this name.
+# Names the old fold kernel, which no library function calls any more;
+# perfbench's info line reads this name.
 kernel_backend = "python"

@@ -17,6 +17,7 @@ from typing import NoReturn
 
 from .cases import fuzz_example, render_tsv, verify_tables
 from .errors import InternalError, NotIncludedError, StallingsError, TrivialSubgroupError
+from .functor import image_core
 from .graph import canonical_form, classify, to_dot
 from .subgroups import (
     Subgroup,
@@ -132,10 +133,7 @@ def _cmd_onto_base(args) -> int:
 def _cmd_fphi(args) -> int:
     phi = _parse(args.hom, parse_hom, _read(args.hom))
     h = _load(args.subgroup, phi.source)
-    # phi(H) is generated by the images of H's generators; this also
-    # covers homs that send a generator to the identity
-    image = Subgroup._raw(phi.target, tuple(map(phi.image, h.codes)))
-    _emit_graph(gamma(image), args.dot)
+    _emit_graph(image_core(phi, gamma(h)), args.dot)
     return 0
 
 

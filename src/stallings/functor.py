@@ -38,14 +38,18 @@ from .graph import (
 from .words import GroupHom, _check_labels, identity_hom, invert_codes, is_nondegenerate
 
 
+def _target_images(phi: GroupHom) -> tuple[tuple[int, ...], ...]:
+    """phi's image code words, once each is checked over phi's target."""
+    for codes in phi.codes:
+        _check_labels(phi.target, codes)
+    return phi.codes
+
+
 def _checked_images(phi: GroupHom) -> tuple[tuple[int, ...], ...]:
     """phi's image code words, once each is checked nonempty and over phi's target."""
     if not is_nondegenerate(phi):
         raise DegenerateHomError("subdivision needs nonempty images")
-    target = phi.target
-    for codes in phi.codes:
-        _check_labels(target, codes)
-    return phi.codes
+    return _target_images(phi)
 
 
 def _paths(
@@ -88,12 +92,14 @@ def subdivide(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
 
 
 def image_core(phi: GroupHom, g: LabeledGraph) -> LabeledGraph:
-    """Core of the subdivision: the core graph of the image subgroup.
+    """The core graph of the image subgroup: g's image paths, folded.
 
     Each edge's image path is folded in as it is spelled, so the
-    subdivision itself is never built.
+    subdivision itself is never built.  An edge whose image is empty
+    joins its ends instead, so phi may send a generator to the identity;
+    all images empty give the one-vertex graph.
     """
-    return _fold_paths(phi.target, g.n_vertices, _image_paths(phi, g), g.base)
+    return _fold_paths(phi.target, g.n_vertices, _paths(phi, _target_images(phi), g), g.base)
 
 
 def unbased_core_morphism(f: GraphMorphism) -> GraphMorphism:
@@ -127,7 +133,8 @@ def image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     """The unique pointed morphism between the image cores of f's ends.
 
     It always exists: f makes its source's subgroup H a subgroup of its
-    target's K, and then phi(H) lies in phi(K).
+    target's K, and then phi(H) lies in phi(K).  As for
+    :func:`image_core`, phi may send a generator to the identity.
     """
     m = unique_pointed_morphism(image_core(phi, f.source), image_core(phi, f.target))
     if m is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Sequence
 
-from . import _kernel
+from . import _kernel  # unused here; loaded so perfbench's tracer can wrap _kernel.fold
 from .errors import (
     AlphabetMismatchError,
     DisconnectedGraphError,
@@ -405,34 +405,25 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 # -- folding / trimming / core ---------------------------------------
 
 
-def _fold_reps(g: LabeledGraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Fold with the kernel, keeping ``g``'s numbering.
-
-    The kernel serves only :func:`core` of an unfolded graph and
-    :func:`fold_all`; paths fold as they are laid (:func:`_lay_paths`).
-    Returns the kernel's vertex representative array, the initial vertex
-    of every half-edge moved onto its class's representative, the
-    representative vertices, and the even half-edge of every
-    representative edge (both ascending).
-    """
-    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel)
-    einit = [vrep[v] for v in g.einit]
-    vertices = [v for v, r in enumerate(vrep) if r == v]
-    # the representatives of a class and of its reverse form one edge
-    edges = [e for e in range(0, len(erep), 2) if erep[e] == e]
-    return vrep, einit, vertices, edges
+def _edge_paths(g: LabeledGraph) -> list[tuple[int, int, tuple[int]]]:
+    """Each edge of g as a one-letter path ``(tail, head, (label,))`` to lay."""
+    einit = g.einit
+    return [(u, v, (c,)) for u, v, c in zip(einit[::2], einit[1::2], g.elabel[::2])]
 
 
 def fold_all(g: LabeledGraph) -> tuple[LabeledGraph, GraphMorphism]:
     """Fold completely; return the folded graph and the quotient morphism.
 
-    The quotient is the extension of vertex 0's image, its class's
-    representative in the folded numbering.
+    g's edges are laid as one-letter paths (:func:`_lay_paths`), so each
+    class of vertices keeps its least number's place and each edge is
+    the one laid first.  Vertex 0 is the least of its class, so the
+    quotient is the extension of 0 to 0.
     """
-    vrep, einit, vertices, edges = _fold_reps(g)
-    base = None if g.base is None else vrep[g.base]
-    folded = _renumber(g.alphabet, einit, g.elabel, base, vertices, edges)
-    quotient = extend_morphism(g, folded, 0, bisect_left(vertices, vrep[0]))
+    einit, elabel, n, _, merged, _ = _lay_paths(g.alphabet, g.n_vertices, _edge_paths(g))
+    cls, vertices, edges = merged or (range(n), range(n), range(0, len(einit), 2))
+    base = None if g.base is None else cls[g.base]
+    folded = _renumber(g.alphabet, einit, elabel, base, vertices, edges)
+    quotient = extend_morphism(g, folded, 0, 0)
     if quotient is None:
         raise InternalError("internal error: a graph does not map onto its fold")
     return folded, quotient
@@ -539,16 +530,14 @@ def two_core(g: LabeledGraph) -> LabeledGraph:
 def core(g: LabeledGraph) -> LabeledGraph:
     """Fold, then trim, preserving the fundamental group.
 
-    One pass: the kernel's representative arrays are peeled as they
-    are, and the survivors renumbered once.  A subgraph of a folded
+    A folded graph is trimmed and comes back as itself when nothing
+    hangs.  Otherwise g's edges are laid as one-letter paths and folded
+    as they are laid (:func:`_fold_paths`).  A subgraph of a folded
     graph is folded, so trimming never undoes the fold.
     """
     if g.is_folded():
         return trim_all(g)
-    vrep, einit, vertices, edges = _fold_reps(g)
-    base = None if g.base is None else vrep[g.base]
-    kept_v, kept_e, _ = _peel(einit, vertices, edges, base)
-    return _renumber(g.alphabet, einit, g.elabel, base, kept_v, kept_e)
+    return _fold_paths(g.alphabet, g.n_vertices, _edge_paths(g), g.base)
 
 
 def _find(rep: dict[int, int], v: int) -> int:
@@ -629,15 +618,16 @@ def _lay_paths(
 ) -> _Lay:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
-    Each path ``(u, v, codes)`` spells a nonempty reduced code word over
-    the alphabet from u to v.  The caller checks the codes: one out of
-    range would alias another's key here.  A path is read forward from u
-    and backward from v along the edges laid so far, and only its unread
-    middle is spelled, on fresh vertices numbered in spelling order; a
-    middle that starts and ends at one vertex lays its cancelling ends
-    once, as a stem.  So the graph stays folded, and while nothing is
-    identified only the given vertices can hang.  When the two reads
-    meet at different vertices, :func:`_identify` merges them and folds
+    Each path ``(u, v, codes)`` spells a reduced code word over the
+    alphabet from u to v, and an empty one joins its two ends.  The
+    caller checks the codes: one out of range would alias another's key
+    here.  A path is read forward from u and backward from v along the
+    edges laid so far, and only its unread middle is spelled, on fresh
+    vertices numbered in spelling order; a middle that starts and ends
+    at one vertex lays its cancelling ends once, as a stem.  So the
+    graph stays folded, and while nothing is identified only the given
+    vertices can hang.  When the two reads meet at different vertices,
+    or an empty path's ends differ, :func:`_identify` merges them and folds
     what the merge makes meet; later paths are read from their ends'
     classes.  Returns the half-edge arrays, the vertex count, the
     degrees of the given vertices, the identified graph (None when
@@ -728,16 +718,15 @@ def _fold_paths(
     """The core of vertices ``0..n_vertices-1`` joined by paths.
 
     The paths are laid by :func:`_lay_paths`.  A lay that identified
-    nothing is trimmed only when a given vertex hangs; one that did is
-    peeled whole, with the base's class protected, and renumbered once.
+    nothing is the core as laid unless a given vertex other than the
+    base hangs; otherwise the lay's lists are peeled whole, with the
+    base's class protected, and the survivors renumbered once.
     """
     einit, elabel, n, deg, merged, _ = _lay_paths(alphabet, n_vertices, paths)
-    if merged is None:
-        g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
-        if any(d <= 1 and v != base for v, d in enumerate(deg)):
-            return trim_all(g)
-        return g
-    cls, vertices, edges = merged
+    # with nothing identified, only the given vertices can hang
+    if merged is None and all(d > 1 or v == base for v, d in enumerate(deg)):
+        return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
+    cls, vertices, edges = merged or (range(n), range(n), range(0, len(einit), 2))
     if base is not None:
         base = cls[base]
     kept_v, kept_e, _ = _peel(einit, vertices, edges, base)

@@ -217,7 +217,7 @@ def relabel(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
     """The same graph under a random renumbering.
 
     Vertices and edges are shuffled and each edge is flipped with even
-    odds, so the fold kernel meets the collisions in another order.
+    odds, so the fold meets the collisions in another order.
     """
     vnew = list(range(g.n_vertices))
     rng.shuffle(vnew)

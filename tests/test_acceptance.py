@@ -35,6 +35,7 @@ from stallings.words import Alphabet, cyclic_reduce, invert_codes, reduce_codes
 
 from helpers import (
     ALPHABETS,
+    count_folds,
     covers_every_edge,
     image_paths,
     naive_is_folded,
@@ -90,7 +91,8 @@ class TestAcceptance:
             f"PASS in {elapsed:.1f}s"
         )
 
-    def test_2_fold_confluence(self):
+    def test_2_fold_confluence(self, monkeypatch):
+        folds = count_folds(monkeypatch)
         rng = random.Random(202)
         for i in range(1000):
             alphabet = ALPHABETS[rng.randrange(len(ALPHABETS))]
@@ -98,6 +100,7 @@ class TestAcceptance:
             f1, _ = fold_all(relabel(g, rng))
             f2, _ = fold_all(relabel(g, rng))
             assert canonical_form(f1) == canonical_form(f2), f"instance {i}"
+        assert not folds, "fold_all reached the fold kernel"
         report("acceptance 2 (fold confluence, 1000 graphs x 2 renumberings): PASS")
 
     def test_3_image_core_matches_image_subgroup(self):

@@ -36,6 +36,7 @@ from stallings.words import Alphabet, Letter, parse_word, reduce_codes
 
 from helpers import (
     ALPHABETS,
+    count_folds,
     graph,
     hang_path,
     naive_canonical_form,
@@ -47,11 +48,13 @@ from helpers import (
     random_subgroup,
     random_wedge,
     relabel,
+    same_at_some_root,
 )
 
 AB = Alphabet.of("a", "b")
 A = Letter("a", 1)
 B = Letter("b", 1)
+B_INV = Letter("b", -1)
 
 
 def delta(base: int = 0) -> LabeledGraph:
@@ -196,6 +199,30 @@ class TestStructure:
                 bouquet(AB, [codes])
 
 
+# unfolded graphs whose shapes no subgroup's generator loops make, each with
+# its core's canonical text (read from vertex 0 when it has no base)
+A_TO_B_LOOP = "base 0\n0 -a-> 1\n1 -b-> 1"
+UNFOLDED = {
+    "parallel-edges": (graph(AB, 2, [(0, 1, A), (0, 1, A), (1, 1, B)], 0), A_TO_B_LOOP),
+    "loop-pair-off-base": (graph(AB, 2, [(0, 1, A), (1, 1, B), (1, 1, B)], 0), A_TO_B_LOOP),
+    "opposite-loop-pair-off-base": (
+        graph(AB, 2, [(0, 1, A), (1, 1, B), (1, 1, B_INV)], 0), A_TO_B_LOOP
+    ),
+    # vertex 3 hangs off vertex 1, and the base hangs on a path to the loops at 0
+    "base-2-hanging-tree": (
+        graph(AB, 4, [(0, 0, A), (0, 0, A), (0, 1, B), (1, 2, A), (1, 3, B)], 2),
+        "base 0\n1 -a-> 0\n2 -a-> 2\n2 -b-> 1",
+    ),
+    # the fold merges the base into vertex 1, which names its class
+    "base-merged-down": (graph(AB, 3, [(0, 1, A), (0, 2, A), (1, 1, B)], 2), "base 0\n0 -b-> 0"),
+    # trees hang off vertex 1 both ways, so the core is the one b-loop
+    "unbased": (
+        graph(AB, 4, [(0, 1, A), (1, 1, B), (1, 1, B), (1, 2, A), (2, 3, B)]),
+        "base 0\n0 -b-> 0",
+    ),
+}
+
+
 class TestFold:
     def test_double_loop_folds_to_one(self):
         g = graph(AB, 1, [(0, 0, B), (0, 0, B)], base=0)
@@ -215,7 +242,8 @@ class TestFold:
         oracle = naive_fold(g)
         assert canonical_form(folded) == canonical_form(oracle)
 
-    def test_matches_single_step_oracle(self):
+    def test_matches_single_step_oracle(self, monkeypatch):
+        folds = count_folds(monkeypatch)
         rng = random.Random(5)
         for _ in range(60):
             g = random_wedge(rng, AB)
@@ -226,15 +254,36 @@ class TestFold:
             # validating constructor raises unless it keeps every law
             GraphMorphism(g, folded, q.vmap, q.emap)
             assert classify(q).surjective
+        assert not folds
 
-    def test_confluent_under_random_orders(self):
+    def test_confluent_under_random_orders(self, monkeypatch):
         """Two renumberings of a graph fold to the same graph."""
+        folds = count_folds(monkeypatch)
         rng = random.Random(11)
         for _ in range(200):
             g = random_wedge(rng, Alphabet.of("a", "b", "c"))
             f1, _ = fold_all(relabel(g, rng))
             f2, _ = fold_all(relabel(g, rng))
             assert canonical_form(f1) == canonical_form(f2)
+        assert not folds
+
+    @pytest.mark.parametrize("name", list(UNFOLDED))
+    def test_pinned_unfolded_shapes(self, monkeypatch, name):
+        """The fold is the naive one, and the quotient is a morphism onto it."""
+        g, _ = UNFOLDED[name]
+        folds = count_folds(monkeypatch)
+        folded, q = fold_all(g)
+        oracle = naive_fold(g)
+        assert folded.is_folded()
+        if g.base is None:
+            assert folded.base is None and same_at_some_root(folded, oracle)
+        else:
+            assert canonical_form(folded) == canonical_form(oracle)
+        # the validating constructor raises unless the quotient keeps every
+        # law, the base point included
+        GraphMorphism(g, folded, q.vmap, q.emap)
+        assert classify(q).surjective and not classify(q).edge_injective
+        assert not folds
 
 
 class TestKernel:
@@ -281,7 +330,28 @@ class TestCore:
 
     @given(g=pointed_graphs())
     def test_matches_naive_fold_then_trim(self, g):
-        assert iso_pointed(core(g), naive_trim(naive_fold(g)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            folds = count_folds(monkeypatch)
+            assert iso_pointed(core(g), naive_trim(naive_fold(g)))
+        assert not folds
+
+    @pytest.mark.parametrize("name", list(UNFOLDED))
+    def test_pinned_unfolded_shapes(self, monkeypatch, name):
+        """The naive fold and trim, with no kernel call.
+
+        A base other than vertex 0 keeps the path it hangs on, and with no
+        base the core is the 2-core.
+        """
+        g, text = UNFOLDED[name]
+        folds = count_folds(monkeypatch)
+        c, oracle = core(g), naive_trim(naive_fold(g))
+        assert c.is_core() and (c.n_vertices, c.n_edges) == (oracle.n_vertices, oracle.n_edges)
+        if g.base is None:
+            assert c.base is None and same_at_some_root(c, oracle)
+            assert canonical_form(c, 0) == text
+        else:
+            assert canonical_form(c) == canonical_form(oracle) == text
+        assert not folds
 
     def test_is_core_predicates(self):
         rose = graph(AB, 1, [(0, 0, A), (0, 0, B)], base=0)

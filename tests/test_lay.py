@@ -22,6 +22,8 @@ from stallings.graph import (
     _lay_paths,
     canonical_form,
     classify,
+    core,
+    fold_all,
     unique_pointed_morphism,
 )
 from stallings.subgroups import Subgroup, gamma, inclusion_morphism
@@ -38,6 +40,7 @@ from helpers import (
     nested_pairs,
     pointed_graphs,
     random_reduced_word,
+    random_wedge,
     relabel,
     same_at_some_root,
     spelled,
@@ -157,8 +160,36 @@ class TestAgainstTheOracle:
         assert not folds
         assert len(absorbed) > 100 and sum(n > 1 for n in absorbed) > 20
 
+    def test_no_library_fold_reaches_the_kernel(self, monkeypatch):
+        """core, fold_all, gamma, image_core and transport all fold as they lay.
+
+        The draws are unfolded wedges, renumbered, and homs of which about
+        a third of the images are empty, which only image_core takes.
+        """
+        folds = count_folds(monkeypatch)
+        rng = random.Random(37)
+        for alphabet in (A, AB) * 100:
+            g = relabel(random_wedge(rng, alphabet, max_words=4, max_len=6), rng)
+            assert canonical_form(core(g)) == canonical_form(core(fold_all(g)[0]))
+            gens = [random_reduced_word(rng, alphabet, 6) for _ in range(rng.randint(1, 4))]
+            images = tuple(random_reduced_word(rng, alphabet, 4) for _ in "ab")
+            phi = GroupHom._raw(AB, alphabet, images)
+            image_core(phi, gamma(_subgroup(AB, gens)))  # codes over A are codes over AB
+            unbased_image_morphism(phi, ROOT)
+            empty = tuple(() if rng.random() < 0.3 else w for w in images)
+            image_core(GroupHom._raw(AB, alphabet, empty), ROOT.target)
+        assert not folds
+
 
 class TestPinned:
+    def test_an_empty_path_joins_its_ends(self, monkeypatch):
+        """One identification for an empty path between two vertices, none for an empty loop."""
+        identified = count_identifications(monkeypatch)
+        einit, elabel, n, _, merged, _ = _lay_paths(A, 2, [(0, 0, (1,)), (1, 1, ()), (0, 1, ())])
+        assert len(identified) == 1
+        assert (einit, elabel, n) == ([0, 0], [1, -1], 2)
+        assert merged == ([0, 0], [0], [0])
+
     def test_powers_meet_in_a_square(self, monkeypatch):
         """<a^4, a^6> = <a^2>: the same arrays as the core of a^2 itself."""
         identified = count_identifications(monkeypatch)

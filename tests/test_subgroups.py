@@ -551,7 +551,7 @@ class TestInclusion:
 
 
 class TestConjugateCore:
-    """The core of a graph with a path attached at its base, as onto_base takes it."""
+    """The core of a graph with a path hung at its base: the conjugate subgroup's core graph."""
 
     def test_shift_by_a(self):
         g = core(hang_path(gamma(H_B), codes("a")))

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from stallings.errors import AlphabetMismatchError
+from stallings.errors import AlphabetMismatchError, DegenerateHomError
 from stallings.graph import LabeledGraph, bouquet, core, unique_pointed_morphism
 from stallings.subgroups import Subgroup, gamma
 from stallings.whitehead import (
@@ -269,6 +269,12 @@ class TestFoldingPreservation:
     def test_sigma_on_rose_breaks(self):
         rose = gamma(Subgroup.of(GREEK, "alpha", "beta"))
         assert not preserves_folding(SIGMA, rose)
+
+    def test_degenerate_rejected(self):
+        """An empty image has no first letter to compare."""
+        bad = GroupHom(AB, AB, {"a": parse_word("a"), "b": parse_word("")})
+        with pytest.raises(DegenerateHomError, match="^subdivision needs nonempty images$"):
+            preserves_folding(bad, DELTA)
 
 
 class TestFoldingGuarantee:

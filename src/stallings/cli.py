@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .cases import fuzz_example, render_tsv, verify_tables
 from .errors import InternalError, NotIncludedError, StallingsError, TrivialSubgroupError
 from .functor import image_core
 from .graph import canonical_form, classify, to_dot
@@ -158,12 +157,17 @@ def _cmd_fgr_check(args) -> int:
 
 
 def _cmd_case_table(args) -> int:
+    # the case engine loads only for this command and fuzz, so the others start without it
+    from .cases import render_tsv, verify_tables
+
     report = verify_tables()
     print(render_tsv(report))
     return 0 if report.ok else 1
 
 
 def _cmd_fuzz(args) -> int:
+    from .cases import fuzz_example
+
     report = fuzz_example(
         trials=args.trials,
         alphabet_size=args.alphabet_size,

@@ -12,7 +12,6 @@ Graphs are frozen after construction; every operation returns new values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     NotFoldedError,
     UnknownGeneratorError,
 )
-from .words import Alphabet, _check_labels
+from .words import Alphabet, _check_labels, _Value
 
 
 class LabeledGraph:
@@ -293,12 +292,26 @@ class GraphMorphism:
         return f"GraphMorphism({self.source!r} -> {self.target!r})"
 
 
-@dataclass(frozen=True)
-class MorphismClassification:
+class MorphismClassification(_Value):
     vertex_injective: bool
     edge_injective: bool
     vertex_surjective: bool
     edge_surjective: bool
+    __match_args__ = _fields = (
+        "vertex_injective", "edge_injective", "vertex_surjective", "edge_surjective"
+    )
+
+    def __init__(
+        self,
+        vertex_injective: bool,
+        edge_injective: bool,
+        vertex_surjective: bool,
+        edge_surjective: bool,
+    ):
+        object.__setattr__(self, "vertex_injective", vertex_injective)
+        object.__setattr__(self, "edge_injective", edge_injective)
+        object.__setattr__(self, "vertex_surjective", vertex_surjective)
+        object.__setattr__(self, "edge_surjective", edge_surjective)
 
     @property
     def injective(self) -> bool:

@@ -10,7 +10,6 @@ morphism of an inclusion surjective.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -32,11 +31,18 @@ from .graph import (
     _peel,
     _whole,
 )
-from .words import Alphabet, Word, _check_labels, invert_codes, parse_codes, reduce_codes
+from .words import (
+    Alphabet,
+    Word,
+    _check_labels,
+    _Value,
+    invert_codes,
+    parse_codes,
+    reduce_codes,
+)
 
 
-@dataclass(frozen=True, init=False)
-class Subgroup:
+class Subgroup(_Value):
     """A finitely generated subgroup, given by a generating list.
 
     ``codes`` holds the generators as reduced code words over the
@@ -47,7 +53,9 @@ class Subgroup:
 
     alphabet: Alphabet
     codes: tuple[tuple[int, ...], ...]
-    _core: LabeledGraph | None = field(default=None, repr=False, compare=False)
+    _core: LabeledGraph | None
+    _fields = ("alphabet", "codes")  # the stored core is no part of the value
+    __match_args__ = (*_fields, "_core")
 
     def __init__(self, alphabet: Alphabet, generators: Iterable[Word]):
         codes = tuple([alphabet._word_codes(w) for w in generators])

@@ -13,7 +13,6 @@ subdivisions folded.  Letters appear only where edges are parsed or printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import AlphabetMismatchError, UnknownGeneratorError
 from .functor import _image_paths
 from .graph import LabeledGraph
-from .words import Alphabet, GroupHom, Letter, parse_letter
+from .words import Alphabet, GroupHom, Letter, _Value, parse_letter
 
 # Two distinct label codes (c, d), c < d, over a restriction set's
 # alphabet; parse_edges and the RestrictionSet.edges view hold frozensets
@@ -65,17 +64,17 @@ def _check_range(alphabet: Alphabet, groups: Iterable[Iterable[int]]) -> None:
         raise AlphabetMismatchError(f"code {min(outside)} outside {alphabet.generators}")
 
 
-@dataclass(frozen=True)
-class RestrictionSet:
+class RestrictionSet(_Value):
     """An alphabet together with a set of Whitehead edges over it."""
 
     alphabet: Alphabet
     codes: frozenset[WhiteheadEdge]
+    __match_args__ = _fields = ("alphabet", "codes")
 
-    def __post_init__(self):
+    def __init__(self, alphabet: Alphabet, codes: frozenset[WhiteheadEdge]):
         # one snapshot is checked and kept frozen, so a caller's set that
         # changes later changes neither
-        codes = tuple(self.codes)
+        codes = tuple(codes)
         # a set of two codes, a string or a pair of names is no pair of codes
         # either; repr orders edges of mixed kinds
         shapeless = [
@@ -86,14 +85,15 @@ class RestrictionSet:
         if shapeless:
             e = min(shapeless, key=repr)
             raise AlphabetMismatchError(f"Whitehead edge {e!r} is not a pair of codes")
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "codes", frozenset(codes))
-        _check_range(self.alphabet, codes)
+        _check_range(alphabet, codes)
         bad = [e for e in codes if e[0] >= e[1]]
         if not bad:
             return
         e = min(bad)
         if e[0] == e[1]:
-            text = format_edge(self.alphabet, e)
+            text = format_edge(alphabet, e)
             raise AlphabetMismatchError(f"degenerate Whitehead edge {text}")
         raise AlphabetMismatchError(f"unordered Whitehead edge {e}: code_edge gives {e[::-1]}")
 
@@ -172,10 +172,14 @@ def _tau(phi: GroupHom, c: int) -> int:
     return codes[-1] if c > 0 else -codes[0]
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(_Value):
     ok: bool
     violations: tuple[str, ...]
+    __match_args__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -16,7 +16,6 @@ being a generator name optionally suffixed by ``^-1``, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, count
 from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -426,8 +425,43 @@ class Alphabet:
 _interned: WeakValueDictionary[tuple[str, ...], Alphabet] = WeakValueDictionary()
 
 
-@dataclass(frozen=True, init=False)
-class GroupHom:
+class _Value:
+    """Base of the small immutable value types.
+
+    ``==`` and ``hash`` go by the fields named in ``_fields``, and the
+    repr reads ``Name(field=value, ...)``.  Setting or deleting an
+    attribute raises, so constructors set fields with
+    ``object.__setattr__``, which keeps them in the instance's compact
+    values (reading ``__dict__`` builds a dict per instance), or through
+    ``__dict__``.  Copy and pickle restore the ``__dict__`` past
+    ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GroupHom(_Value):
     """A homomorphism between free groups, given on generators.
 
     ``codes`` holds the image of each source generator, in source order,
@@ -438,6 +472,7 @@ class GroupHom:
     source: Alphabet
     target: Alphabet
     codes: tuple[tuple[int, ...], ...]
+    __match_args__ = _fields = ("source", "target", "codes")
 
     def __init__(self, source: Alphabet, target: Alphabet, images: Mapping[str, Word]):
         if images.keys() != source._index.keys():  # the loops only name the error

@@ -86,6 +86,6 @@ from .words import (
 
 __version__ = "0.1.0"
 
-# Names the old fold kernel, which no library function calls any more;
-# perfbench's info line reads this name.
+# Names the fold kernel, which runs on graph's fold and which no library
+# function calls; perfbench's info line reads this name.
 kernel_backend = "python"

@@ -1,18 +1,22 @@
-"""Folding kernel.
+"""Folding kernel: a batch fold on the lay's union-find.
 
 Half-edges are integers 0..2m-1 with the involution ``e ^ 1``.  Labels
 are nonzero ints with ``label[e ^ 1] == -label[e]``.  Folding merges any
 two half-edges that share an initial vertex and a label, identifying
 their far endpoints, until no such pair remains.
 
-The kernel returns union-find representatives; it never renumbers.
-Vertex merging uses a worklist with small-into-large adjacency merging,
-so the total work is near linear in the number of half-edges.
+The half-edges are keyed by (initial vertex, label) in order; each one
+that repeats a kept key is the same edge as the kept one, so its pair
+is dropped and its far end queued against the kept one's.  The queue
+then runs through :func:`graph._identify`, the union-find fold that
+:func:`graph._lay_paths` uses, so the work stays near linear in the
+number of half-edges.  The kernel returns representatives; it never
+renumbers.  No library function calls it.
 """
 
 from __future__ import annotations
 
-from .errors import InternalError
+from . import graph
 
 
 def fold(
@@ -24,76 +28,32 @@ def fold(
     ``half_edge_rep[e]`` the representative of e's class, with
     ``half_edge_rep[e ^ 1] == half_edge_rep[e] ^ 1``.
     """
-    m2 = len(einit)
-    vparent = list(range(n_vertices))
-    eparent = list(range(m2))
-
-    def vfind(v: int) -> int:
-        root = v
-        while vparent[root] != root:
-            root = vparent[root]
-        while vparent[v] != root:
-            vparent[v], v = root, vparent[v]
-        return root
-
-    def efind(e: int) -> int:
-        root = e
-        while eparent[root] != root:
-            root = eparent[root]
-        while eparent[e] != root:
-            eparent[e], e = root, eparent[e]
-        return root
-
-    # adjacency per vertex: label -> half-edge
-    adj: list[dict[int, int] | None] = [dict() for _ in range(n_vertices)]
-    pending: list[tuple[int, int]] = []
-    for e in range(m2):
-        v = einit[e]
-        d = adj[v]
-        l = elabel[e]
-        if l in d:
-            pending.append((d[l], e))
-        else:
-            d[l] = e
-
-    def eunion(keep: int, gone: int) -> None:
-        rk, rg = efind(keep), efind(gone)
-        if rk != rg:
-            eparent[rg] = rk
-        rk1, rg1 = efind(keep ^ 1), efind(gone ^ 1)
-        if rk1 != rg1:
-            eparent[rg1] = rk1
-
-    while pending:
-        e, f = pending.pop()
-        e, f = efind(e), efind(f)
-        if e == f:
+    width = 2 * max(elabel, default=0) + 1  # labels come in pairs c, -c
+    tail = list(einit)  # a dropped half-edge starts at -1
+    out: list[list[int]] = [[] for _ in range(n_vertices)]
+    step: dict[int, int] = {}  # vertex * width + label -> the kept half-edge
+    queue: list[tuple[int, int]] = []
+    for e, v in enumerate(einit):
+        if tail[e] < 0:
             continue
-        eunion(e, f)
-        a = vfind(einit[efind(e) ^ 1])
-        b = vfind(einit[f ^ 1])
-        if a == b:
-            continue
-        da, db = adj[a], adj[b]
-        if da is None or db is None:
-            raise InternalError("internal error: a fold root lost its adjacency")
-        if len(da) < len(db):
-            a, b = b, a
-            da, db = db, da
-        vparent[b] = a
-        for l, g in db.items():
-            g = efind(g)
-            if l in da:
-                h = efind(da[l])
-                if h != g:
-                    pending.append((h, g))
-            else:
-                da[l] = g
-        adj[b] = None
-
-    # point every non-root straight at its root; roots already do
-    for v in [v for v, p in enumerate(vparent) if p != v]:
-        vfind(v)
-    for e in [e for e, p in enumerate(eparent) if p != e]:
-        efind(e)
-    return vparent, eparent
+        c = elabel[e]
+        f = step.setdefault(v * width + c, e)
+        if f == e:
+            out[v].append(e)
+        else:  # e is f's edge: drop e's pair, and identify their far ends
+            if e & 1:  # the pair came first and was kept
+                del step[einit[e ^ 1] * width - c]
+            tail[e] = tail[e ^ 1] = -1
+            queue.append((einit[e ^ 1], einit[f ^ 1]))
+    rep: dict[int, int] = {}
+    for x, y in queue:
+        graph._identify(step, tail, elabel, width, out, rep, x, y)
+    vrep = list(range(n_vertices))
+    for v in rep:
+        vrep[v] = graph._find(rep, v)
+    # a kept half-edge stands for its class; a dropped one, for the one
+    # kept at its initial vertex's class with its label
+    erep = list(range(len(einit)))
+    for e in [e for e, v in enumerate(tail) if v < 0]:
+        erep[e] = step[vrep[einit[e]] * width + elabel[e]]
+    return vrep, erep

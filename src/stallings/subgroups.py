@@ -27,6 +27,7 @@ from .graph import (
     trace,
     unique_pointed_morphism,
     _bfs_order,
+    _edge_paths,
     _fold_paths,
     _peel,
     _whole,
@@ -322,7 +323,10 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
         u1 = covering_circuit(gamma(k2), first_code_not=-ell[-1])
         u = reduce_codes(ell + u1 + ell_inv)
 
-    f = inclusion_morphism(h.conjugate(u), k)  # u lies in k, so u k u^-1 = k
+    # gamma(u h u^-1): gamma(h) with a path spelling u from a new base to its base
+    n = gh.n_vertices
+    source = _fold_paths(k.alphabet, n + 1, [*_edge_paths(gh), (n, gh.base, u)], n)
+    f = unique_pointed_morphism(source, gamma(k))  # u lies in k, so u k u^-1 = k
     if f is None:
         raise InternalError("internal error: conjugated subgroup left the ambient one")
     return OntoBase(u, f)

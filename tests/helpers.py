@@ -41,6 +41,7 @@ __all__ = [
     "random_subgroup",
     "random_hom",
     "random_wedge",
+    "reduced_words",
     "relabel",
     "pointed_graphs",
     "nested_pairs",
@@ -211,6 +212,20 @@ def random_wedge(rng: random.Random, alphabet: Alphabet, max_words: int = 5,
         for _ in range(rng.randint(1, max_words))
     ]
     return bouquet(alphabet, words)
+
+
+def reduced_words(
+    rng: random.Random, rank: int, count: int, length: int
+) -> tuple[tuple[int, ...], ...]:
+    """``count`` random reduced code words of exactly ``length`` letters."""
+    codes = [c for i in range(1, rank + 1) for c in (i, -i)]
+    words = []
+    for _ in range(count):
+        w = [rng.choice(codes)]
+        while len(w) < length:
+            w.append(rng.choice([c for c in codes if c != -w[-1]]))
+        words.append(tuple(w))
+    return tuple(words)
 
 
 def relabel(g: LabeledGraph, rng: random.Random) -> LabeledGraph:

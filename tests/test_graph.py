@@ -1,5 +1,9 @@
+import ast
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,12 +51,14 @@ from helpers import (
     pointed_graphs,
     random_subgroup,
     random_wedge,
+    reduced_words,
     relabel,
     same_at_some_root,
 )
 
 AB = Alphabet.of("a", "b")
 A = Letter("a", 1)
+A_INV = Letter("a", -1)
 B = Letter("b", 1)
 B_INV = Letter("b", -1)
 
@@ -79,20 +85,6 @@ one_loop = (
     .filter(bool)
     .map(lambda w: bouquet(AB, [w]))
 )
-
-
-def reduced_words(
-    rng: random.Random, rank: int, count: int, length: int
-) -> tuple[tuple[int, ...], ...]:
-    """``count`` random reduced code words of exactly ``length`` letters."""
-    codes = [c for i in range(1, rank + 1) for c in (i, -i)]
-    words = []
-    for _ in range(count):
-        w = [rng.choice(codes)]
-        while len(w) < length:
-            w.append(rng.choice([c for c in codes if c != -w[-1]]))
-        words.append(tuple(w))
-    return tuple(words)
 
 
 def permutation_cover(rng: random.Random, alphabet: Alphabet, n: int) -> LabeledGraph:
@@ -286,6 +278,54 @@ class TestFold:
         assert not folds
 
 
+def partition(rep: list[int]) -> list[list[int]]:
+    """The classes that a representative array names, each ascending, by least member."""
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(rep):
+        classes.setdefault(r, []).append(i)
+    return sorted(classes.values())
+
+
+def assert_kernel_folds_naively(g: LabeledGraph) -> LabeledGraph:
+    """The graph that ``_kernel.fold``'s representatives name is the naive fold of g.
+
+    One vertex per vertex class and one edge per pair of half-edge
+    classes; the validating constructor checks that it is a graph.
+    """
+    vrep, erep = _kernel.fold(g.n_vertices, g.einit, g.elabel)
+    vnew = {r: i for i, r in enumerate(sorted(set(vrep)))}
+    einit: list[int] = []
+    elabel: list[int] = []
+    for e in sorted({r & ~1 for r in erep}):
+        einit += (vnew[vrep[g.einit[e]]], vnew[vrep[g.einit[e ^ 1]]])
+        elabel += (g.elabel[e], g.elabel[e ^ 1])
+    q = LabeledGraph(g.alphabet, len(vnew), einit, elabel, vnew[vrep[g.base]])
+    oracle = naive_fold(g)
+    assert (q.n_vertices, q.n_half_edges) == (oracle.n_vertices, oracle.n_half_edges)
+    assert q.is_folded() and iso_pointed(q, oracle)
+    return q
+
+
+# one graph for each way a collision seeds the kernel's queue, with the
+# vertex and edge counts of its fold
+KERNEL_SEEDS = {
+    # half-edge 3 repeats half-edge 1 after its pair 2 was kept, and the
+    # b-loop makes vertex 2 absorb vertex 0, so a stale entry for 2 would show
+    "odd half-edge meets a kept pair": (
+        graph(AB, 3, [(0, 1, A), (2, 1, A), (2, 2, B)], base=0), 2, 2
+    ),
+    "doubled loop": (graph(AB, 1, [(0, 0, B), (0, 0, B)], base=0), 1, 1),
+    "three parallel edges": (
+        graph(AB, 2, [(0, 1, A), (1, 0, A_INV), (0, 1, A)], base=0), 2, 1
+    ),
+    # folding 0 with 2 at a makes b-edges 1 -> 3 and 1 -> 4 collide, then 3 with 4
+    "a merge that cascades": (
+        graph(AB, 5, [(0, 1, A), (0, 2, A), (1, 3, B), (2, 4, B), (3, 3, A), (4, 4, A)], base=0),
+        3, 3,
+    ),
+}
+
+
 class TestKernel:
     @given(pointed_graphs(), st.none() | st.integers(0, 99))
     def test_representatives_are_roots(self, g, renumbering):
@@ -298,6 +338,44 @@ class TestKernel:
         assert all(erep[e ^ 1] == erep[e] ^ 1 for e in range(g.n_half_edges))
         # a half-edge's class starts where the half-edge starts
         assert all(vrep[g.einit[erep[e]]] == vrep[g.einit[e]] for e in range(g.n_half_edges))
+
+    @given(pointed_graphs(), st.none() | st.integers(0, 99))
+    def test_quotient_is_the_naive_fold(self, g, renumbering):
+        """Also on a random renumbering of the graph."""
+        if renumbering is not None:
+            g = relabel(g, random.Random(renumbering))
+        assert_kernel_folds_naively(g)
+
+    @pytest.mark.parametrize("name", list(KERNEL_SEEDS))
+    def test_pinned_seeding_cases(self, name):
+        g, n_vertices, n_edges = KERNEL_SEEDS[name]
+        q = assert_kernel_folds_naively(g)
+        assert (q.n_vertices, q.n_edges) == (n_vertices, n_edges)
+
+    def test_disconnected_input_folds_each_part(self):
+        """Two copies side by side: no class crosses, and each folds as alone."""
+        g, _, _ = KERNEL_SEEDS["odd half-edge meets a kept pair"]
+        n, m = g.n_vertices, g.n_half_edges
+        vrep, erep = _kernel.fold(
+            2 * n, g.einit + tuple(v + n for v in g.einit), g.elabel + g.elabel
+        )
+        for both, alone, shift in zip((vrep, erep), _kernel.fold(n, g.einit, g.elabel), (n, m)):
+            classes = partition(alone)
+            assert partition(both) == classes + [[i + shift for i in c] for c in classes]
+
+    def test_loads_first_in_a_fresh_interpreter(self):
+        """Importing the kernel before the rest of the library makes no import cycle."""
+        child = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from stallings import _kernel; "
+            "print(_kernel.fold(2, [0, 1, 0, 1], [1, -1, 1, -1]))"
+        )
+        src = str(Path(_kernel.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", child, src], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        vrep, erep = ast.literal_eval(result.stdout)
+        assert len(set(vrep)) == 2 and len(set(erep)) == 2
 
 
 class TestTrim:

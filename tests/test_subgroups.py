@@ -655,6 +655,22 @@ class TestOntoBase:
         if not all(naive_member(h, g) for g in words(k)):
             assert not c.injective
 
+    @given(pair=nested_pairs())
+    def test_source_is_the_conjugate_core(self, pair):
+        """The morphism's source is gamma(u h u^-1), built from gamma(h) and u.
+
+        It is the core of gamma(h) with a path spelling u hung at its
+        base, and the core of the conjugated generators.
+        """
+        h, k = pair
+        assume(not h.is_trivial())
+        u, f = onto_base(h, k)
+        assert f.source.is_core() and f.target is gamma(k)
+        hung = core(hang_path(gamma(h), u))
+        assert (f.source.n_vertices, f.source.n_edges) == (hung.n_vertices, hung.n_edges)
+        assert iso_pointed(f.source, hung)
+        assert canonical_form(f.source) == canonical_form(gamma(h.conjugate(u)))
+
     def test_free_group_target(self):
         h = Subgroup.of(AB, "a")
         k = Subgroup.of(AB, "a", "b")

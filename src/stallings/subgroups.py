@@ -293,6 +293,12 @@ class OntoBase(NamedTuple):
     morphism: GraphMorphism
 
 
+def _conjugate_core(g: LabeledGraph, u: Sequence[int]) -> LabeledGraph:
+    """The core of u H u^-1, for g the core of H: a path spelling u from a new base to g's."""
+    n = g.n_vertices
+    return _fold_paths(g.alphabet, n + 1, [*_edge_paths(g), (n, g.base, u)], n)
+
+
 def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     """A conjugator u in k making gamma(u h u^-1) -> gamma(u k u^-1) onto.
 
@@ -300,33 +306,26 @@ def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:
     free basis by an inner automorphism; this finds one where the
     inclusion's graph morphism is surjective.  Raises when h is not
     contained in k, or h is trivial.  The conjugator's codes are over k's
-    alphabet; h is recoded into it by name.
+    alphabet; gamma(h)'s labels are read over k's alphabet by name.
     """
-    if h.alphabet is not k.alphabet:
-        codes = tuple(k.alphabet.recode(w, h.alphabet) for w in h.codes)
-        if any(0 in w for w in codes):  # a reduced word with a name k lacks
-            raise NotIncludedError("the first subgroup is not inside the second")
-        h = Subgroup._raw(k.alphabet, codes)
-    gh = gamma(h)
-    if inclusion_morphism(h, k) is None:
+    gh, gk = gamma(h), gamma(k)
+    if unique_pointed_morphism(gh, gk) is None:  # a name k lacks reads as 0 and fails
         raise NotIncludedError("the first subgroup is not inside the second")
     if gh.n_edges == 0:
         raise TrivialSubgroupError("the trivial subgroup cannot cover a graph")
+    labels = k.alphabet.recode(gh.elabel, h.alphabet)
+    gh = LabeledGraph(k.alphabet, gh.n_vertices, gh.einit, labels, gh.base, _validate=False)
 
     tail = _peel(*_whole(gh), None)[2]  # the hanging path from the base
     ell = tuple([gh.elabel[d] for d in tail])
     if not ell:
-        u = covering_circuit(gamma(k))
-    else:
+        u = covering_circuit(gk)
+    else:  # ell reads from gk's base, so gamma(ell^-1 k ell) is gk rebased at its end
         ell_inv = invert_codes(ell)
-        k2 = k.conjugate(ell_inv)
-        u1 = covering_circuit(gamma(k2), first_code_not=-ell[-1])
+        u1 = covering_circuit(_conjugate_core(gk, ell_inv), first_code_not=-ell[-1])
         u = reduce_codes(ell + u1 + ell_inv)
 
-    # gamma(u h u^-1): gamma(h) with a path spelling u from a new base to its base
-    n = gh.n_vertices
-    source = _fold_paths(k.alphabet, n + 1, [*_edge_paths(gh), (n, gh.base, u)], n)
-    f = unique_pointed_morphism(source, gamma(k))  # u lies in k, so u k u^-1 = k
+    f = unique_pointed_morphism(_conjugate_core(gh, u), gk)  # u lies in k, so u k u^-1 = k
     if f is None:
         raise InternalError("internal error: conjugated subgroup left the ambient one")
     return OntoBase(u, f)

@@ -25,7 +25,7 @@ import pytest
 from stallings import _kernel
 from stallings.graph import bouquet
 from stallings.subgroups import Subgroup, gamma, onto_base
-from stallings.words import Alphabet
+from stallings.words import Alphabet, invert_codes, reduce_codes
 
 from helpers import reduced_words
 
@@ -82,6 +82,25 @@ def onto_base_half(count: int):
     return size, lambda: onto_base(subgroup(gens[: count // 2]), subgroup(gens))
 
 
+def onto_base_hanging(count: int):
+    """K of ``count`` generators and H the first half conjugated by a product of K's.
+
+    The product of ``max(count // 10, 3)`` of K's generators, each drawn
+    with a seed and inverted at even odds, makes gamma(H) hang a long
+    path from its base.  Both cores are built before counting, so the
+    size is both cores' edges and the call is ``onto_base`` alone.
+    """
+    gens = generators(count)
+    rng = random.Random(2)
+    w: tuple[int, ...] = ()
+    for _ in range(max(count // 10, 3)):
+        g = rng.choice(gens)
+        w = reduce_codes(w + (invert_codes(g) if rng.random() < 0.5 else g))
+    h = subgroup(reduce_codes(w + g + invert_codes(w)) for g in gens[: count // 2])
+    k = subgroup(gens)
+    return gamma(h).n_edges + gamma(k).n_edges, lambda: onto_base(h, k)
+
+
 def gamma_of(count: int):
     gens = generators(count)
     return gamma(subgroup(gens)).n_edges, lambda: gamma(subgroup(gens))
@@ -98,7 +117,7 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     return math.log(b[1] / a[1]) / math.log(b[0] / a[0])
 
 
-@pytest.mark.parametrize("draw", [onto_base_half, gamma_of, kernel_fold])
+@pytest.mark.parametrize("draw", [onto_base_half, onto_base_hanging, gamma_of, kernel_fold])
 def test_cost_grows_about_linearly(draw):
     bytecodes: list[tuple[int, int]] = []
     peaks: list[tuple[int, int]] = []

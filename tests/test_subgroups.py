@@ -42,9 +42,11 @@ from stallings.words import (
 
 from helpers import (
     ALPHABETS,
+    count_calls,
     count_folds,
     count_identifications,
     counting_names,
+    covers_every_edge,
     hang_path,
     naive_canonical_form,
     naive_fold,
@@ -670,6 +672,51 @@ class TestOntoBase:
         assert (f.source.n_vertices, f.source.n_edges) == (hung.n_vertices, hung.n_edges)
         assert iso_pointed(f.source, hung)
         assert canonical_form(f.source) == canonical_form(gamma(h.conjugate(u)))
+
+    @settings(max_examples=300)  # so that dozens of draws hang a path
+    @given(
+        pair=nested_pairs(),
+        factors=st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=3),
+        names=st.sampled_from([("b", "a"), ("b", "a", "c")]),
+    )
+    def test_hanging_path_across_alphabets(self, pair, factors, names):
+        """H conjugated by a product w of K's generators, over another alphabet order.
+
+        gamma(H) hangs a path from its base in about one draw in five.
+        The conjugator lies in K, and the conjugated generators cross
+        every edge of gamma(K).
+        """
+        h, k = pair
+        assume(not h.is_trivial())
+        w: tuple[int, ...] = ()
+        for i, inverse in factors:
+            g = k.codes[i % len(k.codes)]
+            w = reduce_codes(w + (invert_codes(g) if inverse else g))
+        gens = [reduce_codes(w + g + invert_codes(w)) for g in h.codes]
+        u, f = onto_base(Subgroup(Alphabet.of(*names), map(AB.word, gens)), k)
+        assert naive_member(k, AB.word(u))
+        assert classify(f).surjective
+        assert covers_every_edge(gamma(k), [reduce_codes(u + g + invert_codes(u)) for g in gens])
+        assert iso_pointed(f.source, core(hang_path(gamma(subgroup(AB, gens)), u)))
+
+    @pytest.mark.parametrize(
+        "inner, outer, folds",
+        [("a b a^-1\n", "b\na\n", 2), ("b\n", "b\na b a^-1\n", 1)],
+        ids=["hangs", "hangs-none"],
+    )
+    def test_folds_only_conjugate_cores(self, monkeypatch, inner, outer, folds):
+        """With both cores built, only the conjugate cores fold, over files' own alphabets.
+
+        A first subgroup that hangs a path folds gamma(l^-1 K l) and the
+        source; one that hangs none folds the source alone.  Neither
+        subgroup is recoded and folded again.
+        """
+        h, k = load_subgroup(inner), load_subgroup(outer)
+        assert h.alphabet is not k.alphabet
+        gamma(h), gamma(k)
+        calls = count_calls(monkeypatch, subgroups, "_fold_paths")
+        u, f = onto_base(h, k)
+        assert len(calls) == folds and classify(f).surjective
 
     def test_free_group_target(self):
         h = Subgroup.of(AB, "a")

@@ -12,6 +12,7 @@ Graphs are frozen after construction; every operation returns new values.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
@@ -35,7 +36,7 @@ class LabeledGraph:
     """
 
     __slots__ = (
-        "alphabet", "n_vertices", "einit", "elabel", "base", "_out", "_lookup", "_heads"
+        "alphabet", "n_vertices", "einit", "elabel", "base", "_out", "_lookup", "_heads", "_chains"
     )
 
     def __init__(
@@ -57,6 +58,7 @@ class LabeledGraph:
         self._out: list[list[int]] | None = None
         self._lookup: dict[int, int] | None = None
         self._heads: list[dict[int, int]] | None = None
+        self._chains: tuple[list[int], list[tuple]] | list[int] | None = None  # or a lay's
         if _validate:
             self._validate()
 
@@ -172,6 +174,40 @@ class LabeledGraph:
             return None
         return table.get(index(v) * (2 * rank + 1) + code)
 
+    def _chain_table(self) -> tuple[list[int], list[tuple]]:
+        """Branch vertices (the base, degree not two; 0 on a bare cycle) and the
+        chains ``(u, w, word, inner)``: labels and inner vertices of paths
+        between them.  A lay kept as laid hands over its chains' bounds
+        (:func:`_fold_paths`).  Readers take any superset of branch vertices."""
+        einit, elabel, bounds = self.einit, self.elabel, self._chains
+        if isinstance(bounds, list):  # a lay's: each chain is the even half-edges between two
+            chains = [
+                (einit[a], einit[b - 1], elabel[a:b:2], einit[a + 1 : b - 2 : 2])
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            ends = {v for chain in chains for v in chain[:2]} | {self.base} - {None}
+            self._chains = sorted(ends), chains
+        elif bounds is None:
+            out = self._out_lists()
+            branch = [len(es) != 2 for es in out]
+            if self.base is not None or not any(branch):
+                branch[self.base or 0] = True
+            done, chains = bytearray(len(einit) // 2), []  # the edges of the chains found
+            for u in compress(range(self.n_vertices), branch):
+                for e in out[u]:
+                    if not done[e >> 1]:  # else found from its other end
+                        word, inner, w = [elabel[e]], [], einit[e ^ 1]
+                        while not branch[w]:
+                            inner.append(w)
+                            a, b = out[w]
+                            e = b if a == e ^ 1 else a  # on, not back
+                            word.append(elabel[e])
+                            w = einit[e ^ 1]
+                        done[e >> 1] = 1
+                        chains.append((u, w, word, inner))
+            self._chains = list(compress(range(self.n_vertices), branch)), chains
+        return self._chains
+
     def is_core(self) -> bool:
         """Folded, and every vertex except the base has degree > 1."""
         if not self.is_folded():
@@ -187,7 +223,7 @@ class LabeledGraph:
         g = LabeledGraph(
             self.alphabet, self.n_vertices, self.einit, self.elabel, None, _validate=False
         )
-        g._out, g._lookup, g._heads = self._out, self._lookup, self._heads
+        g._out, g._lookup, g._heads, g._chains = self._out, self._lookup, self._heads, self._chains
         return g
 
     def __eq__(self, other) -> bool:
@@ -628,6 +664,7 @@ def _lay_paths(
     n_vertices: int,
     paths: Iterable[tuple[int, int, Sequence[int]]],
     lay: _Lay | None = None,
+    bounds: list[int] | None = None,
 ) -> _Lay:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
@@ -654,7 +691,8 @@ def _lay_paths(
     and the degrees mean nothing.  Given ``lay``, one it returned for the
     same given vertices with nothing identified, it spells the paths on
     in that lay's lists and dict and returns them, as if the paths had
-    followed the lay's own in one call.
+    followed the lay's own in one call.  Until anything is identified, it adds to
+    ``bounds`` each middle's first half-edge and one at its stem's tip or a fresh end.
     """
     width = 2 * len(alphabet) + 1
     if lay is None:
@@ -683,6 +721,7 @@ def _lay_paths(
                     for e, w in enumerate(einit):
                         out[w].append(e)
                 _identify(step, einit, elabel, width, out, rep, x, y)
+                bounds = None
             continue
         s = 0  # the stem: cancelling ends of a middle from x back to x
         while x == y and codes[i + s] == -codes[j - 1 - s]:
@@ -692,6 +731,12 @@ def _lay_paths(
         inner = range(n, n + j - s - i - 1)
         end = inner[s - 1] if s else y
         first = h = len(einit)
+        if bounds is not None:  # and at a fresh end, the half-edge back along the read
+            bounds += (first, first + 2 * s)
+            if x >= n_vertices:
+                bounds.append(step[x * width - codes[i - 1]])
+            if not s and y >= n_vertices:
+                bounds.append(step[y * width + codes[j]])
         for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
             einit += (a, b)
             elabel += (c, -c)
@@ -733,12 +778,17 @@ def _fold_paths(
     The paths are laid by :func:`_lay_paths`.  A lay that identified
     nothing is the core as laid unless a given vertex other than the
     base hangs; otherwise the lay's lists are peeled whole, with the
-    base's class protected, and the survivors renumbered once.
+    base's class protected, and the survivors renumbered once.  Kept as
+    laid, with each given vertex but the base branching, it gets the lay's chains.
     """
-    einit, elabel, n, deg, merged, _ = _lay_paths(alphabet, n_vertices, paths)
+    bounds: list[int] = []
+    einit, elabel, n, deg, merged, _ = _lay_paths(alphabet, n_vertices, paths, None, bounds)
     # with nothing identified, only the given vertices can hang
     if merged is None and all(d > 1 or v == base for v, d in enumerate(deg)):
-        return LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
+        g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
+        if all(d > 2 or v == base for v, d in enumerate(deg)):  # even, onward from each
+            g._chains = sorted({*[b + (b & 1) for b in bounds], len(einit)})
+        return g
     cls, vertices, edges = merged or (range(n), range(n), range(0, len(einit), 2))
     if base is not None:
         base = cls[base]
@@ -817,53 +867,28 @@ def trace(g: LabeledGraph, start: int, codes: Iterable[int]) -> int | None:
 # -- canonical form and export ------------------------------------------
 
 
-def _bfs_order(
-    g: LabeledGraph, root: int
-) -> tuple[list[int], list[int], bool, list[int]]:
+def _bfs_order(g: LabeledGraph, root: int) -> tuple[list[int], list[int]]:
     """Vertices in label-driven breadth-first order from ``root``.
 
     Out-edges are followed in :meth:`Alphabet.letters` order, generator
     before inverse (equal labels at an unfolded vertex in half-edge
     order).  Also returns each vertex's parent half-edge in that search
-    tree, the half-edge that first reached it (-1 at the root), whether
-    the graph is folded, and the rows: for each vertex reached, in search
-    order, its positively labelled out-half-edges, ordered by generator
-    name as a string.
-
-    Only the root's list and lists of more than two half-edges are
-    sorted, and only theirs are sorted again by name for the rows.  Any
-    other vertex was reached along one of its own half-edges, so at most
-    one more can reach a new vertex: a vertex of degree two follows just
-    that one, and its two labels must differ; one name comparison orders
-    its rows.
+    tree, the half-edge that first reached it (-1 at the root).  Only the
+    root's list and lists of more than two half-edges are sorted: any
+    other vertex was reached along one of its own half-edges, so a vertex
+    of degree two follows just the other one.
     """
     einit, elabel = g.einit, g.elabel
-    names = g.alphabet.generators  # a positive code's token is its name
     out = g._out_lists()
     order = [root]
     parent = [-2] * g.n_vertices  # -2: not reached yet
     parent[root] = -1
-    rows: list[int] = []
     # Alphabet.code_index of a half-edge's label
     key = lambda e: 2 * c - 2 if (c := elabel[e]) > 0 else -2 * c - 1
-    name = lambda e: names[elabel[e] - 1]
-    folded = True
     for v in order:  # order grows while it is read
         es = out[v]
         if len(es) == 2 and v != root:
             e, f = es
-            c, d = elabel[e], elabel[f]
-            if c > 0:
-                if d < 0:
-                    rows.append(e)
-                else:
-                    if c == d:
-                        folded = False
-                    rows += (f, e) if names[d - 1] < names[c - 1] else es
-            elif d > 0:
-                rows.append(f)
-            elif c == d:
-                folded = False
             # one of e, f is parent[v] ^ 1, back the way v was reached
             e ^= f ^ parent[v] ^ 1  # the other one
             w = einit[e ^ 1]
@@ -873,46 +898,118 @@ def _bfs_order(
             continue
         if len(es) > 2 or v == root:
             es = sorted(es, key=key)  # stable: equal labels keep half-edge order
-            if folded and len({elabel[e] for e in es}) != len(es):
-                folded = False
-            rows += sorted([e for e in es if elabel[e] > 0], key=name)
-        elif elabel[es[0]] > 0:  # degree one
-            rows.append(es[0])
         for e in es:
             w = einit[e ^ 1]
             if parent[w] == -2:
                 parent[w] = e
                 order.append(w)
-    return order, parent, folded, rows
+    return order, parent
+
+
+_numerals: list[str] = []  # str(i) for the vertex numbers formatted so far
 
 
 def canonical_form(g: LabeledGraph, root: int | None = None) -> str:
     """Deterministic text form of a folded connected graph.
 
     Vertices are renumbered in label-driven breadth-first order from the
-    base (or the given root); one line per positively oriented edge,
-    sorted by new tail vertex, then by token as a string.  The search
-    (:func:`_bfs_order`) lists those rows in that order as it reaches
-    each vertex, so this only numbers the vertices and formats the rows.
+    base (or the given root), out-edges in :meth:`Alphabet.letters` order;
+    one line per positively oriented edge, sorted by new tail vertex, then
+    by token as a string.  The search runs on the chains (one split at a
+    root inside it): a front enters a chain at one end and goes one vertex
+    on each level, in its place, so until one meets an end or a front the
+    F fronts take places ``i, i + F, ...`` of the order, one slice each.
     """
+    global _numerals
     if root is None:
         root = g.base
     if root is None:
         raise MissingBaseError("canonical form needs a base or explicit root")
     if not 0 <= root < g.n_vertices:
         raise DisconnectedGraphError("root is not a vertex")
-    order, _, folded, rows = _bfs_order(g, root)
-    if not folded:
+    branch, chains = g._chain_table()
+    if root not in branch:
+        c = next(c for c, chain in enumerate(chains) if root in chain[3])
+        u, w, word, inner = chains[c]
+        p = inner.index(root) + 1
+        chains = [*chains, (root, w, word[p:], inner[p:])]
+        chains[c], branch = (u, root, word[:p], inner[: p - 1]), [*branch, root]
+    generators, rank = g.alphabet.generators, len(g.alphabet)
+    names = ("", *generators, *generators[::-1])  # by signed code
+    key = [0, *range(0, 2 * rank, 2), *range(2 * rank - 1, 0, -2)]  # Alphabet.code_index
+    # front 2c goes into chain c from its tail, front 2c + 1 from its head:
+    # lanes[f] is the chain's inner vertices in front f's order, far[f] the
+    # vertex at its far end, ends[f] the chain's length, pos[f] how far it went
+    width = 2 * len(chains)
+    lanes, far, ends, pos = [], [], [], [0] * width
+    stars: dict[int, list[int]] = {v: [] for v in branch}  # each branch vertex's fronts
+    letters = set()  # (vertex, label) of each chain end: a folded graph repeats none
+    for c, (u, w, word, inner) in enumerate(chains):
+        lanes += (inner, inner[::-1])
+        far += (w, u)
+        ends += (len(word), len(word))
+        stars[u].append(key[word[0]] * width + 2 * c)
+        stars[w].append(key[-word[-1]] * width + 2 * c + 1)
+        letters.update(((u, word[0]), (w, -word[-1])))
+    if len(letters) < width:
         raise NotFoldedError("canonical form needs a folded graph")
-    vnew = [""] * g.n_vertices  # each vertex's new number, as text
-    for i, v in enumerate(order):
-        vnew[v] = str(i)
-    names = g.alphabet.generators
-    einit, elabel = g.einit, g.elabel
-    lines = [
-        f"{vnew[einit[e]]} -{names[elabel[e] - 1]}-> {vnew[einit[e ^ 1]]}" for e in rows
-    ]
-    return "\n".join([f"base {vnew[root]}"] + lines)
+    for keys in stars.values():
+        keys.sort()
+    order, seen, level = [root], {root}, [k % width for k in stars[root]]
+    while level:
+        live, F = set(level), len(level)
+        # a front's free steps: to its far end, or half way to the front facing it
+        k = min([(ends[f] - pos[f] - pos[f ^ 1] - 1) >> (f ^ 1 in live) for f in level])
+        if k:
+            order += [-1] * (F * k)
+            for i, f in enumerate(level, len(order) - F * k):
+                order[i::F] = lanes[f][pos[f] : pos[f] + k]
+                pos[f] += k
+            continue
+        reached: list[int] = []
+        for f in level:
+            p = pos[f] + 1
+            if p + pos[f ^ 1] < ends[f]:  # an inner vertex no front has reached
+                pos[f] = p
+                order.append(lanes[f][p - 1])
+                reached.append(f)
+            elif p == ends[f] and (v := far[f]) not in seen:
+                seen.add(v)
+                order.append(v)
+                reached += [k % width for k in stars[v]]
+        level = reached
+    if len(_numerals) < len(order):  # a new list, so that no reader sees one grow
+        _numerals = [*_numerals, *map(str, range(len(_numerals), len(order)))]
+    text = [""] * g.n_vertices  # each vertex's number
+    for v, x in zip(order, _numerals):
+        text[v] = x
+    rows: list[str | None] = [None] * g.n_vertices  # each vertex's lines
+    lines: dict[int, list[str]] = {v: [] for v in branch}  # each branch vertex's lines
+    for u, w, word, inner in chains:
+        t = [text[u], *map(text.__getitem__, inner), text[w]]
+        if word[0] > 0:
+            lines[u].append(f"{t[0]} -{names[word[0]]}-> {t[1]}")
+        if word[-1] < 0:
+            lines[w].append(f"{t[-1]} -{names[word[-1]]}-> {t[-2]}")
+        # the inner vertex v, numbered q between p and r, has out-labels -a and b
+        for v, a, b, p, q, r in zip(inner, word, word[1:], t, t[1:], t[2:]):
+            if b > 0:
+                if a > 0:
+                    rows[v] = f"{q} -{names[b]}-> {r}"
+                elif names[a] < names[b]:
+                    rows[v] = f"{q} -{names[a]}-> {p}\n{q} -{names[b]}-> {r}"
+                elif a == -b:
+                    raise NotFoldedError("canonical form needs a folded graph")
+                else:
+                    rows[v] = f"{q} -{names[b]}-> {r}\n{q} -{names[a]}-> {p}"
+            elif a < 0:
+                rows[v] = f"{q} -{names[a]}-> {p}"
+            elif a == -b:
+                raise NotFoldedError("canonical form needs a folded graph")
+    for v, ls in lines.items():
+        # a vertex's lines differ in their names, which sort as the lines do
+        rows[v] = "\n".join(sorted(ls)) or None
+    return "\n".join(["base 0", *filter(None, map(rows.__getitem__, order))])
 
 
 def to_dot(g: LabeledGraph) -> str:

@@ -14,7 +14,6 @@ subdivisions folded.  Letters appear only where edges are parsed or printed.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, UnknownGeneratorError
@@ -135,22 +134,25 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     vertex.  Degenerate pairs (equal labels at an unfolded vertex) are
     not representable and are skipped.
     """
-    out, labels = g._out_lists(), g.elabel
-    # a vertex's star is the inverses of its out-labels, so one test over
-    # the labels checks every code the edges are made of
+    # an inner vertex of a chain, between labels a and b, has out-labels
+    # -a and b: its star is {a, -b}, one edge unless a == -b (unfolded)
+    branch, chains = g._chain_table()
+    turns, labels = set(), set()  # the pairs of labels along chains, and the labels
+    stars: dict[int, list[int]] = {v: [] for v in branch}
+    for u, w, word, _ in chains:
+        turns.update(zip(word, word[1:]))
+        labels.update(word)
+        stars[u].append(-word[0])
+        stars[w].append(word[-1])
+    # one test over the labels checks every code the edges are made of
     rank = len(g.alphabet)
     if labels and (max(labels) > rank or min(labels) < -rank or 0 in labels):
-        _check_range(g.alphabet, [[-c for c in labels]])
-    # a star of two distinct codes is one edge; an unfolded vertex that
-    # repeats one label gives none
-    two = [es for es in out if len(es) == 2]
-    pairs = {
-        (-c, -d) if c > d else (-d, -c) for e, f in two if (c := labels[e]) != (d := labels[f])
-    }
-    # a wider star gives every pair of its codes; vertices with the same
-    # labels give the same pairs, and a set drops repeated labels
-    wider = {frozenset(itemgetter(*es)(labels)) for es in out if len(es) > 2}
-    edges = chain(pairs, *[combinations(sorted([-c for c in ls]), 2) for ls in wider])
+        _check_range(g.alphabet, [labels, [-c for c in labels]])
+    pairs = [(a, -b) if a < -b else (-b, a) for a, b in turns if a != -b]
+    # a branch vertex's star gives every pair of its codes; vertices with
+    # the same codes give the same pairs, and a set drops repeated codes
+    wider = {frozenset(s) for s in stars.values() if len(s) > 1}
+    edges = chain(pairs, *[combinations(sorted(s), 2) for s in wider])
     return RestrictionSet._raw(g.alphabet, frozenset(edges))
 
 

@@ -23,8 +23,9 @@ import tracemalloc
 import pytest
 
 from stallings import _kernel
-from stallings.graph import bouquet
+from stallings.graph import bouquet, canonical_form
 from stallings.subgroups import Subgroup, gamma, onto_base
+from stallings.whitehead import whitehead_graph
 from stallings.words import Alphabet, invert_codes, reduce_codes
 
 from helpers import reduced_words
@@ -106,6 +107,18 @@ def gamma_of(count: int):
     return gamma(subgroup(gens)).n_edges, lambda: gamma(subgroup(gens))
 
 
+def canonical_of(count: int):
+    """The canonical form of a core built beforehand, against its edges."""
+    g = gamma(subgroup(generators(count)))
+    return g.n_edges, lambda: canonical_form(g)
+
+
+def whitehead_of(count: int):
+    """The Whitehead graph of a core built beforehand, against its edges."""
+    g = gamma(subgroup(generators(count)))
+    return g.n_edges, lambda: whitehead_graph(g)
+
+
 def kernel_fold(count: int):
     """The bouquet of ``count`` generators, folded by the kernel, against its half-edges."""
     g = bouquet(ABC, generators(count))
@@ -117,7 +130,9 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     return math.log(b[1] / a[1]) / math.log(b[0] / a[0])
 
 
-@pytest.mark.parametrize("draw", [onto_base_half, onto_base_hanging, gamma_of, kernel_fold])
+@pytest.mark.parametrize(
+    "draw", [onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, kernel_fold]
+)
 def test_cost_grows_about_linearly(draw):
     bytecodes: list[tuple[int, int]] = []
     peaks: list[tuple[int, int]] = []

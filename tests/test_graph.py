@@ -716,9 +716,9 @@ class TestSerialization:
 
         Each core is checked at its base, at a vertex of degree two and at
         a branch vertex: the search sorts only the root's and the branch
-        vertices' half-edges.  Its order, parent half-edges and fold flag
-        match :func:`naive_search`, and their digest was recorded before
-        the search listed rows.
+        vertices' half-edges.  Its order and parent half-edges match
+        :func:`naive_search`; their digest, with the fold flag the search
+        returned then, was recorded before the search listed rows.
         """
         abc = Alphabet.of("a", "b", "c")
         rng = random.Random(2002)
@@ -726,9 +726,9 @@ class TestSerialization:
 
         def check(g: LabeledGraph, root: int) -> None:
             assert canonical_form(g, root) == naive_canonical_form(g, root)
-            search = _bfs_order(g, root)[:3]
-            assert search == (*naive_search(g, root), naive_is_folded(g))
-            digest.update(repr(search).encode())
+            search = _bfs_order(g, root)
+            assert search == naive_search(g, root)
+            digest.update(repr((*search, naive_is_folded(g))).encode())
 
         for _ in range(3):
             g = gamma(Subgroup._raw(abc, reduced_words(rng, 3, 50, 40)))
@@ -763,12 +763,18 @@ class TestSerialization:
 
     @given(st.one_of(pointed_graphs(), one_loop), st.booleans())
     def test_fold_flag_matches_naive_at_every_root(self, g, take_core):
-        """Also on single loops, whose base has degree two and may repeat a label."""
+        """The canonical form rejects exactly the unfolded graphs, from every root.
+
+        Also on single loops, whose base has degree two and may repeat a label.
+        """
         if take_core:
             g = core(g)
-        folded = naive_is_folded(g)
         for root in range(g.n_vertices):
-            assert _bfs_order(g, root)[2] == folded
+            if naive_is_folded(g):
+                assert canonical_form(g, root) == naive_canonical_form(g, root)
+            else:
+                with pytest.raises(NotFoldedError):
+                    canonical_form(g, root)
 
     @given(pointed_graphs(Alphabet.of("x2", "x10", "x1")), st.integers(0, 2**32))
     def test_rows_match_naive_at_every_root(self, g, seed):

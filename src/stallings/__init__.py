@@ -86,6 +86,8 @@ from .words import (
 
 __version__ = "0.1.0"
 
-# Names the fold kernel, which runs on graph's fold and which no library
-# function calls; perfbench's info line reads this name.
+# No library function calls the fold kernel; it is loaded for perfbench's
+# tracer to wrap, and perfbench's info line reads kernel_backend.
+from . import _kernel  # noqa: E402,F401
+
 kernel_backend = "python"

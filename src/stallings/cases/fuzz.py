@@ -9,6 +9,7 @@ injective.  Any counterexample is reported verbatim; none is expected.
 from __future__ import annotations
 
 import random
+from collections.abc import Sized
 from dataclasses import dataclass
 
 from ..graph import classify
@@ -18,13 +19,14 @@ from .engine import root_case
 
 
 def random_reduced_word(
-    rng: random.Random, alphabet: Alphabet, max_len: int
+    rng: random.Random, alphabet: Sized, max_len: int
 ) -> tuple[int, ...]:
     """A uniformly random reduced code word of length between 1 and max_len.
 
     Each letter is drawn as a position in :meth:`Alphabet.letters` order,
     skipping the position of the previous letter's inverse, which keeps
-    the draws of a seed fixed; no list of the letters is built.
+    the draws of a seed fixed; no list of the letters is built.  Only
+    the alphabet's size is read, so any sized stand-in draws the same.
     """
     n = 2 * len(alphabet)
     length = rng.randint(1, max_len)
@@ -71,13 +73,20 @@ def fuzz_example(
     rng = random.Random(seed)
     root = root_case()
     source_alphabet = root.alphabet
-    target_alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(alphabet_size)))
+    # a trial draws at most 2 * max_len generators: past that, name only those
+    whole = alphabet_size <= 2 * max_len
+    drawn: Sized = range(alphabet_size)
+    if whole:
+        drawn = target_alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(alphabet_size)))
     failures: list[str] = []
     for _ in range(trials):
         images = tuple(
-            random_reduced_word(rng, target_alphabet, max_len)
-            for _ in source_alphabet.generators
+            random_reduced_word(rng, drawn, max_len) for _ in source_alphabet.generators
         )
+        if not whole:  # name the drawn generators x<code>, in code order
+            new = {c: i for i, c in enumerate(sorted({abs(c) for w in images for c in w}), 1)}
+            target_alphabet = Alphabet._raw(tuple([f"x{c}" for c in new]))
+            images = tuple([tuple([new[c] if c > 0 else -new[-c] for c in w]) for w in images])
         phi = GroupHom._raw(source_alphabet, target_alphabet, images)
         m = unbased_image_morphism(phi, root.morphism)
         if not classify(m).injective:

@@ -176,18 +176,18 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     if g.base is None or d.base is None:
         raise MissingBaseError("both graphs need base points")
     a, top, k = phi.target, d.n_vertices, len(g_paths)
-    s_lay = None
+    rank, s_lay = len(a), None
     if g.base == d.base and d_paths[:k] == g_paths:
-        t_lay = _lay_paths(a, top, g_paths)
+        t_lay = _lay_paths(rank, top, g_paths)
         if t_lay[4] is None:  # nothing identified, so the lay can go on
             einit, elabel, n, deg, _, _ = t_lay
             shift = top - g.n_vertices
             own = [w - shift if w >= top else w for w in einit]
             # no dict: the target's lay keeps growing it
             s_lay = (own, elabel[:], n - shift, deg[: g.n_vertices], None, None)
-            t_lay = _lay_paths(a, top, d_paths[k:], t_lay)
+            t_lay = _lay_paths(rank, top, d_paths[k:], t_lay)
     if s_lay is None:
-        s_lay, t_lay = _lay_paths(a, g.n_vertices, g_paths), _lay_paths(a, top, d_paths)
+        s_lay, t_lay = _lay_paths(rank, g.n_vertices, g_paths), _lay_paths(rank, top, d_paths)
     s, s_junction, tail = _fold_two_core(a, s_lay, g.base)
     t, t_junction, stem = _fold_two_core(a, t_lay, d.base)
     if s.n_edges == 0:

@@ -16,7 +16,6 @@ from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
-from . import _kernel  # unused here; loaded so perfbench's tracer can wrap _kernel.fold
 from .errors import (
     AlphabetMismatchError,
     DisconnectedGraphError,
@@ -454,10 +453,9 @@ def iso_pointed(g: LabeledGraph, d: LabeledGraph) -> bool:
 # -- folding / trimming / core ---------------------------------------
 
 
-def _edge_paths(g: LabeledGraph) -> list[tuple[int, int, tuple[int]]]:
-    """Each edge of g as a one-letter path ``(tail, head, (label,))`` to lay."""
-    einit = g.einit
-    return [(u, v, (c,)) for u, v, c in zip(einit[::2], einit[1::2], g.elabel[::2])]
+def _edge_paths(einit: Sequence[int], elabel: Sequence[int]) -> list[tuple[int, int, tuple[int]]]:
+    """Each edge as a one-letter path ``(tail, head, (label,))`` to lay."""
+    return [(u, v, (c,)) for u, v, c in zip(einit[::2], einit[1::2], elabel[::2])]
 
 
 def fold_all(g: LabeledGraph) -> tuple[LabeledGraph, GraphMorphism]:
@@ -468,7 +466,8 @@ def fold_all(g: LabeledGraph) -> tuple[LabeledGraph, GraphMorphism]:
     the one laid first.  Vertex 0 is the least of its class, so the
     quotient is the extension of 0 to 0.
     """
-    einit, elabel, n, _, merged, _ = _lay_paths(g.alphabet, g.n_vertices, _edge_paths(g))
+    paths = _edge_paths(g.einit, g.elabel)
+    einit, elabel, n, _, merged, _ = _lay_paths(len(g.alphabet), g.n_vertices, paths)
     cls, vertices, edges = merged or (range(n), range(n), range(0, len(einit), 2))
     base = None if g.base is None else cls[g.base]
     folded = _renumber(g.alphabet, einit, elabel, base, vertices, edges)
@@ -586,7 +585,7 @@ def core(g: LabeledGraph) -> LabeledGraph:
     """
     if g.is_folded():
         return trim_all(g)
-    return _fold_paths(g.alphabet, g.n_vertices, _edge_paths(g), g.base)
+    return _fold_paths(g.alphabet, g.n_vertices, _edge_paths(g.einit, g.elabel), g.base)
 
 
 def _find(rep: dict[int, int], v: int) -> int:
@@ -660,7 +659,7 @@ _Lay = tuple[
 
 
 def _lay_paths(
-    alphabet: Alphabet,
+    rank: int,
     n_vertices: int,
     paths: Iterable[tuple[int, int, Sequence[int]]],
     lay: _Lay | None = None,
@@ -668,10 +667,10 @@ def _lay_paths(
 ) -> _Lay:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
-    Each path ``(u, v, codes)`` spells a reduced code word over the
-    alphabet from u to v, and an empty one joins its two ends.  The
-    caller checks the codes: one out of range would alias another's key
-    here.  A path is read forward from u and backward from v along the
+    Each path ``(u, v, codes)`` spells a reduced code word over an
+    alphabet of the given rank from u to v, and an empty one joins its
+    two ends.  The caller checks the codes: one out of range would alias
+    another's key here.  A path is read forward from u and backward from v along the
     edges laid so far, and only its unread middle is spelled, on fresh
     vertices numbered in spelling order; a middle that starts and ends
     at one vertex lays its cancelling ends once, as a stem.  So the
@@ -694,7 +693,7 @@ def _lay_paths(
     followed the lay's own in one call.  Until anything is identified, it adds to
     ``bounds`` each middle's first half-edge and one at its stem's tip or a fresh end.
     """
-    width = 2 * len(alphabet) + 1
+    width = 2 * rank + 1
     if lay is None:
         step: dict[int, int] = {}  # vertex * width + code -> the half-edge leaving there
         einit: list[int] = []
@@ -782,7 +781,7 @@ def _fold_paths(
     laid, with each given vertex but the base branching, it gets the lay's chains.
     """
     bounds: list[int] = []
-    einit, elabel, n, deg, merged, _ = _lay_paths(alphabet, n_vertices, paths, None, bounds)
+    einit, elabel, n, deg, merged, _ = _lay_paths(len(alphabet), n_vertices, paths, None, bounds)
     # with nothing identified, only the given vertices can hang
     if merged is None and all(d > 1 or v == base for v, d in enumerate(deg)):
         g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)

@@ -296,7 +296,7 @@ class OntoBase(NamedTuple):
 def _conjugate_core(g: LabeledGraph, u: Sequence[int]) -> LabeledGraph:
     """The core of u H u^-1, for g the core of H: a path spelling u from a new base to g's."""
     n = g.n_vertices
-    return _fold_paths(g.alphabet, n + 1, [*_edge_paths(g), (n, g.base, u)], n)
+    return _fold_paths(g.alphabet, n + 1, [*_edge_paths(g.einit, g.elabel), (n, g.base, u)], n)
 
 
 def onto_base(h: Subgroup, k: Subgroup) -> OntoBase:

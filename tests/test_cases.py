@@ -4,6 +4,7 @@ import time
 import pytest
 
 from stallings.cases import (
+    FuzzReport,
     InjectivityCase,
     Reduction,
     Resolution,
@@ -16,7 +17,7 @@ from stallings.cases import (
     table,
     verify_tables,
 )
-from stallings.cases import engine
+from stallings.cases import engine, fuzz
 from stallings.cases.engine import given_case, make_substitution
 from stallings.errors import (
     EdgeNotMissingError,
@@ -25,7 +26,7 @@ from stallings.errors import (
     StallingsError,
 )
 from stallings.functor import image_morphism, unbased_image_morphism
-from stallings.graph import classify, iso_pointed
+from stallings.graph import MorphismClassification, classify, iso_pointed
 from stallings.whitehead import (
     RestrictionSet,
     code_edge,
@@ -452,6 +453,38 @@ class TestFuzz:
         words = [random_reduced_word(rng, wide, 6) for _ in range(40)]
         assert time.perf_counter() - start < 0.05
         assert all(0 < abs(c) <= 100_000 for w in words for c in w)
+
+    # max_len 6: at 12 generators or fewer a trial may draw them all, and
+    # the whole alphabet is named; past that, only the ones a trial draws
+    @pytest.mark.parametrize("alphabet_size", [1, 5, 12, 13, 40, 2000])
+    def test_failures_match_a_loop_over_the_whole_alphabet(self, monkeypatch, alphabet_size):
+        """Trials 1, 4, 5 and 9 of 10 fail: their lines name the drawn generators ``x<code>``."""
+        failing, verdicts, targets = {1, 4, 5, 9}, iter(range(10)), []
+        transport = fuzz.unbased_image_morphism
+
+        def recorded(phi, f):
+            targets.append(phi.target)
+            return transport(phi, f)
+
+        def verdict(m):
+            ok = next(verdicts) not in failing
+            return MorphismClassification(ok, ok, True, True)
+
+        monkeypatch.setattr(fuzz, "unbased_image_morphism", recorded)
+        monkeypatch.setattr(fuzz, "classify", verdict)
+        report = fuzz_example(trials=10, alphabet_size=alphabet_size, max_len=6, seed=3)
+        rng, source = random.Random(3), root_case().alphabet.generators
+        whole = Alphabet(tuple(f"x{i + 1}" for i in range(alphabet_size)))
+        lines = []
+        for trial, target in enumerate(targets):
+            drawn = [list_reduced_word(rng, whole, 6) for _ in source]
+            names = tuple(f"x{c}" for c in sorted({abs(c) for w in drawn for c in w}))
+            assert target.generators == (whole.generators if alphabet_size <= 12 else names)
+            if trial in failing:
+                lines.append("; ".join(f"{g} -> {whole.word(w).text}" for g, w in zip(source, drawn)))
+        assert len(targets) == 10
+        assert report == FuzzReport(10, alphabet_size, 6, 3, tuple(lines))
+        assert report.summary().endswith(": 4 NON-INJECTIVE counterexamples")
 
     def test_deterministic_under_seed(self):
         a = fuzz_example(trials=50, alphabet_size=3, max_len=5, seed=9)

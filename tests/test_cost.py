@@ -10,7 +10,9 @@ Each contract draws inputs of three sizes from a seed, about n, 4n and
 16n, and bounds the log-log slope of the bytecodes over each 4x step.
 Containers grow by doubling, so bytes are a step function of size, and
 one step alone moves a slope over 4x by up to 0.5: the peak's slope is
-bounded over the whole 16x span instead.
+bounded over the whole 16x span instead.  ``fuzz_example`` is counted
+against the alphabet size at a fixed number of trials, and both of its
+counts must stay flat.
 """
 
 from __future__ import annotations
@@ -23,15 +25,18 @@ import tracemalloc
 import pytest
 
 from stallings import _kernel
+from stallings.cases import fuzz_example
 from stallings.graph import bouquet, canonical_form
-from stallings.subgroups import Subgroup, gamma, onto_base
+from stallings.subgroups import Subgroup, contains_codes, covering_circuit, gamma, onto_base
 from stallings.whitehead import whitehead_graph
-from stallings.words import Alphabet, invert_codes, reduce_codes
+from stallings.words import Alphabet, invert_codes, parse_codes, reduce_codes
 
 from helpers import reduced_words
 
 ABC = Alphabet.of("a", "b", "c")
 MAX_SLOPE = 1.2
+# a flat count may move by 15% over a 4x step, by 32% over 16x
+FLAT_SLOPE = 0.1
 
 
 def cost(call) -> tuple[int, int]:
@@ -119,6 +124,32 @@ def whitehead_of(count: int):
     return g.n_edges, lambda: whitehead_graph(g)
 
 
+def covering_of(count: int):
+    """The covering circuit of a core built beforehand, against its edges."""
+    g = gamma(subgroup(generators(count)))
+    return g.n_edges, lambda: covering_circuit(g)
+
+
+def contains_of(count: int):
+    """``count`` members of a core built beforehand, against their letters.
+
+    Each word is the product of two seeded picks of 25 generators, so
+    the walk reads every letter.
+    """
+    gens = generators(25)
+    h = subgroup(gens)
+    gamma(h)
+    rng = random.Random(3)
+    words = [reduce_codes(rng.choice(gens) + rng.choice(gens)) for _ in range(count)]
+    return sum(map(len, words)), lambda: contains_codes(h, ABC, words)
+
+
+def parse_of(count: int):
+    """``count`` words of tokens, against the tokens."""
+    lines = [ABC.word(w).text.split() for w in generators(count)]
+    return sum(map(len, lines)), lambda: parse_codes(lines)
+
+
 def kernel_fold(count: int):
     """The bouquet of ``count`` generators, folded by the kernel, against its half-edges."""
     g = bouquet(ABC, generators(count))
@@ -131,7 +162,11 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 
 @pytest.mark.parametrize(
-    "draw", [onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, kernel_fold]
+    "draw",
+    [
+        onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, covering_of,
+        contains_of, parse_of, kernel_fold,
+    ],
 )
 def test_cost_grows_about_linearly(draw):
     bytecodes: list[tuple[int, int]] = []
@@ -145,3 +180,21 @@ def test_cost_grows_about_linearly(draw):
             assert size > 3 * bytecodes[-2][0]
             assert slope(*bytecodes[-2:]) <= MAX_SLOPE, f"(size, bytecodes): {bytecodes}"
     assert slope(peaks[0], peaks[-1]) <= MAX_SLOPE, f"(size, peak bytes): {peaks}"
+
+
+def test_fuzz_cost_does_not_grow_with_the_alphabet():
+    """Ten trials cost the same at alphabet sizes 1,000, 4,000 and 16,000.
+
+    A trial draws at most ``2 * max_len`` generators, and only those are
+    named, so neither count may follow the alphabet's size.
+    """
+    fuzz_example(1, 3, 6)  # builds the example once, outside the counts
+    bytecodes: list[tuple[int, int]] = []
+    peaks: list[tuple[int, int]] = []
+    for size in (1000, 4000, 16000):
+        executed, peak = cost(lambda: fuzz_example(10, size, 6))
+        bytecodes.append((size, executed))
+        peaks.append((size, peak))
+        if len(bytecodes) > 1:
+            assert abs(slope(*bytecodes[-2:])) <= FLAT_SLOPE, f"(size, bytecodes): {bytecodes}"
+    assert abs(slope(peaks[0], peaks[-1])) <= FLAT_SLOPE, f"(size, peak bytes): {peaks}"

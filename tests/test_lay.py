@@ -185,7 +185,7 @@ class TestPinned:
     def test_an_empty_path_joins_its_ends(self, monkeypatch):
         """One identification for an empty path between two vertices, none for an empty loop."""
         identified = count_identifications(monkeypatch)
-        einit, elabel, n, _, merged, _ = _lay_paths(A, 2, [(0, 0, (1,)), (1, 1, ()), (0, 1, ())])
+        einit, elabel, n, _, merged, _ = _lay_paths(len(A), 2, [(0, 0, (1,)), (1, 1, ()), (0, 1, ())])
         assert len(identified) == 1
         assert (einit, elabel, n) == ([0, 0], [1, -1], 2)
         assert merged == ([0, 0], [0], [0])
@@ -234,7 +234,7 @@ class TestPinned:
         """The 2-core drops the base's class; the junction and word lead back to it."""
         identified = count_identifications(monkeypatch)
         phi, d = self.BASE_MOVES, ROOT.target
-        lay = _lay_paths(AB, d.n_vertices, _paths(phi, phi.codes, d))
+        lay = _lay_paths(len(AB), d.n_vertices, _paths(phi, phi.codes, d))
         core, junction, word = _fold_two_core(AB, lay, d.base)
         assert self._base_moved(identified)
         assert (core.n_vertices, core.einit, core.elabel) == (

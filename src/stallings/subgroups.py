@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     InternalError,
     MissingBaseError,
+    NotFoldedError,
     NotIncludedError,
     StallingsError,
     TrivialGraphError,
@@ -150,6 +151,8 @@ def pi1_basis(g: LabeledGraph) -> list[tuple[int, ...]]:
     """A free basis from a spanning tree: one code word per non-tree edge."""
     if g.base is None:
         raise MissingBaseError("basis extraction needs a pointed graph")
+    if not g.is_folded():  # the non-tree edges of [a, a]'s bouquet spell a, a: no basis
+        raise NotFoldedError("basis extraction needs a folded graph")
     parent_dart = _bfs_order(g, g.base)[1]
     tree_edges = {d // 2 for d in parent_dart if d >= 0}
 
@@ -185,45 +188,28 @@ def inclusion_morphism(h: Subgroup, k: Subgroup) -> GraphMorphism | None:
 
 
 def _dart_bfs(
-    g: LabeledGraph,
-    allowed: set[int],
-    start_vertex: int,
-    last_dart: int | None,
-    is_target,
-    first_code_not: int = 0,
+    g: LabeledGraph, allowed: set[int], start: int, last: int, is_target
 ) -> list[int] | None:
     """Shortest reduced dart path from a position to a target dart.
 
-    A position is (vertex, dart last traversed); continuations may not
-    immediately reverse.  Only darts whose geometric edge is in
-    ``allowed`` are used.
+    A position is a vertex and the dart last traversed into it (-1 for
+    none); no step may reverse the step before it.  Only darts whose
+    geometric edge is in ``allowed`` are used.
     """
     out, einit = g._out_lists(), g.einit
-    frontier: list[int] = []
-    parent: dict[int, int | None] = {}
-    for d in out[start_vertex]:
-        if d // 2 not in allowed:
-            continue
-        if last_dart is not None and d == (last_dart ^ 1):
-            continue
-        if g.elabel[d] == first_code_not:
-            continue
-        if d not in parent:
-            parent[d] = None
-            frontier.append(d)
-    queue = deque(frontier)
+    parent = dict.fromkeys([d for d in out[start] if d // 2 in allowed and d != last ^ 1], -1)
+    queue = deque(parent)
     while queue:
         d = queue.popleft()
         if is_target(d):
             path = [d]
-            while parent[path[-1]] is not None:
+            while parent[path[-1]] >= 0:
                 path.append(parent[path[-1]])
-            return list(reversed(path))
+            return path[::-1]
         for e in out[einit[d ^ 1]]:
-            if e // 2 not in allowed or e == (d ^ 1) or e in parent:
-                continue
-            parent[e] = d
-            queue.append(e)
+            if e // 2 in allowed and e != d ^ 1 and e not in parent:
+                parent[e] = d
+                queue.append(e)
     return None
 
 
@@ -244,40 +230,30 @@ def covering_circuit(g: LabeledGraph, first_code_not: int = 0) -> tuple[int, ...
 
     _, kept_e, tail = _peel(*_whole(g), None)  # tail: the hanging path from the base
     allowed = {e // 2 for e in kept_e}
-    junction = g.head(tail[-1]) if tail else g.base
+    if tail:
+        if g.elabel[tail[0]] == first_code_not:
+            raise StallingsError("the forced first letter is forbidden")
+        last = tail[-1]
+        junction = g.head(last)
+    else:  # a core is folded, so at most one dart leaves the base with that letter
+        last = next((d ^ 1 for d in g.out_edges(g.base) if g.elabel[d] == first_code_not), -1)
+        junction = g.base
 
-    if tail and g.elabel[tail[0]] == first_code_not:
-        raise StallingsError("the forced first letter is forbidden")
-
-    circuit: list[int] = list(tail)
-    uncovered = set(allowed)
-    pos_vertex, pos_dart = junction, (tail[-1] if tail else None)
-    first_not = first_code_not if not tail else 0
-    while uncovered:
+    # legs to an uncovered edge while one is left, then one back to the junction
+    circuit, uncovered, v = list(tail), set(allowed), junction
+    while uncovered or v != junction:
         leg = _dart_bfs(
-            g,
-            allowed,
-            pos_vertex,
-            pos_dart,
-            lambda d: d // 2 in uncovered,
-            first_code_not=first_not,
+            g, allowed, v, last,
+            (lambda d: d // 2 in uncovered) if uncovered else (lambda d: g.head(d) == junction),
         )
         if leg is None:
-            raise InternalError("internal error: no reduced walk reaches an uncovered edge")
-        first_not = 0
-        for d in leg:
-            uncovered.discard(d // 2)
-        circuit.extend(leg)
-        pos_dart = leg[-1]
-        pos_vertex = g.head(pos_dart)
-    if pos_vertex != junction:
-        leg = _dart_bfs(
-            g, allowed, pos_vertex, pos_dart, lambda d: g.head(d) == junction
-        )
-        if leg is None:
-            raise InternalError("internal error: no reduced walk closes the circuit")
-        circuit.extend(leg)
-    circuit.extend(d ^ 1 for d in reversed(tail))
+            goal = "reaches an uncovered edge" if uncovered else "closes the circuit"
+            raise InternalError(f"internal error: no reduced walk {goal}")
+        uncovered.difference_update([d // 2 for d in leg])
+        circuit += leg
+        last = leg[-1]
+        v = g.head(last)
+    circuit += [d ^ 1 for d in reversed(tail)]
 
     codes = tuple([g.elabel[d] for d in circuit])
     if reduce_codes(codes) != codes:

@@ -26,10 +26,13 @@ import pytest
 
 from stallings import _kernel
 from stallings.cases import fuzz_example
+from stallings.functor import image_core
 from stallings.graph import bouquet, canonical_form
-from stallings.subgroups import Subgroup, contains_codes, covering_circuit, gamma, onto_base
+from stallings.subgroups import (
+    Subgroup, contains_codes, covering_circuit, gamma, onto_base, pi1_basis,
+)
 from stallings.whitehead import whitehead_graph
-from stallings.words import Alphabet, invert_codes, parse_codes, reduce_codes
+from stallings.words import Alphabet, GroupHom, invert_codes, parse_codes, reduce_codes
 
 from helpers import reduced_words
 
@@ -130,6 +133,28 @@ def covering_of(count: int):
     return g.n_edges, lambda: covering_circuit(g)
 
 
+def basis_of(count: int):
+    """The basis of a core built beforehand, against its edges plus the basis's letters.
+
+    A basis word runs from the base down the tree and back, so the
+    output can outgrow the graph.
+    """
+    g = gamma(subgroup(generators(count)))
+    return g.n_edges + sum(map(len, pi1_basis(g))), lambda: pi1_basis(g)
+
+
+def image_core_of(count: int):
+    """The image core of a core built beforehand, against the image paths' letters.
+
+    The images are fixed two-letter words that share first and last
+    letters, so the fold identifies along the paths.
+    """
+    g = gamma(subgroup(generators(count)))
+    phi = GroupHom._raw(ABC, ABC, ((1, 2), (1, -3), (3, 2)))
+    images = [phi.codes[abs(c) - 1] for c in g.elabel[::2]]
+    return sum(map(len, images)), lambda: image_core(phi, g)
+
+
 def contains_of(count: int):
     """``count`` members of a core built beforehand, against their letters.
 
@@ -165,7 +190,7 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     "draw",
     [
         onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, covering_of,
-        contains_of, parse_of, kernel_fold,
+        basis_of, image_core_of, contains_of, parse_of, kernel_fold,
     ],
 )
 def test_cost_grows_about_linearly(draw):

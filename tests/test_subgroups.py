@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 
@@ -7,12 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stallings import subgroups
 from stallings.errors import (
+    NotFoldedError,
     NotIncludedError,
+    StallingsError,
     TrivialGraphError,
     TrivialSubgroupError,
     UnknownGeneratorError,
 )
 from stallings.graph import (
+    bouquet,
     canonical_form,
     classify,
     core,
@@ -490,6 +494,11 @@ class TestBasis:
     def test_trivial(self):
         assert pi1_basis(gamma(Subgroup(AB, ()))) == []
 
+    def test_unfolded_graph_rejected(self):
+        """Two a-loops at the base generate <a>, but a, a is no free basis of it."""
+        with pytest.raises(NotFoldedError, match="^basis extraction needs a folded graph$"):
+            pi1_basis(bouquet(AB, [codes("a"), codes("a")]))
+
     @pytest.mark.parametrize(
         "text, generators, basis",
         [
@@ -784,6 +793,63 @@ class TestOntoBase:
             assert contains(k, AB.word(u))
             assert classify(f).surjective
             assert iso_pointed(f.target, gamma(k))
+
+
+def _pinned_lines(rng: random.Random, alphabet: Alphabet):
+    """One line per covering circuit of gamma(K) and per ``onto_base(H, K)``.
+
+    K has up to three random generators; H is generated by products of
+    them, conjugated by another such product at even odds so that
+    gamma(H) often hangs a path from its base.  Each circuit is read
+    for every ``first_code_not`` from -r to r, and an error is its type
+    and message.
+    """
+    r = len(alphabet)
+
+    def product(gens):
+        w: tuple[int, ...] = ()
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice(gens)
+            w = reduce_codes(w + (invert_codes(g) if rng.random() < 0.5 else g))
+        return w
+
+    def outcome(call):
+        try:
+            return call()
+        except StallingsError as e:
+            return f"{type(e).__name__}: {e}"
+
+    k = random_subgroup(rng, alphabet, max_gens=3, max_len=6)
+    for c in range(-r, r + 1):
+        yield repr(outcome(lambda: covering_circuit(gamma(k), c)))
+    if k.is_trivial():
+        return
+    gens = [product(k.codes) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        w = product(k.codes)
+        gens = [reduce_codes(w + g + invert_codes(w)) for g in gens]
+    h = subgroup(alphabet, gens)
+    result = outcome(lambda: onto_base(h, k))
+    if not isinstance(result, str):
+        result = (result.conjugator, classify(result.morphism))
+    yield repr(result)
+
+
+class TestPinnedCircuits:
+    def test_circuits_and_conjugators_are_pinned(self):
+        """A digest of circuits and conjugators over seeded nested pairs at ranks 1-4.
+
+        The other tests check that circuits are valid, and any circuit
+        would pass them; this one pins the search order itself, so a
+        change of order shows as a new digest.
+        """
+        rng = random.Random(43)
+        digest = hashlib.sha256()
+        for alphabet in ALPHABETS:
+            for _ in range(300):
+                for line in _pinned_lines(rng, alphabet):
+                    digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == "34f07ef252966fc24692bc1949ad6d07e8e28c2d48b7857f4cb516f24501a1c0"
 
 
 class TestSubgroupFiles:

@@ -11,8 +11,8 @@ Graphs are frozen after construction; every operation returns new values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import compress
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress
 from operator import index
 from typing import Iterable, Sequence
 
@@ -663,7 +663,6 @@ def _lay_paths(
     n_vertices: int,
     paths: Iterable[tuple[int, int, Sequence[int]]],
     lay: _Lay | None = None,
-    bounds: list[int] | None = None,
 ) -> _Lay:
     """Vertices ``0..n_vertices-1`` joined by paths, folded as spelled.
 
@@ -690,8 +689,7 @@ def _lay_paths(
     and the degrees mean nothing.  Given ``lay``, one it returned for the
     same given vertices with nothing identified, it spells the paths on
     in that lay's lists and dict and returns them, as if the paths had
-    followed the lay's own in one call.  Until anything is identified, it adds to
-    ``bounds`` each middle's first half-edge and one at its stem's tip or a fresh end.
+    followed the lay's own in one call.
     """
     width = 2 * rank + 1
     if lay is None:
@@ -720,7 +718,6 @@ def _lay_paths(
                     for e, w in enumerate(einit):
                         out[w].append(e)
                 _identify(step, einit, elabel, width, out, rep, x, y)
-                bounds = None
             continue
         s = 0  # the stem: cancelling ends of a middle from x back to x
         while x == y and codes[i + s] == -codes[j - 1 - s]:
@@ -730,12 +727,6 @@ def _lay_paths(
         inner = range(n, n + j - s - i - 1)
         end = inner[s - 1] if s else y
         first = h = len(einit)
-        if bounds is not None:  # and at a fresh end, the half-edge back along the read
-            bounds += (first, first + 2 * s)
-            if x >= n_vertices:
-                bounds.append(step[x * width - codes[i - 1]])
-            if not s and y >= n_vertices:
-                bounds.append(step[y * width + codes[j]])
         for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
             einit += (a, b)
             elabel += (c, -c)
@@ -766,6 +757,74 @@ def _lay_paths(
     return einit, elabel, n, deg, (cls, vertices, edges), step
 
 
+def _lay_sparse(
+    rank: int, n_vertices: int, paths: Iterable[tuple[int, int, Sequence[int]]], bounds: list[int]
+) -> _Lay:
+    """The lay of :func:`_lay_paths`, for a caller that drops its dict: one of the middles' ends.
+
+    A middle lays one edge more than vertices, so the k-th middle's
+    fresh vertex x leaves along it by half-edge ``2 * (x - n_vertices +
+    k + 1)`` and the one before, and a read goes on there by arithmetic
+    where the dict misses.  Each middle adds to ``bounds`` its first
+    half-edge, one at its stem's tip and one at each fresh vertex where
+    a read of its path stopped.  Where two reads first meet at different
+    vertices, every half-edge is indexed and :func:`_lay_paths` lays
+    that path and the rest on.
+    """
+    width = 2 * rank + 1
+    step: dict[int, int] = {}  # each middle's first half-edge and the pair of its last
+    einit: list[int] = []
+    elabel: list[int] = []
+    deg, n, starts = [0] * n_vertices, n_vertices, []  # starts: each middle's first fresh vertex
+    paths = iter(paths)
+    for u, v, codes in paths:
+        i, j, x, y = 0, len(codes), u, v
+        while True:
+            while i < j and (h := step.get(x * width + codes[i])) is not None:
+                x, i = einit[h ^ 1], i + 1
+            if i == j or x < n_vertices:
+                break
+            # fresh x's half-edges along its middle; the dict holds all its others
+            h = 2 * (x - n_vertices + bisect_right(starts, x))
+            if elabel[h] != codes[i] and elabel[h := h - 1] != codes[i]:
+                break
+            x, i = einit[h ^ 1], i + 1
+        while True:
+            while j > i and (h := step.get(y * width - codes[j - 1])) is not None:
+                y, j = einit[h ^ 1], j - 1
+            if j == i or y < n_vertices:
+                break
+            h = 2 * (y - n_vertices + bisect_right(starts, y))
+            if elabel[h] != -codes[j - 1] and elabel[h := h - 1] != -codes[j - 1]:
+                break
+            y, j = einit[h ^ 1], j - 1
+        if i == j:
+            if x != y:
+                step = {w * width + c: e for e, (w, c) in enumerate(zip(einit, elabel))}
+                lay = (einit, elabel, n, deg, None, step)
+                return _lay_paths(rank, n_vertices, chain([(u, v, codes)], paths), lay)
+            continue
+        s = 0  # the stem, as _lay_paths lays it
+        while x == y and codes[i + s] == -codes[j - 1 - s]:
+            s += 1
+        inner = range(n, n + j - s - i - 1)
+        end = inner[s - 1] if s else y
+        first = len(einit)
+        bounds += (first, first + 2 * s)  # and a chain splits where a read stopped
+        bounds += [2 * (z - n_vertices + bisect_right(starts, z)) for z in (x, y) if z >= n_vertices]
+        for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
+            einit += (a, b)
+            elabel += (c, -c)
+        step[x * width + codes[i]], step[end * width - codes[j - s - 1]] = first, len(einit) - 1
+        starts.append(n)
+        n = inner.stop
+        if x < n_vertices:
+            deg[x] += 1
+        if end < n_vertices:
+            deg[end] += 1
+    return einit, elabel, n, deg, None, step
+
+
 def _fold_paths(
     alphabet: Alphabet,
     n_vertices: int,
@@ -774,14 +833,14 @@ def _fold_paths(
 ) -> LabeledGraph:
     """The core of vertices ``0..n_vertices-1`` joined by paths.
 
-    The paths are laid by :func:`_lay_paths`.  A lay that identified
+    The paths are laid by :func:`_lay_sparse`.  A lay that identified
     nothing is the core as laid unless a given vertex other than the
     base hangs; otherwise the lay's lists are peeled whole, with the
     base's class protected, and the survivors renumbered once.  Kept as
     laid, with each given vertex but the base branching, it gets the lay's chains.
     """
     bounds: list[int] = []
-    einit, elabel, n, deg, merged, _ = _lay_paths(len(alphabet), n_vertices, paths, None, bounds)
+    einit, elabel, n, deg, merged, _ = _lay_sparse(len(alphabet), n_vertices, paths, bounds)
     # with nothing identified, only the given vertices can hang
     if merged is None and all(d > 1 or v == base for v, d in enumerate(deg)):
         g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), base, _validate=False)
@@ -810,9 +869,10 @@ def _fold_two_core(
     and hangs no word.  A 2-core kept as laid, with nothing identified
     or peeled, is the whole lay, vertices and half-edges numbered as
     laid, and keeps the lay's dict as its edge table, so extending into
-    it builds none.  The lists are copied and the dict is kept, so a lay
-    that is spelled on afterwards comes here without its dict (None in
-    its place), and its 2-core builds a table of its own if one is read.
+    it builds none (:func:`_lay_paths` indexes every half-edge it lays).
+    The lists are copied and the dict is kept, so a lay that is spelled
+    on afterwards comes here without its dict (None in its place), and
+    its 2-core builds a table of its own if one is read.
     """
     einit, elabel, n, deg, merged, step = lay
     if merged is None:

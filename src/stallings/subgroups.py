@@ -10,6 +10,7 @@ morphism of an inclusion surjective.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -20,6 +21,7 @@ from .errors import (
     StallingsError,
     TrivialGraphError,
     TrivialSubgroupError,
+    UnknownGeneratorError,
 )
 from .graph import (
     GraphMorphism,
@@ -107,8 +109,11 @@ def gamma(h: Subgroup) -> LabeledGraph:
     return that same graph.
     """
     if h._core is None:
-        for w in h.codes:
-            _check_labels(h.alphabet, w)
+        try:  # one check of the distinct codes; a bad one is named in reading order
+            _check_labels(h.alphabet, {*chain.from_iterable(h.codes)})
+        except UnknownGeneratorError:
+            _check_labels(h.alphabet, [*chain.from_iterable(h.codes)])
+            raise
         loops = [(0, 0, w) for w in h.codes if w]
         object.__setattr__(h, "_core", _fold_paths(h.alphabet, 1, loops, 0))
     return h._core

@@ -103,6 +103,38 @@ class TestCore:
         body = [f"  {line}" for line in ["rankdir=LR;", *vertices, *arrows]]
         assert dot.read_text().splitlines() == ["digraph stallings {", *body, "}"]
 
+    def test_reads_stop_inside_earlier_words(self, capsys, tmp_path):
+        """Pinned: core, --dot and onto-base where later reads stop inside earlier words.
+
+        The second word's forward read stops inside the first word, and the
+        third's reads stop inside both; nothing is identified.
+        """
+        k, h, dot = tmp_path / "K.txt", tmp_path / "H.txt", tmp_path / "g.dot"
+        k.write_text("b a b a c^-1 a^-1\na b a c^-1 a\na c a^-1 b a\n")
+        h.write_text("b a b a c^-1 a^-1\n")
+        code, out = run(capsys, "core", str(k), "--dot", str(dot))
+        assert code == 0
+        assert out.splitlines() == [
+            "base 0", "0 -a-> 2", "0 -b-> 1", "1 -a-> 4", "2 -b-> 5", "2 -c-> 6",
+            "3 -a-> 0", "3 -c-> 8", "4 -b-> 7", "5 -a-> 8", "7 -a-> 6", "7 -b-> 3",
+        ]
+        arrows = [
+            "0 -> 1 [label=\"b\"];", "1 -> 2 [label=\"a\"];", "2 -> 3 [label=\"b\"];",
+            "3 -> 4 [label=\"a\"];", "5 -> 4 [label=\"c\"];", "0 -> 5 [label=\"a\"];",
+            "5 -> 6 [label=\"b\"];", "6 -> 7 [label=\"a\"];", "8 -> 7 [label=\"c\"];",
+            "8 -> 0 [label=\"a\"];", "3 -> 8 [label=\"b\"];",
+        ]
+        vertices = ["0 [shape=doublecircle];", *[f"{v} [shape=circle];" for v in range(1, 9)]]
+        body = [f"  {line}" for line in ["rankdir=LR;", *vertices, *arrows]]
+        assert dot.read_text().splitlines() == ["digraph stallings {", *body, "}"]
+        code, out = run(capsys, "onto-base", str(h), str(k))
+        assert code == 0
+        assert out.splitlines() == [
+            "conjugator: b a b a c^-1 a^-1 a^-1 c a^-1 b^-1 c a^-1 b a",
+            "surjective: true",
+            "injective: false",
+        ]
+
     def test_unwritable_dot_exits_2(self, capsys, files):
         dot = files["dir"] / "missing" / "x.dot"
         err = usage_error(capsys, "core", files["K"], "--dot", str(dot))

@@ -26,10 +26,10 @@ import pytest
 
 from stallings import _kernel
 from stallings.cases import fuzz_example
-from stallings.functor import image_core
+from stallings.functor import image_core, unbased_image_morphism
 from stallings.graph import bouquet, canonical_form
 from stallings.subgroups import (
-    Subgroup, contains_codes, covering_circuit, gamma, onto_base, pi1_basis,
+    Subgroup, contains_codes, covering_circuit, gamma, inclusion_morphism, onto_base, pi1_basis,
 )
 from stallings.whitehead import whitehead_graph
 from stallings.words import Alphabet, GroupHom, invert_codes, parse_codes, reduce_codes
@@ -155,6 +155,29 @@ def image_core_of(count: int):
     return sum(map(len, images)), lambda: image_core(phi, g)
 
 
+def inclusion_of(count: int):
+    """The inclusion of the first half of ``count`` generators in all of them.
+
+    Both cores are built before counting, so the size is both cores'
+    edges and the call is the morphism's extension alone.
+    """
+    gens = generators(count)
+    h, k = subgroup(gens[: count // 2]), subgroup(gens)
+    return gamma(h).n_edges + gamma(k).n_edges, lambda: inclusion_morphism(h, k)
+
+
+def transport_of(count: int):
+    """That inclusion transported unbased, against both ends' image-path letters.
+
+    The images are :func:`image_core_of`'s, so the lays identify.
+    """
+    gens = generators(count)
+    f = inclusion_morphism(subgroup(gens[: count // 2]), subgroup(gens))
+    phi = GroupHom._raw(ABC, ABC, ((1, 2), (1, -3), (3, 2)))
+    size = sum(len(phi.codes[abs(c) - 1]) for g in (f.source, f.target) for c in g.elabel[::2])
+    return size, lambda: unbased_image_morphism(phi, f)
+
+
 def contains_of(count: int):
     """``count`` members of a core built beforehand, against their letters.
 
@@ -190,7 +213,7 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     "draw",
     [
         onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, covering_of,
-        basis_of, image_core_of, contains_of, parse_of, kernel_fold,
+        basis_of, image_core_of, inclusion_of, transport_of, contains_of, parse_of, kernel_fold,
     ],
 )
 def test_cost_grows_about_linearly(draw):

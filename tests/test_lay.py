@@ -5,9 +5,14 @@ vertices, ``graph._lay_paths`` merges them and folds whatever the merge
 makes meet.  Its callers (``gamma``, ``image_core`` and transport) are
 checked here against the naive fold and trim of the spelled paths, on
 draws over ranks 1 and 2 short enough that reads meet and merges
-cascade, and on pinned cases.
+cascade, and on pinned cases.  ``graph._lay_sparse``, the lay behind
+``_fold_paths``, indexes only each middle's two ends and reads on
+inside a middle by arithmetic; pinned cases stop reads at each kind of
+vertex where a read can branch, and a digest pins the numbering of
+seeded lays.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -18,16 +23,18 @@ from stallings.errors import TrivialSubgroupError
 from stallings.functor import _paths, image_core, unbased_image_morphism
 from stallings.graph import (
     GraphMorphism,
+    _fold_paths,
     _fold_two_core,
     _lay_paths,
+    _lay_sparse,
     canonical_form,
     classify,
     core,
     fold_all,
     unique_pointed_morphism,
 )
-from stallings.subgroups import Subgroup, gamma, inclusion_morphism
-from stallings.words import GroupHom, invert_codes, parse_word, reduce_codes
+from stallings.subgroups import Subgroup, gamma, inclusion_morphism, load_subgroup
+from stallings.words import Alphabet, GroupHom, invert_codes, parse_word, reduce_codes
 
 from helpers import (
     ALPHABETS,
@@ -46,7 +53,7 @@ from helpers import (
     spelled,
 )
 
-A, AB = ALPHABETS[:2]
+A, AB, ABC = ALPHABETS[:3]
 ROOT = unique_pointed_morphism(gamma(Subgroup.of(AB, "b")), gamma(Subgroup.of(AB, "b", "a b a^-1")))
 
 
@@ -84,6 +91,57 @@ def _absorbed(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(graph_module, "_identify", counted)
     return counts
+
+
+def _xs(rank: int) -> Alphabet:
+    return Alphabet.of(*[f"x{i}" for i in range(1, rank + 1)])
+
+
+def _reduced(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
+    """A seeded reduced code word of exactly ``length`` letters."""
+    w: list[int] = []
+    while len(w) < length:
+        c = rng.choice((-1, 1)) * rng.randint(1, rank)
+        if not w or c != -w[-1]:
+            w.append(c)
+    return tuple(w)
+
+
+def _lay_draws(count: int):
+    """Seeded ``_fold_paths`` inputs ``(rank, n_vertices, paths, base)``.
+
+    Ranks 1, 2, 3, 4 and 10 in turn, 1-3 given vertices and paths of
+    0-30 letters.  Most paths after the first are pieces of earlier
+    ones, a suffix or a prefix and a suffix around a few new letters,
+    so reads stop inside earlier middles and about half the lays
+    identify.
+    """
+    rng = random.Random(44)
+    for k in range(count):
+        rank = (1, 2, 3, 4, 10)[k % 5]
+        n = rng.randint(1, 3)
+        paths: list[tuple[int, int, tuple[int, ...]]] = []
+        for _ in range(rng.randint(1, 6)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            w = _reduced(rng, rank, rng.randint(0, 30))
+            if paths and rng.random() < 0.6:
+                p, q = rng.choice(paths)[2], rng.choice(paths)[2]
+                a, b = rng.randint(0, len(p)), rng.randint(0, len(q))
+                w = p[a:] if rng.random() < 0.4 else p[:a] + w[: rng.randint(0, 4)] + q[b:]
+                w = reduce_codes(w)[:30]
+            paths.append((u, v, w))
+        yield rank, n, paths, rng.choice([None, *range(n)])
+
+
+def _text(alphabet: Alphabet, seed: int) -> str:
+    """A subgroup file of 100 seeded generators of 20 letters."""
+    rng = random.Random(seed)
+    return "\n".join(alphabet.word(_reduced(rng, len(alphabet), 20)).text for _ in range(100))
+
+
+def _indexed(rank: int, step: dict[int, int]) -> list[int]:
+    """The vertices with entries in a lay's dict."""
+    return sorted({(k + rank) // (2 * rank + 1) for k in step})
 
 
 class TestAgainstTheOracle:
@@ -146,6 +204,19 @@ class TestAgainstTheOracle:
             assert (mine.n_vertices, mine.n_edges) == (oracle.n_vertices, oracle.n_edges)
             assert same_at_some_root(mine, oracle)
 
+    def test_sparse_lay_is_the_full_lay(self):
+        """On seeded draws, ``_lay_sparse`` lays what ``_lay_paths`` lays.
+
+        The lists, count, degrees and identified graph are equal, and
+        the sparse dict is part of the full one, all of it once the lay
+        identified.
+        """
+        for rank, n, paths, _ in _lay_draws(2000):
+            sparse, full = _lay_sparse(rank, n, paths, []), _lay_paths(rank, n, paths)
+            assert sparse[:5] == full[:5]
+            assert sparse[5].items() <= full[5].items()
+            assert sparse[4] is None or sparse[5] == full[5]
+
     def test_draws_meet_and_cascade(self, monkeypatch):
         """Draws like the ones above meet, and some merges cascade; the kernel never runs."""
         folds, absorbed = count_folds(monkeypatch), _absorbed(monkeypatch)
@@ -182,6 +253,66 @@ class TestAgainstTheOracle:
 
 
 class TestPinned:
+    # sha256 of the numbering that a lay indexing every letter gives the
+    # inputs below; to_dot, covering_circuit and onto-base's conjugator read it
+    NUMBERING = "fa22eeb4ba8174999920c6890b8ed5d9e07c8f55e714277230316c12117be20d"
+
+    def test_numbering_is_pinned(self):
+        """Arrays, base and chain table of seeded lays and of gamma at ranks 3 and 1000."""
+        draws = list(_lay_draws(2000))
+        graphs = [_fold_paths(_xs(rank), n, paths, base) for rank, n, paths, base in draws]
+        for alphabet, seed in ((ABC, 3), (_xs(1000), 4)):
+            graphs.append(gamma(load_subgroup(_text(alphabet, seed), alphabet)))
+        digest = hashlib.sha256()
+        for g in graphs:
+            digest.update(repr((g.n_vertices, g.einit, g.elabel, g.base, g._chain_table())).encode())
+        assert digest.hexdigest() == self.NUMBERING
+        identified = sum(_lay_paths(rank, n, paths)[4] is not None for rank, n, paths, _ in draws)
+        assert 800 < identified < 1200
+
+    @pytest.mark.parametrize(
+        "gens, indexed",
+        [
+            (["a b c", "a b a"], [0, 2]),
+            (["a b c", "c b c"], [0, 1]),
+            (["a b c b a", "a b a b a"], [0, 2, 3]),
+            (["a b c b^-1 a^-1", "a b a"], [0, 2]),
+        ],
+        ids=["forward", "backward", "both-ends", "stem-tip"],
+    )
+    def test_reads_stop_inside_middles(self, gens, indexed):
+        """The second word's reads stop where the first word's middle or stem tip branches.
+
+        Only the base and those vertices are indexed, the arrays are the
+        ones a lay that indexes every letter makes, and the core is the naive one.
+        """
+        paths = [(0, 0, w) for w in Subgroup.of(ABC, *gens).codes]
+        lay = _lay_sparse(len(ABC), 1, paths, [])
+        assert lay[4] is None and _indexed(len(ABC), lay[5]) == indexed
+        assert lay[:4] == _lay_paths(len(ABC), 1, paths)[:4]
+        g = gamma(Subgroup.of(ABC, *gens))
+        assert canonical_form(g) == naive_canonical_form(_naive_core(ABC, 1, paths, 0))
+
+    def test_identification_after_sparse_middles(self, monkeypatch):
+        """Four middles are laid unindexed; a b then meets inside the first, and c a reads on.
+
+        From the identification on, the lay is the one that indexes every letter.
+        """
+        identified = count_identifications(monkeypatch)
+        gens = ["a b c", "a c b", "b c a b", "c^-1 a^-1 b c", "a b", "c a"]
+        paths = [(0, 0, w) for w in Subgroup.of(ABC, *gens).codes]
+        lay = _lay_sparse(len(ABC), 1, paths, [])
+        assert len(identified) == 1
+        assert lay == _lay_paths(len(ABC), 1, paths)
+        g = gamma(Subgroup.of(ABC, *gens))
+        assert canonical_form(g) == naive_canonical_form(_naive_core(ABC, 1, paths, 0))
+
+    def test_a_loop_indexes_only_the_base(self):
+        """A 40-letter loop at the base: 2 dict entries for _fold_paths, 80 for transport."""
+        paths = [(0, 0, (1, 2) * 20)]
+        assert len(_lay_sparse(len(AB), 1, paths, [])[5]) == 2
+        assert len(_lay_paths(len(AB), 1, paths)[5]) == 80
+
     def test_an_empty_path_joins_its_ends(self, monkeypatch):
         """One identification for an empty path between two vertices, none for an empty loop."""
         identified = count_identifications(monkeypatch)

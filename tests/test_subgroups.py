@@ -153,6 +153,12 @@ class TestGamma:
     def test_explicit_cases(self, gens, form):
         assert _assert_matches_oracle([codes(w) for w in gens]) == form
 
+    def test_first_bad_label_is_named(self):
+        """The error names the first bad code in reading order, not in the set of codes."""
+        h = Subgroup._raw(AB, ((1, 2), (2, 5, -7, 0)))
+        with pytest.raises(UnknownGeneratorError, match="^label 5 outside the alphabet$"):
+            gamma(h)
+
     @pytest.mark.parametrize(
         "gens, merges",
         [(["b"], 0), (["a b a^-1"], 0), (["a b", "a b^-1 a"], 0), (["a a", "a a a"], 1)],

@@ -13,6 +13,7 @@ subdivisions folded.  Letters appear only where edges are parsed or printed.
 
 from __future__ import annotations
 
+import gc
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -133,27 +134,37 @@ def whitehead_graph(g: LabeledGraph) -> RestrictionSet:
     edge {x^-1, y^-1}; a loop contributes the edge {x, x^-1} at its
     vertex.  Degenerate pairs (equal labels at an unfolded vertex) are
     not representable and are skipped.
+
+    The cyclic collector is paused for the call and restored on every
+    exit: what it builds (tuples and sets of ints) holds no cycle, and a
+    rank-1000 core's pairs would otherwise set off about 9 collections.
     """
-    # an inner vertex of a chain, between labels a and b, has out-labels
-    # -a and b: its star is {a, -b}, one edge unless a == -b (unfolded)
-    branch, chains = g._chain_table()
-    turns, labels = set(), set()  # the pairs of labels along chains, and the labels
-    stars: dict[int, list[int]] = {v: [] for v in branch}
-    for u, w, word, _ in chains:
-        turns.update(zip(word, word[1:]))
-        labels.update(word)
-        stars[u].append(-word[0])
-        stars[w].append(word[-1])
-    # one test over the labels checks every code the edges are made of
-    rank = len(g.alphabet)
-    if labels and (max(labels) > rank or min(labels) < -rank or 0 in labels):
-        _check_range(g.alphabet, [labels, [-c for c in labels]])
-    pairs = [(a, -b) if a < -b else (-b, a) for a, b in turns if a != -b]
-    # a branch vertex's star gives every pair of its codes; vertices with
-    # the same codes give the same pairs, and a set drops repeated codes
-    wider = {frozenset(s) for s in stars.values() if len(s) > 1}
-    edges = chain(pairs, *[combinations(sorted(s), 2) for s in wider])
-    return RestrictionSet._raw(g.alphabet, frozenset(edges))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        # an inner vertex of a chain, between labels a and b, has out-labels
+        # -a and b: its star is {a, -b}, one edge unless a == -b (unfolded)
+        branch, chains = g._chain_table()
+        turns, labels = set(), set()  # the pairs of labels along chains, and the labels
+        stars: dict[int, list[int]] = {v: [] for v in branch}
+        for u, w, word, _ in chains:
+            turns.update(zip(word, word[1:]))
+            labels.update(word)
+            stars[u].append(-word[0])
+            stars[w].append(word[-1])
+        # one test over the labels checks every code the edges are made of
+        rank = len(g.alphabet)
+        if labels and (max(labels) > rank or min(labels) < -rank or 0 in labels):
+            _check_range(g.alphabet, [labels, [-c for c in labels]])
+        pairs = [(a, -b) if a < -b else (-b, a) for a, b in turns if a != -b]
+        # a branch vertex's star gives every pair of its codes; vertices with
+        # the same codes give the same pairs, and a set drops repeated codes
+        wider = {frozenset(s) for s in stars.values() if len(s) > 1}
+        edges = chain(pairs, *[combinations(sorted(s), 2) for s in wider])
+        return RestrictionSet._raw(g.alphabet, frozenset(edges))
+    finally:
+        if was:
+            gc.enable()
 
 
 def full_whitehead(alphabet: Alphabet) -> RestrictionSet:

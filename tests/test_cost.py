@@ -12,11 +12,13 @@ Containers grow by doubling, so bytes are a step function of size, and
 one step alone moves a slope over 4x by up to 0.5: the peak's slope is
 bounded over the whole 16x span instead.  ``fuzz_example`` is counted
 against the alphabet size at a fixed number of trials, and both of its
-counts must stay flat.
+counts must stay flat.  ``whitehead_graph`` at rank 1000 is held to no
+run of the cyclic garbage collector, counted by a ``gc.callbacks`` hook.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import sys
@@ -26,8 +28,9 @@ import pytest
 
 from stallings import _kernel
 from stallings.cases import fuzz_example
+from stallings.errors import AlphabetMismatchError
 from stallings.functor import image_core, unbased_image_morphism
-from stallings.graph import bouquet, canonical_form
+from stallings.graph import LabeledGraph, bouquet, canonical_form
 from stallings.subgroups import (
     Subgroup, contains_codes, covering_circuit, gamma, inclusion_morphism, onto_base, pi1_basis,
 )
@@ -36,7 +39,9 @@ from stallings.words import Alphabet, GroupHom, invert_codes, parse_codes, reduc
 
 from helpers import reduced_words
 
+AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
+THOUSAND = Alphabet(tuple(f"x{i}" for i in range(1, 1001)))
 MAX_SLOPE = 1.2
 # a flat count may move by 15% over a 4x step, by 32% over 16x
 FLAT_SLOPE = 0.1
@@ -125,6 +130,44 @@ def whitehead_of(count: int):
     """The Whitehead graph of a core built beforehand, against its edges."""
     g = gamma(subgroup(generators(count)))
     return g.n_edges, lambda: whitehead_graph(g)
+
+
+def test_whitehead_runs_no_collection():
+    """The cyclic collector is paused while a rank-1000 Whitehead graph is built.
+
+    50 seeded 40-letter words, the ``core_graph_wide`` benchmark's shape,
+    give a base star of about 97 codes and thousands of pair tuples:
+    about 9 collections, which free nothing, when the collector runs.
+    The collector's state is restored on every exit, a raise included.
+    """
+    g = gamma(Subgroup._raw(THOUSAND, reduced_words(random.Random(7), 1000, 50, 40)))
+    # the path a, b^3: the label 3 is outside the alphabet
+    bad = LabeledGraph(AB, 3, (0, 1, 1, 2), (1, -1, 3, -3), 0, _validate=False)
+    runs = 0
+
+    def count(phase, info):
+        nonlocal runs
+        runs += phase == "start"
+
+    was = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        gc.enable()
+        assert len(whitehead_graph(g).codes) > 4000
+        assert runs == 0
+        assert gc.isenabled()
+        with pytest.raises(AlphabetMismatchError):
+            whitehead_graph(bad)
+        assert gc.isenabled()
+        gc.disable()
+        whitehead_graph(g)
+        assert not gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def covering_of(count: int):

@@ -33,6 +33,7 @@ from helpers import (
     random_reduced_word,
     random_subgroup,
     random_wedge,
+    reduced_words,
     two_path_edges,
 )
 
@@ -86,15 +87,22 @@ class TestWhiteheadGraph:
             assert whitehead_graph(g).edges == two_path_edges(g)
 
     def test_matches_oracle_at_rank_thousand(self):
-        """Two-code stars along the words, a wider one where they meet."""
+        """Two-code stars along the words, a wider one where they meet.
+
+        The last draw is the ``core_graph_wide`` benchmark's shape, 50
+        words of 40 letters: a base star of about 97 codes, whose pairs
+        are most of the graph's.
+        """
         rng = random.Random(5)
         sizes = set()
-        for _ in range(5):
-            words = [random_reduced_word(rng, THOUSAND, 12) for _ in range(8)]
+        draws = [[random_reduced_word(rng, THOUSAND, 12) for _ in range(8)] for _ in range(5)]
+        draws.append(reduced_words(rng, len(THOUSAND), 50, 40))
+        for words in draws:
             g = gamma(Subgroup(THOUSAND, [THOUSAND.word(w) for w in words]))
             assert whitehead_graph(g).edges == two_path_edges(g)
             sizes.update(min(len(g.out_edges(v)), 3) for v in range(g.n_vertices))
         assert {2, 3} <= sizes
+        assert len(g.out_edges(g.base)) > 90
 
     def test_matches_oracle_on_unfolded_graphs(self):
         """Repeated labels at a vertex, and stars of one, two and more codes."""

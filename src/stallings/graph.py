@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain, compress
-from operator import index
+from operator import index, neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -250,13 +250,24 @@ def _spell(
     """Append a path from vertex u to vertex v spelling the codes.
 
     Interior vertices are numbered ``fresh, fresh + 1, ...``; returns the
-    first vertex number left unused.
+    first vertex number left unused.  An empty word appends nothing and
+    returns ``fresh``.  Each list grows by two entries per letter, which
+    slice writes fill, so ``codes`` must be a sequence: it is read more
+    than once.
     """
-    inner = range(fresh, fresh + max(len(codes) - 1, 0))
-    for tail, head, c in zip((u, *inner), (*inner, v), codes):
-        einit += (tail, head)
-        elabel += (c, -c)
-    return inner.stop
+    if not (length := len(codes)):
+        return fresh
+    stop = fresh + length - 1
+    k = len(einit)
+    einit += [u, v] * length  # the path's two ends in place; the rest is overwritten
+    elabel += codes  # only the length counts: both slice writes below cover it
+    elabel += codes
+    elabel[k::2] = codes
+    elabel[k + 1 :: 2] = map(neg, codes)
+    inner = [*range(fresh, stop)]  # each inner vertex heads one half-edge and starts the next
+    einit[k + 1 : -1 : 2] = inner
+    einit[k + 2 : -1 : 2] = inner
+    return stop
 
 
 def bouquet(alphabet: Alphabet, words: Iterable[Sequence[int]]) -> LabeledGraph:
@@ -807,17 +818,13 @@ def _lay_sparse(
         s = 0  # the stem, as _lay_paths lays it
         while x == y and codes[i + s] == -codes[j - 1 - s]:
             s += 1
-        inner = range(n, n + j - s - i - 1)
-        end = inner[s - 1] if s else y
+        end = n + s - 1 if s else y  # the stem's tip is the middle's s-th fresh vertex
         first = len(einit)
         bounds += (first, first + 2 * s)  # and a chain splits where a read stopped
         bounds += [2 * (z - n_vertices + bisect_right(starts, z)) for z in (x, y) if z >= n_vertices]
-        for a, b, c in zip((x, *inner), (*inner, end), codes[i : j - s]):
-            einit += (a, b)
-            elabel += (c, -c)
-        step[x * width + codes[i]], step[end * width - codes[j - s - 1]] = first, len(einit) - 1
         starts.append(n)
-        n = inner.stop
+        n = _spell(einit, elabel, x, end, codes[i : j - s], n)
+        step[x * width + codes[i]], step[end * width - codes[j - s - 1]] = first, len(einit) - 1
         if x < n_vertices:
             deg[x] += 1
         if end < n_vertices:

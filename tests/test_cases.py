@@ -27,6 +27,7 @@ from stallings.errors import (
 )
 from stallings.functor import image_morphism, unbased_image_morphism
 from stallings.graph import MorphismClassification, classify, iso_pointed
+from stallings.subgroups import Subgroup, inclusion_morphism
 from stallings.whitehead import (
     RestrictionSet,
     code_edge,
@@ -74,6 +75,17 @@ class TestRoot:
         res = classify_case(root_case())
         assert res.kind is Resolution.AMBIGUOUS
         assert res.missing.edges == parse_edges("a.b, a.b^-1, a^-1.b, a^-1.b^-1")
+
+
+class TestNegative:
+    def test_non_injective_inclusion_is_negative_with_nothing_missing(self):
+        """Gamma(<a^2>) has two vertices, and both go to Gamma(<a>)'s one."""
+        a = Alphabet.of("a")
+        m = inclusion_morphism(Subgroup.of(a, "a a"), Subgroup.of(a, "a"))
+        res = classify_case(InjectivityCase("square", RestrictionSet(a, frozenset()), m))
+        assert res.kind is Resolution.NEGATIVE
+        assert res.missing.alphabet is a
+        assert res.missing.codes == frozenset()
 
 
 class TestInternalErrors:

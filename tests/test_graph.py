@@ -585,6 +585,21 @@ class TestMorphisms:
         with pytest.raises(AlphabetMismatchError):
             GraphMorphism(g, g, vmap, emap)
 
+    @pytest.mark.parametrize(
+        "vmap, emap, target, message",
+        [
+            ((0, 0), (0, 1), delta(), "morphism arrays have wrong lengths"),
+            ((0,), (0, 0), delta(), "morphism breaks the involution"),
+            ((0,), (4, 5), delta(), "morphism breaks initial vertices"),
+            ((0,), (1, 0), delta(), "morphism breaks labels"),
+            ((0,), (0, 1), delta(base=1), "morphism does not preserve the base point"),
+        ],
+    )
+    def test_broken_maps_rejected(self, vmap, emap, target, message):
+        """b_loop into delta: each map is in range and breaks one condition."""
+        with pytest.raises(AlphabetMismatchError, match=f"^{message}$"):
+            GraphMorphism(b_loop(), target, vmap, emap)
+
     def test_vertex_outside_an_edgeless_target_rejected(self):
         point = LabeledGraph(AB, 1, (), ())
         with pytest.raises(AlphabetMismatchError):

@@ -9,7 +9,9 @@ cascade, and on pinned cases.  ``graph._lay_sparse``, the lay behind
 ``_fold_paths``, indexes only each middle's two ends and reads on
 inside a middle by arithmetic; pinned cases stop reads at each kind of
 vertex where a read can branch, and a digest pins the numbering of
-seeded lays.
+seeded lays.  ``graph._spell``, which writes each middle of that lay and
+the paths of ``bouquet`` and ``subdivide`` by slice writes, is checked
+against a speller that appends letter by letter.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ from stallings.graph import (
     _fold_two_core,
     _lay_paths,
     _lay_sparse,
+    _spell,
     canonical_form,
     classify,
     core,
@@ -373,3 +376,40 @@ class TestPinned:
         )
         assert (junction, word) == (0, [-2])
         assert classify(unbased_image_morphism(phi, ROOT)).injective
+
+
+def _naive_spell(einit, elabel, u, v, codes, fresh) -> int:
+    """Append the path from u to v spelling codes, one letter at a time."""
+    walk = [u, *range(fresh, fresh + len(codes) - 1), v]
+    for k, c in enumerate(codes):
+        einit += (walk[k], walk[k + 1])
+        elabel += (c, -c)
+    return fresh + max(len(codes) - 1, 0)
+
+
+class TestSpell:
+    @settings(max_examples=300)
+    @given(
+        codes=st.lists(st.integers(1, 5).flatmap(lambda c: st.sampled_from((c, -c))), max_size=60),
+        as_tuple=st.booleans(),
+        ends=st.integers(0, 50).flatmap(lambda u: st.tuples(st.just(u), st.sampled_from([u, 51]))),
+        prefilled=st.lists(st.tuples(st.integers(0, 50), st.integers(-5, 5)), max_size=8),
+        fresh=st.integers(0, 10**6),
+    )
+    def test_matches_the_naive_speller(self, codes, as_tuple, ends, prefilled, fresh):
+        """Loops and open paths, on prefilled lists, from any first fresh vertex."""
+        word = tuple(codes) if as_tuple else codes
+        u, v = ends
+        einit = [w for w, _ in prefilled for _ in (0, 1)]
+        elabel = [c for _, c in prefilled for c in (c, -c)]
+        want_init, want_label = einit.copy(), elabel.copy()
+        want = _naive_spell(want_init, want_label, u, v, word, fresh)
+        assert _spell(einit, elabel, u, v, word, fresh) == want
+        assert (einit, elabel) == (want_init, want_label)
+        assert list(word) == codes
+
+    @pytest.mark.parametrize("word", [(), []])
+    def test_an_empty_word_appends_nothing(self, word):
+        einit, elabel = [3, 4], [1, -1]
+        assert _spell(einit, elabel, 3, 4, word, 17) == 17
+        assert (einit, elabel) == ([3, 4], [1, -1])

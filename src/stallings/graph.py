@@ -144,9 +144,10 @@ class LabeledGraph:
         """Per vertex, label code -> the head of the half-edge leaving it (folded graphs).
 
         Built on first use and kept, with ``_edge_table``'s fold check;
-        only :func:`trace` reads it, so a walk takes one lookup per code
-        and a graph that is only walked, such as a subgroup's core graph
-        under membership queries, builds no half-edge table.
+        only walks read it (:func:`trace` and membership's renumbered
+        walk), so a walk takes one lookup per code and a graph that is
+        only walked, such as a subgroup's core graph under membership
+        queries, builds no half-edge table.
         """
         if self._heads is None:
             einit, elabel = self.einit, self.elabel

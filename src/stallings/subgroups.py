@@ -119,18 +119,38 @@ def gamma(h: Subgroup) -> LabeledGraph:
     return h._core
 
 
+def _closes(heads: list[dict[int, int]], base: int, table: list[int], codes: Iterable[int]) -> bool:
+    """Does the path spelling ``table[c]`` for each code close up at the base?
+
+    ``heads`` is a folded graph's head table; the walk stops at the
+    first code with no edge.
+    """
+    v = base
+    try:
+        for c in codes:
+            v = heads[v][table[c]]
+    except KeyError:
+        return False
+    return v == base
+
+
 def contains(h: Subgroup, w: Word) -> bool:
     """Membership: does the word close up at the base point?
 
-    The word's codes over the subgroup's alphabet come from
-    :meth:`Alphabet.read` as the walk reads them, and the walk stops at
-    the first code with no edge.  A parsed word carries its codes, so
-    they are recoded by name and no letter is looked up.  A letter
-    outside the subgroup's alphabet reads as code 0, which labels no
-    edge, so such a word is not a member.
+    The query is read in one pass, as :meth:`Alphabet.read` would read
+    it over the subgroup's alphabet: a word over that alphabet's own
+    generators, or one recoded code by code, is walked by :func:`trace`;
+    a parsed word, whose names may come in another order, is walked
+    through one renumbering table over its names, each code looked up
+    in the table as the walk takes it.  The walk stops at the first code
+    with no edge.  A letter outside the subgroup's alphabet reads as
+    code 0, which labels no edge, so such a word is not a member.
     """
     g = gamma(h)
-    return trace(g, g.base, h.alphabet.read(w)) == g.base
+    codes, table = h.alphabet._reading(w)
+    if table is None:
+        return trace(g, g.base, codes) == g.base
+    return _closes(g._heads or g._head_table(), g.base, table, codes)  # no call once built
 
 
 def contains_codes(
@@ -138,17 +158,19 @@ def contains_codes(
 ) -> list[bool]:
     """Membership of many code words over one alphabet, such as a parsed batch.
 
-    Each word is read into the walk through one renumbering table from
-    ``source`` to the subgroup's alphabet, built once for the batch.  A
-    generator missing from the subgroup's alphabet reads as code 0, which
-    labels no edge, so a word that keeps one is not a member.
+    Each word is walked through one renumbering table from ``source`` to
+    the subgroup's alphabet, built once for the batch, each code looked
+    up in it as the walk takes it.  A generator missing from the
+    subgroup's alphabet reads as code 0, which labels no edge, so a word
+    that keeps one is not a member.
     """
     g = gamma(h)
+    heads, base = g._head_table(), g.base
     table = h.alphabet._renumbering(source.generators)
     verdicts = []
     for w in words:
         _check_labels(source, w)
-        verdicts.append(trace(g, g.base, map(table.__getitem__, w)) == g.base)
+        verdicts.append(_closes(heads, base, table, w))
     return verdicts
 
 

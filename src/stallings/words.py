@@ -369,13 +369,26 @@ class Alphabet:
         its own codes; one with no more names than letters, a parsed word
         too, is recoded through one table over its names; any other, one
         made by a wider alphabet say, is recoded code by code, by name.
+        Membership makes the same choice and looks each code up in that
+        table itself, as its walk takes it.
+        """
+        codes, table = self._reading(w)
+        return codes if table is None else map(table.__getitem__, codes)
+
+    def _reading(self, w: Word) -> tuple[Sequence[int], list[int] | None]:
+        """A word's codes and the table that reads them here, or None for codes read as they are.
+
+        A word over this alphabet's own names gives its own codes and no
+        table; one with no more names than letters gives its own codes
+        and ``_renumbering`` over its names, so code c reads as
+        ``table[c]``; any other gives ``_recode``'s codes and no table.
         """
         names, codes = w._names, w._codes
         if names is self.generators:
-            return codes
+            return codes, None
         if len(names) <= len(codes):
-            return map(self._renumbering(names).__getitem__, codes)
-        return self._recode(w)
+            return codes, self._renumbering(names)
+        return self._recode(w), None
 
     def _recode(self, w: Word) -> list[int]:
         """A word's codes here, recoded code by code, by name; a missing name gives 0."""

@@ -32,10 +32,11 @@ from stallings.errors import AlphabetMismatchError
 from stallings.functor import image_core, unbased_image_morphism
 from stallings.graph import LabeledGraph, bouquet, canonical_form
 from stallings.subgroups import (
-    Subgroup, contains_codes, covering_circuit, gamma, inclusion_morphism, onto_base, pi1_basis,
+    Subgroup, contains, contains_codes, covering_circuit, gamma, inclusion_morphism, onto_base,
+    pi1_basis,
 )
 from stallings.whitehead import whitehead_graph
-from stallings.words import Alphabet, GroupHom, invert_codes, parse_codes, reduce_codes
+from stallings.words import Alphabet, GroupHom, invert_codes, parse_codes, parse_word, reduce_codes
 
 from helpers import reduced_words
 
@@ -221,8 +222,8 @@ def transport_of(count: int):
     return size, lambda: unbased_image_morphism(phi, f)
 
 
-def contains_of(count: int):
-    """``count`` members of a core built beforehand, against their letters.
+def members(count: int) -> tuple[Subgroup, list[tuple[int, ...]]]:
+    """A core built beforehand and ``count`` members of it.
 
     Each word is the product of two seeded picks of 25 generators, so
     the walk reads every letter.
@@ -231,8 +232,25 @@ def contains_of(count: int):
     h = subgroup(gens)
     gamma(h)
     rng = random.Random(3)
-    words = [reduce_codes(rng.choice(gens) + rng.choice(gens)) for _ in range(count)]
+    return h, [reduce_codes(rng.choice(gens) + rng.choice(gens)) for _ in range(count)]
+
+
+def contains_of(count: int):
+    """``count`` members asked as one batch, against their letters."""
+    h, words = members(count)
     return sum(map(len, words)), lambda: contains_codes(h, ABC, words)
+
+
+def contains_words_of(count: int):
+    """``count`` members asked one parsed word at a time, against their letters.
+
+    A parsed word names its generators in order of first appearance,
+    mostly not the subgroup's, so most queries are walked through a
+    renumbering table of their own.
+    """
+    h, words = members(count)
+    queries = [parse_word(ABC.word(w).text) for w in words]
+    return sum(map(len, words)), lambda: [contains(h, w) for w in queries]
 
 
 def parse_of(count: int):
@@ -256,7 +274,8 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     "draw",
     [
         onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, covering_of,
-        basis_of, image_core_of, inclusion_of, transport_of, contains_of, parse_of, kernel_fold,
+        basis_of, image_core_of, inclusion_of, transport_of, contains_of, contains_words_of,
+        parse_of, kernel_fold,
     ],
 )
 def test_cost_grows_about_linearly(draw):

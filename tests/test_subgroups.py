@@ -36,6 +36,7 @@ from stallings.subgroups import (
 )
 from stallings.words import (
     Alphabet,
+    Letter,
     Word,
     invert_codes,
     parse_codes,
@@ -487,6 +488,65 @@ class TestMembership:
         verdicts = [contains(h, w) for w in queries]
         assert contains_codes(h, *batch) == verdicts
         assert passes == []
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_every_query_shape_agrees_with_naive_walk(self, rank):
+        """Each way to make a query gets ``naive_member``'s verdict, and so does the batch.
+
+        The subgroup's names are a seeded order of the first ``rank`` of
+        ``a b c d``.  Each of 60 queries, a product of generators or a
+        random word, is asked as the alphabet's own word; as parsed text,
+        whose names come in the order they first appear; as letters with
+        a foreign ``e e^-1`` that cancels and with a foreign ``e`` that
+        survives; and as a word of an alphabet of more names than it has
+        letters, with a foreign letter half the time.  The texts of all
+        of them, parsed as one batch, get the same verdicts from
+        ``contains_codes``.
+        """
+        rng = random.Random(rank)
+        names = rng.sample("abcd"[:rank], rank)
+        alphabet = Alphabet(names)
+        wide = Alphabet(rng.sample([*names, *(f"y{i}" for i in range(40))], rank + 40))
+        paths, verdicts = set(), []
+        for _ in range(6):
+            gens = [random_reduced_word(rng, alphabet, 6) for _ in range(rng.randint(1, 3))]
+            h = subgroup(alphabet, gens)
+            queries = []
+            for j in range(10):
+                q: tuple[int, ...] = ()
+                if j % 2:
+                    q = random_reduced_word(rng, alphabet, 8)
+                else:
+                    for _ in range(rng.randint(1, 3)):
+                        w = rng.choice(gens)
+                        q = reduce_codes(q + (invert_codes(w) if rng.random() < 0.5 else w))
+                native = alphabet.word(q)
+                letters, at = list(native.letters), rng.randint(0, len(q))
+                spread = list(wide.recode(q, alphabet))
+                if rng.random() < 0.5:  # y-names are foreign to the subgroup
+                    spread[at:at] = wide.encode([Letter("y7", rng.choice((1, -1)))])
+                shapes = [
+                    native,
+                    parse_word(native.text),
+                    Word(letters[:at] + [Letter("e", 1), Letter("e", -1)] + letters[at:]),
+                    Word(letters[:at] + [Letter("e", rng.choice((1, -1)))] + letters[at:]),
+                    wide.word(spread),
+                ]
+                assert len(shapes[-1]) < len(wide)
+                member = naive_member(h, native)
+                for w in shapes:
+                    codes, table = alphabet._reading(w)
+                    paths.add("own" if codes is w._codes and table is None else
+                              "table" if table else "recode")
+                    verdict = contains(h, w)
+                    assert verdict is naive_member(h, w)
+                    assert verdict is (member and w == native)  # a kept foreign name fails
+                    verdicts.append(verdict)
+                queries += shapes
+            batch = parse_codes([w.text.split() for w in queries])
+            assert contains_codes(h, *batch) == verdicts[-len(queries):]
+        assert paths == {"own", "table", "recode"}
         assert True in verdicts and False in verdicts
 
 

@@ -649,11 +649,13 @@ class TestCarriedCodes:
         ]
         wide_codes = [(1, 2, -1), (200_000, 3), (2,), (8, -2, -2)]
         h = Subgroup.of(wide, "x0 x1 x0^-1", "x2 x1", "x1 x2 x0 x2^-1")
+        h_small = Subgroup.of(small, "x0 x1 x0^-1", "x1 y")
         passes.clear()
         queries = [Word(letters) for letters in spelled]
         verdicts = [contains(h, q) for q in queries]
         wide_words = [wide.word(codes) for codes in wide_codes]
         reads = [list(small.read(x)) for x in wide_words]
+        small_verdicts = [contains(h_small, x) for x in wide_words]
         encoded = [wide.encode(letters) for letters in spelled]
         k = Subgroup(wide, queries + wide_words)
         phi = GroupHom(small, wide, {"x1": queries[0], "x0": wide_words[1], "y": Word()})
@@ -664,6 +666,8 @@ class TestCarriedCodes:
         assert verdicts == [naive_member(h, q) for q in queries]
         assert True in verdicts and False in verdicts
         assert reads == [[2, 1, -2], [0, 0], [1], [0, -1, -1]]
+        assert small_verdicts == [naive_member(h_small, x) for x in wide_words]
+        assert small_verdicts == [True, False, False, False]
         assert encoded == [tuple((int(l.gen[1:]) + 1) * l.sign for l in ls) for ls in spelled]
         assert k.codes == tuple(map(reduce_codes, encoded)) + tuple(wide_codes)
         assert phi.codes == (k.codes[0], wide_codes[1], ())

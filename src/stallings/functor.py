@@ -7,10 +7,11 @@ point and trimming the hanging path yields base-point-free core graphs,
 again functorially.  The transport of an inclusion morphism along a
 homomorphism is the three chained, compared up to base-point-free
 isomorphism; it is built by folding each end's image paths straight to
-its 2-core and extending once, so no pointed image core is made.  Where
-the source's paths begin the target's, they are laid once, and when
-neither 2-core folds or hangs more, the inclusion of the one lay in the
-other is the transport, with no extension.
+its 2-core, so no pointed image core is made.  Where the source's paths
+begin the target's, they are laid once, and the inclusion of the one
+lay in the other, followed by the target's fold and 2-core, is the
+transport: nothing is walked or extended.  Ends laid apart are joined
+by one extension.
 """
 
 from __future__ import annotations
@@ -147,64 +148,89 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 
     The restriction to the unbased cores of the pointed morphism between
     the image cores, built without either image core or that morphism.
-    Each end's image paths fold straight to its 2-core, which also gives
-    the junction and the word its image core hangs from the base.  The
+    Each end's image paths fold straight to its 2-core.  A morphism into
+    a folded graph is fixed by one vertex's image, so when both ends
+    have one base and the source's image paths are the target's first
+    ones, as for an inclusion whose target's generators begin with its
+    source's, the source's lay already holds the restriction: those
+    paths are laid once, numbered as in the target's lay, and each kept
+    source vertex goes to its class in the target's lay, numbered as
+    the target's 2-core numbers it, and each half-edge to the target's
+    half-edge with its label at its tail's image.  If that shared part
+    identified nothing, the source's 2-core comes from it with its
+    fresh vertices shifted down to follow the source's own, and the
+    same lay goes on with the target's other paths; if neither 2-core
+    was then identified or peeled, the map is that inclusion, built from
+    ranges.  If the shared part identified something, it is the source's
+    own lay over the target's given vertices (the unused ones peel
+    away), and the target is laid apart.
+
+    Otherwise each end is laid apart, and its 2-core also gives the
+    junction and the word its image core hangs from the base.  The
     pointed morphism sends the base to the base, and from the target's
     base the only way into its 2-core is along the target's word m, so
     the source's word starts with m, and the source's junction goes
     where the rest of its word leads from the target's junction (the
     target's junction itself when nothing is left).  One extension from
-    there is the restriction.
-
-    When both ends have one base and the source's image paths are the
-    target's first ones, as for an inclusion whose target's generators
-    begin with its source's, those paths are laid once, numbered as in
-    the target's lay.  If that shared part identified nothing, the
-    source's 2-core comes from it with its fresh vertices shifted down
-    to follow the source's own, and the same lay goes on with the
-    target's other paths.  If neither 2-core was then identified or
-    peeled, the source's lay sits inside the target's, and that
-    inclusion is the restriction: no walk and no extension.  Raises
-    :class:`DegenerateHomError` when phi sends a generator to the
-    identity, :class:`MissingBaseError` when either end of f has no
-    base point, and :class:`TrivialSubgroupError` when the image of the
-    source subgroup is trivial.
+    there is the restriction.  Raises :class:`DegenerateHomError` when
+    phi sends a generator to the identity, :class:`MissingBaseError`
+    when either end of f has no base point, and
+    :class:`TrivialSubgroupError` when the image of the source subgroup
+    is trivial.
     """
     images = _checked_images(phi)
     g, d = f.source, f.target
     g_paths, d_paths = _paths(phi, images, g), _paths(phi, images, d)
     if g.base is None or d.base is None:
         raise MissingBaseError("both graphs need base points")
-    a, top, k = phi.target, d.n_vertices, len(g_paths)
-    rank, s_lay = len(a), None
-    if g.base == d.base and d_paths[:k] == g_paths:
-        t_lay = _lay_paths(rank, top, g_paths)
-        if t_lay[4] is None:  # nothing identified, so the lay can go on
-            einit, elabel, n, deg, _, _ = t_lay
-            shift = top - g.n_vertices
-            own = [w - shift if w >= top else w for w in einit]
-            # no dict: the target's lay keeps growing it
-            s_lay = (own, elabel[:], n - shift, deg[: g.n_vertices], None, None)
-            t_lay = _lay_paths(rank, top, d_paths[k:], t_lay)
-    if s_lay is None:
-        s_lay, t_lay = _lay_paths(rank, g.n_vertices, g_paths), _lay_paths(rank, top, d_paths)
-    s, s_junction, tail = _fold_two_core(a, s_lay, g.base)
-    t, t_junction, stem = _fold_two_core(a, t_lay, d.base)
+    a, low, top, k = phi.target, g.n_vertices, d.n_vertices, len(g_paths)
+    rank = len(a)
+    shared = g.base == d.base and d_paths[:k] == g_paths
+    if not shared:
+        s_lay, t_lay = _lay_paths(rank, low, g_paths), _lay_paths(rank, top, d_paths)
+    elif (s_lay := _lay_paths(rank, top, g_paths))[4] is None:
+        # nothing identified, so the lay goes on as the target's
+        einit, elabel, n, deg, _, _ = t_lay = s_lay
+        shift = top - low
+        own = [w - shift if w >= top else w for w in einit]
+        # no dict: the target's lay keeps growing it
+        s_lay = (own, elabel[:], n - shift, deg[:low], None, None)
+        t_lay = _lay_paths(rank, top, d_paths[k:], t_lay)
+    else:  # fresh vertices numbered as in the target's lay, which is laid apart
+        low, t_lay = top, _lay_paths(rank, top, d_paths)
+    s, s_kept, s_junction, tail = _fold_two_core(a, s_lay, None if shared else g.base)
+    t, t_kept, t_junction, stem = _fold_two_core(a, t_lay, None if shared else d.base)
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    # only a shared lay gives the source no dict; kept as laid, the source's
-    # lay sits in the target's, its fresh vertices shifted back up
-    if s_lay[5] is None and _as_laid(s, s_lay) and _as_laid(t, t_lay):
-        vmap = (*range(g.n_vertices), *range(top, top + s.n_vertices - g.n_vertices))
+    if not shared:
+        k = len(stem)
+        w = None
+        if tail[:k] == stem:
+            # an empty rest stays at the junction, so t builds no head table
+            w = trace(t, t_junction, tail[k:]) if len(tail) > k else t_junction
+        if w is None:
+            raise InternalError("internal error: image cores admit no morphism")
+        m = extend_morphism(s, t, s_junction, w)
+        if m is None:
+            raise InternalError("internal error: a kept source part maps into a trimmed part")
+        return m
+    if _as_laid(s, s_lay) and _as_laid(t, t_lay):  # fresh vertices shifted back up
+        vmap = (*range(low), *range(top, top + s.n_vertices - low))
         return GraphMorphism(s, t, vmap, tuple(range(s.n_half_edges)), _validate=False)
-    k = len(stem)
-    w = None
-    if tail[:k] == stem:
-        # an empty rest stays at the junction, so t builds no head table
-        w = trace(t, t_junction, tail[k:]) if len(tail) > k else t_junction
-    if w is None:
-        raise InternalError("internal error: image cores admit no morphism")
-    m = extend_morphism(s, t, s_junction, w)
-    if m is None:
-        raise InternalError("internal error: a kept source part maps into a trimmed part")
-    return m
+    # each target lay vertex's number in t, through its class; -1 once peeled
+    at = [-1] * t_lay[2]
+    for i, v in enumerate(t_kept):
+        at[v] = i
+    if t_lay[4] is not None:
+        at = [at[c] for c in t_lay[4][0]]
+    del at[low:top]  # now indexed as the source's lay numbers its vertices
+    vmap = [at[v] for v in s_kept]
+    table, width = t._edge_table(), 2 * rank + 1
+    try:
+        # a 2-core vertex has edges, so one that maps to -1 finds no key
+        emap = [table[vmap[v] * width + c] for v, c in zip(s.einit, s.elabel)]
+    except KeyError:
+        raise InternalError(
+            "internal error: a kept source part maps into a trimmed part"
+        ) from None
+    return GraphMorphism(s, t, tuple(vmap), tuple(emap), _validate=False)

@@ -457,6 +457,11 @@ class TestFuzz:
                  f"2000 trials, alphabet size {a}, image length <= 12, seed 0")
                 for a in "135"
             ),
+            *(
+                (["--trials", "2000", "--seed", "2", "--alphabet-size", "4", "--max-len", n],
+                 f"2000 trials, alphabet size 4, image length <= {n}, seed 2")
+                for n in ("6", "12")
+            ),
         ],
     )
     def test_summary_lines(self, capsys, args, summary):
@@ -464,9 +469,10 @@ class TestFuzz:
 
         At rank 1 the reads of an image path often meet, and the lay
         identifies where they do; with long images those merges cascade.
-        Long images also hang long words; at ranks 3 and 5 most of those
-        trials lay the source's path inside the target's and skip the
-        extension, and the rest fold or peel and extend.
+        Long images also hang long words.  Every trial lays the source's
+        path as the start of the target's; at ranks 3 and 5 most keep both
+        lays as laid, and the rest read the morphism through a fold or a
+        peel.  Rank 4, on a third seed, is pinned at short and long images.
         """
         code, out = run(capsys, "fuzz", *args)
         assert code == 0

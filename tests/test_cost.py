@@ -14,6 +14,9 @@ bounded over the whole 16x span instead.  ``fuzz_example`` is counted
 against the alphabet size at a fixed number of trials, and both of its
 counts must stay flat.  ``whitehead_graph`` at rank 1000 is held to no
 run of the cyclic garbage collector, counted by a ``gc.callbacks`` hook.
+A search of a list is one builtin call, so the transport that composes
+its morphism from the lays gets its kept vertices as a :class:`Searched`
+list, whose searches run in Python and count a step per entry passed.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import tracemalloc
 
 import pytest
 
-from stallings import _kernel
+from stallings import _kernel, functor
 from stallings.cases import fuzz_example
 from stallings.errors import AlphabetMismatchError
 from stallings.functor import image_core, unbased_image_morphism
-from stallings.graph import LabeledGraph, bouquet, canonical_form
+from stallings.graph import GraphMorphism, LabeledGraph, bouquet, canonical_form
 from stallings.subgroups import (
     Subgroup, contains, contains_codes, covering_circuit, gamma, inclusion_morphism, onto_base,
     pi1_basis,
@@ -222,6 +225,70 @@ def transport_of(count: int):
     return size, lambda: unbased_image_morphism(phi, f)
 
 
+class Searched(list):
+    """A list whose ``index`` and ``in`` run in Python, a few bytecodes per entry passed."""
+
+    def index(self, value):
+        for i, v in enumerate(self):
+            if v == value:
+                return i
+        raise ValueError(f"{value!r} is not in list")
+
+    def __contains__(self, value):
+        for v in self:
+            if v == value:
+                return True
+        return False
+
+
+def shared_transport_of(count: int):
+    """A core included in itself plus a few c-edges, transported along c -> a.
+
+    The source is gamma of ``count`` seeded rank-2 generators, each
+    conjugated by one seeded word of ``count // 5 + 3`` letters, which
+    hangs from the base.  The
+    target adds a cycle of ``count // 25 + 2`` c-edges, so the source's
+    image paths are the start of the target's lay.  The shared paths identify
+    nothing; the c-edges' paths, a-edges now, make the target's lay
+    identify, and the source's 2-core is peeled.  That route is checked
+    here, with neither junction walk nor extension, before counting.
+    Each 2-core's kept vertices come as a :class:`Searched` list, and
+    the size is both ends' image-path letters.
+    """
+    (u,) = reduced_words(random.Random(4), 2, 1, count // 5 + 3)
+    words = reduced_words(random.Random(1), 2, count, 20)
+    g = gamma(subgroup(reduce_codes(u + w + invert_codes(u)) for w in words))
+    # a cycle of c-edges through drawn vertices that each leave by an
+    # a-edge: one c-edge out of and into each keeps the target folded
+    starts = sorted({v for v, c in zip(g.einit, g.elabel) if c == 1})
+    cycle = random.Random(5).sample(starts, count // 25 + 2)
+    d = LabeledGraph(
+        ABC, g.n_vertices, g.einit + tuple(w for i, t in enumerate(cycle) for w in (t, cycle[i - 1])),
+        g.elabel + (3, -3) * len(cycle), g.base,
+    )
+    f = GraphMorphism(g, d, tuple(range(g.n_vertices)), tuple(range(g.n_half_edges)))
+    phi = GroupHom._raw(ABC, ABC, ((1,), (2,), (1,)))
+    fold, lays = functor._fold_two_core, []
+
+    def searched(alphabet, lay, base):
+        lays.append(lay)
+        core, kept, *rest = fold(alphabet, lay, base)
+        return core, Searched(kept), *rest
+
+    def call():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functor, "_fold_two_core", searched)
+            mp.setattr(functor, "extend_morphism", None)  # a call raises
+            mp.setattr(functor, "trace", None)
+            return unbased_image_morphism(phi, f)
+
+    m = call()
+    s_lay, t_lay = lays
+    assert s_lay[4] is None and t_lay[4] is not None
+    assert m.source.n_half_edges < len(s_lay[0])
+    return g.n_edges + d.n_edges, call
+
+
 def members(count: int) -> tuple[Subgroup, list[tuple[int, ...]]]:
     """A core built beforehand and ``count`` members of it.
 
@@ -274,8 +341,8 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     "draw",
     [
         onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, covering_of,
-        basis_of, image_core_of, inclusion_of, transport_of, contains_of, contains_words_of,
-        parse_of, kernel_fold,
+        basis_of, image_core_of, inclusion_of, transport_of, shared_transport_of, contains_of,
+        contains_words_of, parse_of, kernel_fold,
     ],
 )
 def test_cost_grows_about_linearly(draw):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -431,6 +432,10 @@ class TestTransport:
     def _root(self):
         return unique_pointed_morphism(gamma(H_B), gamma(K_DELTA))
 
+    def _swapped(self):
+        """The example with K's generators swapped: the source's path is not the target's first."""
+        return unique_pointed_morphism(gamma(H_B), gamma(Subgroup.of(AB, "a b a^-1", "b")))
+
     def test_identity_transport(self):
         out = unbased_image_morphism(identity_hom(AB), self._root())
         c = classify(out)
@@ -488,7 +493,8 @@ class TestTransport:
         """A rest of the source's word that leads nowhere is an internal error.
 
         Under a -> b, b -> a b a^-1 the source's image core hangs an
-        a-edge and the target's hangs nothing, so the rest is (a,).
+        a-edge and the target's hangs nothing, so the rest is (a,).  The
+        ends are laid apart, so the junction is walked.
         """
         phi = GroupHom(AB, AB, {"a": parse_word("b"), "b": parse_word("a b a^-1")})
         rests = []
@@ -496,7 +502,7 @@ class TestTransport:
         with pytest.raises(
             InternalError, match="^internal error: image cores admit no morphism$"
         ):
-            unbased_image_morphism(phi, self._root())
+            unbased_image_morphism(phi, self._swapped())
         assert rests == [[1]]
 
     def test_empty_rest_is_not_traced(self, monkeypatch):
@@ -546,13 +552,14 @@ class TestTransport:
             assert table is given and table == fresh._edge_table()
 
     def test_source_path_is_laid_once(self, monkeypatch):
-        """The source's path is laid once, and extended only if something folds or hangs.
+        """The source's path is laid once, and no trial walks or extends.
 
         Over 500 seeded homs at ranks 1-3, the path spelling phi(b) from
         the base is laid once per trial: as the source's lay and as the
-        start of the target's.  The extension runs exactly on the trials
-        where a lay identified two vertices or a 2-core was peeled, and
-        both kinds of trial occur.
+        start of the target's.  The morphism is read off that lay, so
+        neither the junction walk nor the extension runs, also on the
+        trials where a lay identified two vertices or a 2-core was
+        peeled; both kinds of trial occur, beside ones where neither did.
         """
         lay, laid = functor._lay_paths, []
 
@@ -565,18 +572,20 @@ class TestTransport:
         peeled = count_calls(monkeypatch, graph_module, "_peel")
         identified = count_identifications(monkeypatch)
         extended = count_calls(monkeypatch, functor, "extend_morphism")
+        traced = count_calls(monkeypatch, functor, "trace")
         rng = random.Random(36)
         root = self._root()
-        skipped = 0
+        kinds = set()
         for i in range(500):
             phi = random_hom(rng, AB, ALPHABETS[i % 3], 6)
-            for calls in (laid, peeled, identified, extended):
+            for calls in (laid, peeled, identified):
                 calls.clear()
             unbased_image_morphism(phi, root)
             assert laid.count((0, 0, phi.codes[1])) == 1
-            assert len(extended) == bool(peeled or identified)
-            skipped += not extended
-        assert 0 < skipped < 500
+            kinds.add((bool(identified), bool(peeled)))
+        assert extended == traced == []
+        # (identified, peeled): a lay that identifies may or may not leave a peel
+        assert {(False, False), (False, True), (True, True)} <= kinds
 
     def test_paths_shared_under_another_base_are_laid_apart(self):
         """A source whose paths begin the target's, based elsewhere, is not shared.
@@ -600,7 +609,7 @@ class TestTransport:
         injective, the two classify alike, and their ends are isomorphic.
         """
         root = self._root()
-        swapped = unique_pointed_morphism(gamma(H_B), gamma(Subgroup.of(AB, "a b a^-1", "b")))
+        swapped = self._swapped()
         first = lambda f: (f.target.einit[:2], f.target.elabel[:2])
         assert first(root) == (root.source.einit, root.source.elabel) != first(swapped)
         x = Alphabet.of("x1", "x2")
@@ -617,27 +626,77 @@ class TestTransport:
             assert unpointed_isomorphic(shared.target, apart.target)
 
     def test_failed_extension_is_internal_error(self, monkeypatch):
+        """Ends laid apart are extended; an extension that fails is an internal error."""
         monkeypatch.setattr(functor, "extend_morphism", lambda g, d, v, w: None)
         with pytest.raises(InternalError, match="^internal error: a kept source part"):
-            unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+            unbased_image_morphism(conjugation_hom((1,), AB), self._swapped())
 
     @pytest.mark.parametrize("word", [[-1], []], ids=["diverges", "stops-short"])
     def test_source_word_off_the_target_word_is_internal_error(self, monkeypatch, word):
-        """The source's hanging word must start with the target's."""
+        """The source's hanging word must start with the target's, for ends laid apart."""
         fold, words = functor._fold_two_core, []
 
         def swapped(*args):
-            core, junction, hanging = fold(*args)
+            core, kept, junction, hanging = fold(*args)
             words.append(hanging)
-            return core, junction, word if len(words) == 1 else hanging
+            return core, kept, junction, word if len(words) == 1 else hanging
 
         monkeypatch.setattr(functor, "_fold_two_core", swapped)
         # conjugating by a makes both image cores hang an a-edge
         with pytest.raises(
             InternalError, match="^internal error: image cores admit no morphism$"
         ):
-            unbased_image_morphism(conjugation_hom((1,), AB), self._root())
+            unbased_image_morphism(conjugation_hom((1,), AB), self._swapped())
         assert words == [[1], [1]]
+
+    def test_image_peeled_from_the_target_is_internal_error(self, monkeypatch):
+        """On the shared lay, a kept source vertex must land on a kept target vertex.
+
+        Under a -> a^-1, b -> a b a^-1 the source's 2-core is a b-loop at
+        its lay's vertex 1, the target's lay vertex 2.  The target's lay
+        identifies, and its 2-core keeps the classes of vertices 0 and 2,
+        each with a b-loop.  With vertex 2 struck from the target's kept
+        vertices the source's vertex goes nowhere, not to vertex 0's
+        loop, and nothing is extended.
+        """
+        fold, kept = functor._fold_two_core, []
+
+        def struck(*args):
+            core, vertices, junction, word = fold(*args)
+            kept.append(list(vertices))
+            if len(kept) == 2:
+                vertices = [v for v in vertices if v != 2]
+            return core, vertices, junction, word
+
+        monkeypatch.setattr(functor, "_fold_two_core", struck)
+        extended = count_calls(monkeypatch, functor, "extend_morphism")
+        phi = GroupHom(AB, AB, {"a": parse_word("a^-1"), "b": parse_word("a b a^-1")})
+        with pytest.raises(
+            InternalError, match="^internal error: a kept source part maps into a trimmed part$"
+        ):
+            unbased_image_morphism(phi, self._root())
+        assert kept == [[1], [0, 2]] and extended == []
+
+    def test_identified_shared_paths_are_the_sources_lay(self, monkeypatch):
+        """Shared paths that identify something are laid twice, not three times.
+
+        Their lay is the source's own, over the target's given vertices;
+        only the target is laid again.  On the nested pairs of
+        :meth:`test_arrays_are_pinned` whose shared paths identify.
+        """
+        lays = count_calls(monkeypatch, functor, "_lay_paths")
+        done = 0
+        # past the example's 1,500 homs: its one source path identifies nothing
+        for phi, f in itertools.islice(self._pinned_inputs(), 1500, None):
+            lays.clear()
+            try:
+                m = unbased_image_morphism(phi, f)
+            except TrivialSubgroupError:
+                continue
+            if self._route(phi, f, m) == "source-identified":
+                assert len(lays) == 2
+                done += 1
+        assert done > 20
 
     def test_matches_the_pointed_route(self, monkeypatch):
         """The restriction of the pointed morphism between the image cores.
@@ -713,28 +772,28 @@ class TestTransport:
         assert extends == {False, True}
 
     @pytest.mark.parametrize(
-        "images, hanging, merges, extended, source, target, vmap, emap",
+        "images, kept, merges, source, target, vmap, emap",
         [
             (
-                ("a b", "b a^-1"), [[], []], 0, 0,
+                ("a b", "b a^-1"), [range(2), range(4)], 0,
                 (2, (0, 1, 1, 0), (2, -2, -1, 1)),
                 (4, (0, 2, 2, 0, 2, 1, 1, 3, 3, 1), (2, -2, -1, 1, 2, -2, 2, -2, -1, 1)),
                 (0, 2), (0, 1, 2, 3),
             ),
             (
-                ("b", "a b a^-1"), [[1], []], 0, 1,
+                ("b", "a b a^-1"), [[1], range(4)], 0,
                 (1, (0, 0), (2, -2)),
                 (4, (0, 2, 2, 2, 0, 1, 1, 3, 3, 3), (1, -1, 2, -2, 2, -2, 1, -1, 2, -2)),
                 (2,), (2, 3),
             ),
             (
-                ("a a", "a b a^-1"), [[1], [1]], 0, 1,
+                ("a a", "a b a^-1"), [[1], [1, 2, 3]], 0,
                 (1, (0, 0), (2, -2)),
                 (3, (1, 1, 1, 0, 0, 2, 2, 2), (2, -2, 1, -1, 1, -1, 2, -2)),
                 (1,), (0, 1),
             ),
             (
-                ("a b", "b^-1 a b"), [[-2], []], 1, 1,
+                ("a b", "b^-1 a b"), [[1], [0, 2]], 1,
                 (1, (0, 0), (1, -1)),
                 (2, (0, 1, 1, 1, 0, 0), (-2, 2, 1, -1, 1, -1)),
                 (1,), (2, 3),
@@ -743,35 +802,125 @@ class TestTransport:
         ids=["clean", "source-peeled", "target-peeled", "reads-meet"],
     )
     def test_numbering_is_pinned(
-        self, monkeypatch, images, hanging, merges, extended, source, target, vmap, emap
+        self, monkeypatch, images, kept, merges, source, target, vmap, emap
     ):
         """The exact arrays of the example's transport, one hom per route.
 
         Each end's image paths are laid and numbered in spelling order,
         the source's as the start of the target's lay, then peeled and
-        renumbered; the hanging words, the lay's identifications and the
-        extensions show which route each hom takes.  Where nothing hangs
-        or meets, the source's lay sits in the target's and nothing is
-        extended.  The fold kernel never runs.
+        renumbered; the kept vertices, as each lay numbers them, and the
+        lay's identifications show which route each hom takes.  The
+        source's fresh vertex 1 is the target's lay vertex 2.  No route
+        reads a hanging word, walks a junction or extends, and the fold
+        kernel never runs.
         """
-        fold, words = functor._fold_two_core, []
+        fold, handed = functor._fold_two_core, []
 
         def recorded(*args):
             out = fold(*args)
-            words.append(out[2])
+            handed.append(out)
             return out
 
         monkeypatch.setattr(functor, "_fold_two_core", recorded)
         folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
         extensions = count_calls(monkeypatch, functor, "extend_morphism")
+        traced = count_calls(monkeypatch, functor, "trace")
         phi = GroupHom(AB, AB, dict(zip("ab", map(parse_word, images))))
         m = unbased_image_morphism(phi, self._root())
-        assert (words, len(folds), len(identified)) == (hanging, 0, merges)
-        assert len(extensions) == extended
+        assert [out[1] for out in handed] == kept
+        assert [out[2:] for out in handed] == [(None, None)] * 2
+        assert (len(folds), len(identified), extensions, traced) == (0, merges, [], [])
         assert (m.source.n_vertices, m.source.einit, m.source.elabel) == source
         assert (m.target.n_vertices, m.target.einit, m.target.elabel) == target
         assert m.source.base is None and m.target.base is None
         assert (m.vmap, m.emap) == (vmap, emap)
+
+    # sha256 of every transport's arrays in test_arrays_are_pinned, as first computed
+    PINNED_DIGEST = "aba368d5d3fc3a41ffaa3ff1ddf65b83544f48c6513f217819ce36eb6be5f247"
+
+    def _pinned_inputs(self):
+        """Seeded (phi, f) pairs: the example's homs, then nested pairs at ranks 1-4.
+
+        The example goes to alphabets of sizes 1-5 with images of length
+        at most 6 and at most 12.  Each pair's K is its H's generators
+        and one or two more, so gamma(K) often lays gamma(H)'s paths
+        first; about a third of the pairs are conjugated by a word, so
+        both ends hang a path from the base.
+        """
+        rng = random.Random(48)
+        targets = [*ALPHABETS, Alphabet.of(*"abcde")]
+        root = self._root()
+        for target in targets:
+            for max_len in (6, 12):
+                for _ in range(150):
+                    codes = tuple(random_reduced_word(rng, target, max_len) for _ in "ab")
+                    yield GroupHom._raw(AB, target, codes), root
+        for a in ALPHABETS:
+            for _ in range(150):
+                h = [random_reduced_word(rng, a, 4) for _ in range(rng.randint(1, 3))]
+                k = h + [random_reduced_word(rng, a, 4) for _ in range(rng.randint(1, 2))]
+                if rng.random() < 0.3:
+                    u = random_reduced_word(rng, a, 2)
+                    h, k = ([reduce_codes(u + w + invert_codes(u)) for w in ws] for ws in (h, k))
+                f = inclusion_morphism(Subgroup._raw(a, tuple(h)), Subgroup._raw(a, tuple(k)))
+                target = rng.choice(ALPHABETS)
+                codes = tuple(random_reduced_word(rng, target, 4) for _ in a.generators)
+                yield GroupHom._raw(a, target, codes), f
+
+    @staticmethod
+    def _route(phi, f, m) -> str:
+        """Which way a transport went, read off fresh lays of its paths and its ends.
+
+        "apart" when the source's image paths are not the start of the
+        target's under one base; "source-identified" when those shared
+        paths identify something; otherwise whether the target's lay
+        identified, and which 2-cores are smaller than their lays.
+        """
+        g, d = f.source, f.target
+        g_paths, d_paths = functor._paths(phi, phi.codes, g), functor._paths(phi, phi.codes, d)
+        if g.base != d.base or d_paths[: len(g_paths)] != g_paths:
+            return "apart"
+        rank, top = len(phi.target), d.n_vertices
+        if graph_module._lay_paths(rank, top, g_paths)[4] is not None:
+            return "source-identified"
+        s_lay = graph_module._lay_paths(rank, g.n_vertices, g_paths)
+        t_lay = graph_module._lay_paths(rank, top, d_paths)
+        if t_lay[4] is not None:
+            return "target-identified"
+        peeled = (m.source.n_half_edges < len(s_lay[0]), m.target.n_half_edges < len(t_lay[0]))
+        return {
+            (False, False): "as-laid", (True, False): "source-peeled",
+            (False, True): "target-peeled", (True, True): "both-peeled",
+        }[peeled]
+
+    def test_arrays_are_pinned(self):
+        """A digest pins the arrays of 2,100 seeded transports on every route.
+
+        Each transport adds both ends' vertex counts and arrays, vmap and
+        emap, or its error's type and message.  The example's homs reach
+        the source's lay kept inside the target's, a target lay that
+        identifies, and a peeled source alone or with a peeled target;
+        the nested pairs reach ends laid apart, shared paths that
+        identify something, and a trivial image.
+        """
+        lines, routes = [], set()
+        for phi, f in self._pinned_inputs():
+            try:
+                m = unbased_image_morphism(phi, f)
+            except TrivialSubgroupError as e:
+                lines.append(repr((type(e).__name__, str(e))))
+                routes.add("trivial")
+                continue
+            s, t = m.source, m.target
+            lines.append(repr(
+                (s.n_vertices, s.einit, s.elabel, t.n_vertices, t.einit, t.elabel, m.vmap, m.emap)
+            ))
+            routes.add(self._route(phi, f, m))
+        assert routes >= {
+            "as-laid", "target-identified", "source-peeled", "both-peeled",
+            "apart", "source-identified", "trivial",
+        }
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.PINNED_DIGEST
 
     def test_one_peel_per_image_core(self, monkeypatch):
         """Transport peels each image core once and builds no pointed one.

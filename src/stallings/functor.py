@@ -7,11 +7,13 @@ point and trimming the hanging path yields base-point-free core graphs,
 again functorially.  The transport of an inclusion morphism along a
 homomorphism is the three chained, compared up to base-point-free
 isomorphism; it is built by folding each end's image paths straight to
-its 2-core, so no pointed image core is made.  Where the source's paths
-begin the target's, they are laid once, and the inclusion of the one
-lay in the other, followed by the target's fold and 2-core, is the
-transport: nothing is walked or extended.  Ends laid apart are joined
-by one extension.
+its 2-core, so no pointed image core is made.  Every transport is read
+off a lay that holds the target's paths: each source vertex goes to its
+class there, numbered through the target's 2-core, so nothing is walked
+or extended.  Where the source's paths begin the target's and identify
+nothing, they are laid once, as the start of the target's lay;
+otherwise a copy of them is laid after the target's and glued to it at
+the bases.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .graph import (
     _fold_two_core,
     _lay_paths,
     _spell,
-    extend_morphism,
-    trace,
     unique_pointed_morphism,
 )
 from .words import GroupHom, _check_labels, identity_hom, invert_codes, is_nondegenerate
@@ -148,35 +148,31 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
 
     The restriction to the unbased cores of the pointed morphism between
     the image cores, built without either image core or that morphism.
-    Each end's image paths fold straight to its 2-core.  A morphism into
-    a folded graph is fixed by one vertex's image, so when both ends
-    have one base and the source's image paths are the target's first
-    ones, as for an inclusion whose target's generators begin with its
-    source's, the source's lay already holds the restriction: those
-    paths are laid once, numbered as in the target's lay, and each kept
-    source vertex goes to its class in the target's lay, numbered as
-    the target's 2-core numbers it, and each half-edge to the target's
-    half-edge with its label at its tail's image.  If that shared part
-    identified nothing, the source's 2-core comes from it with its
-    fresh vertices shifted down to follow the source's own, and the
-    same lay goes on with the target's other paths; if neither 2-core
-    was then identified or peeled, the map is that inclusion, built from
-    ranges.  If the shared part identified something, it is the source's
-    own lay over the target's given vertices (the unused ones peel
-    away), and the target is laid apart.
+    Each end's image paths fold straight to its 2-core, and a morphism
+    into a folded graph is fixed by one vertex's image, so each kept
+    source lay vertex goes to its class in a lay that holds the target's
+    paths, numbered as the target's 2-core numbers it, and each
+    half-edge to the target's half-edge with its label at its tail's
+    image.  When both ends have one base and the source's image paths
+    are the target's first ones, as for an inclusion whose target's
+    generators begin with its source's, those paths are laid once, over
+    the target's given vertices.  If they identified nothing, the
+    source's 2-core comes from that lay with its fresh vertices shifted
+    down to follow the source's own, and the same lay goes on with the
+    target's other paths; if neither 2-core was then identified or
+    peeled, the map is that inclusion, built from ranges.
 
-    Otherwise each end is laid apart, and its 2-core also gives the
-    junction and the word its image core hangs from the base.  The
-    pointed morphism sends the base to the base, and from the target's
-    base the only way into its 2-core is along the target's word m, so
-    the source's word starts with m, and the source's junction goes
-    where the rest of its word leads from the target's junction (the
-    target's junction itself when nothing is left).  One extension from
-    there is the restriction.  Raises :class:`DegenerateHomError` when
-    phi sends a generator to the identity, :class:`MissingBaseError`
-    when either end of f has no base point, and
-    :class:`TrivialSubgroupError` when the image of the source subgroup
-    is trivial.
+    Otherwise the source is laid on its own, and the target's paths are
+    laid again with a copy of the source's after them, on given vertices
+    that follow the target's, and one empty path joining the two bases.
+    Folding sinks the copy into the target, whose vertices come first,
+    so each class keeps a target vertex as its least member, the edges
+    laid first stay, and the target's 2-core is the one its own lay
+    gives.  That holds only for a morphism, so f is checked to be one
+    first.  Raises :class:`DegenerateHomError` when phi sends a
+    generator to the identity, :class:`MissingBaseError` when either end
+    of f has no base point, and :class:`TrivialSubgroupError` when the
+    image of the source subgroup is trivial.
     """
     images = _checked_images(phi)
     g, d = f.source, f.target
@@ -186,9 +182,9 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
     a, low, top, k = phi.target, g.n_vertices, d.n_vertices, len(g_paths)
     rank = len(a)
     shared = g.base == d.base and d_paths[:k] == g_paths
-    if not shared:
-        s_lay, t_lay = _lay_paths(rank, low, g_paths), _lay_paths(rank, top, d_paths)
-    elif (s_lay := _lay_paths(rank, top, g_paths))[4] is None:
+    given = top if shared else low
+    s_lay = _lay_paths(rank, given, g_paths)
+    if shared and s_lay[4] is None:
         # nothing identified, so the lay goes on as the target's
         einit, elabel, n, deg, _, _ = t_lay = s_lay
         shift = top - low
@@ -196,24 +192,18 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
         # no dict: the target's lay keeps growing it
         s_lay = (own, elabel[:], n - shift, deg[:low], None, None)
         t_lay = _lay_paths(rank, top, d_paths[k:], t_lay)
-    else:  # fresh vertices numbered as in the target's lay, which is laid apart
-        low, t_lay = top, _lay_paths(rank, top, d_paths)
-    s, s_kept, s_junction, tail = _fold_two_core(a, s_lay, None if shared else g.base)
-    t, t_kept, t_junction, stem = _fold_two_core(a, t_lay, None if shared else d.base)
+    else:  # the target's paths, then the source's on given vertices top.., glued at the bases
+        shared = False  # the source's lay is no start of the target's
+        try:
+            GraphMorphism(g, d, f.vmap, f.emap)
+        except AlphabetMismatchError:
+            raise InternalError("internal error: image cores admit no morphism") from None
+        copy = [(u + top, v + top, codes) for u, v, codes in g_paths]
+        t_lay = _lay_paths(rank, top + given, [*d_paths, *copy, (g.base + top, d.base, ())])
+    s, s_kept = _fold_two_core(a, s_lay)
+    t, t_kept = _fold_two_core(a, t_lay)
     if s.n_edges == 0:
         raise TrivialSubgroupError("a tree source has no unbased core morphism")
-    if not shared:
-        k = len(stem)
-        w = None
-        if tail[:k] == stem:
-            # an empty rest stays at the junction, so t builds no head table
-            w = trace(t, t_junction, tail[k:]) if len(tail) > k else t_junction
-        if w is None:
-            raise InternalError("internal error: image cores admit no morphism")
-        m = extend_morphism(s, t, s_junction, w)
-        if m is None:
-            raise InternalError("internal error: a kept source part maps into a trimmed part")
-        return m
     if _as_laid(s, s_lay) and _as_laid(t, t_lay):  # fresh vertices shifted back up
         vmap = (*range(low), *range(top, top + s.n_vertices - low))
         return GraphMorphism(s, t, vmap, tuple(range(s.n_half_edges)), _validate=False)
@@ -223,7 +213,11 @@ def unbased_image_morphism(phi: GroupHom, f: GraphMorphism) -> GraphMorphism:
         at[v] = i
     if t_lay[4] is not None:
         at = [at[c] for c in t_lay[4][0]]
-    del at[low:top]  # now indexed as the source's lay numbers its vertices
+    # now indexed as the source's lay numbers its vertices
+    if shared:
+        del at[low:top]
+    else:  # the copy's fresh vertices end the lay
+        at = at[top : top + given] + at[len(at) - s_lay[2] + given :]
     vmap = [at[v] for v in s_kept]
     table, width = t._edge_table(), 2 * rank + 1
     try:

@@ -11,7 +11,7 @@ Graphs are frozen after construction; every operation returns new values.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain, compress
 from operator import index, neg
 from typing import Iterable, Sequence
@@ -862,54 +862,33 @@ def _fold_paths(
     return _renumber(alphabet, einit, elabel, base, kept_v, kept_e)
 
 
-def _fold_two_core(
-    alphabet: Alphabet, lay: _Lay, base: int | None
-) -> tuple[LabeledGraph, Sequence[int], int | None, list[int] | None]:
-    """The 2-core of a lay's core, its kept vertices, and given a base, its junction and word.
+def _fold_two_core(alphabet: Alphabet, lay: _Lay) -> tuple[LabeledGraph, Sequence[int]]:
+    """The 2-core of a lay's core, and its kept vertices.
 
     The lay comes from :func:`_lay_paths`, which identifies what meets,
     and is peeled once with no protected vertex; the 2-core numbers the
     kept vertices in ascending order, as :func:`two_core` does, and they
     come back as the lay numbers them (each a class's least member when
-    the lay identified something).  Given a base, the junction is the
-    2-core's vertex where the hanging path from the base meets it (the
-    base's class itself when nothing hangs there), and the word is that
-    path's labels from the base, read off the dropped half-edges; without
-    one, both are None.  A tree keeps one vertex, which is the junction,
-    and hangs no word.  A 2-core kept as laid, with nothing identified or
-    peeled, is the whole lay, vertices and half-edges numbered as laid
-    (its kept vertices a range), and keeps the lay's dict as its edge
-    table, so reading that table builds none (:func:`_lay_paths` indexes
-    every half-edge it lays).  The lists are copied and the dict is kept,
-    so a lay that is spelled on afterwards comes here without its dict
-    (None in its place), and its 2-core builds a table of its own if one
-    is read.
+    the lay identified something).  A tree keeps one vertex.  A 2-core
+    kept as laid, with nothing identified or peeled, is the whole lay,
+    vertices and half-edges numbered as laid (its kept vertices a
+    range), and keeps the lay's dict as its edge table, so reading that
+    table builds none (:func:`_lay_paths` indexes every half-edge it
+    lays).  The lists are copied and the dict is kept, so a lay that is
+    spelled on afterwards comes here without its dict (None in its
+    place), and its 2-core builds a table of its own if one is read.
     """
     einit, elabel, n, deg, merged, step = lay
     if merged is None:
         if all(d > 1 for d in deg):  # only the given vertices can hang
             g = LabeledGraph(alphabet, n, tuple(einit), tuple(elabel), _validate=False)
             g._lookup = step
-            return g, range(n), base, None if base is None else []
+            return g, range(n)
         vertices, edges = range(n), range(0, len(einit), 2)
     else:
-        cls, vertices, edges = merged
-        if base is not None:
-            base = cls[base]
-    kept_v, kept_e, dropped = _peel(einit, vertices, edges, None)
-    peeled = _renumber(alphabet, einit, elabel, None, kept_v, kept_e)
-    if base is None:
-        return peeled, kept_v, None, None
-    if not kept_e:
-        return peeled, kept_v, 0, []
-    # each dropped half-edge leaves the vertex it removes, toward the 2-core
-    up = {einit[e]: e for e in dropped}
-    word = []
-    v = base
-    while (e := up.get(v)) is not None:
-        word.append(elabel[e])
-        v = einit[e ^ 1]
-    return peeled, kept_v, bisect_left(kept_v, v), word
+        _, vertices, edges = merged
+    kept_v, kept_e, _ = _peel(einit, vertices, edges, None)
+    return _renumber(alphabet, einit, elabel, None, kept_v, kept_e), kept_v
 
 
 # -- traversal ---------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import string
+import sys
 from collections import Counter
 
 from hypothesis import strategies as st
@@ -36,6 +37,8 @@ __all__ = [
     "naive_is_folded",
     "count_folds",
     "count_identifications",
+    "count_library_calls",
+    "holders",
     "random_reduced_word",
     "list_reduced_word",
     "random_subgroup",
@@ -145,6 +148,24 @@ def count_calls(monkeypatch, owner, name: str) -> list:
         return original(*args)
 
     monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def holders(name: str) -> list:
+    """Every loaded library module that holds ``graph.name``: graph and its importers by name."""
+    original = getattr(graph_module, name)
+    return [
+        module for key, module in list(sys.modules.items())
+        if key.partition(".")[0] == "stallings" and getattr(module, name, None) is original
+    ]
+
+
+def count_library_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``graph.name`` from now on, whichever library module makes it."""
+    owners = holders(name)
+    calls = count_calls(monkeypatch, graph_module, name)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, getattr(graph_module, name))
     return calls
 
 

@@ -14,9 +14,10 @@ bounded over the whole 16x span instead.  ``fuzz_example`` is counted
 against the alphabet size at a fixed number of trials, and both of its
 counts must stay flat.  ``whitehead_graph`` at rank 1000 is held to no
 run of the cyclic garbage collector, counted by a ``gc.callbacks`` hook.
-A search of a list is one builtin call, so the transport that composes
-its morphism from the lays gets its kept vertices as a :class:`Searched`
-list, whose searches run in Python and count a step per entry passed.
+A search of a list is one builtin call, so the transports that compose
+their morphisms from the lays, shared or glued, get their kept vertices
+as :class:`Searched` lists, whose searches run in Python and count a
+step per entry passed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from stallings.subgroups import (
 from stallings.whitehead import whitehead_graph
 from stallings.words import Alphabet, GroupHom, invert_codes, parse_codes, parse_word, reduce_codes
 
-from helpers import reduced_words
+from helpers import holders, reduced_words
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -241,6 +242,50 @@ class Searched(list):
         return False
 
 
+def searched_transport(phi: GroupHom, f: GraphMorphism):
+    """A call of the transport of f along phi, and the list of the lays it folds.
+
+    Each 2-core's kept vertices come as a :class:`Searched` list, and no
+    library function may walk a word or extend a morphism: each is None
+    in every module that holds it, so a call raises.
+    """
+    fold, lays = functor._fold_two_core, []
+    walks = [(owner, name) for name in ("trace", "extend_morphism") for owner in holders(name)]
+
+    def searched(alphabet, lay):
+        lays.append(lay)
+        core, kept = fold(alphabet, lay)
+        return core, Searched(kept)
+
+    def call():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functor, "_fold_two_core", searched)
+            for owner, name in walks:
+                mp.setattr(owner, name, None)
+            return unbased_image_morphism(phi, f)
+
+    return call, lays
+
+
+def glued_transport_of(count: int):
+    """:func:`transport_of` with K's generators reversed, against the same letters.
+
+    The source's image paths are then not the start of the target's, so
+    a copy of them is glued to the target's lay at the bases: that
+    route is checked here, with neither walk nor extension, before
+    counting.
+    """
+    gens = generators(count)
+    f = inclusion_morphism(subgroup(gens[: count // 2]), subgroup(gens[::-1]))
+    phi = GroupHom._raw(ABC, ABC, ((1, 2), (1, -3), (3, 2)))
+    size = sum(len(phi.codes[abs(c) - 1]) for g in (f.source, f.target) for c in g.elabel[::2])
+    call, lays = searched_transport(phi, f)
+    call()
+    # the glued lay's given vertices are both ends'
+    assert len(lays[1][3]) == f.source.n_vertices + f.target.n_vertices
+    return size, call
+
+
 def shared_transport_of(count: int):
     """A core included in itself plus a few c-edges, transported along c -> a.
 
@@ -251,9 +296,8 @@ def shared_transport_of(count: int):
     image paths are the start of the target's lay.  The shared paths identify
     nothing; the c-edges' paths, a-edges now, make the target's lay
     identify, and the source's 2-core is peeled.  That route is checked
-    here, with neither junction walk nor extension, before counting.
-    Each 2-core's kept vertices come as a :class:`Searched` list, and
-    the size is both ends' image-path letters.
+    here, with neither walk nor extension, before counting, and the size
+    is both ends' image-path letters.
     """
     (u,) = reduced_words(random.Random(4), 2, 1, count // 5 + 3)
     words = reduced_words(random.Random(1), 2, count, 20)
@@ -268,20 +312,7 @@ def shared_transport_of(count: int):
     )
     f = GraphMorphism(g, d, tuple(range(g.n_vertices)), tuple(range(g.n_half_edges)))
     phi = GroupHom._raw(ABC, ABC, ((1,), (2,), (1,)))
-    fold, lays = functor._fold_two_core, []
-
-    def searched(alphabet, lay, base):
-        lays.append(lay)
-        core, kept, *rest = fold(alphabet, lay, base)
-        return core, Searched(kept), *rest
-
-    def call():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(functor, "_fold_two_core", searched)
-            mp.setattr(functor, "extend_morphism", None)  # a call raises
-            mp.setattr(functor, "trace", None)
-            return unbased_image_morphism(phi, f)
-
+    call, lays = searched_transport(phi, f)
     m = call()
     s_lay, t_lay = lays
     assert s_lay[4] is None and t_lay[4] is not None
@@ -341,7 +372,8 @@ def slope(a: tuple[int, int], b: tuple[int, int]) -> float:
     "draw",
     [
         onto_base_half, onto_base_hanging, gamma_of, canonical_of, whitehead_of, covering_of,
-        basis_of, image_core_of, inclusion_of, transport_of, shared_transport_of, contains_of,
+        basis_of, image_core_of, inclusion_of, transport_of, shared_transport_of,
+        glued_transport_of, contains_of,
         contains_words_of, parse_of, kernel_fold,
     ],
 )

@@ -60,6 +60,7 @@ from helpers import (
     count_calls,
     count_folds,
     count_identifications,
+    count_library_calls,
     counting_names,
     graph,
     image_paths,
@@ -359,7 +360,7 @@ class TestUnbasedCore:
         """The junction's image is kept, but the extension from it fails."""
         # the a-edge at the delta graph's base is no loop
         g, d = gamma(Subgroup.of(AB, "a")), gamma(K_DELTA)
-        with pytest.raises(InternalError, match="^internal error: a kept source part"):
+        with pytest.raises(InternalError, match="^internal error: image cores admit no morphism$"):
             unbased_core_morphism(self._to_base(g, d))
 
     def test_restricts_f_on_nested_pairs(self):
@@ -468,10 +469,10 @@ class TestTransport:
 
     @pytest.mark.parametrize("dropped", ["source", "target", "both"])
     def test_missing_base_is_rejected(self, dropped):
-        """Each end's hanging word is read from its base, so both need one.
+        """The ends are glued at their bases, so both need one.
 
-        The target's junction is its vertex 0, but the restriction sends
-        the source's one 2-core vertex to vertex 1, so no seed stands in
+        The target's 2-core keeps its vertex 0, but the restriction sends
+        the source's one 2-core vertex to vertex 1, so no vertex stands in
         for a missing base.
         """
         f = inclusion_morphism(Subgroup.of(AB, "a b a^-1"), K_DELTA)
@@ -489,31 +490,34 @@ class TestTransport:
         with pytest.raises(DegenerateHomError):
             unbased_image_morphism(bad, m)
 
-    def test_untraced_hanging_path_is_internal_error(self, monkeypatch):
-        """A rest of the source's word that leads nowhere is an internal error.
+    def test_hanging_source_path_is_glued(self, monkeypatch):
+        """A source that hangs where its target does not sinks into the target's lay.
 
         Under a -> b, b -> a b a^-1 the source's image core hangs an
-        a-edge and the target's hangs nothing, so the rest is (a,).  The
-        ends are laid apart, so the junction is walked.
+        a-edge and the target's hangs nothing.  The ends are laid apart,
+        so a copy of the source's path is glued to the target's at the
+        bases.  The source's b-loop lands on the target's at its 2-core
+        vertex 3, as the pointed route has it, and nothing is walked or
+        extended.
         """
         phi = GroupHom(AB, AB, {"a": parse_word("b"), "b": parse_word("a b a^-1")})
-        rests = []
-        monkeypatch.setattr(functor, "trace", lambda g, v, codes: rests.append(codes))
-        with pytest.raises(
-            InternalError, match="^internal error: image cores admit no morphism$"
-        ):
-            unbased_image_morphism(phi, self._swapped())
-        assert rests == [[1]]
+        f = self._swapped()
+        walked = count_library_calls(monkeypatch, "trace")
+        extended = count_library_calls(monkeypatch, "extend_morphism")
+        out = unbased_image_morphism(phi, f)
+        assert walked == extended == []
+        ref = unbased_core_morphism(image_morphism(phi, f))
+        assert (out.vmap, out.emap) == (ref.vmap, ref.emap) == ((3,), (8, 9))
 
     def test_empty_rest_is_not_traced(self, monkeypatch):
-        """Both image cores hang an a-edge under conjugation by a: the rest is empty.
+        """Both image cores hang an a-edge under conjugation by a, read off the shared lay.
 
-        The source's junction then goes to the target's, with no walk, so
-        the target builds no head table.
+        Nothing is walked, so the target builds no head table.
         """
-        monkeypatch.setattr(functor, "trace", lambda g, v, codes: pytest.fail("traced"))
-        out = unbased_image_morphism(conjugation_hom((1,), AB), self._root())
-        assert classify(out).injective
+        root = self._root()
+        walked = count_library_calls(monkeypatch, "trace")
+        out = unbased_image_morphism(conjugation_hom((1,), AB), root)
+        assert classify(out).injective and walked == []
         assert out.target._heads is None and out.target._lookup is not None
 
     def test_laid_cores_keep_the_lay_table(self, monkeypatch):
@@ -527,8 +531,8 @@ class TestTransport:
         """
         fold, cores = functor._fold_two_core, []
 
-        def recorded(alphabet, lay, base):
-            out = fold(alphabet, lay, base)
+        def recorded(alphabet, lay):
+            out = fold(alphabet, lay)
             cores.append((out[0], lay[5], out[0]._lookup))
             return out
 
@@ -556,12 +560,13 @@ class TestTransport:
 
         Over 500 seeded homs at ranks 1-3, the path spelling phi(b) from
         the base is laid once per trial: as the source's lay and as the
-        start of the target's.  The morphism is read off that lay, so
-        neither the junction walk nor the extension runs, also on the
+        start of the target's.  The morphism is read off that lay, so no
+        library function walks a word or extends a morphism, also on the
         trials where a lay identified two vertices or a 2-core was
         peeled; both kinds of trial occur, beside ones where neither did.
         """
         lay, laid = functor._lay_paths, []
+        root = self._root()
 
         def recorded(alphabet, n_vertices, paths, *rest):
             paths = list(paths)
@@ -571,10 +576,9 @@ class TestTransport:
         monkeypatch.setattr(functor, "_lay_paths", recorded)
         peeled = count_calls(monkeypatch, graph_module, "_peel")
         identified = count_identifications(monkeypatch)
-        extended = count_calls(monkeypatch, functor, "extend_morphism")
-        traced = count_calls(monkeypatch, functor, "trace")
+        extended = count_library_calls(monkeypatch, "extend_morphism")
+        traced = count_library_calls(monkeypatch, "trace")
         rng = random.Random(36)
-        root = self._root()
         kinds = set()
         for i in range(500):
             phi = random_hom(rng, AB, ALPHABETS[i % 3], 6)
@@ -599,6 +603,29 @@ class TestTransport:
         assert f.vmap == (1, 0)
         m = unbased_image_morphism(identity_hom(AB), f)
         assert (m.vmap, m.emap) == (f.vmap, f.emap)
+
+    def test_glued_map_may_merge_vertices(self):
+        """A morphism that sends two source vertices to one is glued like any other.
+
+        f is Gamma<a a> -> Gamma<a>, whose source's two paths are not its
+        target's one, so every transport glues a copy of them to the
+        target's lay.  Along 300 seeded homs at ranks 1-3 the transport
+        has the arrays of restricting the pointed route, is a morphism,
+        and wraps the source's 2-core twice around the target's.
+        """
+        f = unique_pointed_morphism(gamma(Subgroup.of(AB, "a a")), gamma(Subgroup.of(AB, "a")))
+        assert f.vmap == (0, 0)
+        rng = random.Random(49)
+        for i in range(300):
+            phi = random_hom(rng, AB, ALPHABETS[i % 3], 6)
+            out = unbased_image_morphism(phi, f)
+            assert self._route(phi, f, out) == "apart"
+            ref = unbased_core_morphism(image_morphism(phi, f))
+            for h, r in ((out.source, ref.source), (out.target, ref.target)):
+                assert (h.n_vertices, h.einit, h.elabel) == (r.n_vertices, r.einit, r.elabel)
+            assert (out.vmap, out.emap) == (ref.vmap, ref.emap)
+            GraphMorphism(out.source, out.target, out.vmap, out.emap)  # raises unless valid
+            assert out.source.n_edges == 2 * out.target.n_edges and not classify(out).injective
 
     def test_shared_lay_agrees_with_separate_lays(self):
         """Every hom F{a,b} -> F{x1,x2} with images of length 1-3, both routes.
@@ -625,29 +652,34 @@ class TestTransport:
             assert unpointed_isomorphic(shared.source, apart.source)
             assert unpointed_isomorphic(shared.target, apart.target)
 
-    def test_failed_extension_is_internal_error(self, monkeypatch):
-        """Ends laid apart are extended; an extension that fails is an internal error."""
-        monkeypatch.setattr(functor, "extend_morphism", lambda g, d, v, w: None)
-        with pytest.raises(InternalError, match="^internal error: a kept source part"):
-            unbased_image_morphism(conjugation_hom((1,), AB), self._swapped())
+    def test_glued_image_peeled_from_the_target_is_internal_error(self, monkeypatch):
+        """On the glued lay too, a kept source vertex must land on a kept target vertex.
 
-    @pytest.mark.parametrize("word", [[-1], []], ids=["diverges", "stops-short"])
-    def test_source_word_off_the_target_word_is_internal_error(self, monkeypatch, word):
-        """The source's hanging word must start with the target's, for ends laid apart."""
-        fold, words = functor._fold_two_core, []
+        Conjugating by a makes both image cores hang an a-edge.  The
+        source's 2-core is a b-loop at its lay's vertex 1, whose copy is
+        the glued lay's last vertex, in the class of the target's lay
+        vertex 1; the target's 2-core keeps the classes of vertices 1 and
+        3.  With vertex 1 struck from them the source's vertex goes
+        nowhere, and nothing is walked or extended.
+        """
+        fold, kept = functor._fold_two_core, []
 
-        def swapped(*args):
-            core, kept, junction, hanging = fold(*args)
-            words.append(hanging)
-            return core, kept, junction, word if len(words) == 1 else hanging
+        def struck(*args):
+            core, vertices = fold(*args)
+            kept.append(list(vertices))
+            if len(kept) == 2:
+                vertices = [v for v in vertices if v != 1]
+            return core, vertices
 
-        monkeypatch.setattr(functor, "_fold_two_core", swapped)
-        # conjugating by a makes both image cores hang an a-edge
+        f = self._swapped()
+        monkeypatch.setattr(functor, "_fold_two_core", struck)
+        walked = count_library_calls(monkeypatch, "trace")
+        extended = count_library_calls(monkeypatch, "extend_morphism")
         with pytest.raises(
-            InternalError, match="^internal error: image cores admit no morphism$"
+            InternalError, match="^internal error: a kept source part maps into a trimmed part$"
         ):
-            unbased_image_morphism(conjugation_hom((1,), AB), self._swapped())
-        assert words == [[1], [1]]
+            unbased_image_morphism(conjugation_hom((1,), AB), f)
+        assert kept == [[1], [1, 3]] and walked == extended == []
 
     def test_image_peeled_from_the_target_is_internal_error(self, monkeypatch):
         """On the shared lay, a kept source vertex must land on a kept target vertex.
@@ -662,27 +694,29 @@ class TestTransport:
         fold, kept = functor._fold_two_core, []
 
         def struck(*args):
-            core, vertices, junction, word = fold(*args)
+            core, vertices = fold(*args)
             kept.append(list(vertices))
             if len(kept) == 2:
                 vertices = [v for v in vertices if v != 2]
-            return core, vertices, junction, word
+            return core, vertices
 
+        root = self._root()
         monkeypatch.setattr(functor, "_fold_two_core", struck)
-        extended = count_calls(monkeypatch, functor, "extend_morphism")
+        extended = count_library_calls(monkeypatch, "extend_morphism")
         phi = GroupHom(AB, AB, {"a": parse_word("a^-1"), "b": parse_word("a b a^-1")})
         with pytest.raises(
             InternalError, match="^internal error: a kept source part maps into a trimmed part$"
         ):
-            unbased_image_morphism(phi, self._root())
+            unbased_image_morphism(phi, root)
         assert kept == [[1], [0, 2]] and extended == []
 
     def test_identified_shared_paths_are_the_sources_lay(self, monkeypatch):
         """Shared paths that identify something are laid twice, not three times.
 
         Their lay is the source's own, over the target's given vertices;
-        only the target is laid again.  On the nested pairs of
-        :meth:`test_arrays_are_pinned` whose shared paths identify.
+        the target is laid again with a copy of them glued on.  On the
+        nested pairs of :meth:`test_arrays_are_pinned` whose shared paths
+        identify.
         """
         lays = count_calls(monkeypatch, functor, "_lay_paths")
         done = 0
@@ -707,12 +741,14 @@ class TestTransport:
         of K, matched to the library's numbering by pointed isomorphisms.
         Drawn pairs and the example along seeded homs reach every branch
         of the transport: nothing hangs, only the source hangs, the
-        target hangs too (its word is stripped from the source's), and
-        two reads of a path meet.
+        target hangs too, two reads of a path meet, and the source's
+        paths are laid inside the target's lay or glued to it.  Nothing
+        is walked or extended.
         """
-        hangs, meets, extends = set(), set(), set()
+        hangs, meets, glued = set(), set(), set()
         folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
-        extended = count_calls(monkeypatch, functor, "extend_morphism")
+        walked = count_library_calls(monkeypatch, "trace")
+        extended = count_library_calls(monkeypatch, "extend_morphism")
 
         def compare(phi, f):
             g, d = image_core(phi, f.source), image_core(phi, f.target)
@@ -720,11 +756,12 @@ class TestTransport:
                 with pytest.raises(TrivialSubgroupError):
                     unbased_image_morphism(phi, f)
                 return
-            identified.clear()
-            extended.clear()
+            for calls in (identified, walked, extended):
+                calls.clear()
             out = unbased_image_morphism(phi, f)
+            assert walked == extended == []
             meets.add(bool(identified))
-            extends.add(bool(extended))
+            glued.add(self._route(phi, f, out) in ("apart", "source-identified"))
             ref = unbased_core_morphism(functor.image_morphism(phi, f))
             for h, r in ((out.source, ref.source), (out.target, ref.target)):
                 assert (h.n_vertices, h.einit, h.elabel, h.base) == (
@@ -768,8 +805,8 @@ class TestTransport:
         # (source hangs, target hangs): a target that hangs a word makes the source hang it
         assert hangs == {(False, False), (True, False), (True, True)}
         assert meets == {False, True} and not folds
-        # the example's source lay sits in its target's when nothing folds or hangs
-        assert extends == {False, True}
+        # the example's source lay starts its target's; pairs conjugated apart are glued
+        assert glued == {False, True}
 
     @pytest.mark.parametrize(
         "images, kept, merges, source, target, vmap, emap",
@@ -811,10 +848,11 @@ class TestTransport:
         renumbered; the kept vertices, as each lay numbers them, and the
         lay's identifications show which route each hom takes.  The
         source's fresh vertex 1 is the target's lay vertex 2.  No route
-        reads a hanging word, walks a junction or extends, and the fold
-        kernel never runs.
+        walks a word or extends a morphism, and the fold kernel never
+        runs.
         """
         fold, handed = functor._fold_two_core, []
+        root = self._root()
 
         def recorded(*args):
             out = fold(*args)
@@ -823,12 +861,11 @@ class TestTransport:
 
         monkeypatch.setattr(functor, "_fold_two_core", recorded)
         folds, identified = count_folds(monkeypatch), count_identifications(monkeypatch)
-        extensions = count_calls(monkeypatch, functor, "extend_morphism")
-        traced = count_calls(monkeypatch, functor, "trace")
+        extensions = count_library_calls(monkeypatch, "extend_morphism")
+        traced = count_library_calls(monkeypatch, "trace")
         phi = GroupHom(AB, AB, dict(zip("ab", map(parse_word, images))))
-        m = unbased_image_morphism(phi, self._root())
+        m = unbased_image_morphism(phi, root)
         assert [out[1] for out in handed] == kept
-        assert [out[2:] for out in handed] == [(None, None)] * 2
         assert (len(folds), len(identified), extensions, traced) == (0, merges, [], [])
         assert (m.source.n_vertices, m.source.einit, m.source.elabel) == source
         assert (m.target.n_vertices, m.target.einit, m.target.elabel) == target

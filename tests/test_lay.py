@@ -365,25 +365,19 @@ class TestPinned:
         )
 
     def test_base_moves_unbased(self, monkeypatch):
-        """The 2-core drops the base's class; the junction and word lead back to it.
+        """The 2-core drops the base's class.
 
-        The kept vertices are the classes' least lay numbers, in order;
-        without a base, the same 2-core and kept vertices come back with
-        neither junction nor word.
+        The kept vertices are the classes' least lay numbers, in order.
         """
         identified = count_identifications(monkeypatch)
         phi, d = self.BASE_MOVES, ROOT.target
         lay = _lay_paths(len(AB), d.n_vertices, _paths(phi, phi.codes, d))
-        core, kept, junction, word = _fold_two_core(AB, lay, d.base)
+        core, kept = _fold_two_core(AB, lay)
         assert self._base_moved(identified)
         assert (core.n_vertices, core.einit, core.elabel) == (
             2, (0, 1, 1, 1, 0, 0), (-2, 2, -1, 1, -1, 1)
         )
         assert kept == [2, 3] and lay[4][0][d.base] not in kept
-        assert (junction, word) == (0, [-2])
-        unbased, again, *rest = _fold_two_core(AB, lay, None)
-        assert (unbased.einit, unbased.elabel) == (core.einit, core.elabel)
-        assert (again, rest) == (kept, [None, None])
         assert classify(unbased_image_morphism(phi, ROOT)).injective
 
 
